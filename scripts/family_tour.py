@@ -25,6 +25,7 @@ from cantorval.families import (
     spec_from_json,
     standardness_ratio,
 )
+from cantorval.series import SubsumLadder
 
 HERE = Path(__file__).resolve().parent
 
@@ -48,7 +49,7 @@ def tour(name: str) -> None:
         print("  block(1) subsums:", [int(v) for v in mm_block(spec.gaps[1]).values])
     ratio = standardness_ratio(spec, 1)
     print(f"  standardness: {rat_str(ratio.at_index)} (limit {rat_str(ratio.limit)})")
-    verdict = classify(spec, horizon=10)
+    verdict = classify(spec, SubsumLadder(stream), horizon=10)
     print(f"  classification: {verdict.verdict.value} ({verdict.tier.value})")
     print(f"  first terms: {[rat_str(t) for t in stream.terms(6)]}")
     print()

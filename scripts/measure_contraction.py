@@ -4,7 +4,9 @@
 Usage: python scripts/measure_contraction.py [spec.json] [max_depth]
 
 Defaults to the Guthrie-Nymann spec at depth 12.  Emits CSV to stdout:
-n, lambda(I_n), certified lower bound, boundary gap, gap count.
+n, lambda(I_n), certified lower bound, boundary gap, gap count.  One subsum
+ladder serves every depth; the lower bound is certified for multigeometric
+specs only.
 """
 
 import json
@@ -14,7 +16,8 @@ from pathlib import Path
 from cantorval.classify import resolve_stream
 from cantorval.engine import iterate, measure_bounds
 from cantorval.exact import rat_str
-from cantorval.families import spec_from_json
+from cantorval.families import MultigeometricSpec, spec_from_json
+from cantorval.series import SubsumLadder
 
 HERE = Path(__file__).resolve().parent
 
@@ -23,11 +26,12 @@ def main() -> int:
     spec_path = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE / "specs" / "gn.json"
     max_depth = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     spec = spec_from_json(json.loads(spec_path.read_text()))
-    stream, _ = resolve_stream(spec)
+    ladder = SubsumLadder(resolve_stream(spec)[0])
+    mg_spec = spec if isinstance(spec, MultigeometricSpec) else None
     print("n,upper,lower,boundary_gap,gap_count")
     for n in range(1, max_depth + 1):
-        bounds = measure_bounds(spec, n)
-        gaps = iterate(stream, n).gap_count
+        bounds = measure_bounds(ladder, n, spec=mg_spec)
+        gaps = iterate(ladder, n).gap_count
         print(
             f"{n},{rat_str(bounds.upper_lambda_e)},{rat_str(bounds.lower_interior)},"
             f"{rat_str(bounds.boundary_gap)},{gaps}"

@@ -15,15 +15,16 @@ from .exact import (
 from .series import (
     DEFAULT_CAP,
     CapacityError,
+    FiniteStream,
     GeometricTailStream,
     KakeyaPattern,
     KakeyaSplit,
+    SubsumLadder,
     SuffixStream,
     TermStream,
     finite_subsums,
     group_convolve,
     kakeya_split,
-    subsums_of_values,
 )
 from .families import (
     BlockGeometric,
@@ -65,7 +66,6 @@ from .engine import (
     certify_interior,
     hutchinson,
     iterate,
-    longest_component_trend,
     measure_bounds,
 )
 from .classify import (
@@ -86,7 +86,6 @@ from .uniqueness import (
     repetition_report,
     representation_uniqueness_oracle,
     semifast_check,
-    tail_collision_evidence,
     tail_sum_unique,
 )
 

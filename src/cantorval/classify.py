@@ -27,10 +27,10 @@ from .families.kyiv import KyivSpec, kyiv_stream, kyiv_validate
 from .families.marchwicki import MMSpec, mm_stream
 from .families.multigeometric import MultigeometricSpec, mg_block, mg_stream
 from .series import (
-    DEFAULT_CAP,
     GREATER,
     CapacityError,
     KakeyaPattern,
+    SubsumLadder,
     TermStream,
     kakeya_split,
 )
@@ -170,21 +170,23 @@ def _separated_blocks(spec: MultigeometricSpec) -> Optional[dict]:
 
 def classify(
     subject: Subject,
+    ladder: SubsumLadder,
     horizon: int = 12,
-    cap: int = DEFAULT_CAP,
     budget: int = 16,
     seed_depth: int = 2,
 ) -> Classification:
     """Decide the topological type at the strongest honest tier.
 
-    Family-analytic proofs are tried first, then exact pattern proofs, then
-    exact finite certificates (multigeometric only), then finite-horizon
-    heuristics.  Certified verdicts do not depend on the horizon, so they are
-    stable under horizon increase.
+    ``ladder`` is the subsum ladder of the subject's stream (see
+    resolve_stream).  Family-analytic proofs are tried first, then exact
+    pattern proofs, then exact finite certificates (multigeometric only),
+    then finite-horizon heuristics.  Certified verdicts do not depend on the
+    horizon, so they are stable under horizon increase.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    stream, spec = resolve_stream(subject)
+    stream = ladder.stream
+    spec = None if isinstance(subject, TermStream) else subject
 
     from_family = _family_classification(spec, horizon) if spec is not None else None
     if from_family is not None:
@@ -203,7 +205,7 @@ def classify(
                 Verdict.CANTOR, Tier.CERTIFIED, horizon, {"separated_blocks": separated}
             )
         try:
-            certificate = certify_interior(spec, seed_depth, budget, cap=cap)
+            certificate = certify_interior(spec, ladder, seed_depth, budget)
         except CapacityError:
             certificate = None
         if (
@@ -216,12 +218,11 @@ def classify(
             # Interval inside the attractor plus infinitely many Kakeya
             # indices (each strict index splits bricks at its level, and the
             # pattern repeats forever) rules out every type but Cantorval.
-            stream_for_gaps = mg_stream(spec)
             first_strict = next(
                 n for n in range(1, len(pattern.prefix) + len(pattern.cycle) + 1)
                 if pattern.comparison_at(n) == GREATER
             )
-            gap_witness = iterate(stream_for_gaps, first_strict, cap).gaps()
+            gap_witness = iterate(ladder, first_strict).gaps()
             return Classification(
                 Verdict.CANTORVAL,
                 Tier.CERTIFIED,
@@ -234,8 +235,8 @@ def classify(
             )
 
     # Heuristic tier: exact finite-horizon measurements, honest about reach.
-    trend = tight_trend(stream, horizon, cap)
-    report = iterate(stream, horizon, cap)
+    trend = tight_trend(ladder, horizon)
+    report = iterate(ladder, horizon)
     split = kakeya_split(stream, horizon)
     witness = {
         "tight_trend": trend.to_json(),

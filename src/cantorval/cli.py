@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +32,7 @@ from .families import (
     spec_from_json,
     standardness_ratio,
 )
-from .series import DEFAULT_CAP, CapacityError, kakeya_split
+from .series import DEFAULT_CAP, CapacityError, SubsumLadder, kakeya_split
 from .tightness import tight_trend
 from .uniqueness import (
     RepeatedTermSpec,
@@ -54,13 +55,27 @@ def _load_spec(args: argparse.Namespace):
     return spec_from_json(json.loads(raw))
 
 
+def _int_at_least(low: int, text: str) -> int:
+    """An integer option value no smaller than ``low``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
 def _default_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("CANTORVAL_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        return _int_at_least(1, env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CANTORVAL_CAP: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -148,9 +163,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_CONDITION_FAILURE
 
 
-def _uniqueness_section(spec, stream, depth: int, cap: int) -> dict:
+def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
     k = min(depth, 12)
-    report = repetition_report(stream, k, cap)
+    stream = ladder.stream
+    report = repetition_report(ladder, k)
     section = {
         "repetition": report.to_json(),
         "tail_unique": [[n, tail_sum_unique(stream, n)] for n in range(1, k + 1)],
@@ -161,7 +177,7 @@ def _uniqueness_section(spec, stream, depth: int, cap: int) -> dict:
         section["semifast"] = semifast_check(spec).to_json()
         try:
             section["representation_oracle"] = representation_uniqueness_oracle(
-                spec, min(depth, 6), cap
+                spec, min(depth, 6), ladder.cap
             )
         except CapacityError:
             section["representation_oracle"] = None
@@ -169,14 +185,18 @@ def _uniqueness_section(spec, stream, depth: int, cap: int) -> dict:
 
 
 def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
-    """The composite analysis document; everything exact and deterministic."""
+    """The composite analysis document; everything exact and deterministic.
+
+    One subsum ladder is built for the spec's stream and every section reads
+    its F_n from it.
+    """
     stream, _ = resolve_stream(spec)
-    classification = classify(spec, horizon=horizon, cap=cap, budget=budget)
-    iterations = [iterate(stream, n, cap).to_json() for n in range(depth + 1)]
-    bounds = measure_bounds(
-        spec if isinstance(spec, MultigeometricSpec) else stream, depth, budget, cap
-    )
-    trend = tight_trend(stream, max(horizon, 1), cap)
+    ladder = SubsumLadder(stream, cap)
+    classification = classify(spec, ladder, horizon=horizon, budget=budget)
+    iterations = [iterate(ladder, n).to_json() for n in range(depth + 1)]
+    mg_spec = spec if isinstance(spec, MultigeometricSpec) else None
+    bounds = measure_bounds(ladder, depth, budget, mg_spec)
+    trend = tight_trend(ladder, horizon)
     try:
         standardness = standardness_ratio(spec, 1).to_json()
     except ValueError:
@@ -190,7 +210,7 @@ def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
         "measure_bounds": bounds.to_json(),
         "tight_trend": trend.to_json(),
         "standardness": standardness,
-        "uniqueness": _uniqueness_section(spec, stream, depth, cap),
+        "uniqueness": _uniqueness_section(spec, ladder, depth),
     }
 
 
@@ -265,13 +285,14 @@ def _human_summary(doc: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
+        cap = _default_cap(args)
         spec = _load_spec(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    cap = _default_cap(args)
+    horizon = args.depth if args.horizon is None else args.horizon
     try:
-        doc = build_report(spec, args.depth, args.horizon or args.depth, cap, args.budget)
+        doc = build_report(spec, args.depth, horizon, cap, args.budget)
     except CapacityError as exc:
         sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
         return EXIT_CAPACITY
@@ -291,8 +312,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error as one stderr line and exit status 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cantorval",
         description="Exact analysis of achievement sets of convergent series",
     )
@@ -301,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="path to a family spec JSON file")
         p.add_argument("--inline", help="family spec JSON as a literal argument")
-        p.add_argument("--depth", type=int, default=8)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--depth", type=partial(_int_at_least, 1), default=8)
+        p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
+        p.add_argument("--cap", type=partial(_int_at_least, 1), default=None,
                        help="dedup capacity (env CANTORVAL_CAP overrides the default)")
-        p.add_argument("--budget", type=int, default=12)
+        p.add_argument("--budget", type=partial(_int_at_least, 0), default=12)
         p.add_argument("--format", choices=("json", "csv", "human"), default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(handler=handler)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .exact import (
     EMPTY_SET,
@@ -23,8 +23,8 @@ from .exact import (
     normalize,
     rat_str,
 )
-from .series import DEFAULT_CAP, CapacityError, TermStream, finite_subsums
-from .families.multigeometric import MultigeometricSpec, mg_block, mg_stream
+from .series import CapacityError, SubsumLadder
+from .families.multigeometric import MultigeometricSpec, mg_block
 
 # Refinement that has not stabilized by this many parts will not stabilize:
 # successful certificates have few parts, while Cantorval refinements split
@@ -64,12 +64,12 @@ class IterationReport:
         }
 
 
-def iterate(stream: TermStream, n: int, cap: int = DEFAULT_CAP) -> IterationReport:
+def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
     """Union of bricks [f, f + r_n] over the deduplicated subsum set F_n."""
     if n < 0:
         raise ValueError("iteration depth must be nonnegative")
-    subsums = finite_subsums(stream, n, cap)
-    tail = stream.tail(n)
+    subsums = ladder[n]
+    tail = ladder.stream.tail(n)
     bricks = normalize(Interval(f, f + tail) for f in subsums.values)
     longest = max(bricks.parts, key=lambda p: p.length)
     return IterationReport(
@@ -189,26 +189,26 @@ def _run_window_candidates(spec: MultigeometricSpec) -> list[IntervalSet]:
 
 def certify_interior(
     spec: MultigeometricSpec,
+    ladder: SubsumLadder,
     seed_depth: int = 2,
     budget: int = 16,
     *,
     part_limit: int = DEFAULT_PART_LIMIT,
     snap_denominator: Optional[int] = None,
-    cap: int = DEFAULT_CAP,
 ) -> InteriorCertificate:
     """Search for a finite self-covered interval union inside the attractor.
 
-    Seeds with I_{m * seed_depth} and refines S to S intersect Phi(S); a
-    refinement fixed point is exactly the wanted property.  When refinement
-    does not stabilize (for many Cantorvals it cannot: the parts multiply
+    ``ladder`` is the subsum ladder of mg_stream(spec).  Seeds with
+    I_{m * seed_depth} and refines S to S intersect Phi(S); a refinement
+    fixed point is exactly the wanted property.  When refinement does not
+    stabilize (for many Cantorvals it cannot: the parts multiply
     forever), snapped and analytic run-window candidates are pruned and
     tried.  Whatever survives is rechecked exactly; only that recheck sets
     ``verified``.
     """
     if seed_depth < 1 or budget < 0:
         raise ValueError("need seed_depth >= 1 and budget >= 0")
-    stream = mg_stream(spec)
-    s = iterate(stream, spec.m * seed_depth, cap).iteration.nondegenerate()
+    s = iterate(ladder, spec.m * seed_depth).iteration.nondegenerate()
     diagnostics: list[str] = []
     rounds = 0
     stabilized = False
@@ -298,35 +298,30 @@ class MeasureBounds:
 
 
 def measure_bounds(
-    subject: Union[MultigeometricSpec, TermStream],
+    ladder: SubsumLadder,
     depth: int,
     budget: int = 12,
-    cap: int = DEFAULT_CAP,
+    spec: Optional[MultigeometricSpec] = None,
 ) -> MeasureBounds:
     """Upper bound lambda(I_depth); certified interior lower bound when possible.
 
-    Only multigeometric specs have the exact self-similar operator, so other
-    streams get a lower bound of zero here (their interior content is covered
-    by the family closed forms instead).  The best certificate over seed
-    depths up to depth is used, which keeps the boundary gap nonincreasing as
-    depth and budget grow.
+    Only multigeometric specs have the exact self-similar operator, so a
+    lower bound is certified only when ``spec`` is given (``ladder`` is then
+    the ladder of mg_stream(spec)); other streams get a lower bound of zero
+    here (their interior content is covered by the family closed forms
+    instead).  The best certificate over seed depths up to depth is used,
+    which keeps the boundary gap nonincreasing as depth and budget grow.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if isinstance(subject, MultigeometricSpec):
-        stream: TermStream = mg_stream(subject)
-        spec: Optional[MultigeometricSpec] = subject
-    else:
-        stream = subject
-        spec = None
-    upper = iterate(stream, depth, cap).measure
+    upper = iterate(ladder, depth).measure
     lower = Fraction(0)
     best: Optional[InteriorCertificate] = None
     if spec is not None:
         max_seed = max(1, min(depth // spec.m, 4))
         for seed in range(1, max_seed + 1):
             try:
-                cert = certify_interior(spec, seed, budget, cap=cap)
+                cert = certify_interior(spec, ladder, seed, budget)
             except CapacityError:
                 continue
             if cert.verified and cert.interior_measure > lower:
@@ -339,46 +334,3 @@ def measure_bounds(
         boundary_gap=upper - lower,
         certificate=best,
     )
-
-
-@dataclass(frozen=True)
-class ComponentTrendRow:
-    """Longest-component proxy for one suffix depth."""
-
-    n: int
-    longest: Fraction
-    tail: Fraction
-    ratio: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "longest": rat_str(self.longest),
-            "tail": rat_str(self.tail),
-            "ratio": rat_str(self.ratio),
-        }
-
-
-def longest_component_trend(
-    stream: TermStream,
-    depths: Sequence[int],
-    inner_depth: int = 8,
-    cap: int = DEFAULT_CAP,
-) -> tuple[ComponentTrendRow, ...]:
-    """Longest component of an iteration of each suffix stream, over r_n.
-
-    The iteration component is an upper bound for the longest component of
-    the suffix achievement set; family closed forms provide the matching
-    lower bounds.
-    """
-    rows = []
-    for n in depths:
-        if n < 0:
-            raise ValueError("depths must be nonnegative")
-        report = iterate(stream.suffix(n), inner_depth, cap)
-        tail = stream.tail(n)
-        longest = report.longest_component.length
-        rows.append(
-            ComponentTrendRow(n=n, longest=longest, tail=tail, ratio=longest / tail)
-        )
-    return tuple(rows)

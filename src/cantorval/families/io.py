@@ -35,9 +35,7 @@ def spec_from_json(doc: dict) -> FamilySpec:
     if not isinstance(doc, dict):
         raise ValueError("spec document must be a JSON object")
     kind = doc.get("type")
-    if kind == "repeated":
-        return RepeatedTermSpec.from_json(doc)
-    parser = _PARSERS.get(kind)
+    parser = RepeatedTermSpec.from_json if kind == "repeated" else _PARSERS.get(kind)
     if parser is None:
         known = sorted(_PARSERS) + ["repeated"]
         raise ValueError(f"unknown spec type {kind!r}; expected one of {known}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..exact import PointSet, rat_str
-from ..series import DEFAULT_CAP, CapacityError, subsums_of_values
+from ..series import DEFAULT_CAP, CapacityError, FiniteStream, SubsumLadder
 from .grouped import GroupedStream
 from .periodic import PeriodicSeq
 
@@ -222,7 +222,7 @@ def kyiv_group_set(spec: KyivSpec, k: int, cap: int = DEFAULT_CAP) -> PointSet:
         raise CapacityError("kyiv_group_set", 2**size, 2**MAX_GROUP_ENUMERATION)
     vals = kyiv_values(spec, k)
     terms = (vals.a,) * (s + 1) + (Fraction(m - 1, m) * vals.a,) * m
-    return subsums_of_values(terms, cap)
+    return SubsumLadder(FiniteStream(terms), cap)[size]
 
 
 def kyiv_chain_margin(spec: KyivSpec, k: int) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exact import PointSet, rat, rat_str, RationalLike
-from ..series import DEFAULT_CAP, subsums_of_values
+from ..series import DEFAULT_CAP, FiniteStream, SubsumLadder
 from .grouped import GroupedStream
 
 MAX_BLOCK_COEFFICIENTS = 30
@@ -101,4 +101,4 @@ def mg_block(spec: MultigeometricSpec, cap: int = DEFAULT_CAP) -> PointSet:
     """
     if spec.m > MAX_BLOCK_COEFFICIENTS:
         raise ValueError(f"block enumeration limited to {MAX_BLOCK_COEFFICIENTS} coefficients")
-    return subsums_of_values(spec.coefficients, cap)
+    return SubsumLadder(FiniteStream(spec.coefficients), cap)[spec.m]

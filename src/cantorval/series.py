@@ -1,8 +1,10 @@
 """Term streams for convergent positive nonincreasing series.
 
 A stream exposes exact terms x_n, exact tail sums r_n = sum of x_i for i > n,
-and suffix views (the remainder series).  Finite subsum sets carry
-multiplicities so that downstream uniqueness analysis can see collisions.
+and suffix views (the remainder series).  A SubsumLadder builds the finite
+subsum sets F_n of one stream once, for every analysis layer to read; they
+carry multiplicities so that downstream uniqueness analysis can see
+collisions.
 """
 
 from __future__ import annotations
@@ -276,25 +278,55 @@ def group_convolve(a: PointSet, b: PointSet, cap: int = DEFAULT_CAP) -> PointSet
     return PointSet(values, tuple(acc[v] for v in values))
 
 
-def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:
-    """All subsums of the first k terms, deduplicated with multiplicities.
+class FiniteStream(TermStream):
+    """Finitely many explicit terms and nothing after them.
 
-    Multiplicities count the subsets of {1..k} achieving each value; they sum
-    to 2^k.  Built incrementally, one term at a time.
+    Lets a SubsumLadder enumerate the subsums of a finite multiset, such as
+    a family block or group; indices past the last term are out of range.
     """
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    result = PointSet((Fraction(0),), (1,))
-    for n in range(1, k + 1):
-        step = PointSet.from_pairs([(Fraction(0), 1), (stream.term(n), 1)])
-        result = group_convolve(result, step, cap)
-    return result
+
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        self._values = tuple(rat(v) for v in values)
+
+    def term(self, n: int) -> Fraction:
+        if not 1 <= n <= len(self._values):
+            raise ValueError(f"term index {n} outside 1..{len(self._values)}")
+        return self._values[n - 1]
+
+    def tail(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("tail indices start at 0")
+        return sum(self._values[n:], Fraction(0))
 
 
-def subsums_of_values(values: Iterable[RationalLike], cap: int = DEFAULT_CAP) -> PointSet:
-    """Subsums of a finite multiset of values, with multiplicities."""
-    result = PointSet((Fraction(0),), (1,))
-    for v in values:
-        step = PointSet.from_pairs([(Fraction(0), 1), (rat(v), 1)])
-        result = group_convolve(result, step, cap)
-    return result
+class SubsumLadder:
+    """The subsum sets F_0, F_1, ... of one stream, built once and shared.
+
+    ``ladder[n]`` is F_n, the subsums of the first n terms with
+    multiplicities counting the subsets of {1..n} that achieve each value
+    (they sum to 2^n).  Levels are built on request, one term at a time,
+    and kept; a level that would exceed ``cap`` raises CapacityError, and
+    asking for it again raises the same error.
+    """
+
+    def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        self.stream = stream
+        self.cap = cap
+        self._levels = [PointSet((Fraction(0),), (1,))]
+
+    def __getitem__(self, n: int) -> PointSet:
+        if n < 0:
+            raise ValueError("depth must be nonnegative")
+        levels = self._levels
+        while len(levels) <= n:
+            term = self.stream.term(len(levels))
+            step = PointSet.from_pairs([(Fraction(0), 1), (term, 1)])
+            levels.append(group_convolve(levels[-1], step, self.cap))
+        return levels[n]
+
+
+def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:
+    """F_k of a fresh ladder: all subsums of the first k terms, with multiplicities."""
+    return SubsumLadder(stream, cap)[k]

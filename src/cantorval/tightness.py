@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PointSet, rat, rat_str, RationalLike
-from .series import DEFAULT_CAP, TermStream, group_convolve
+from .series import SubsumLadder
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,15 @@ class TightTrend:
         return [f"{n},{rat_str(v)}" for n, v in self.rows]
 
 
-def tight_trend(stream: TermStream, depth: int, cap: int = DEFAULT_CAP) -> TightTrend:
+def tight_trend(ladder: SubsumLadder, depth: int) -> TightTrend:
     """Largest r_n-tight block diameter of F_n for n = 1..depth."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    rows: list[tuple[int, Fraction]] = []
-    subsums = PointSet((Fraction(0),), (1,))
-    for n in range(1, depth + 1):
-        step = PointSet.from_pairs([(Fraction(0), 1), (stream.term(n), 1)])
-        subsums = group_convolve(subsums, step, cap)
-        rows.append((n, max_tight_diameter(subsums, stream.tail(n))))
+    tail = ladder.stream.tail
+    rows = tuple(
+        (n, max_tight_diameter(ladder[n], tail(n))) for n in range(1, depth + 1)
+    )
     window_start = max(1, (2 * depth) // 3 + 1)
     window = [v for n, v in rows if n >= window_start]
     evidence = rows[-1][1] > 0 and all(v > 0 for v in window)
-    return TightTrend(rows=tuple(rows), interval_evidence=evidence)
+    return TightTrend(rows=rows, interval_evidence=evidence)

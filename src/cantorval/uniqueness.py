@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exact import Interval, IntervalSet, PointSet, normalize, rat_str
 from .families.grouped import GroupedStream
@@ -21,7 +21,7 @@ from .families.periodic import (
     PeriodicSeq,
     weighted_block_geometric,
 )
-from .series import DEFAULT_CAP, CapacityError, TermStream, finite_subsums
+from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ class RepetitionReport:
         }
 
 
-def collisions(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:
+def collisions(ladder: SubsumLadder, k: int) -> PointSet:
     """Subsum values of depth k achieved by at least two subsets."""
-    return repetition_report(stream, k, cap).collisions
+    return repetition_report(ladder, k).collisions
 
 
 def _value_groups(terms: tuple[Fraction, ...]) -> list[tuple[Fraction, list[int]]]:
@@ -154,21 +154,22 @@ def _value_groups(terms: tuple[Fraction, ...]) -> list[tuple[Fraction, list[int]
     return groups
 
 
-def repetition_report(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> RepetitionReport:
+def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     """Collisions (distinct value multisets, same sum) with witness subsets.
 
-    Enumerates multiplicity profiles over the distinct term values; the
-    profile count is guarded by cap.  The reported count for each collision
-    value is the number of distinct multisets achieving it.
+    Enumerates multiplicity profiles over the distinct term values of the
+    ladder's stream; the profile count is guarded by the ladder's cap.  The
+    reported count for each collision value is the number of distinct
+    multisets achieving it.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    groups = _value_groups(stream.terms(k))
+    groups = _value_groups(ladder.stream.terms(k))
     total = 1
     for _, indices in groups:
         total *= len(indices) + 1
-        if total > cap:
-            raise CapacityError("repetition_report", total, cap)
+        if total > ladder.cap:
+            raise CapacityError("repetition_report", total, ladder.cap)
     seen: dict[Fraction, list[tuple[int, ...]]] = {}
     tallies: dict[Fraction, int] = {}
     for profile in itertools.product(*(range(len(ix) + 1) for _, ix in groups)):
@@ -197,11 +198,11 @@ def repetition_report(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> Rep
         k=k,
         collisions=collision_set,
         witnesses=witnesses,
-        outer=multirep_outer(stream, k, cap) if k >= 1 else IntervalSet(()),
+        outer=multirep_outer(ladder, k) if k >= 1 else IntervalSet(()),
     )
 
 
-def multirep_outer(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> IntervalSet:
+def multirep_outer(ladder: SubsumLadder, k: int) -> IntervalSet:
     """Outer approximation of the depth-k multiple-representation set.
 
     Union over distinct subsum values f < g of [f, f+r_k] intersect
@@ -212,8 +213,8 @@ def multirep_outer(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> Interv
     """
     if k < 1:
         raise ValueError("depth must be at least 1")
-    values = finite_subsums(stream, k, cap).values
-    tail = stream.tail(k)
+    values = ladder[k].values
+    tail = ladder.stream.tail(k)
     pieces = [
         Interval(b, a + tail)
         for a, b in zip(values, values[1:])
@@ -296,27 +297,3 @@ def tail_sum_unique(stream: TermStream, k: int) -> bool:
     if k < 1:
         raise ValueError("indices start at 1")
     return stream.tail(k) < stream.term(k)
-
-
-def tail_collision_evidence(
-    stream: TermStream,
-    depths: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    inner_depth: int = 10,
-) -> tuple[tuple[int, bool], ...]:
-    """For each k: does the tail series beyond k show a certified collision?
-
-    True entries are certificates (a collision in the suffix subsums); False
-    only means none was found at the configured inner depth.
-    """
-    if inner_depth < 1:
-        raise ValueError("inner depth must be at least 1")
-    if 2**inner_depth > cap:
-        raise CapacityError("tail_collision_evidence", 2**inner_depth, cap)
-    out = []
-    for k in depths:
-        if k < 0:
-            raise ValueError("depths must be nonnegative")
-        found = len(collisions(stream.suffix(k), inner_depth, cap)) > 0
-        out.append((k, found))
-    return tuple(out)

@@ -23,6 +23,12 @@ def brute_subsums(values) -> dict[Fraction, int]:
     return acc
 
 
+def brute_subsum_levels(values) -> list[dict[Fraction, int]]:
+    """brute_subsums of every prefix values[:k], k = 0..len(values)."""
+    vals = list(values)
+    return [brute_subsums(vals[:k]) for k in range(len(vals) + 1)]
+
+
 def brute_merge(intervals) -> list[tuple[Fraction, Fraction]]:
     """Merge closed intervals by scanning endpoint events."""
     events = []

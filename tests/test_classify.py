@@ -18,7 +18,7 @@ from cantorval.families import (
     geometric,
     multigeometric,
 )
-from cantorval.series import GeometricTailStream, TermStream, kakeya_split
+from cantorval.series import GeometricTailStream, SubsumLadder, TermStream, kakeya_split
 from cantorval.uniqueness import RepeatedTermSpec
 
 DYADIC = multigeometric([1], "1/2")
@@ -30,6 +30,11 @@ GF_DECIMAL = GFSpec(PeriodicSeq((), (2,)), PeriodicSeq((), (4,)), geometric("1/1
 MM_ONES = MMSpec(PeriodicSeq((), (1,)))
 KYIV_48 = KyivSpec(PeriodicSeq((), (4,)), PeriodicSeq((), (8,)))
 SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
+
+
+def fresh_classify(subject, **options):
+    """classify over a fresh ladder of the subject's stream."""
+    return classify(subject, SubsumLadder(resolve_stream(subject)[0]), **options)
 
 
 class PatternlessStream(TermStream):
@@ -47,24 +52,24 @@ class PatternlessStream(TermStream):
 
 class TestClassify:
     def test_dyadic_multi_interval_proved(self):
-        got = classify(DYADIC, horizon=10)
+        got = fresh_classify(DYADIC, horizon=10)
         assert got.verdict is Verdict.MULTI_INTERVAL
         assert got.tier is Tier.PROVED
 
     def test_middle_thirds_cantor_proved(self):
-        got = classify(THIRDS, horizon=10)
+        got = fresh_classify(THIRDS, horizon=10)
         assert got.verdict is Verdict.CANTOR
         assert got.tier is Tier.PROVED
 
     def test_gn_cantorval_never_unknown(self):
-        got = classify(GN, horizon=10)
+        got = fresh_classify(GN, horizon=10)
         assert got.verdict is Verdict.CANTORVAL
         assert got.verdict is not Verdict.UNKNOWN
         assert got.witnesses["tight_trend"]["interval_evidence"]
         assert got.witnesses["gap_count"] > 0
 
     def test_ferens_cantorval_certified(self):
-        got = classify(FERENS, horizon=8)
+        got = fresh_classify(FERENS, horizon=8)
         assert got.verdict is Verdict.CANTORVAL
         assert got.tier is Tier.CERTIFIED
         assert got.witnesses["certificate"]["verified"]
@@ -74,13 +79,13 @@ class TestClassify:
         assert got.witnesses["certificate"]["parts"] == [["2/9", "4/3"]]
 
     def test_full_interval_spec_multi_interval_proved(self):
-        got = classify(FULL, horizon=8)
+        got = fresh_classify(FULL, horizon=8)
         assert got.verdict is Verdict.MULTI_INTERVAL
         assert got.tier is Tier.PROVED
 
     def test_family_proofs(self):
         for spec in (GF_DECIMAL, MM_ONES, KYIV_48):
-            got = classify(spec, horizon=6)
+            got = fresh_classify(spec, horizon=6)
             assert got.verdict is Verdict.CANTORVAL
             assert got.tier is Tier.PROVED
 
@@ -89,7 +94,7 @@ class TestClassify:
         # theorem applies, but all block subsum gaps exceed r_0 = 11/12:
         # the group bricks are pairwise disjoint and recur self-similarly.
         spec = multigeometric([5, 4, 2], "1/13")
-        got = classify(spec, horizon=8)
+        got = fresh_classify(spec, horizon=8)
         assert got.verdict is Verdict.CANTOR
         assert got.tier is Tier.CERTIFIED
         assert "separated_blocks" in got.witnesses
@@ -97,55 +102,56 @@ class TestClassify:
         assert "<" in pattern.cycle and ">" in pattern.cycle
 
     def test_semifast_repeated_terms_cantor_proved(self):
-        got = classify(SEMIFAST, horizon=6)
+        got = fresh_classify(SEMIFAST, horizon=6)
         assert got.verdict is Verdict.CANTOR
         assert got.tier is Tier.PROVED
         assert got.witnesses["semifast"]["semifast"]
 
     def test_invalid_kyiv_falls_through_to_stream_analysis(self):
         bad = KyivSpec(PeriodicSeq((), (3,)), PeriodicSeq((), (5,)))
-        got = classify(bad, horizon=8)
+        got = fresh_classify(bad, horizon=8)
         assert got.witnesses.get("family") != "kyiv"
 
     def test_verdicts_stable_under_horizon_increase(self):
         for spec in (DYADIC, THIRDS, GN, FERENS, KYIV_48):
-            a = classify(spec, horizon=8)
-            b = classify(spec, horizon=9)
+            a = fresh_classify(spec, horizon=8)
+            b = fresh_classify(spec, horizon=9)
             assert (a.verdict, a.tier) == (b.verdict, b.tier)
 
     def test_proved_multi_interval_iterations_stabilize(self):
         stream, _ = resolve_stream(DYADIC)
         split = kakeya_split(stream, 9)
         assert split.kakeya == ()
-        reports = [iterate(stream, n) for n in range(0, 10)]
+        ladder = SubsumLadder(stream)
+        reports = [iterate(ladder, n) for n in range(0, 10)]
         for n in range(1, 10):
             assert reports[n - 1].iteration == reports[n].iteration
 
     def test_proved_cantor_gaps_multiply(self):
-        stream, _ = resolve_stream(THIRDS)
+        ladder = SubsumLadder(resolve_stream(THIRDS)[0])
         for n in range(1, 9):
-            parts_now = len(iterate(stream, n).iteration.parts)
-            parts_next = len(iterate(stream, n + 1).iteration.parts)
+            parts_now = len(iterate(ladder, n).iteration.parts)
+            parts_next = len(iterate(ladder, n + 1).iteration.parts)
             assert parts_next == 2 * parts_now
 
     def test_heuristic_verdict_carries_horizon(self):
-        got = classify(GN, horizon=9)
+        got = fresh_classify(GN, horizon=9)
         assert got.tier is Tier.HEURISTIC
         assert got.horizon == 9
         assert got.witnesses["kakeya"]["horizon"] == 9
 
     def test_patternless_stream_heuristics(self):
         stream = PatternlessStream(resolve_stream(GN)[0])
-        got = classify(stream, horizon=10)
+        got = fresh_classify(stream, horizon=10)
         assert got.verdict is Verdict.CANTORVAL
         assert got.tier is Tier.HEURISTIC
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            classify(GN, horizon=0)
+            fresh_classify(GN, horizon=0)
 
     def test_json_shape(self):
-        doc = classify(GN, horizon=6).to_json()
+        doc = fresh_classify(GN, horizon=6).to_json()
         assert set(doc) == {"verdict", "tier", "horizon", "witnesses"}
         assert doc["verdict"] == "Cantorval"
 

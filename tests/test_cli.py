@@ -168,6 +168,34 @@ class TestAnalyze:
         assert doc["uniqueness"]["representation_oracle"] is True
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "args,env",
+        [
+            (("analyze", "--inline", GN_JSON, "--depth", "0"), None),
+            (("analyze", "--inline", GN_JSON, "--depth", "-1"), None),
+            (("analyze", "--inline", GN_JSON, "--horizon", "0"), None),
+            (("analyze", "--inline", GN_JSON, "--horizon", "-2"), None),
+            (("analyze", "--inline", GN_JSON, "--cap", "0"), None),
+            (("analyze", "--inline", GN_JSON, "--budget", "-1"), None),
+            (("analyze", "--inline", GN_JSON), {"CANTORVAL_CAP": "abc"}),
+            (("validate", "--inline", '{"type":"repeated"}'), None),
+            (("analyze", "--inline", '{"type":"repeated"}'), None),
+        ],
+        ids=[
+            "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
+            "budget-negative", "env-cap-not-integer", "validate-repeated-missing-keys",
+            "analyze-repeated-missing-keys",
+        ],
+    )
+    def test_usage_error_is_one_line(self, args, env):
+        proc = run_cli(*args, env=env)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestReportBuilder:
     def test_build_report_matches_cli_output(self):
         spec = spec_from_json(json.loads(GN_JSON))

@@ -7,7 +7,6 @@ from cantorval.engine import (
     certify_interior,
     hutchinson,
     iterate,
-    longest_component_trend,
     measure_bounds,
 )
 from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, normalize
@@ -18,7 +17,7 @@ from cantorval.families import (
     mg_stream,
     multigeometric,
 )
-from cantorval.series import kakeya_split
+from cantorval.series import SubsumLadder, kakeya_split
 
 from oracles import brute_bricks, brute_subsums
 
@@ -30,19 +29,23 @@ FULL = multigeometric([3, 2, 1], "1/4")
 KYIV_48 = KyivSpec(PeriodicSeq((), (4,)), PeriodicSeq((), (8,)))
 
 
+def mg_ladder(spec):
+    return SubsumLadder(mg_stream(spec))
+
+
 def iset(*pairs):
     return normalize(interval(lo, hi) for lo, hi in pairs)
 
 
 class TestIterate:
     def test_dyadic_first_iteration_is_full_interval(self):
-        rep = iterate(mg_stream(DYADIC), 1)
+        rep = iterate(mg_ladder(DYADIC), 1)
         assert rep.iteration == iset((0, 1))
         assert rep.brick_count == 2
         assert rep.gap_count == 0
 
     def test_gn_depth_two(self):
-        rep = iterate(mg_stream(GN), 2)
+        rep = iterate(mg_ladder(GN), 2)
         assert rep.iteration == iset((0, "5/12"), ("1/2", "7/6"), ("5/4", "5/3"))
         assert rep.measure == F(3, 2)
         assert rep.gap_count == 2
@@ -50,18 +53,18 @@ class TestIterate:
         assert rep.gaps() == iset(("5/12", "1/2"), ("7/6", "5/4"))
 
     def test_middle_thirds_first_step(self):
-        rep = iterate(mg_stream(THIRDS), 1)
+        rep = iterate(mg_ladder(THIRDS), 1)
         assert rep.iteration == iset((0, "1/3"), ("2/3", 1))
         assert rep.measure == F(2, 3)
 
     def test_depth_zero_is_the_full_brick(self):
-        rep = iterate(mg_stream(GN), 0)
+        rep = iterate(mg_ladder(GN), 0)
         assert rep.iteration == iset((0, "5/3"))
 
     @pytest.mark.parametrize("depth", range(0, 11))
     def test_matches_brute_force_bricks(self, depth):
         stream = mg_stream(GN)
-        rep = iterate(stream, depth)
+        rep = iterate(SubsumLadder(stream), depth)
         expected = brute_bricks(sorted(brute_subsums(stream.terms(depth))), stream.tail(depth))
         assert [(p.lo, p.hi) for p in rep.iteration.parts] == expected
 
@@ -70,7 +73,8 @@ class TestIterate:
     )
     def test_nesting_and_measure_monotone(self, spec):
         stream = mg_stream(spec)
-        reports = [iterate(stream, n) for n in range(0, 10)]
+        ladder = SubsumLadder(stream)
+        reports = [iterate(ladder, n) for n in range(0, 10)]
         for prev, cur in zip(reports, reports[1:]):
             assert cur.iteration.is_subset_of(prev.iteration)
             assert cur.measure <= prev.measure
@@ -86,7 +90,8 @@ class TestIterate:
         # I_{n+1} is strict iff n+1 is a Kakeya index.
         stream = stream_maker()
         split = kakeya_split(stream, 13)
-        reports = [iterate(stream, n) for n in range(0, 14)]
+        ladder = SubsumLadder(stream)
+        reports = [iterate(ladder, n) for n in range(0, 14)]
         for n in range(1, 13):
             stable = reports[n - 1].iteration == reports[n].iteration
             assert stable == (n in split.reversed_kakeya)
@@ -100,8 +105,9 @@ class TestIterate:
         # For a stream with disjoint bricks, each order-n brick meets I_{n+1}
         # in exactly [x_t, x_t + r_{n+1}] and [x_t + x_{n+1}, x_t + r_n].
         stream = mg_stream(THIRDS)
+        ladder = SubsumLadder(stream)
         for n in range(0, 6):
-            nxt = iterate(stream, n + 1).iteration
+            nxt = iterate(ladder, n + 1).iteration
             r_n, r_next, x_next = stream.tail(n), stream.tail(n + 1), stream.term(n + 1)
             for f in sorted(brute_subsums(stream.terms(n))):
                 brick = IntervalSet((Interval(f, f + r_n),))
@@ -130,46 +136,48 @@ class TestHutchinson:
         ids=["dyadic", "thirds", "gn", "ferens"],
     )
     def test_step_identity_on_iterations(self, spec, steps):
-        stream = mg_stream(spec)
+        ladder = mg_ladder(spec)
         m = spec.m
         for n in range(0, steps + 1):
-            stepped = hutchinson(spec, iterate(stream, m * n).iteration)
-            assert stepped == iterate(stream, m * (n + 1)).iteration
+            stepped = hutchinson(spec, iterate(ladder, m * n).iteration)
+            assert stepped == iterate(ladder, m * (n + 1)).iteration
 
 
 class TestCertify:
     def test_dyadic_certifies_the_unit_interval(self):
-        cert = certify_interior(DYADIC, seed_depth=2, budget=4)
+        cert = certify_interior(DYADIC, mg_ladder(DYADIC), seed_depth=2, budget=4)
         assert cert.verified
         assert cert.s == iset((0, 1))
         assert cert.interior_measure == 1
 
     def test_full_interval_spec_certifies(self):
-        cert = certify_interior(FULL, seed_depth=1, budget=4)
+        cert = certify_interior(FULL, mg_ladder(FULL), seed_depth=1, budget=4)
         assert cert.verified
         assert cert.s == iset((0, 2))
         assert cert.interior_measure == 2
 
     @pytest.mark.parametrize("budget", [0, 2, 8, 20])
     def test_middle_thirds_never_verifies(self, budget):
-        cert = certify_interior(THIRDS, seed_depth=2, budget=budget)
+        cert = certify_interior(THIRDS, mg_ladder(THIRDS), seed_depth=2, budget=budget)
         assert not cert.verified
         assert cert.interior_measure == 0
         assert cert.s == EMPTY_SET
 
     def test_gn_outcome_recorded_not_verified(self):
-        cert = certify_interior(GN, seed_depth=3, budget=10)
+        cert = certify_interior(GN, mg_ladder(GN), seed_depth=3, budget=10)
         assert not cert.verified
         assert cert.diagnostics  # explains why
 
     def test_ferens_certifies_a_fat_interval(self):
-        cert = certify_interior(FERENS, seed_depth=1, budget=6)
+        cert = certify_interior(FERENS, mg_ladder(FERENS), seed_depth=1, budget=6)
         assert cert.verified
         assert cert.s == iset(("2/9", "4/3"))
         assert cert.interior_measure == F(10, 9)
 
     def test_snap_path_also_lands_on_a_certificate(self):
-        cert = certify_interior(FERENS, seed_depth=1, budget=0, snap_denominator=9)
+        cert = certify_interior(
+            FERENS, mg_ladder(FERENS), seed_depth=1, budget=0, snap_denominator=9
+        )
         assert cert.verified
         assert cert.interior_measure >= F(10, 9)
 
@@ -177,17 +185,17 @@ class TestCertify:
         "spec", [DYADIC, FULL, FERENS], ids=["dyadic", "full", "ferens"]
     )
     def test_certificates_sit_inside_every_iteration(self, spec):
-        cert = certify_interior(spec, seed_depth=2, budget=6)
+        ladder = mg_ladder(spec)
+        cert = certify_interior(spec, ladder, seed_depth=2, budget=6)
         assert cert.verified
-        stream = mg_stream(spec)
         for n in range(0, 15):
-            assert cert.s.is_subset_of(iterate(stream, n).iteration)
+            assert cert.s.is_subset_of(iterate(ladder, n).iteration)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            certify_interior(GN, seed_depth=0, budget=4)
+            certify_interior(GN, mg_ladder(GN), seed_depth=0, budget=4)
         with pytest.raises(ValueError):
-            certify_interior(GN, seed_depth=1, budget=-1)
+            certify_interior(GN, mg_ladder(GN), seed_depth=1, budget=-1)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
@@ -197,31 +205,32 @@ class TestCertify:
     def test_random_spec_certificates_are_sound(self, raw_coeffs, denom):
         # soundness must hold for arbitrary specs, not just the curated ones
         spec = multigeometric(sorted(raw_coeffs, reverse=True), F(1, denom))
-        cert = certify_interior(spec, seed_depth=1, budget=3, part_limit=128)
+        ladder = mg_ladder(spec)
+        cert = certify_interior(spec, ladder, seed_depth=1, budget=3, part_limit=128)
         if cert.verified:
             assert cert.interior_measure == cert.s.measure
-            stream = mg_stream(spec)
             for n in range(0, 9):
-                assert cert.s.is_subset_of(iterate(stream, n).iteration)
+                assert cert.s.is_subset_of(iterate(ladder, n).iteration)
         else:
             assert cert.interior_measure == 0 and not cert.s
 
 
 class TestMeasureBounds:
     def test_dyadic_bounds_are_tight(self):
-        got = measure_bounds(DYADIC, 4)
+        got = measure_bounds(mg_ladder(DYADIC), 4, spec=DYADIC)
         assert got.upper_lambda_e == 1
         assert got.lower_interior == 1
         assert got.boundary_gap == 0
 
     def test_middle_thirds_upper_decays(self):
         for depth in (1, 2, 5):
-            got = measure_bounds(THIRDS, depth)
+            got = measure_bounds(mg_ladder(THIRDS), depth, spec=THIRDS)
             assert got.upper_lambda_e == F(2, 3) ** depth
             assert got.lower_interior == 0
 
     def test_gn_frozen_chain(self):
-        values = {d: measure_bounds(GN, d) for d in (2, 4, 6, 8)}
+        ladder = mg_ladder(GN)
+        values = {d: measure_bounds(ladder, d, spec=GN) for d in (2, 4, 6, 8)}
         assert values[2].upper_lambda_e == F(3, 2)
         assert values[4].upper_lambda_e == F(11, 8)
         assert values[6].upper_lambda_e == F(41, 32)
@@ -231,40 +240,18 @@ class TestMeasureBounds:
         assert gaps[-1] < gaps[0]
 
     def test_ferens_two_sided(self):
-        got = measure_bounds(FERENS, 8)
+        got = measure_bounds(mg_ladder(FERENS), 8, spec=FERENS)
         assert got.lower_interior == F(10, 9)
         assert got.upper_lambda_e >= got.lower_interior
         assert got.boundary_gap == got.upper_lambda_e - got.lower_interior
 
     def test_plain_stream_gets_upper_only(self):
-        got = measure_bounds(kyiv_stream(KYIV_48), 13)
+        got = measure_bounds(SubsumLadder(kyiv_stream(KYIV_48)), 13)
         assert got.upper_lambda_e < 1
         assert got.lower_interior == 0
 
     @pytest.mark.parametrize("spec", [DYADIC, FERENS], ids=["dyadic", "ferens"])
     def test_gap_nonincreasing_in_budget(self, spec):
-        gaps = [measure_bounds(spec, 8, budget=b).boundary_gap for b in (0, 4, 12)]
+        ladder = mg_ladder(spec)
+        gaps = [measure_bounds(ladder, 8, b, spec).boundary_gap for b in (0, 4, 12)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
-
-
-class TestComponentTrend:
-    def test_dyadic_ratio_one(self):
-        rows = longest_component_trend(mg_stream(DYADIC), [0, 1, 2, 3], inner_depth=4)
-        assert all(r.ratio == 1 for r in rows)
-
-    def test_gn_self_similar_ratios_agree(self):
-        rows = longest_component_trend(mg_stream(GN), [2, 4, 6], inner_depth=6)
-        assert rows[0].ratio == rows[1].ratio == rows[2].ratio
-
-    def test_kyiv_proxy_dominates_closed_form(self):
-        from cantorval.families import standardness_ratio
-
-        stream = kyiv_stream(KYIV_48)
-        boundary = stream.boundary(1)  # N_1
-        rows = longest_component_trend(stream, [boundary], inner_depth=13)
-        closed = standardness_ratio(KYIV_48, 1).at_index
-        assert rows[0].ratio >= closed
-
-    def test_rejects_negative_depths(self):
-        with pytest.raises(ValueError):
-            longest_component_trend(mg_stream(DYADIC), [-1])

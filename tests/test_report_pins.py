@@ -1,0 +1,109 @@
+"""Report bytes pinned across refactors, and one subsum ladder per report.
+
+The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
+every bundled spec, recorded before the analysis layers were rewired to read
+a shared SubsumLadder.  A horizon above and below the depth makes the ladder
+extend lazily in both orders.  At cap 100 and depth 7 most specs exhaust the
+capacity, and the message must still name the first oversized level.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import cantorval
+from cantorval.cli import build_report
+from cantorval.families import spec_from_json
+from cantorval.series import DEFAULT_CAP, CapacityError, group_convolve
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
+
+REPORT_SHA256 = {
+    ("dyadic", 1, 1): "324e5799c8d129afce4af73e3aee7566f8ee467cefe6a037e556229a9f19ab3b",
+    ("dyadic", 3, 6): "387367870f009fda14d3da508a699e3b154b389745eeb896c137961bd335e58c",
+    ("dyadic", 6, 3): "e2c74bccea9be6ad4fa0f99b613bdd0362b782f2fdd1052e9901e5f945dff508",
+    ("ferens_5432", 1, 1): "14238f978dd40418a0cc6412b062352aaa98388db69992966ef137ba071c56b1",
+    ("ferens_5432", 3, 6): "923a9ec0d66b5e38605b83d56dd7db04622a08212a58b6e59a95f5d460e0afc5",
+    ("ferens_5432", 6, 3): "a803a7c60308c9a4059871bb15737aa7ddcd8d390209879f0f19adec2a4a9c78",
+    ("gf_decimal", 1, 1): "c1de825b4af92192ee1624bb89efa567be49ff3daf0b2613a318d88d19b6e725",
+    ("gf_decimal", 3, 6): "3252f04042e8664f92467e0b0820668175df983ed6a97f6758d3286ca18e4be2",
+    ("gf_decimal", 6, 3): "0bbc64aac7d1a7de4c27af3e881e968d9025c12bcf528d1763eed914a41569d4",
+    ("gn", 1, 1): "afe954b0bbb5ab87dca5d0dfabfee3904e3872f78fcd4d326b522d095ade075b",
+    ("gn", 3, 6): "860a171234cf74a10eda88f27ace2a7e2b0120d8de683a7041b1f4d2502e1195",
+    ("gn", 6, 3): "c1b4fc082cd4a884f0c9a48aa5ebeedbbc5003e5a30c53e1600bdcf4f09a21fa",
+    ("kyiv48", 1, 1): "000e1ef10aba83bc36413678b8fea04d9e34706982a4cb9c6f1715a56b0c032f",
+    ("kyiv48", 3, 6): "51ae3548c659c6695a3592da13a31ea248a487da45a4d567ea72f2b924e5747d",
+    ("kyiv48", 6, 3): "0d55c6f58943fb1c044f4b1f84c145be12f33f2d8544251b148a9bd5ee696221",
+    ("middle_thirds", 1, 1): "29a51d5c592af4d0c54e7fc6141579443458f0dfc4c55679d223c243b9f9590a",
+    ("middle_thirds", 3, 6): "2eef316b274c6d744ffaf71b01a48c7165ee568ed034e6ed3af791f681acfcda",
+    ("middle_thirds", 6, 3): "25b6e9a7eeed4d8e0970311878d1f3a8eaf979c92527f7b53009483b32216de7",
+    ("mm_ones", 1, 1): "f3c77b81df799fb9ffdd2faa534bd10180105f85c6bc07499acd903da1682196",
+    ("mm_ones", 3, 6): "dd4f32d22230dc2385f0e878f89da56232436c8917db18490fdf88c0bd8e7f97",
+    ("mm_ones", 6, 3): "2458a8ee5467528a7e8b5adee9ebf2392b0b0715cf1231c2b9dd00e502fd7b19",
+    ("semifast", 1, 1): "aa08601a224c5889bd086842a77b38b241dc53d597d5e9f7fbd6f29942d68229",
+    ("semifast", 3, 6): "25c5690a388990c2d55ade700cbc032e50f342568cd5cae868e0769f5ff4cee6",
+    ("semifast", 6, 3): "b38c57c799c6c9a20942aa977ad25f229bdc471eb00284cb5c6526507b9d6a7b",
+}
+
+# cap 100, depth 7, horizon 7: the CapacityError message, or the report
+# digest when the spec fits
+CAP_100_DEPTH_7 = {
+    "dyadic": "group_convolve: would produce 128 values, cap is 100",
+    "ferens_5432": "group_convolve: would produce 104 values, cap is 100",
+    "gf_decimal": "group_convolve: would produce 104 values, cap is 100",
+    "gn": "group_convolve: would produce 128 values, cap is 100",
+    "kyiv48": "d9b8606a2afaa0b4def40843dc8d9b9f27b0856bd769b7a99d15178c03d8ce18",
+    "middle_thirds": "group_convolve: would produce 128 values, cap is 100",
+    "mm_ones": "group_convolve: would produce 108 values, cap is 100",
+    "semifast": "939b58cdfc66b687ad5f879c24a208bc3b928ddf877c43cefe0fc77e9dad5cbd",
+}
+
+
+def load(name):
+    return spec_from_json(json.loads((SPECS / f"{name}.json").read_text()))
+
+
+def digest(doc):
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+def test_every_bundled_spec_is_pinned():
+    names = {path.stem for path in SPECS.glob("*.json")}
+    assert names == {name for name, _, _ in REPORT_SHA256}
+    assert names == set(CAP_100_DEPTH_7)
+
+
+@pytest.mark.parametrize("name,depth,horizon", sorted(REPORT_SHA256))
+def test_report_bytes_unchanged(name, depth, horizon):
+    doc = build_report(load(name), depth, horizon, DEFAULT_CAP, 12)
+    assert digest(doc) == REPORT_SHA256[name, depth, horizon]
+
+
+@pytest.mark.parametrize("name", sorted(CAP_100_DEPTH_7))
+def test_capacity_outcome_unchanged(name):
+    try:
+        outcome = digest(build_report(load(name), 7, 7, 100, 12))
+    except CapacityError as exc:
+        assert exc.stage == "group_convolve"
+        outcome = str(exc)
+    assert outcome == CAP_100_DEPTH_7[name]
+
+
+@pytest.mark.parametrize("name", ["kyiv48", "gf_decimal", "mm_ones", "semifast"])
+def test_one_report_builds_one_ladder(name, monkeypatch):
+    # every section reads F_n from one ladder, so depth 8 costs 8 convolutions
+    calls = []
+
+    def counting(a, b, cap=DEFAULT_CAP):
+        calls.append((len(a), len(b)))
+        return group_convolve(a, b, cap)
+
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("cantorval.")]
+    for mod in [cantorval] + modules:
+        if getattr(mod, "group_convolve", None) is group_convolve:
+            monkeypatch.setattr(mod, "group_convolve", counting)
+    build_report(load(name), 8, 8, DEFAULT_CAP, 12)
+    assert len(calls) == 8

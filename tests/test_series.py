@@ -5,16 +5,20 @@ from cantorval.exact import PointSet
 from cantorval.families import geometric, multigeometric, mg_stream, PeriodicSeq
 from cantorval.series import (
     CapacityError,
+    FiniteStream,
     GeometricTailStream,
     KakeyaPattern,
+    SubsumLadder,
     finite_subsums,
     group_convolve,
     kakeya_split,
-    subsums_of_values,
 )
 from cantorval.uniqueness import RepeatedTermSpec, repeated_stream
 
-from oracles import brute_subsums
+from oracles import brute_subsum_levels, brute_subsums
+
+
+GN_BLOCK = PointSet.from_pairs([(0, 1), (2, 1), (3, 1), (5, 1)])  # subsums of {3, 2}
 
 
 def dyadic():
@@ -81,6 +85,41 @@ class TestFiniteSubsums:
             assert ps.max == stream.tail(0) - stream.tail(k)
 
 
+class TestSubsumLadder:
+    @pytest.mark.parametrize("make", [dyadic, gn, repeated_1_2])
+    def test_every_level_matches_direct_enumeration(self, make):
+        stream = make()
+        ladder = SubsumLadder(stream)
+        ladder[12]  # builds all levels in one go; the reads below reuse them
+        expected = brute_subsum_levels(stream.terms(12))
+        for k in range(13):
+            got = ladder[k]
+            assert dict(zip(got.values, got.counts)) == expected[k]
+            assert ladder[k] is got
+
+    def test_capacity_error_names_the_first_oversized_level(self):
+        ladder = SubsumLadder(gn(), cap=10)
+        assert len(ladder[3]) == 8
+        for _ in range(2):  # asking again fails the same way
+            with pytest.raises(CapacityError, match="would produce 16 values, cap is 10"):
+                ladder[6]
+        assert len(ladder[3]) == 8
+
+    def test_rejects_negative_depth_and_cap(self):
+        with pytest.raises(ValueError):
+            SubsumLadder(gn())[-1]
+        with pytest.raises(ValueError):
+            SubsumLadder(gn(), cap=0)
+
+    def test_finite_stream_subsums(self):
+        values = FiniteStream([3, 2, 2])
+        got = SubsumLadder(values)[3]
+        assert dict(zip(got.values, got.counts)) == brute_subsums([3, 2, 2])
+        assert values.tail(1) == 4 and values.tail(3) == 0
+        with pytest.raises(ValueError):
+            values.term(4)
+
+
 class TestKakeyaSplit:
     def test_dyadic_all_reversed(self):
         split = kakeya_split(dyadic(), 5)
@@ -109,13 +148,13 @@ class TestKakeyaSplit:
 
 class TestGroupConvolve:
     def test_gn_block_self_sum(self):
-        block = subsums_of_values([3, 2])
+        block = GN_BLOCK
         got = group_convolve(block, block)
         assert got.values == (F(0), F(2), F(3), F(4), F(5), F(6), F(7), F(8), F(10))
         assert got.count_of(5) == 4  # 0+5, 2+3, 3+2, 5+0
 
     def test_zero_is_identity(self):
-        a = subsums_of_values([3, 2])
+        a = GN_BLOCK
         zero = PointSet.from_pairs([(0, 1)])
         assert group_convolve(a, zero) == a
 
@@ -126,7 +165,7 @@ class TestGroupConvolve:
         assert got.counts == (1, 2, 1)
 
     def test_commutative_associative(self):
-        a = subsums_of_values([3, 2])
+        a = GN_BLOCK
         b = PointSet.from_pairs([(0, 1), (F(1, 2), 2)])
         c = PointSet.from_pairs([(F(1, 3), 1), (1, 1)])
         assert group_convolve(a, b) == group_convolve(b, a)

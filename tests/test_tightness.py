@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorval.exact import PointSet
 from cantorval.families import mg_stream, multigeometric
+from cantorval.series import SubsumLadder
 from cantorval.tightness import (
     max_tight_diameter,
     tight_decompose,
@@ -90,18 +91,18 @@ class TestMaxDiameter:
 
 class TestTrend:
     def test_dyadic_closed_form(self):
-        trend = tight_trend(mg_stream(multigeometric([1], "1/2")), 10)
+        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([1], "1/2"))), 10)
         for n, value in trend.rows:
             assert value == 1 - F(1, 2) ** n
         assert trend.interval_evidence
 
     def test_middle_thirds_is_identically_zero(self):
-        trend = tight_trend(mg_stream(multigeometric([2], "1/3")), 8)
+        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([2], "1/3"))), 8)
         assert all(value == 0 for _, value in trend.rows)
         assert not trend.interval_evidence
 
     def test_gn_frozen_values(self):
-        trend = tight_trend(mg_stream(multigeometric([3, 2], "1/4")), 8)
+        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([3, 2], "1/4"))), 8)
         values = dict(trend.rows)
         assert values[2] == F(1, 4)
         assert values[3] == F(7, 16)
@@ -110,18 +111,18 @@ class TestTrend:
         assert all(v > 0 for _, v in trend.rows)
 
     def test_csv_rows_are_exact(self):
-        trend = tight_trend(mg_stream(multigeometric([3, 2], "1/4")), 3)
+        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([3, 2], "1/4"))), 3)
         assert trend.csv_rows()[1] == "2,1/4"
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
-            tight_trend(mg_stream(multigeometric([1], "1/2")), 0)
+            tight_trend(SubsumLadder(mg_stream(multigeometric([1], "1/2"))), 0)
 
     def test_matches_exhaustive_oracle_at_small_depth(self):
         from oracles import brute_subsums
 
         stream = mg_stream(multigeometric([3, 2], "1/4"))
-        trend = tight_trend(stream, 4)
+        trend = tight_trend(SubsumLadder(stream), 4)
         for n, value in trend.rows:  # F_4 has 16 points; oracle is O(2^16)
             subsums = sorted(brute_subsums(stream.terms(n)))
             assert value == brute_max_tight_diameter(subsums, stream.tail(n))

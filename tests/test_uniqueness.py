@@ -4,7 +4,12 @@ import pytest
 
 from cantorval.exact import IntervalSet, interval, normalize
 from cantorval.families import PeriodicSeq, geometric, mg_stream, multigeometric
-from cantorval.series import CapacityError, GeometricTailStream, kakeya_split
+from cantorval.series import (
+    CapacityError,
+    GeometricTailStream,
+    SubsumLadder,
+    kakeya_split,
+)
 from cantorval.uniqueness import (
     RepeatedTermSpec,
     collisions,
@@ -13,7 +18,6 @@ from cantorval.uniqueness import (
     repetition_report,
     representation_uniqueness_oracle,
     semifast_check,
-    tail_collision_evidence,
     tail_sum_unique,
 )
 
@@ -37,7 +41,7 @@ def iset(*pairs):
 
 class TestCollisions:
     def test_repeated_halving_collides_at_three(self):
-        report = repetition_report(repeated_stream(HALVING), 3)
+        report = repetition_report(SubsumLadder(repeated_stream(HALVING)), 3)
         assert report.collisions.values == (F(1),)
         assert report.collisions.counts == (2,)
         (value, first, second) = report.witnesses[0]
@@ -45,18 +49,18 @@ class TestCollisions:
         assert {first, second} == {(1,), (2, 3)}
 
     def test_gn_depth_four_is_collision_free(self):
-        assert len(collisions(GN, 4)) == 0
+        assert len(collisions(SubsumLadder(GN), 4)) == 0
 
     def test_depth_zero_empty(self):
-        assert len(collisions(GN, 0)) == 0
+        assert len(collisions(SubsumLadder(GN), 0)) == 0
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            repetition_report(GN, 10, cap=100)
+            repetition_report(SubsumLadder(GN, cap=100), 10)
 
     def test_witness_sums_check_out(self):
         stream = planted_stream()
-        report = repetition_report(stream, 4)
+        report = repetition_report(SubsumLadder(stream), 4)
         # the planted identity x_2 = x_3 + x_4 propagates into 1 and 3/2
         assert report.collisions.values == (F(1, 2), F(1), F(3, 2))
         for value, first, second in report.witnesses:
@@ -67,33 +71,33 @@ class TestCollisions:
     def test_equal_term_swaps_are_not_collisions(self):
         # two copies of the same value: one multiset, no collision
         spec = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
-        assert len(collisions(repeated_stream(spec), 6)) == 0
+        assert len(collisions(SubsumLadder(repeated_stream(spec)), 6)) == 0
 
 
 class TestMultirepOuter:
     def test_dyadic_touching_point(self):
-        got = multirep_outer(DYADIC, 1)
+        got = multirep_outer(SubsumLadder(DYADIC), 1)
         assert got == IntervalSet((interval("1/2", "1/2"),))
 
     def test_middle_thirds_disjoint_bricks(self):
-        assert multirep_outer(THIRDS, 1) == IntervalSet(())
+        assert multirep_outer(SubsumLadder(THIRDS), 1) == IntervalSet(())
 
     def test_gn_depth_two_overlap(self):
-        assert multirep_outer(GN, 2) == iset(("3/4", "11/12"))
+        assert multirep_outer(SubsumLadder(GN), 2) == iset(("3/4", "11/12"))
 
     def test_collisions_lie_in_outer_at_deeper_levels(self):
-        stream = planted_stream()
-        report = repetition_report(stream, 4)
+        ladder = SubsumLadder(planted_stream())
+        report = repetition_report(ladder, 4)
         for j in range(4, 8):
-            outer = multirep_outer(stream, j)
+            outer = multirep_outer(ladder, j)
             for value in report.collisions.values:
                 assert outer.contains_point(value)
 
     def test_outer_contains_collisions_at_own_level(self):
-        stream = repeated_stream(HALVING)
+        ladder = SubsumLadder(repeated_stream(HALVING))
         for k in (3, 4, 5, 6):
-            outer = multirep_outer(stream, k)
-            for value in collisions(stream, k).values:
+            outer = multirep_outer(ladder, k)
+            for value in collisions(ladder, k).values:
                 assert outer.contains_point(value)
 
 
@@ -164,23 +168,6 @@ class TestTailUniqueness:
         split = kakeya_split(GN, 6)
         for k in range(1, 7):
             assert tail_sum_unique(GN, k) == (k in split.kakeya)
-
-
-class TestTailCollisionEvidence:
-    def test_semifast_tails_show_nothing(self):
-        got = tail_collision_evidence(repeated_stream(SEMIFAST), [0, 1, 2, 3], inner_depth=8)
-        assert got == ((0, False), (1, False), (2, False), (3, False))
-
-    def test_planted_collision_found(self):
-        got = dict(tail_collision_evidence(planted_stream(), [0, 1, 2], inner_depth=6))
-        assert got[1]  # suffix(1) starts 1/2, 1/4, 1/4: collision at its depth 3
-        assert got[0]  # the collision is visible from the start too
-
-    def test_rejects_bad_depths(self):
-        with pytest.raises(ValueError):
-            tail_collision_evidence(planted_stream(), [-1])
-        with pytest.raises(CapacityError):
-            tail_collision_evidence(planted_stream(), [0], cap=10, inner_depth=12)
 
 
 class TestRepeatedTermSpecValidation:
