@@ -5,7 +5,8 @@ Subcommands:
   analyze    composite report: classification, iterations, measure bounds,
              tight-diameter trend, standardness, uniqueness
 
-Exit codes: 0 ok, 1 condition failure, 2 usage or parse error, 3 capacity
+Exit codes: 0 ok, 1 condition failure, 2 usage or parse error (including a
+spec whose terms form no positive nonincreasing series), 3 capacity
 exhausted.  Reports are deterministic: identical invocations produce
 byte-identical output (no timestamps, exact rationals only).
 """
@@ -32,7 +33,7 @@ from .families import (
     spec_from_json,
     standardness_ratio,
 )
-from .series import DEFAULT_CAP, CapacityError, SubsumLadder, kakeya_split
+from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder, kakeya_split
 from .tightness import tight_trend
 from .uniqueness import (
     RepeatedTermSpec,
@@ -296,6 +297,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
         return EXIT_CAPACITY
+    except StreamError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "csv":

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .exact import (
     EMPTY_SET,
     Interval,
     IntervalSet,
+    lattice_str,
     normalize,
     rat_str,
 )
-from .series import CapacityError, SubsumLadder
+from .series import Bricks, CapacityError, SubsumLadder
 from .families.multigeometric import MultigeometricSpec, mg_block
 
 # Refinement that has not stabilized by this many parts will not stabilize:
@@ -34,15 +36,37 @@ DEFAULT_PART_LIMIT = 512
 
 @dataclass(frozen=True)
 class IterationReport:
-    """I_n with its brick count, exact measure, and component geometry."""
+    """I_n with its brick count, exact measure, and component geometry.
+
+    The parts stay on the ladder's integer lattice; ``iteration`` builds
+    them as an IntervalSet on first read.
+    """
 
     n: int
-    iteration: IntervalSet
+    bricks: Bricks
     brick_count: int
-    measure: Fraction
     tail: Fraction
-    gap_count: int
-    longest_component: Interval
+
+    @cached_property
+    def iteration(self) -> IntervalSet:
+        b = self.bricks
+        return IntervalSet.from_lattice(b.starts, b.ends, b.denominator)
+
+    @property
+    def measure(self) -> Fraction:
+        return self.bricks.measure
+
+    @property
+    def gap_count(self) -> int:
+        return len(self.bricks) - 1
+
+    def _longest_index(self) -> int:
+        lengths = self.bricks.lengths()
+        return lengths.index(max(lengths))
+
+    @property
+    def longest_component(self) -> Interval:
+        return self.iteration.parts[self._longest_index()]
 
     def gaps(self) -> IntervalSet:
         """Closures of the bounded gaps between consecutive components."""
@@ -52,15 +76,19 @@ class IterationReport:
         )
 
     def to_json(self) -> dict:
+        b = self.bricks
+        starts = [lattice_str(v, b.denominator) for v in b.starts]
+        ends = [lattice_str(v, b.denominator) for v in b.ends]
+        longest = self._longest_index()
         return {
             "n": self.n,
             "measure": rat_str(self.measure),
             "tail": rat_str(self.tail),
             "brick_count": self.brick_count,
             "gap_count": self.gap_count,
-            "parts": self.iteration.to_pairs(),
-            "gaps": self.gaps().to_pairs(),
-            "longest_component": self.longest_component.as_pair(),
+            "parts": [[lo, hi] for lo, hi in zip(starts, ends)],
+            "gaps": [[hi, lo] for hi, lo in zip(ends, starts[1:])],
+            "longest_component": [starts[longest], ends[longest]],
         }
 
 
@@ -68,18 +96,11 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
     """Union of bricks [f, f + r_n] over the deduplicated subsum set F_n."""
     if n < 0:
         raise ValueError("iteration depth must be nonnegative")
-    subsums = ladder[n]
-    tail = ladder.stream.tail(n)
-    bricks = normalize(Interval(f, f + tail) for f in subsums.values)
-    longest = max(bricks.parts, key=lambda p: p.length)
     return IterationReport(
         n=n,
-        iteration=bricks,
-        brick_count=len(subsums),
-        measure=bricks.measure,
-        tail=tail,
-        gap_count=len(bricks) - 1,
-        longest_component=longest,
+        bricks=ladder.bricks(n),
+        brick_count=len(ladder.level(n)),
+        tail=ladder.stream.tail(n),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
@@ -42,6 +43,12 @@ def rat_str(value: RationalLike) -> str:
     """Canonical "p/q" form, denominator always explicit (e.g. "-3/1")."""
     x = rat(value)
     return f"{x.numerator}/{x.denominator}"
+
+
+def lattice_str(k: int, d: int) -> str:
+    """Canonical "p/q" form of k / d for integers k and d > 0."""
+    g = gcd(k, d)
+    return f"{k // g}/{d // g}"
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,18 @@ class IntervalSet:
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[RationalLike]]) -> "IntervalSet":
         return normalize(Interval.from_pair(p) for p in pairs)
+
+    @staticmethod
+    def from_lattice(
+        starts: Sequence[int], ends: Sequence[int], denominator: int
+    ) -> "IntervalSet":
+        """Parts [starts[i], ends[i]] / denominator, already in canonical order."""
+        return IntervalSet(
+            tuple(
+                Interval(Fraction(a, denominator), Fraction(b, denominator))
+                for a, b in zip(starts, ends)
+            )
+        )
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"

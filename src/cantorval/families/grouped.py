@@ -15,7 +15,7 @@ import bisect
 from fractions import Fraction
 from typing import Optional
 
-from ..series import KakeyaPattern, TermStream, compare_sign
+from ..series import KakeyaPattern, StreamError, TermStream, compare_sign
 
 
 class GroupedStream(TermStream):
@@ -159,12 +159,12 @@ class GroupedStream(TermStream):
         for k in range(1, horizon + 1):
             terms = self._group(k)
             if any(t <= 0 for t in terms):
-                raise ValueError(f"group {k} contains a nonpositive term")
+                raise StreamError(f"group {k} contains a nonpositive term")
             for a, b in zip(terms, terms[1:]):
                 if b > a:
-                    raise ValueError(f"group {k} is not nonincreasing")
+                    raise StreamError(f"group {k} is not nonincreasing")
             if previous_last is not None and terms[0] > previous_last:
-                raise ValueError(f"terms increase across the boundary into group {k}")
+                raise StreamError(f"terms increase across the boundary into group {k}")
             previous_last = terms[-1]
         for k in range(self._preperiod + 1, self._preperiod + self._period + 1):
             scaled = tuple(t * self._block_ratio for t in self._group(k))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..exact import PointSet, rat, rat_str, RationalLike
 from ..series import DEFAULT_CAP, FiniteStream, SubsumLadder
@@ -137,11 +138,14 @@ def mg_stream(spec: MultigeometricSpec) -> MultigeometricStream:
     return MultigeometricStream(spec)
 
 
+@lru_cache(maxsize=64)
 def mg_block(spec: MultigeometricSpec, cap: int = DEFAULT_CAP) -> PointSet:
     """Subsum set of the unscaled coefficients {k_1, ..., k_m}.
 
     This is the translation set of the self-similar operator: the achievement
-    set satisfies E = q * (block + E).
+    set satisfies E = q * (block + E).  It is built once per spec and kept,
+    since the operator, its certificate candidates and the separated-block
+    test all read it.
     """
     if spec.m > MAX_BLOCK_COEFFICIENTS:
         raise ValueError(f"block enumeration limited to {MAX_BLOCK_COEFFICIENTS} coefficients")

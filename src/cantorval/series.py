@@ -5,13 +5,24 @@ and suffix views (the remainder series).  A SubsumLadder builds the finite
 subsum sets F_n of one stream once, for every analysis layer to read; they
 carry multiplicities so that downstream uniqueness analysis can see
 collisions.
+
+The ladder stores F_n on an integer lattice: D_n, the lcm of the
+denominators of x_1..x_n, and the sorted integers f * D_n.  Each step is one
+linear merge of those integers with the same integers shifted by x_n * D_n,
+after rescaling when x_n's denominator does not divide D_{n-1}.  The brick
+union I_n (the union of [f, f + r_n] over F_n) is one sweep over the same
+integers; Fractions are built only where a caller reads them.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress
+from math import lcm
 from typing import Iterable, Optional
 
 from .exact import PointSet, rat, RationalLike
@@ -29,6 +40,10 @@ class CapacityError(RuntimeError):
         self.stage = stage
         self.size = size
         self.cap = cap
+
+
+class StreamError(ValueError):
+    """A spec's terms do not form a positive nonincreasing series."""
 
 
 def compare_sign(x: Fraction, r: Fraction) -> str:
@@ -299,14 +314,103 @@ class FiniteStream(TermStream):
         return sum(self._values[n:], Fraction(0))
 
 
+@dataclass(frozen=True)
+class LatticeLevel:
+    """A subsum set F_n as integers over one common denominator.
+
+    ``values`` are the distinct subsums times ``denominator``, strictly
+    increasing, and ``counts`` parallels them with the number of subsets
+    achieving each value.
+    """
+
+    denominator: int
+    values: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def extend(self, term: Fraction, cap: int) -> "LatticeLevel":
+        """The next level: these subsums merged with the same plus ``term``.
+
+        Raises CapacityError, naming the full deduplicated size, when the
+        merge would hold more than ``cap`` values.
+        """
+        d = lcm(self.denominator, term.denominator)
+        values = self.values
+        if d != self.denominator:
+            scale = d // self.denominator
+            values = [v * scale for v in values]
+        shift = term.numerator * (d // term.denominator)
+        counts = self.counts
+        n = len(values)
+        out_values: list[int] = []
+        out_counts: list[int] = []
+        i = j = 0
+        while i < n and j < n:
+            a, b = values[i], values[j] + shift
+            if a < b:
+                out_values.append(a)
+                out_counts.append(counts[i])
+                i += 1
+            elif b < a:
+                out_values.append(b)
+                out_counts.append(counts[j])
+                j += 1
+            else:
+                out_values.append(a)
+                out_counts.append(counts[i] + counts[j])
+                i += 1
+                j += 1
+        out_values.extend(values[i:])
+        out_counts.extend(counts[i:])
+        out_values.extend(v + shift for v in values[j:])
+        out_counts.extend(counts[j:])
+        if len(out_values) > cap:
+            raise CapacityError("group_convolve", len(out_values), cap)
+        return LatticeLevel(d, tuple(out_values), tuple(out_counts))
+
+    def points(self) -> PointSet:
+        d = self.denominator
+        return PointSet(tuple(Fraction(v, d) for v in self.values), self.counts)
+
+
+@dataclass(frozen=True)
+class Bricks:
+    """The iteration I_n = union of [f, f + r_n] over f in F_n, on a lattice.
+
+    Part i is [starts[i], ends[i]] / denominator, where the denominator is
+    lcm(D_n, den r_n) and ``reach`` is r_n on that lattice.  Parts are in
+    order and separated by gaps; each one is the brick union of an
+    r_n-tight block of F_n, so it spans that block's diameter plus r_n.
+    """
+
+    denominator: int
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    reach: int
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def lengths(self) -> list[int]:
+        return list(map(operator.sub, self.ends, self.starts))
+
+    @property
+    def measure(self) -> Fraction:
+        return Fraction(sum(self.ends) - sum(self.starts), self.denominator)
+
+
 class SubsumLadder:
     """The subsum sets F_0, F_1, ... of one stream, built once and shared.
 
-    ``ladder[n]`` is F_n, the subsums of the first n terms with
-    multiplicities counting the subsets of {1..n} that achieve each value
-    (they sum to 2^n).  Levels are built on request, one term at a time,
-    and kept; a level that would exceed ``cap`` raises CapacityError, and
-    asking for it again raises the same error.
+    ``ladder.level(n)`` is F_n on its integer lattice; ``ladder[n]`` is the
+    same set as a PointSet, with multiplicities counting the subsets of
+    {1..n} that achieve each value (they sum to 2^n), built on first read
+    and kept.  Levels are built on request, one term at a time, and kept; a
+    level that would exceed ``cap`` raises CapacityError, nothing is stored,
+    and asking for it again raises the same error.  ``ladder.bricks(n)``
+    keeps the iteration I_n, swept from the same integers.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -314,17 +418,45 @@ class SubsumLadder:
             raise ValueError("cap must be positive")
         self.stream = stream
         self.cap = cap
-        self._levels = [PointSet((Fraction(0),), (1,))]
+        self._levels = [LatticeLevel(1, (0,), (1,))]
+        self._points: dict[int, PointSet] = {}
+        self._bricks: dict[int, Bricks] = {}
 
-    def __getitem__(self, n: int) -> PointSet:
+    def level(self, n: int) -> LatticeLevel:
         if n < 0:
             raise ValueError("depth must be nonnegative")
         levels = self._levels
         while len(levels) <= n:
             term = self.stream.term(len(levels))
-            step = PointSet.from_pairs([(Fraction(0), 1), (term, 1)])
-            levels.append(group_convolve(levels[-1], step, self.cap))
+            levels.append(levels[-1].extend(term, self.cap))
         return levels[n]
+
+    def __getitem__(self, n: int) -> PointSet:
+        points = self._points.get(n)
+        if points is None:
+            points = self._points[n] = self.level(n).points()
+        return points
+
+    def on_tail_lattice(self, n: int) -> tuple[int, tuple[int, ...], int]:
+        """(D, F_n * D, r_n * D) with D = lcm(D_n, den r_n), all integers."""
+        level = self.level(n)
+        tail = self.stream.tail(n)
+        d = lcm(level.denominator, tail.denominator)
+        scale = d // level.denominator
+        values = level.values if scale == 1 else tuple(v * scale for v in level.values)
+        return d, values, tail.numerator * (d // tail.denominator)
+
+    def bricks(self, n: int) -> Bricks:
+        """I_n: bricks merge across every gap of F_n that is at most r_n."""
+        got = self._bricks.get(n)
+        if got is None:
+            d, values, reach = self.on_tail_lattice(n)
+            gaps = map(operator.sub, values[1:], values)
+            cuts = list(compress(range(1, len(values)), map(partial(operator.lt, reach), gaps)))
+            starts = [values[0]] + [values[i] for i in cuts]
+            ends = [values[i - 1] + reach for i in cuts] + [values[-1] + reach]
+            got = self._bricks[n] = Bricks(d, tuple(starts), tuple(ends), reach)
+        return got
 
 
 def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:

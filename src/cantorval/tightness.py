@@ -90,14 +90,18 @@ class TightTrend:
         return [f"{n},{rat_str(v)}" for n, v in self.rows]
 
 
+def _max_block_diameter(ladder: SubsumLadder, n: int) -> Fraction:
+    # The r_n-tight blocks of F_n are the parts of I_n, each r_n longer
+    # than its block; on the lattice a gap splits when gap > r_n D exactly.
+    bricks = ladder.bricks(n)
+    return Fraction(max(bricks.lengths()) - bricks.reach, bricks.denominator)
+
+
 def tight_trend(ladder: SubsumLadder, depth: int) -> TightTrend:
     """Largest r_n-tight block diameter of F_n for n = 1..depth."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    tail = ladder.stream.tail
-    rows = tuple(
-        (n, max_tight_diameter(ladder[n], tail(n))) for n in range(1, depth + 1)
-    )
+    rows = tuple((n, _max_block_diameter(ladder, n)) for n in range(1, depth + 1))
     window_start = max(1, (2 * depth) // 3 + 1)
     window = [v for n, v in rows if n >= window_start]
     evidence = rows[-1][1] > 0 and all(v > 0 for v in window)

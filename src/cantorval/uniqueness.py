@@ -10,11 +10,13 @@ semi-fast criterion that forces global uniqueness for repeated-term series.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .exact import Interval, IntervalSet, PointSet, normalize, rat_str
+from .exact import IntervalSet, PointSet, rat_str
 from .families.grouped import GroupedStream
 from .families.periodic import (
     BlockGeometric,
@@ -51,8 +53,6 @@ class RepeatedTermSpec:
 
     @property
     def group_period(self) -> int:
-        from math import lcm
-
         return lcm(self.counts.period_length, self.y.block_length)
 
     @property
@@ -164,23 +164,26 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    groups = _value_groups(ladder.stream.terms(k))
+    terms = ladder.stream.terms(k)
+    groups = _value_groups(terms)
     total = 1
     for _, indices in groups:
         total *= len(indices) + 1
         if total > ladder.cap:
             raise CapacityError("repetition_report", total, ladder.cap)
-    seen: dict[Fraction, list[tuple[int, ...]]] = {}
-    tallies: dict[Fraction, int] = {}
+    # Profile sums on the lattice of D_k, the lcm of the term denominators.
+    d = lcm(*(t.denominator for t in terms))
+    weights = [v.numerator * (d // v.denominator) for v, _ in groups]
+    seen: dict[int, list[tuple[int, ...]]] = {}
+    tallies: dict[int, int] = {}
     for profile in itertools.product(*(range(len(ix) + 1) for _, ix in groups)):
-        value = sum(
-            (n * v for n, (v, _) in zip(profile, groups)), Fraction(0)
-        )
+        value = sum(map(operator.mul, profile, weights))
         tallies[value] = tallies.get(value, 0) + 1
         bucket = seen.setdefault(value, [])
         if len(bucket) < 2:
             bucket.append(profile)
-    collided = sorted(v for v, c in tallies.items() if c >= 2)
+    lattice = sorted(v for v, c in tallies.items() if c >= 2)
+    collided = [Fraction(v, d) for v in lattice]
 
     def subset(profile: tuple[int, ...]) -> tuple[int, ...]:
         picks: list[int] = []
@@ -188,9 +191,11 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
             picks.extend(indices[:n])
         return tuple(sorted(picks))
 
-    witnesses = tuple((v, subset(seen[v][0]), subset(seen[v][1])) for v in collided)
+    witnesses = tuple(
+        (f, subset(seen[v][0]), subset(seen[v][1])) for f, v in zip(collided, lattice)
+    )
     collision_set = (
-        PointSet(tuple(collided), tuple(tallies[v] for v in collided))
+        PointSet(tuple(collided), tuple(tallies[v] for v in lattice))
         if collided
         else PointSet((), ())
     )
@@ -213,14 +218,18 @@ def multirep_outer(ladder: SubsumLadder, k: int) -> IntervalSet:
     """
     if k < 1:
         raise ValueError("depth must be at least 1")
-    values = ladder[k].values
-    tail = ladder.stream.tail(k)
-    pieces = [
-        Interval(b, a + tail)
-        for a, b in zip(values, values[1:])
-        if b <= a + tail
-    ]
-    return normalize(pieces)
+    d, values, reach = ladder.on_tail_lattice(k)
+    # Pieces [b, a + r_k] rise in both endpoints, so one sweep merges them.
+    starts: list[int] = []
+    ends: list[int] = []
+    for a, b in zip(values, values[1:]):
+        if b - a <= reach:
+            if ends and b <= ends[-1]:
+                ends[-1] = a + reach
+            else:
+                starts.append(b)
+                ends.append(a + reach)
+    return IntervalSet.from_lattice(starts, ends, d)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ DYADIC_JSON = '{"type":"multigeometric","k":[1],"q":"1/2"}'
 OVERLAP_JSON = '{"type":"multigeometric","k":[3,1],"q":"1/2"}'
 KYIV_OK = '{"type":"kyiv","m":{"pre":[],"period":[4]},"s":{"pre":[],"period":[8]}}'
 KYIV_BAD = '{"type":"kyiv","m":{"pre":[],"period":[3]},"s":{"pre":[],"period":[5]}}'
+KYIV_M_ONE = '{"type":"kyiv","m":{"pre":[],"period":[1]},"s":{"pre":[],"period":[6]}}'
 GF_BAD = (
     '{"type":"gf","m":{"pre":[],"period":[2]},"k":{"pre":[],"period":[4]},'
     '"q":{"pre":[],"block":["1/2"],"ratio":"1/2"}}'
@@ -68,6 +69,11 @@ class TestValidate:
     def test_spec_and_inline_conflict(self):
         proc = run_cli("validate", "--inline", KYIV_OK, "--spec", "x.json")
         assert proc.returncode == 2
+
+    def test_kyiv_m_one_reports_failing_conditions(self):
+        proc = run_cli("validate", "--inline", KYIV_M_ONE, "--format", "human")
+        assert proc.returncode == 1
+        assert "FAIL  m_n >= 3: fails at n=1: m=1" in proc.stdout
 
     def test_semifast_validate(self):
         proc = run_cli("validate", "--inline", REPEATED, "--format", "json")
@@ -195,11 +201,12 @@ class TestBadInput:
             (("analyze", "--inline", GN_JSON), {"CANTORVAL_CAP": "abc"}),
             (("validate", "--inline", '{"type":"repeated"}'), None),
             (("analyze", "--inline", '{"type":"repeated"}'), None),
+            (("analyze", "--inline", KYIV_M_ONE), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
             "budget-negative", "env-cap-not-integer", "validate-repeated-missing-keys",
-            "analyze-repeated-missing-keys",
+            "analyze-repeated-missing-keys", "analyze-kyiv-m-one",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):

@@ -31,6 +31,7 @@ from cantorval.families import (
     standardness_ratio,
     subsum_run_total,
 )
+from cantorval.series import StreamError
 from cantorval.tightness import max_tight_diameter
 from cantorval.uniqueness import RepeatedTermSpec
 
@@ -276,6 +277,13 @@ class TestKyiv:
         bound = (s - m + 6) * v.a - 4 * v.a / m
         assert max_tight_diameter(group, v.a / m) >= bound
 
+    @pytest.mark.parametrize("pre,period", [((), (1,)), ((4,), (1, 4)), ((1,), (4,))])
+    def test_m_one_has_no_stream(self, pre, period):
+        # (m_k - 1)/m_k * a_k is zero when m_k = 1
+        spec = KyivSpec(PeriodicSeq(pre, period), PeriodicSeq((), (6,)))
+        with pytest.raises(StreamError, match="contains a nonpositive term"):
+            kyiv_stream(spec)
+
     def test_group_set_matches_brute_force(self):
         got = kyiv_group_set(KYIV_48, 1)
         a1 = F(2, 25)
@@ -339,20 +347,22 @@ class TestStandardness:
 
 
 class TestStreamDiscipline:
+    # factories, so that a constructor that raises fails only its own case
     @pytest.mark.parametrize(
-        "stream",
+        "make",
         [
-            mg_stream(GN),
-            mg_stream(multigeometric([3, 1], "1/2")),
-            mg_stream(multigeometric([2, 1], "1/2")),
-            gf_stream(GF_DECIMAL),
-            mm_stream(MM_ONES),
-            kyiv_stream(KYIV_48),
-            kyiv_stream(KYIV_MIXED),
+            lambda: mg_stream(GN),
+            lambda: mg_stream(multigeometric([3, 1], "1/2")),
+            lambda: mg_stream(multigeometric([2, 1], "1/2")),
+            lambda: gf_stream(GF_DECIMAL),
+            lambda: mm_stream(MM_ONES),
+            lambda: kyiv_stream(KYIV_48),
+            lambda: kyiv_stream(KYIV_MIXED),
         ],
         ids=["gn", "mg-overlap", "mg-tie", "gf", "mm", "kyiv48", "kyiv-mixed"],
     )
-    def test_ten_groups_of_monotone_terms_and_exact_tails(self, stream):
+    def test_ten_groups_of_monotone_terms_and_exact_tails(self, make):
+        stream = make()
         count = stream.boundary(10)
         terms = stream.terms(count)
         assert all(t > 0 for t in terms)

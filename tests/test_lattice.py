@@ -1,0 +1,119 @@
+"""The integer-lattice subsum ladder against Fraction references.
+
+Every reader of a SubsumLadder sweeps integers over a common denominator.
+These tests rebuild what each one reads over Fractions: subset enumeration
+and endpoint merging from the oracles, the Fraction kernels group_convolve
+and tight_decompose, and the multiple-representation formula written out.
+The streams mix term denominators 2..12, so the lattice rescales as it grows.
+"""
+
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorval.engine import iterate
+from cantorval.exact import Interval, PointSet, normalize, rat_str
+from cantorval.families import mg_stream, multigeometric
+from cantorval.series import (
+    CapacityError,
+    GeometricTailStream,
+    SubsumLadder,
+    group_convolve,
+)
+from cantorval.tightness import max_tight_diameter, tight_trend
+from cantorval.uniqueness import multirep_outer
+
+from oracles import brute_merge, brute_subsum_levels
+
+
+@st.composite
+def mixed_streams(draw):
+    """A nonincreasing prefix over denominators 2..12, then a geometric tail."""
+    prefix = sorted(
+        draw(
+            st.lists(
+                st.builds(F, st.integers(1, 30), st.integers(2, 12)),
+                min_size=1,
+                max_size=7,
+            )
+        ),
+        reverse=True,
+    )
+    start = prefix[-1] * draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+    ratio = F(1, draw(st.integers(2, 5)))
+    return GeometricTailStream(prefix, start, ratio), len(prefix) + 2
+
+
+class TestLevels:
+    @given(mixed_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_every_level_matches_enumeration_and_convolution(self, drawn):
+        stream, depth = drawn
+        ladder = SubsumLadder(stream)
+        terms = stream.terms(depth)
+        expected = brute_subsum_levels(terms)
+        for k in range(depth + 1):
+            got = ladder[k]
+            assert dict(zip(got.values, got.counts)) == expected[k]
+            assert ladder.level(k).denominator == lcm(*(t.denominator for t in terms[:k]))
+            if k:
+                step = PointSet.from_pairs([(0, 1), (terms[k - 1], 1)])
+                assert got == group_convolve(ladder[k - 1], step)
+
+    def test_rescales_when_a_denominator_is_new(self):
+        ladder = SubsumLadder(GeometricTailStream(["1/2", "1/3", "1/4", "1/5"], "1/7", "1/2"))
+        assert [ladder.level(k).denominator for k in range(6)] == [1, 2, 6, 12, 60, 420]
+        assert ladder.level(2).values == (0, 2, 3, 5)
+        assert ladder[5].total_count == 32
+
+    def test_capacity_error_counts_the_full_merge(self):
+        ladder = SubsumLadder(mg_stream(multigeometric([3, 2], "1/4")), cap=15)
+        with pytest.raises(CapacityError) as info:
+            ladder.level(4)
+        assert (info.value.stage, info.value.size, info.value.cap) == ("group_convolve", 16, 15)
+        assert len(ladder.level(3)) == 8
+
+
+class TestReaders:
+    @given(mixed_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_iteration_parts_match_merged_bricks(self, drawn):
+        stream, depth = drawn
+        ladder = SubsumLadder(stream)
+        for n in range(depth + 1):
+            tail = stream.tail(n)
+            report = iterate(ladder, n)
+            parts = report.iteration.parts
+            expected = brute_merge((f, f + tail) for f in ladder[n].values)
+            assert [(p.lo, p.hi) for p in parts] == expected
+            assert report.measure == sum((hi - lo for lo, hi in expected), F(0))
+            assert report.gap_count == len(expected) - 1
+            assert report.longest_component == max(parts, key=lambda p: p.length)
+            doc = report.to_json()
+            assert doc["parts"] == report.iteration.to_pairs()
+            assert doc["gaps"] == report.gaps().to_pairs()
+            assert doc["longest_component"] == report.longest_component.as_pair()
+            assert doc["measure"] == rat_str(report.measure)
+
+    @given(mixed_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_tight_trend_rows_match_tight_decompose(self, drawn):
+        stream, depth = drawn
+        ladder = SubsumLadder(stream)
+        for n, value in tight_trend(ladder, depth).rows:
+            assert value == max_tight_diameter(ladder[n], stream.tail(n))
+
+    @given(mixed_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_multirep_outer_matches_fraction_formula(self, drawn):
+        stream, depth = drawn
+        ladder = SubsumLadder(stream)
+        for k in range(1, depth + 1):
+            values = ladder[k].values
+            tail = stream.tail(k)
+            expected = normalize(
+                Interval(b, a + tail) for a, b in zip(values, values[1:]) if b <= a + tail
+            )
+            assert multirep_outer(ladder, k) == expected

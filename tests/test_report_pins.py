@@ -9,15 +9,13 @@ capacity, and the message must still name the first oversized level.
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-import cantorval
 from cantorval.cli import build_report
 from cantorval.families import spec_from_json
-from cantorval.series import DEFAULT_CAP, CapacityError, group_convolve
+from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
@@ -94,16 +92,14 @@ def test_capacity_outcome_unchanged(name):
 
 @pytest.mark.parametrize("name", ["kyiv48", "gf_decimal", "mm_ones", "semifast"])
 def test_one_report_builds_one_ladder(name, monkeypatch):
-    # every section reads F_n from one ladder, so depth 8 costs 8 convolutions
+    # every section reads F_n from one ladder, so depth 8 costs 8 level extensions
     calls = []
+    extend = LatticeLevel.extend
 
-    def counting(a, b, cap=DEFAULT_CAP):
-        calls.append((len(a), len(b)))
-        return group_convolve(a, b, cap)
+    def counting(level, term, cap):
+        calls.append(len(level))
+        return extend(level, term, cap)
 
-    modules = [mod for key, mod in sys.modules.items() if key.startswith("cantorval.")]
-    for mod in [cantorval] + modules:
-        if getattr(mod, "group_convolve", None) is group_convolve:
-            monkeypatch.setattr(mod, "group_convolve", counting)
+    monkeypatch.setattr(LatticeLevel, "extend", counting)
     build_report(load(name), 8, 8, DEFAULT_CAP, 12)
     assert len(calls) == 8
