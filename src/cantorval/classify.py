@@ -173,7 +173,6 @@ def classify(
     ladder: SubsumLadder,
     horizon: int = 12,
     budget: int = 16,
-    seed_depth: int = 2,
 ) -> Classification:
     """Decide the topological type at the strongest honest tier.
 
@@ -205,7 +204,7 @@ def classify(
                 Verdict.CANTOR, Tier.CERTIFIED, horizon, {"separated_blocks": separated}
             )
         try:
-            certificate = certify_interior(spec, ladder, seed_depth, budget)
+            certificate = certify_interior(spec, ladder, seed_depth=2, budget=budget)
         except CapacityError:
             certificate = None
         if (
@@ -255,47 +254,3 @@ def classify(
     if trend.final == 0:
         return Classification(Verdict.CANTOR, Tier.HEURISTIC, horizon, witness)
     return Classification(Verdict.UNKNOWN, Tier.HEURISTIC, horizon, witness)
-
-
-def reversed_kakeya_dichotomy(
-    subject: Subject, horizon: int = 12, asserted_finite: bool = False
-) -> Classification:
-    """Multi-interval vs Cantor for series with finitely many n: x_n < r_n.
-
-    With an exact pattern the hypothesis is proved or refuted outright; a
-    bare stream is only analyzed when the caller asserts the hypothesis, and
-    then the verdict is heuristic (horizon-limited).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    stream, _ = resolve_stream(subject)
-    pattern = stream.kakeya_pattern()
-    if pattern is not None:
-        if not pattern.strict_reversed_is_finite:
-            raise ValueError(
-                "the stream provably has infinitely many indices with x_n < r_n"
-            )
-        witness = {"kakeya_pattern": _pattern_witness(pattern)}
-        if pattern.eventually_equal:
-            return Classification(Verdict.MULTI_INTERVAL, Tier.PROVED, horizon, witness)
-        return Classification(Verdict.CANTOR, Tier.PROVED, horizon, witness)
-    if not asserted_finite:
-        raise ValueError(
-            "refusing to run without a pattern proof or an explicit assertion "
-            "that {n : x_n < r_n} is finite"
-        )
-    comparisons = [
-        (n, stream.term(n), stream.tail(n)) for n in range(1, horizon + 1)
-    ]
-    last_strictly_below = max(
-        (n for n, x, r in comparisons if x < r), default=0
-    )
-    beyond = [(n, x, r) for n, x, r in comparisons if n > last_strictly_below]
-    witness = {
-        "horizon": horizon,
-        "last_strictly_below": last_strictly_below,
-        "asserted": True,
-    }
-    if all(x == r for _, x, r in beyond):
-        return Classification(Verdict.MULTI_INTERVAL, Tier.HEURISTIC, horizon, witness)
-    return Classification(Verdict.CANTOR, Tier.HEURISTIC, horizon, witness)

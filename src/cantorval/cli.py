@@ -79,6 +79,11 @@ def _default_cap(args: argparse.Namespace) -> int:
         raise ValueError(f"CANTORVAL_CAP: {exc}") from None
 
 
+def _usage_error(reason: object) -> int:
+    sys.stderr.write(f"error: {reason}\n")
+    return EXIT_USAGE
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
@@ -147,20 +152,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         spec = _load_spec(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return _usage_error(exc)
     conditions = _validation_conditions(spec)
     passed = all(c["passed"] for c in conditions)
     if args.format == "json":
         doc = {"spec": spec.to_json(), "passed": passed, "conditions": conditions}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [
             f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['witness']}"
             for c in conditions
         ]
         lines.append("all conditions pass" if passed else "some conditions fail")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        return _usage_error(exc)
     return EXIT_OK if passed else EXIT_CONDITION_FAILURE
 
 
@@ -289,8 +297,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cap = _default_cap(args)
         spec = _load_spec(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return _usage_error(exc)
     horizon = args.depth if args.horizon is None else args.horizon
     try:
         doc = build_report(spec, args.depth, horizon, cap, args.budget)
@@ -298,21 +305,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
         return EXIT_CAPACITY
     except StreamError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        if not args.out:
-            sys.stderr.write("error: --format csv requires --out DIRECTORY\n")
-            return EXIT_USAGE
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in _csv_tables(doc).items():
-            (outdir / name).write_text(text)
-        (outdir / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        _emit(_human_summary(doc), args.out)
+        return _usage_error(exc)
+    try:
+        if args.format == "json":
+            _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        elif args.format == "csv":
+            if not args.out:
+                return _usage_error("--format csv requires --out DIRECTORY")
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, text in _csv_tables(doc).items():
+                (outdir / name).write_text(text)
+            (outdir / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
+        else:
+            _emit(_human_summary(doc), args.out)
+    except OSError as exc:
+        return _usage_error(exc)
     return EXIT_OK
 
 

@@ -172,19 +172,6 @@ def _prune_to_covered(spec: MultigeometricSpec, s: IntervalSet) -> IntervalSet:
     return current
 
 
-def _snap_inward(s: IntervalSet, denominator: int) -> IntervalSet:
-    """Shrink each part to the widest subinterval with endpoints on a lattice."""
-    out = []
-    for p in s.parts:
-        lo_num = -((-p.lo.numerator * denominator) // p.lo.denominator)  # ceil
-        hi_num = (p.hi.numerator * denominator) // p.hi.denominator  # floor
-        lo = Fraction(lo_num, denominator)
-        hi = Fraction(hi_num, denominator)
-        if lo < hi:
-            out.append(Interval(lo, hi))
-    return IntervalSet(tuple(out))
-
-
 def _run_window_candidates(spec: MultigeometricSpec) -> list[IntervalSet]:
     """Single-interval candidates anchored at chain fixed points.
 
@@ -215,7 +202,6 @@ def certify_interior(
     budget: int = 16,
     *,
     part_limit: int = DEFAULT_PART_LIMIT,
-    snap_denominator: Optional[int] = None,
 ) -> InteriorCertificate:
     """Search for a finite self-covered interval union inside the attractor.
 
@@ -223,8 +209,8 @@ def certify_interior(
     I_{m * seed_depth} and refines S to S intersect Phi(S); a refinement
     fixed point is exactly the wanted property.  When refinement does not
     stabilize (for many Cantorvals it cannot: the parts multiply
-    forever), snapped and analytic run-window candidates are pruned and
-    tried.  Whatever survives is rechecked exactly; only that recheck sets
+    forever), analytic run-window candidates are pruned and tried.
+    Whatever survives is rechecked exactly; only that recheck sets
     ``verified``.
     """
     if seed_depth < 1 or budget < 0:
@@ -254,11 +240,7 @@ def certify_interior(
     if stabilized and _self_covered(spec, s):
         verified_pieces.append(s)
     else:
-        candidates: list[IntervalSet] = []
-        if snap_denominator is not None:
-            candidates.append(_snap_inward(s, snap_denominator))
-        candidates.extend(_run_window_candidates(spec))
-        for candidate in candidates:
+        for candidate in _run_window_candidates(spec):
             pruned = _prune_to_covered(spec, candidate)
             if _self_covered(spec, pruned):
                 verified_pieces.append(pruned)

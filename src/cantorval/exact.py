@@ -35,7 +35,10 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -71,10 +74,6 @@ class Interval:
     @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
-
-    def contains_point(self, x: RationalLike) -> bool:
-        v = rat(x)
-        return self.lo <= v <= self.hi
 
     def as_pair(self) -> list[str]:
         return [rat_str(self.lo), rat_str(self.hi)]
@@ -139,12 +138,6 @@ class IntervalSet:
 
     def nondegenerate(self) -> "IntervalSet":
         return IntervalSet(tuple(p for p in self.parts if not p.is_degenerate))
-
-    @property
-    def hull(self) -> Optional[Interval]:
-        if not self.parts:
-            return None
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
 
     def contains_point(self, x: RationalLike) -> bool:
         v = rat(x)
@@ -223,37 +216,6 @@ class IntervalSet:
                 out.append(Interval(cursor, p.hi))
         return normalize(out)
 
-    def affine(self, scale: RationalLike, shift: RationalLike) -> "IntervalSet":
-        """Image {scale*x + shift}; scale must be positive.
-
-        An orientation-preserving affine map keeps gaps open, so the image of
-        a canonical set is canonical without re-merging.
-        """
-        a = rat(scale)
-        b = rat(shift)
-        if a <= 0:
-            raise ValueError(f"affine scale must be positive, got {a}")
-        return IntervalSet(tuple(Interval(a * p.lo + b, a * p.hi + b) for p in self.parts))
-
-    def gaps_within(self, ambient: Interval) -> "IntervalSet":
-        """Closures of the components of ambient minus self.
-
-        Requires self to be contained in the ambient interval.
-        """
-        if not self.is_subset_of(IntervalSet((ambient,))):
-            raise ValueError("set is not contained in the ambient interval")
-        if not self.parts:
-            return IntervalSet((ambient,))
-        out: list[Interval] = []
-        prev = ambient.lo
-        for p in self.parts:
-            if p.lo > prev:
-                out.append(Interval(prev, p.lo))
-            prev = max(prev, p.hi)
-        if prev < ambient.hi:
-            out.append(Interval(prev, ambient.hi))
-        return IntervalSet(tuple(out))
-
     def to_pairs(self) -> list[list[str]]:
         return [p.as_pair() for p in self.parts]
 
@@ -296,27 +258,6 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
         else:
             out.append(p)
     return IntervalSet(tuple(out))
-
-
-def tail_ratio_bounds(
-    a: Sequence[RationalLike], b: Sequence[RationalLike]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(min a_i/b_i, max a_i/b_i, sum(a)/sum(b)) for positive sequences.
-
-    The aggregate ratio is a convex combination of the termwise ratios, so it
-    always lies between the extremes; this is asserted, not assumed.
-    """
-    xs = [rat(v) for v in a]
-    ys = [rat(v) for v in b]
-    if not xs or len(xs) != len(ys):
-        raise ValueError("need two positive sequences of equal nonzero length")
-    if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
-        raise ValueError("all entries must be positive")
-    ratios = [x / y for x, y in zip(xs, ys)]
-    lo, hi = min(ratios), max(ratios)
-    ratio = sum(xs, Fraction(0)) / sum(ys, Fraction(0))
-    assert lo <= ratio <= hi
-    return lo, hi, ratio
 
 
 @dataclass(frozen=True)

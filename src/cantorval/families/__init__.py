@@ -1,34 +1,10 @@
 """Constructors, validators, and closed forms for the explicit families."""
 
-from .periodic import (
-    BlockGeometric,
-    PeriodicSeq,
-    align_periods,
-    constant,
-    geometric,
-    weighted_block_geometric,
-)
-from .grouped import GroupedStream
-from .multigeometric import (
-    MultigeometricSpec,
-    MultigeometricStream,
-    mg_block,
-    mg_stream,
-    multigeometric,
-)
-from .ferens import (
-    GFSpec,
-    GFValidation,
-    GFStream,
-    gf_group_set,
-    gf_stream,
-    gf_validate,
-    gf_weighted_tail,
-    subsum_run_total,
-)
+from .periodic import BlockGeometric, PeriodicSeq, geometric
+from .multigeometric import MultigeometricSpec, mg_block, mg_stream, multigeometric
+from .ferens import GFSpec, gf_group_set, gf_stream, gf_validate, subsum_run_total
 from .marchwicki import (
     MMSpec,
-    MMStream,
     mm_block,
     mm_block_coefficients,
     mm_block_sum,
@@ -37,9 +13,6 @@ from .marchwicki import (
 )
 from .kyiv import (
     KyivSpec,
-    KyivValidation,
-    KyivValues,
-    KyivStream,
     kyiv_chain_margin,
     kyiv_group_set,
     kyiv_progression,
@@ -47,49 +20,5 @@ from .kyiv import (
     kyiv_validate,
     kyiv_values,
 )
-from .standardness import StandardnessResult, standardness_ratio
-from .io import spec_from_json, spec_to_json
-
-__all__ = [
-    "BlockGeometric",
-    "PeriodicSeq",
-    "align_periods",
-    "constant",
-    "geometric",
-    "weighted_block_geometric",
-    "GroupedStream",
-    "MultigeometricSpec",
-    "MultigeometricStream",
-    "mg_block",
-    "mg_stream",
-    "multigeometric",
-    "GFSpec",
-    "GFValidation",
-    "GFStream",
-    "gf_group_set",
-    "gf_stream",
-    "gf_validate",
-    "gf_weighted_tail",
-    "subsum_run_total",
-    "MMSpec",
-    "MMStream",
-    "mm_block",
-    "mm_block_coefficients",
-    "mm_block_sum",
-    "mm_scale",
-    "mm_stream",
-    "KyivSpec",
-    "KyivValidation",
-    "KyivValues",
-    "KyivStream",
-    "kyiv_chain_margin",
-    "kyiv_group_set",
-    "kyiv_progression",
-    "kyiv_stream",
-    "kyiv_validate",
-    "kyiv_values",
-    "StandardnessResult",
-    "standardness_ratio",
-    "spec_from_json",
-    "spec_to_json",
-]
+from .standardness import standardness_ratio
+from .io import spec_from_json

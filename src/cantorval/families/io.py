@@ -44,6 +44,3 @@ def spec_from_json(doc: dict) -> FamilySpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from exc
 
-
-def spec_to_json(spec: FamilySpec) -> dict:
-    return spec.to_json()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from ..exact import rat, rat_str, RationalLike
@@ -58,10 +57,6 @@ class PeriodicSeq:
     @staticmethod
     def from_json(doc: dict) -> "PeriodicSeq":
         return PeriodicSeq(tuple(doc.get("pre", ())), tuple(doc["period"]))
-
-
-def constant(value) -> PeriodicSeq:
-    return PeriodicSeq((), (value,))
 
 
 @dataclass(frozen=True)
@@ -169,9 +164,3 @@ def weighted_block_geometric(
     )
     return BlockGeometric(pre, block, block_ratio)
 
-
-def align_periods(*seqs: PeriodicSeq) -> tuple[int, int]:
-    """(preperiod, period) valid simultaneously for all given sequences."""
-    pre = max(s.preperiod_length for s in seqs)
-    per = lcm(*(s.period_length for s in seqs))
-    return pre, per

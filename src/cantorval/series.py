@@ -91,15 +91,6 @@ class KakeyaPattern:
         """True iff {n : x_n < r_n} is finite."""
         return LESS not in self.cycle
 
-    @property
-    def reversed_is_finite(self) -> bool:
-        """True iff {n : x_n <= r_n} is finite."""
-        return LESS not in self.cycle and EQUAL not in self.cycle
-
-    @property
-    def eventually_equal(self) -> bool:
-        return all(sym == EQUAL for sym in self.cycle)
-
     def shifted(self, k: int) -> "KakeyaPattern":
         """Pattern of the suffix stream (x_n) for n > k."""
         if k <= len(self.prefix):
@@ -367,7 +358,7 @@ class LatticeLevel:
         out_values.extend(v + shift for v in values[j:])
         out_counts.extend(counts[j:])
         if len(out_values) > cap:
-            raise CapacityError("group_convolve", len(out_values), cap)
+            raise CapacityError("subsum_ladder", len(out_values), cap)
         return LatticeLevel(d, tuple(out_values), tuple(out_counts))
 
     def points(self) -> PointSet:

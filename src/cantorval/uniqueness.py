@@ -137,11 +137,6 @@ class RepetitionReport:
         }
 
 
-def collisions(ladder: SubsumLadder, k: int) -> PointSet:
-    """Subsum values of depth k achieved by at least two subsets."""
-    return repetition_report(ladder, k).collisions
-
-
 def _value_groups(terms: tuple[Fraction, ...]) -> list[tuple[Fraction, list[int]]]:
     """Distinct term values with their 1-based indices (terms nonincreasing,
     so equal values are consecutive)."""

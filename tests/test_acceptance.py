@@ -39,7 +39,6 @@ from cantorval.exact import PointSet
 from cantorval.tightness import max_tight_diameter
 from cantorval.uniqueness import (
     RepeatedTermSpec,
-    collisions,
     multirep_outer,
     repetition_report,
     representation_uniqueness_oracle,

@@ -7,7 +7,6 @@ from cantorval.classify import (
     Verdict,
     classify,
     resolve_stream,
-    reversed_kakeya_dichotomy,
 )
 from cantorval.engine import iterate
 from cantorval.families import (
@@ -134,6 +133,15 @@ class TestClassify:
             parts_next = len(iterate(ladder, n + 1).iteration.parts)
             assert parts_next == 2 * parts_now
 
+    def test_equality_prefix_then_strict_is_cantor(self):
+        # x_n = r_n for n <= 3, x_n > r_n afterwards
+        stream = GeometricTailStream([6, 3, F(3, 2)], 1, F(1, 3))
+        split = kakeya_split(stream, 8)
+        assert split.reversed_kakeya == (1, 2, 3)
+        got = fresh_classify(stream, horizon=8)
+        assert got.verdict is Verdict.CANTOR
+        assert got.tier is Tier.PROVED
+
     def test_heuristic_verdict_carries_horizon(self):
         got = fresh_classify(GN, horizon=9)
         assert got.tier is Tier.HEURISTIC
@@ -154,44 +162,3 @@ class TestClassify:
         doc = fresh_classify(GN, horizon=6).to_json()
         assert set(doc) == {"verdict", "tier", "horizon", "witnesses"}
         assert doc["verdict"] == "Cantorval"
-
-
-class TestDichotomy:
-    def test_dyadic_multi_interval(self):
-        got = reversed_kakeya_dichotomy(DYADIC, horizon=8)
-        assert got.verdict is Verdict.MULTI_INTERVAL
-        assert got.tier is Tier.PROVED
-
-    def test_middle_thirds_cantor(self):
-        got = reversed_kakeya_dichotomy(THIRDS, horizon=8)
-        assert got.verdict is Verdict.CANTOR
-        assert got.tier is Tier.PROVED
-
-    def test_equality_prefix_then_strict_is_cantor(self):
-        # x_n = r_n for n <= 3, x_n > r_n afterwards
-        stream = GeometricTailStream([6, 3, F(3, 2)], 1, F(1, 3))
-        split = kakeya_split(stream, 8)
-        assert split.reversed_kakeya == (1, 2, 3)
-        got = reversed_kakeya_dichotomy(stream, horizon=8)
-        assert got.verdict is Verdict.CANTOR
-        assert got.tier is Tier.PROVED
-
-    def test_refuses_when_hypothesis_provably_fails(self):
-        with pytest.raises(ValueError):
-            reversed_kakeya_dichotomy(GN, horizon=8)
-
-    def test_refuses_without_assertion_or_proof(self):
-        stream = PatternlessStream(resolve_stream(DYADIC)[0])
-        with pytest.raises(ValueError):
-            reversed_kakeya_dichotomy(stream, horizon=8)
-
-    def test_asserted_heuristic_paths(self):
-        dyadic_like = PatternlessStream(resolve_stream(DYADIC)[0])
-        got = reversed_kakeya_dichotomy(dyadic_like, horizon=8, asserted_finite=True)
-        assert got.verdict is Verdict.MULTI_INTERVAL
-        assert got.tier is Tier.HEURISTIC
-
-        thirds_like = PatternlessStream(resolve_stream(THIRDS)[0])
-        got = reversed_kakeya_dichotomy(thirds_like, horizon=8, asserted_finite=True)
-        assert got.verdict is Verdict.CANTOR
-        assert got.tier is Tier.HEURISTIC

@@ -17,6 +17,8 @@ GF_BAD = (
     '{"type":"gf","m":{"pre":[],"period":[2]},"k":{"pre":[],"period":[4]},'
     '"q":{"pre":[],"block":["1/2"],"ratio":"1/2"}}'
 )
+ZERO_Q = '{"type":"multigeometric","k":[3,2],"q":"1/0"}'
+ZERO_K = '{"type":"multigeometric","k":[3,"2/0"],"q":"1/4"}'
 REPEATED = (
     '{"type":"repeated","y":{"pre":[],"block":["1/4"],"ratio":"1/4"},'
     '"counts":{"pre":[],"period":[2]}}'
@@ -35,6 +37,13 @@ def run_cli(*args, env=None):
         text=True,
         env=merged,
     )
+
+
+def assert_one_line_usage_error(proc):
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestValidate:
@@ -202,19 +211,37 @@ class TestBadInput:
             (("validate", "--inline", '{"type":"repeated"}'), None),
             (("analyze", "--inline", '{"type":"repeated"}'), None),
             (("analyze", "--inline", KYIV_M_ONE), None),
+            (("validate", "--inline", ZERO_Q), None),
+            (("analyze", "--inline", ZERO_Q), None),
+            (("validate", "--inline", ZERO_K), None),
+            (("analyze", "--inline", ZERO_K), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
             "budget-negative", "env-cap-not-integer", "validate-repeated-missing-keys",
             "analyze-repeated-missing-keys", "analyze-kyiv-m-one",
+            "validate-zero-denominator-q", "analyze-zero-denominator-q",
+            "validate-zero-denominator-k", "analyze-zero-denominator-k",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):
-        proc = run_cli(*args, env=env)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_one_line_usage_error(run_cli(*args, env=env))
+
+    @pytest.mark.parametrize(
+        "args,out",
+        [
+            (("validate", "--inline", GN_JSON), "missing/report.json"),
+            (("analyze", "--inline", GN_JSON, "--depth", "2"), "missing/report.json"),
+            (("analyze", "--inline", GN_JSON, "--depth", "2", "--format", "csv"), "taken"),
+        ],
+        ids=[
+            "validate-out-in-missing-dir", "analyze-out-in-missing-dir",
+            "analyze-csv-out-is-a-file",
+        ],
+    )
+    def test_unwritable_out_is_one_line(self, tmp_path, args, out):
+        (tmp_path / "taken").write_text("")
+        assert_one_line_usage_error(run_cli(*args, "--out", str(tmp_path / out)))
 
 
 class TestReportBuilder:

@@ -174,13 +174,6 @@ class TestCertify:
         assert cert.s == iset(("2/9", "4/3"))
         assert cert.interior_measure == F(10, 9)
 
-    def test_snap_path_also_lands_on_a_certificate(self):
-        cert = certify_interior(
-            FERENS, mg_ladder(FERENS), seed_depth=1, budget=0, snap_denominator=9
-        )
-        assert cert.verified
-        assert cert.interior_measure >= F(10, 9)
-
     @pytest.mark.parametrize(
         "spec", [DYADIC, FULL, FERENS], ids=["dyadic", "full", "ferens"]
     )

@@ -11,7 +11,6 @@ from cantorval.exact import (
     normalize,
     rat,
     rat_str,
-    tail_ratio_bounds,
 )
 
 from oracles import brute_merge, point_in_intervals
@@ -44,6 +43,10 @@ class TestRat:
             rat(0.5)
         with pytest.raises(TypeError):
             rat(True)
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat("1/0")
 
     def test_canonical_string(self):
         assert rat_str(F(5, 12)) == "5/12"
@@ -117,32 +120,6 @@ class TestIntersect:
         assert got.contains_point(x) == (a.contains_point(x) and b.contains_point(x))
 
 
-class TestAffine:
-    def test_identity(self):
-        s = iset((0, 1))
-        assert s.affine(1, 0) == s
-
-    def test_quarter_scale_with_shift(self):
-        assert iset((0, "5/3")).affine(F(1, 4), F(1, 2)) == iset(("1/2", "11/12"))
-
-    def test_two_parts(self):
-        assert iset((0, 1), (2, 3)).affine(F(1, 2), 0) == iset((0, "1/2"), (1, "3/2"))
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            iset((0, 1)).affine(0, 0)
-        with pytest.raises(ValueError):
-            iset((0, 1)).affine(-1, 0)
-
-    @given(interval_sets(),
-           st.fractions(min_value="1/8", max_value=4, max_denominator=16),
-           small_fractions,
-           st.fractions(min_value="1/8", max_value=4, max_denominator=16),
-           small_fractions)
-    def test_composition(self, s, p, u, r, v):
-        assert s.affine(p, u).affine(r, v) == s.affine(p * r, r * u + v)
-
-
 class TestSubset:
     def test_examples(self):
         assert iset(("1/4", "1/2")).is_subset_of(iset((0, 1)))
@@ -164,27 +141,6 @@ class TestSubset:
             assert not claim
 
 
-class TestGaps:
-    def test_order_two_complement(self):
-        s = iset((0, "5/12"), ("1/2", "7/6"), ("5/4", "5/3"))
-        got = s.gaps_within(interval(0, "5/3"))
-        assert got == iset(("5/12", "1/2"), ("7/6", "5/4"))
-
-    def test_full_interval_has_no_gaps(self):
-        assert iset((0, 1)).gaps_within(interval(0, 1)) == EMPTY_SET
-
-    def test_single_point_leaves_whole_interval(self):
-        s = IntervalSet((interval(0, 0),))
-        assert s.gaps_within(interval(0, 1)) == iset((0, 1))
-
-    def test_rejects_escaping_set(self):
-        with pytest.raises(ValueError):
-            iset((0, 2)).gaps_within(interval(0, 1))
-
-    def test_empty_set_yields_ambient(self):
-        assert EMPTY_SET.gaps_within(interval(0, 1)) == iset((0, 1))
-
-
 class TestDifference:
     def test_middle_removed(self):
         got = iset((0, 1)).difference(iset(("1/4", "1/2")))
@@ -199,30 +155,6 @@ class TestDifference:
         got = a.difference(b)
         if a.contains_point(x) and not b.contains_point(x):
             assert got.contains_point(x)
-
-
-class TestTailRatioBounds:
-    def test_examples(self):
-        assert tail_ratio_bounds([1, 1], [1, 1]) == (1, 1, 1)
-        assert tail_ratio_bounds([1, 3], [2, 2]) == (F(1, 2), F(3, 2), 1)
-        assert tail_ratio_bounds([10, 10], [14, 14]) == (F(5, 7), F(5, 7), F(5, 7))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            tail_ratio_bounds([], [])
-        with pytest.raises(ValueError):
-            tail_ratio_bounds([1], [1, 2])
-        with pytest.raises(ValueError):
-            tail_ratio_bounds([1, -1], [1, 1])
-
-    @given(st.lists(st.fractions(min_value="1/16", max_value=8, max_denominator=32),
-                    min_size=1, max_size=8),
-           st.lists(st.fractions(min_value="1/16", max_value=8, max_denominator=32),
-                    min_size=1, max_size=8))
-    def test_aggregate_between_extremes(self, a, b):
-        n = min(len(a), len(b))
-        lo, hi, ratio = tail_ratio_bounds(a[:n], b[:n])
-        assert lo <= ratio <= hi
 
 
 class TestPointSet:

@@ -72,7 +72,7 @@ class TestLevels:
         ladder = SubsumLadder(mg_stream(multigeometric([3, 2], "1/4")), cap=15)
         with pytest.raises(CapacityError) as info:
             ladder.level(4)
-        assert (info.value.stage, info.value.size, info.value.cap) == ("group_convolve", 16, 15)
+        assert (info.value.stage, info.value.size, info.value.cap) == ("subsum_ladder", 16, 15)
         assert len(ladder.level(3)) == 8
 
 

@@ -49,13 +49,13 @@ REPORT_SHA256 = {
 # cap 100, depth 7, horizon 7: the CapacityError message, or the report
 # digest when the spec fits
 CAP_100_DEPTH_7 = {
-    "dyadic": "group_convolve: would produce 128 values, cap is 100",
-    "ferens_5432": "group_convolve: would produce 104 values, cap is 100",
-    "gf_decimal": "group_convolve: would produce 104 values, cap is 100",
-    "gn": "group_convolve: would produce 128 values, cap is 100",
+    "dyadic": "subsum_ladder: would produce 128 values, cap is 100",
+    "ferens_5432": "subsum_ladder: would produce 104 values, cap is 100",
+    "gf_decimal": "subsum_ladder: would produce 104 values, cap is 100",
+    "gn": "subsum_ladder: would produce 128 values, cap is 100",
     "kyiv48": "d9b8606a2afaa0b4def40843dc8d9b9f27b0856bd769b7a99d15178c03d8ce18",
-    "middle_thirds": "group_convolve: would produce 128 values, cap is 100",
-    "mm_ones": "group_convolve: would produce 108 values, cap is 100",
+    "middle_thirds": "subsum_ladder: would produce 128 values, cap is 100",
+    "mm_ones": "subsum_ladder: would produce 108 values, cap is 100",
     "semifast": "939b58cdfc66b687ad5f879c24a208bc3b928ddf877c43cefe0fc77e9dad5cbd",
 }
 
@@ -85,7 +85,7 @@ def test_capacity_outcome_unchanged(name):
     try:
         outcome = digest(build_report(load(name), 7, 7, 100, 12))
     except CapacityError as exc:
-        assert exc.stage == "group_convolve"
+        assert exc.stage == "subsum_ladder"
         outcome = str(exc)
     assert outcome == CAP_100_DEPTH_7[name]
 

@@ -12,7 +12,6 @@ from cantorval.series import (
 )
 from cantorval.uniqueness import (
     RepeatedTermSpec,
-    collisions,
     multirep_outer,
     repeated_stream,
     repetition_report,
@@ -49,10 +48,10 @@ class TestCollisions:
         assert {first, second} == {(1,), (2, 3)}
 
     def test_gn_depth_four_is_collision_free(self):
-        assert len(collisions(SubsumLadder(GN), 4)) == 0
+        assert len(repetition_report(SubsumLadder(GN), 4).collisions) == 0
 
     def test_depth_zero_empty(self):
-        assert len(collisions(SubsumLadder(GN), 0)) == 0
+        assert len(repetition_report(SubsumLadder(GN), 0).collisions) == 0
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -71,7 +70,8 @@ class TestCollisions:
     def test_equal_term_swaps_are_not_collisions(self):
         # two copies of the same value: one multiset, no collision
         spec = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
-        assert len(collisions(SubsumLadder(repeated_stream(spec)), 6)) == 0
+        report = repetition_report(SubsumLadder(repeated_stream(spec)), 6)
+        assert len(report.collisions) == 0
 
 
 class TestMultirepOuter:
@@ -97,7 +97,7 @@ class TestMultirepOuter:
         ladder = SubsumLadder(repeated_stream(HALVING))
         for k in (3, 4, 5, 6):
             outer = multirep_outer(ladder, k)
-            for value in collisions(ladder, k).values:
+            for value in repetition_report(ladder, k).collisions.values:
                 assert outer.contains_point(value)
 
 
