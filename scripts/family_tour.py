@@ -7,6 +7,7 @@ classification the library assigns.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,4 +63,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does.  Point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .engine import certify_interior, iterate
+from .engine import InteriorCertificate, certify_interior, iterate
 from .exact import rat_str
 from .families.ferens import GFSpec, gf_stream, gf_validate
 from .families.kyiv import KyivSpec, kyiv_stream, kyiv_validate
@@ -58,10 +58,31 @@ class Tier(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """A verdict at its tier, with the witnesses that place it there.
+
+    ``certificate`` is the interior-certificate search that classify ran at
+    seed depth 2 (None when it ran none, or ran out of capacity).  It is not
+    part of the verdict or its JSON; build_report hands it on to
+    measure_bounds so the same search is not run twice.
+    """
+
     verdict: Verdict
     tier: Tier
     horizon: int
     witnesses: dict = field(default_factory=dict)
+    certificate: Optional[InteriorCertificate] = field(default=None, compare=False)
+
+    @property
+    def interior_empty(self) -> bool:
+        """True when the verdict proves the set has empty interior.
+
+        A Finite or Cantor verdict above the heuristic tier; a heuristic
+        Cantor verdict is finite-horizon evidence, not a proof.
+        """
+        return (
+            self.verdict in (Verdict.FINITE, Verdict.CANTOR)
+            and self.tier is not Tier.HEURISTIC
+        )
 
     def to_json(self) -> dict:
         return {
@@ -197,6 +218,7 @@ def classify(
         if from_pattern is not None:
             return from_pattern
 
+    certificate = None
     if isinstance(spec, MultigeometricSpec):
         separated = _separated_blocks(spec)
         if separated is not None:
@@ -231,6 +253,7 @@ def classify(
                     "kakeya_pattern": _pattern_witness(pattern),
                     "gaps": gap_witness.to_pairs(),
                 },
+                certificate,
             )
 
     # Heuristic tier: exact finite-horizon measurements, honest about reach.
@@ -248,9 +271,11 @@ def classify(
         GREATER in pattern.cycle if pattern is not None else bool(split.kakeya)
     )
     if trend.interval_evidence and report.gap_count > 0 and kakeya_infinite:
-        return Classification(Verdict.CANTORVAL, Tier.HEURISTIC, horizon, witness)
-    if trend.interval_evidence and report.gap_count == 0:
-        return Classification(Verdict.MULTI_INTERVAL, Tier.HEURISTIC, horizon, witness)
-    if trend.final == 0:
-        return Classification(Verdict.CANTOR, Tier.HEURISTIC, horizon, witness)
-    return Classification(Verdict.UNKNOWN, Tier.HEURISTIC, horizon, witness)
+        verdict = Verdict.CANTORVAL
+    elif trend.interval_evidence and report.gap_count == 0:
+        verdict = Verdict.MULTI_INTERVAL
+    elif trend.final == 0:
+        verdict = Verdict.CANTOR
+    else:
+        verdict = Verdict.UNKNOWN
+    return Classification(verdict, Tier.HEURISTIC, horizon, witness, certificate)

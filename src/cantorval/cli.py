@@ -197,14 +197,21 @@ def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     """The composite analysis document; everything exact and deterministic.
 
     One subsum ladder is built for the spec's stream and every section reads
-    its F_n from it.
+    its F_n from it.  Each interior-certificate search runs at most once:
+    measure_bounds reuses the seed-2 search that classify ran with the same
+    budget, and runs none at all when the classification proves the
+    interior empty (Finite or Cantor, Proved or Certified), because then
+    its lower bound is 0 with no certificate whatever the search finds.
     """
     stream, _ = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
     classification = classify(spec, ladder, horizon=horizon, budget=budget)
     iterations = [iterate(ladder, n).to_json() for n in range(depth + 1)]
-    mg_spec = spec if isinstance(spec, MultigeometricSpec) else None
-    bounds = measure_bounds(ladder, depth, budget, mg_spec)
+    searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
+    bounds = measure_bounds(
+        ladder, depth, budget, spec if searchable else None,
+        seed2=classification.certificate,
+    )
     trend = tight_trend(ladder, horizon)
     try:
         standardness = standardness_ratio(spec, 1).to_json()
@@ -293,6 +300,8 @@ def _human_summary(doc: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.format == "csv" and not args.out:
+        return _usage_error("--format csv requires --out DIRECTORY")
     try:
         cap = _default_cap(args)
         spec = _load_spec(args)
@@ -310,8 +319,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit(json.dumps(doc, indent=2) + "\n", args.out)
         elif args.format == "csv":
-            if not args.out:
-                return _usage_error("--format csv requires --out DIRECTORY")
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
             for name, text in _csv_tables(doc).items():

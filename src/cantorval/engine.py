@@ -309,6 +309,8 @@ def measure_bounds(
     depth: int,
     budget: int = 12,
     spec: Optional[MultigeometricSpec] = None,
+    *,
+    seed2: Optional[InteriorCertificate] = None,
 ) -> MeasureBounds:
     """Upper bound lambda(I_depth); certified interior lower bound when possible.
 
@@ -318,6 +320,13 @@ def measure_bounds(
     here (their interior content is covered by the family closed forms
     instead).  The best certificate over seed depths up to depth is used,
     which keeps the boundary gap nonincreasing as depth and budget grow.
+
+    ``seed2``, when given, is the result of
+    ``certify_interior(spec, ladder, 2, budget)`` already in hand (classify
+    runs exactly that search); it stands in for the seed-2 search here.
+    build_report passes no ``spec`` when the classification proves the
+    interior empty: a verified certificate lies inside the set, so no search
+    could raise the lower bound above zero.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -327,10 +336,13 @@ def measure_bounds(
     if spec is not None:
         max_seed = max(1, min(depth // spec.m, 4))
         for seed in range(1, max_seed + 1):
-            try:
-                cert = certify_interior(spec, ladder, seed, budget)
-            except CapacityError:
-                continue
+            if seed == 2 and seed2 is not None:
+                cert = seed2
+            else:
+                try:
+                    cert = certify_interior(spec, ladder, seed, budget)
+                except CapacityError:
+                    continue
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert

@@ -86,9 +86,6 @@ class TightTrend:
             "interval_evidence": self.interval_evidence,
         }
 
-    def csv_rows(self) -> list[str]:
-        return [f"{n},{rat_str(v)}" for n, v in self.rows]
-
 
 def _max_block_diameter(ladder: SubsumLadder, n: int) -> Fraction:
     # The r_n-tight blocks of F_n are the parts of I_n, each r_n longer

@@ -243,17 +243,15 @@ class SemifastResult:
         }
 
 
-def semifast_check(spec: RepeatedTermSpec, proof_horizon: Optional[int] = None) -> SemifastResult:
+def semifast_check(spec: RepeatedTermSpec) -> SemifastResult:
     """Decide the semi-fast inequality for every k.
 
     Both sides scale by the same factor across a period of base indices, so
-    checking through preperiod + period decides all k; a larger
-    proof_horizon only widens the explicitly reported range.  When the
+    checking through preperiod + period decides all k.  When the
     inequality holds, every achieved point has exactly one representation
     over the repetition alphabet, forcing a Cantor-type achievement set.
     """
-    decisive = spec.group_preperiod + spec.group_period
-    limit = max(decisive, proof_horizon or 0)
+    limit = spec.group_preperiod + spec.group_period
     violation = None
     for k in range(1, limit + 1):
         if not spec.y.value(k) > spec.weighted_tail(k):

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cantorval.cli import build_report, main, validate_report_document
 from cantorval.families import spec_from_json
 
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 GN_JSON = '{"type":"multigeometric","k":[3,2],"q":"1/4"}'
 DYADIC_JSON = '{"type":"multigeometric","k":[1],"q":"1/2"}'
 OVERLAP_JSON = '{"type":"multigeometric","k":[3,1],"q":"1/2"}'
@@ -215,6 +217,10 @@ class TestBadInput:
             (("analyze", "--inline", ZERO_Q), None),
             (("validate", "--inline", ZERO_K), None),
             (("analyze", "--inline", ZERO_K), None),
+            (("analyze", "--spec", str(SPECS / "gn.json"), "--depth", "14",
+              "--format", "csv"), None),
+            (("analyze", "--spec", str(SPECS / "gn.json"), "--depth", "7",
+              "--cap", "100", "--format", "csv"), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -222,6 +228,7 @@ class TestBadInput:
             "analyze-repeated-missing-keys", "analyze-kyiv-m-one",
             "validate-zero-denominator-q", "analyze-zero-denominator-q",
             "validate-zero-denominator-k", "analyze-zero-denominator-k",
+            "csv-without-out", "csv-without-out-over-capacity",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from cantorval.classify import classify
+from cantorval.cli import build_report
 from cantorval.engine import (
     certify_interior,
     hutchinson,
@@ -17,7 +19,7 @@ from cantorval.families import (
     mg_stream,
     multigeometric,
 )
-from cantorval.series import SubsumLadder, kakeya_split
+from cantorval.series import DEFAULT_CAP, SubsumLadder, kakeya_split
 
 from oracles import brute_bricks, brute_subsums
 
@@ -249,3 +251,21 @@ class TestMeasureBounds:
         ladder = mg_ladder(spec)
         gaps = [measure_bounds(ladder, 8, b, spec).boundary_gap for b in (0, 4, 12)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+        st.integers(min_value=2, max_value=10),
+    )
+    @settings(max_examples=8, deadline=None)
+    @example(raw_coeffs=[4], denom=4)
+    def test_proved_empty_interior_needs_no_search(self, raw_coeffs, denom):
+        # a report skips the certificate search when the classification
+        # proves the interior empty; the full search must agree with the skip
+        spec = multigeometric(sorted(raw_coeffs, reverse=True), F(1, denom))
+        ladder = mg_ladder(spec)
+        assume(classify(spec, ladder, horizon=6, budget=12).interior_empty)
+        full = measure_bounds(ladder, 6, 12, spec)
+        assert full.lower_interior == 0
+        assert full.certificate is None
+        report = build_report(spec, 6, 6, DEFAULT_CAP, 12)
+        assert report["measure_bounds"] == full.to_json()

@@ -1,4 +1,5 @@
-"""Report bytes pinned across refactors, and one subsum ladder per report.
+"""Report bytes pinned across refactors, one subsum ladder per report, and
+each interior-certificate search run at most once per report.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorval import classify, engine
 from cantorval.cli import build_report
 from cantorval.families import spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel
@@ -103,3 +105,32 @@ def test_one_report_builds_one_ladder(name, monkeypatch):
     monkeypatch.setattr(LatticeLevel, "extend", counting)
     build_report(load(name), 8, 8, DEFAULT_CAP, 12)
     assert len(calls) == 8
+
+
+# certify_interior calls per report at depth 14: the seed-2 search is shared
+# by classify and measure_bounds, and a proved Cantor set is never searched
+CERTIFY_CALLS_DEPTH_14 = {
+    "dyadic": 4,
+    "ferens_5432": 3,
+    "gf_decimal": 0,
+    "gn": 4,
+    "kyiv48": 0,
+    "middle_thirds": 0,
+    "mm_ones": 0,
+    "semifast": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CALLS_DEPTH_14))
+def test_each_certificate_search_runs_once(name, monkeypatch):
+    calls = []
+    certify = engine.certify_interior
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "certify_interior", counting)
+    monkeypatch.setattr(classify, "certify_interior", counting)
+    build_report(load(name), 14, 14, DEFAULT_CAP, 12)
+    assert len(calls) == CERTIFY_CALLS_DEPTH_14[name]

@@ -6,8 +6,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-
-@pytest.mark.parametrize(
+ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["family_tour.py"],
@@ -15,6 +14,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
     ids=["family_tour", "measure_contraction"],
 )
+
+
+@ARGVS
 def test_script_runs_clean(argv):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
@@ -24,3 +26,20 @@ def test_script_runs_clean(argv):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+@ARGVS
+def test_script_survives_early_closed_pipe(argv):
+    # unbuffered, so every line after the first is written to a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(SCRIPTS / argv[0]), *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert "Traceback" not in stderr

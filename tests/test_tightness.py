@@ -110,10 +110,6 @@ class TestTrend:
         assert trend.interval_evidence
         assert all(v > 0 for _, v in trend.rows)
 
-    def test_csv_rows_are_exact(self):
-        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([3, 2], "1/4"))), 3)
-        assert trend.csv_rows()[1] == "2,1/4"
-
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             tight_trend(SubsumLadder(mg_stream(multigeometric([1], "1/2"))), 0)

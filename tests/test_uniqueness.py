@@ -117,11 +117,6 @@ class TestSemifast:
         spec = RepeatedTermSpec(geometric("1/3", "1/3"), PeriodicSeq((), (1,)))
         assert semifast_check(spec).semifast
 
-    def test_proof_horizon_extends_reporting(self):
-        got = semifast_check(SEMIFAST, proof_horizon=9)
-        assert got.checked_through == 9
-        assert got.semifast
-
 
 class TestRepresentationOracle:
     def test_semifast_depth_four(self):
