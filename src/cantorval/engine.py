@@ -8,6 +8,11 @@ q*(sigma + S) satisfies Phi(I_{mn}) = I_{m(n+1)}, and any finite interval
 union S with S contained in Phi(S) is contained in the achievement set
 (coinduction: S in Phi^j(I_0) for every j).  Verified such sets give exact
 lower bounds on the interior measure.
+
+The certificate search runs on integer endpoints: every set it handles is a
+sorted list of (lo, hi) integer pairs over one common denominator, and Phi
+maps a list over d to one over b * d for q = a / b.  Fractions are built
+only for the values a report prints: the certificate and its diagnostics.
 """
 
 from __future__ import annotations
@@ -15,13 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .exact import (
     EMPTY_SET,
     Interval,
     IntervalSet,
+    Parts,
+    covered_parts,
+    difference_parts,
+    intersect_parts,
     lattice_str,
+    merge_parts,
+    nondegenerate_parts,
     normalize,
     rat_str,
 )
@@ -104,21 +116,56 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
     )
 
 
+class _LatticeOperator:
+    """Phi on integer parts: a part list over d maps to one over b * d.
+
+    With q = a / b and each block subsum sigma = sigmas[i] / sigma_den, the
+    part [lo, hi] / d of S maps to [a (sigma d + lo), a (sigma d + hi)] /
+    (b d).  ``d`` must be a multiple of sigma_den.
+    """
+
+    def __init__(self, spec: MultigeometricSpec) -> None:
+        values = mg_block(spec).values
+        self.sigma_den = lcm(*(v.denominator for v in values))
+        self.sigmas = [v.numerator * (self.sigma_den // v.denominator) for v in values]
+        self.a = spec.ratio.numerator
+        self.b = spec.ratio.denominator
+        self.total = spec.total
+
+    def __call__(self, d: int, parts: Parts) -> Parts:
+        """Phi(S) over b * d for a canonical part list S over d in [0, r_0]."""
+        if not parts:
+            return []
+        total = self.total
+        if parts[0][0] < 0 or parts[-1][1] * total.denominator > total.numerator * d:
+            raise ValueError("operand must be contained in [0, r_0]")
+        step = d // self.sigma_den
+        shifts = [sigma * step for sigma in self.sigmas]
+        image = merge_parts([(lo + t, hi + t) for t in shifts for lo, hi in parts])
+        a = self.a
+        return [(a * lo, a * hi) for lo, hi in image]
+
+
+def _scaled(parts: Parts, factor: int) -> Parts:
+    return [(lo * factor, hi * factor) for lo, hi in parts]
+
+
 def hutchinson(spec: MultigeometricSpec, s: IntervalSet) -> IntervalSet:
     """Self-similar operator: union over block subsums sigma of q*s + q*sigma.
 
     Requires s inside [0, r_0].  Applying it to I_{mn} yields I_{m(n+1)}
-    exactly; its unique compact fixed point is the achievement set.
+    exactly; its unique compact fixed point is the achievement set.  The
+    endpoints of s go onto their common denominator and through the same
+    integer operator that the certificate search runs.
     """
-    ambient = IntervalSet((Interval(Fraction(0), spec.total),))
-    if not s.is_subset_of(ambient):
-        raise ValueError("operand must be contained in [0, r_0]")
-    q = spec.ratio
-    pieces: list[Interval] = []
-    for sigma in mg_block(spec).values:
-        shift = q * sigma
-        pieces.extend(Interval(q * p.lo + shift, q * p.hi + shift) for p in s.parts)
-    return normalize(pieces)
+    phi = _LatticeOperator(spec)
+    d = lcm(phi.sigma_den, *(x.denominator for p in s for x in (p.lo, p.hi)))
+    parts = [
+        (p.lo.numerator * (d // p.lo.denominator), p.hi.numerator * (d // p.hi.denominator))
+        for p in s
+    ]
+    bd = phi.b * d
+    return normalize(Interval(Fraction(lo, bd), Fraction(hi, bd)) for lo, hi in phi(d, parts))
 
 
 @dataclass(frozen=True)
@@ -149,50 +196,49 @@ class InteriorCertificate:
         }
 
 
-def _self_covered(spec: MultigeometricSpec, s: IntervalSet) -> bool:
-    return bool(s) and s.is_subset_of(hutchinson(spec, s))
+def _self_covered(phi: _LatticeOperator, d: int, parts: Parts) -> bool:
+    """S is nonempty and lies in Phi(S), compared on the lattice of b * d."""
+    if not parts:
+        return False
+    return len(covered_parts(_scaled(parts, phi.b), phi(d, parts))) == len(parts)
 
 
-def _prune_to_covered(spec: MultigeometricSpec, s: IntervalSet) -> IntervalSet:
+def _prune_to_covered(phi: _LatticeOperator, d: int, parts: Parts) -> Parts:
     """Drop parts not fully covered by the image until the family stabilizes.
 
     Monotone: removing parts can only shrink the image, so the loop ends in
     at most len(parts) rounds.  The survivor is a candidate, not a proof; the
     caller rechecks it exactly.
     """
-    current = s.nondegenerate()
+    b = phi.b
+    current = nondegenerate_parts(parts)
     while current:
-        image = hutchinson(spec, current)
-        kept = tuple(
-            p for p in current.parts if IntervalSet((p,)).is_subset_of(image)
-        )
-        if len(kept) == len(current.parts):
+        kept = covered_parts(_scaled(current, b), phi(d, current))
+        if len(kept) == len(current):
             break
-        current = IntervalSet(kept)
+        current = [(lo // b, hi // b) for lo, hi in kept]
     return current
 
 
-def _run_window_candidates(spec: MultigeometricSpec) -> list[IntervalSet]:
+def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
     """Single-interval candidates anchored at chain fixed points.
 
-    For a window of block subsums sigma_a < ... < sigma_b whose internal gaps
-    never exceed q (sigma_b - sigma_a) / (1 - q), the translated images of
-    J = [q sigma_a / (1-q), q sigma_b / (1-q)] chain across J, so J covers
-    itself.  Each candidate is still rechecked exactly by the caller.
+    For a window of block subsums sigma_i < ... < sigma_j whose internal gaps
+    never exceed q (sigma_j - sigma_i) / (1 - q), the translated images of
+    J = [q sigma_i / (1-q), q sigma_j / (1-q)] chain across J, so J covers
+    itself.  With q / (1 - q) = a / (b - a), every J is a part over the
+    denominator (b - a) * sigma_den, returned with the parts.  Each
+    candidate is still rechecked exactly by the caller.
     """
-    sigmas = mg_block(spec).values
-    q = spec.ratio
-    factor = q / (1 - q)
-    candidates: list[IntervalSet] = []
-    for a in range(len(sigmas)):
-        max_gap = Fraction(0)
-        for b in range(a + 1, len(sigmas)):
-            max_gap = max(max_gap, sigmas[b] - sigmas[b - 1])
-            if max_gap <= factor * (sigmas[b] - sigmas[a]):
-                lo = factor * sigmas[a]
-                hi = factor * sigmas[b]
-                candidates.append(IntervalSet((Interval(lo, hi),)))
-    return candidates
+    sigmas, a, b = phi.sigmas, phi.a, phi.b
+    candidates: Parts = []
+    for i in range(len(sigmas)):
+        max_gap = 0
+        for j in range(i + 1, len(sigmas)):
+            max_gap = max(max_gap, sigmas[j] - sigmas[j - 1])
+            if (b - a) * max_gap <= a * (sigmas[j] - sigmas[i]):
+                candidates.append((a * sigmas[i], a * sigmas[j]))
+    return (b - a) * phi.sigma_den, candidates
 
 
 def certify_interior(
@@ -212,21 +258,33 @@ def certify_interior(
     forever), analytic run-window candidates are pruned and tried.
     Whatever survives is rechecked exactly; only that recheck sets
     ``verified``.
+
+    Every set is a part list of integers over one common denominator d,
+    which starts as the lcm of the seed's and the block subsums'
+    denominators and grows by b (q = a / b) with each refinement round.
+    Fractions are built only for the certificate and the diagnostics.
     """
     if seed_depth < 1 or budget < 0:
         raise ValueError("need seed_depth >= 1 and budget >= 0")
-    s = iterate(ladder, spec.m * seed_depth).iteration.nondegenerate()
+    phi = _LatticeOperator(spec)
+    b = phi.b
+    seed = ladder.bricks(spec.m * seed_depth)
+    d = lcm(seed.denominator, phi.sigma_den)
+    scale = d // seed.denominator
+    s = nondegenerate_parts(
+        [(lo * scale, hi * scale) for lo, hi in zip(seed.starts, seed.ends)]
+    )
     diagnostics: list[str] = []
     rounds = 0
     stabilized = False
     for _ in range(budget):
-        image = hutchinson(spec, s)
-        refined = s.intersect(image).nondegenerate()
+        scaled = _scaled(s, b)
+        refined = nondegenerate_parts(intersect_parts(scaled, phi(d, s)))
         rounds += 1
-        if refined == s:
+        if refined == scaled:
             stabilized = True
             break
-        s = refined
+        s, d = refined, b * d
         if not s:
             diagnostics.append("refinement emptied the candidate")
             break
@@ -236,39 +294,42 @@ def certify_interior(
             )
             break
 
-    verified_pieces: list[IntervalSet] = []
-    if stabilized and _self_covered(spec, s):
-        verified_pieces.append(s)
+    if stabilized and _self_covered(phi, d, s):
+        verified, d_verified = s, d
     else:
-        for candidate in _run_window_candidates(spec):
-            pruned = _prune_to_covered(spec, candidate)
-            if _self_covered(spec, pruned):
-                verified_pieces.append(pruned)
+        d_verified, candidates = _run_window_candidates(phi)
+        verified = []
+        for candidate in candidates:
+            pruned = _prune_to_covered(phi, d_verified, [candidate])
+            if _self_covered(phi, d_verified, pruned):
+                verified.extend(pruned)
 
-    if verified_pieces:
-        union = verified_pieces[0]
-        for piece in verified_pieces[1:]:
-            union = union.union(piece)
-        union = union.nondegenerate()
-        if _self_covered(spec, union):  # final exact recheck
+    if verified:
+        union = nondegenerate_parts(merge_parts(verified))
+        if _self_covered(phi, d_verified, union):  # final exact recheck
+            los = [lo for lo, _ in union]
+            his = [hi for _, hi in union]
             return InteriorCertificate(
                 spec=spec,
-                s=union,
+                s=IntervalSet.from_lattice(los, his, d_verified),
                 verified=True,
-                interior_measure=union.interior_measure,
+                interior_measure=Fraction(sum(his) - sum(los), d_verified),
                 rounds=rounds,
                 diagnostics=tuple(diagnostics),
             )
         diagnostics.append("union of verified pieces failed the exact recheck")
 
     if s and not stabilized:
-        head = IntervalSet(s.parts[:32])
+        head = s[:32]
         # Block subsums are >= 0, so a part starting beyond head.hi / q maps
         # wholly above the head; leaving it out keeps the difference exact.
-        reach = head.parts[-1].hi / spec.ratio
-        near = IntervalSet(tuple(p for p in s.parts if p.lo <= reach))
-        uncovered = head.difference(hutchinson(spec, near))
-        preview = ", ".join(str(p) for p in uncovered.parts[:4])
+        reach = b * head[-1][1]
+        near = [p for p in s if phi.a * p[0] <= reach]
+        uncovered = difference_parts(_scaled(head, b), phi(d, near))
+        bd = b * d
+        preview = ", ".join(
+            str(Interval(Fraction(lo, bd), Fraction(hi, bd))) for lo, hi in uncovered[:4]
+        )
         diagnostics.append(f"uncovered remainder after {rounds} rounds: {preview}")
     return InteriorCertificate(
         spec=spec,

@@ -1,10 +1,13 @@
 """Exact rational scalars, closed intervals, normalized interval unions, point sets.
 
-Everything in this package is computed over ``fractions.Fraction``; no
-operation ever rounds.  Whether two closed intervals touch or leave a gap is
-decided by exact endpoint comparison, which is the entire point: a single
-rounding error could flip "touching" into "disjoint" and change the topology
-of every derived set.
+Everything in this package is exact: values are ``fractions.Fraction``s, or
+integers over a common denominator that the caller keeps, and no operation
+ever rounds.  Whether two closed intervals touch or leave a gap is decided by
+exact endpoint comparison, which is the entire point: a single rounding
+error could flip "touching" into "disjoint" and change the topology of
+every derived set.  The subsum ladder and the certificate search keep their
+sets in the integer form (the search through the part-list functions
+below) and build Fractions only for what a report prints.
 
 Denominators are unbounded.  Worst-case bit growth: interval algebra is
 linear in the operand bit sizes; affine maps add the bit sizes of scale and
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
@@ -99,8 +103,8 @@ class IntervalSet:
     Canonical means strictly increasing with a positive gap between
     consecutive parts: parts[i].hi < parts[i+1].lo.  Intervals that touch at
     an endpoint are merged on construction, so the union of points determines
-    the representation uniquely.  Degenerate parts [x, x] are retained (they
-    matter for intersections) but excluded from interior measure.
+    the representation uniquely.  Degenerate parts [x, x] are retained but
+    excluded from interior measure.
     """
 
     parts: tuple[Interval, ...] = ()
@@ -136,42 +140,6 @@ class IntervalSet:
         """
         return sum((p.length for p in self.parts if not p.is_degenerate), Fraction(0))
 
-    def nondegenerate(self) -> "IntervalSet":
-        return IntervalSet(tuple(p for p in self.parts if not p.is_degenerate))
-
-    def contains_point(self, x: RationalLike) -> bool:
-        v = rat(x)
-        lo, hi = 0, len(self.parts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            p = self.parts[mid]
-            if v < p.lo:
-                hi = mid - 1
-            elif v > p.hi:
-                lo = mid + 1
-            else:
-                return True
-        return False
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return normalize(self.parts + other.parts)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Pointwise intersection; degenerate touching points are kept."""
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self.parts, other.parts
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo <= hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
-
     def is_subset_of(self, other: "IntervalSet") -> bool:
         """True iff every point of self lies in other (linear sweep).
 
@@ -186,35 +154,6 @@ class IntervalSet:
             if j == len(b) or not (b[j].lo <= p.lo and p.hi <= b[j].hi):
                 return False
         return True
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Closures of the components of self minus other (merged sweep).
-
-        The set difference of closed unions need not be closed; taking
-        component closures keeps the result in IntervalSet form.  Used for
-        gap geometry and diagnostics, where the closure is what is wanted.
-        """
-        out: list[Interval] = []
-        b = other.parts
-        j = 0
-        for p in self.parts:
-            while j < len(b) and b[j].hi < p.lo:
-                j += 1
-            cursor = p.lo
-            covered_end = False
-            i = j
-            while i < len(b) and b[i].lo <= p.hi:
-                if b[i].lo > cursor:
-                    out.append(Interval(cursor, b[i].lo))
-                if b[i].hi >= cursor:
-                    cursor = b[i].hi
-                if cursor >= p.hi:
-                    covered_end = True
-                    break
-                i += 1
-            if not covered_end and cursor <= p.hi:
-                out.append(Interval(cursor, p.hi))
-        return normalize(out)
 
     def to_pairs(self) -> list[list[str]]:
         return [p.as_pair() for p in self.parts]
@@ -258,6 +197,98 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
         else:
             out.append(p)
     return IntervalSet(tuple(out))
+
+
+# Interval unions on an integer lattice.  A part list holds (lo, hi) integer
+# pairs, each standing for [lo, hi] / d over a denominator d that the caller
+# keeps.  A canonical part list is sorted with a positive gap between
+# consecutive parts, the form IntervalSet keeps.  The operands of each
+# function below share one denominator.
+
+Parts = list[tuple[int, int]]
+
+
+def merge_parts(parts: Iterable[tuple[int, int]]) -> Parts:
+    """Canonical part list with the same union of points.
+
+    Sorts and merges overlapping or touching parts, as ``normalize`` does.
+    Parts sharing a left end merge whatever their order, so the sort needs
+    only that key.
+    """
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in sorted(parts, key=itemgetter(0)):
+        if his and lo <= his[-1]:
+            if hi > his[-1]:
+                his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+    return list(zip(los, his))
+
+
+def nondegenerate_parts(parts: Parts) -> Parts:
+    """The parts that are not single points."""
+    return [p for p in parts if p[0] < p[1]]
+
+
+def intersect_parts(a: Parts, b: Parts) -> Parts:
+    """Pointwise intersection of canonical lists; touching points are kept."""
+    out: Parts = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        alo, ahi = a[i]
+        blo, bhi = b[j]
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
+        if lo <= hi:
+            out.append((lo, hi))
+        if ahi < bhi:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def covered_parts(parts: Parts, cover: Parts) -> Parts:
+    """The parts of a canonical list that lie wholly inside ``cover``.
+
+    Parts of a canonical cover are separated by open gaps, so a connected
+    part lies inside the cover iff it lies inside a single cover part.
+    """
+    out: Parts = []
+    j = 0
+    for lo, hi in parts:
+        while j < len(cover) and cover[j][1] < lo:
+            j += 1
+        if j < len(cover) and cover[j][0] <= lo and hi <= cover[j][1]:
+            out.append((lo, hi))
+    return out
+
+
+def difference_parts(a: Parts, b: Parts) -> Parts:
+    """Closures of the components of a minus b, canonical (merged sweep).
+
+    The set difference of closed unions need not be closed; taking component
+    closures keeps the result a part list.
+    """
+    out: Parts = []
+    j = 0
+    for lo, hi in a:
+        while j < len(b) and b[j][1] < lo:
+            j += 1
+        cursor = lo
+        i = j
+        while i < len(b) and b[i][0] <= hi:
+            if b[i][0] > cursor:
+                out.append((cursor, b[i][0]))
+            cursor = max(cursor, b[i][1])
+            if cursor >= hi:
+                break
+            i += 1
+        else:
+            out.append((cursor, hi))
+    return merge_parts(out)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,16 @@ def spec_from_json(doc: dict) -> FamilySpec:
     if not isinstance(doc, dict):
         raise ValueError("spec document must be a JSON object")
     kind = doc.get("type")
-    parser = RepeatedTermSpec.from_json if kind == "repeated" else _PARSERS.get(kind)
+    if kind == "repeated":
+        parser = RepeatedTermSpec.from_json
+    else:
+        parser = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         known = sorted(_PARSERS) + ["repeated"]
         raise ValueError(f"unknown spec type {kind!r}; expected one of {known}")
     try:
         return parser(doc)
-    except (KeyError, TypeError) as exc:
+    # A field of the wrong JSON type fails in the parsers as one of these.
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from exc
 

@@ -284,13 +284,17 @@ def representation_uniqueness_oracle(
         total *= c + 1
         if total > cap:
             raise CapacityError("representation_uniqueness_oracle", total, cap)
+    # Partial sums and tail on the lattice of d, the lcm of their denominators.
     ys = [spec.y.value(i) for i in range(1, depth + 1)]
-    sums = sorted(
-        sum((n * y for n, y in zip(tup, ys)), Fraction(0))
-        for tup in itertools.product(*(range(c + 1) for c in ks))
-    )
     tail = spec.weighted_tail(depth)
-    return all(b - a > tail for a, b in zip(sums, sums[1:]))
+    d = lcm(tail.denominator, *(y.denominator for y in ys))
+    sums = [0]
+    for c, y in zip(ks, ys):
+        step = y.numerator * (d // y.denominator)
+        sums = [v + n * step for v in sums for n in range(c + 1)]
+    sums.sort()
+    reach = tail.numerator * (d // tail.denominator)
+    return all(b - a > reach for a, b in zip(sums, sums[1:]))
 
 
 def tail_sum_unique(stream: TermStream, k: int) -> bool:

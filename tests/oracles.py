@@ -4,12 +4,21 @@ These deliberately avoid the library's own algorithms: subset enumeration
 instead of incremental convolution, endpoint-event merging instead of the
 sweep in normalize, exhaustive subset search for tight decompositions.
 Expected values frozen in the tests were computed with these.
+
+The reference section at the end keeps the library's earlier Fraction
+implementations of the certificate search and the representation oracle,
+which the integer-lattice versions must match result for result.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, iterate
+from cantorval.exact import EMPTY_SET, Interval, IntervalSet, normalize
+from cantorval.families.multigeometric import mg_block
+from cantorval.series import CapacityError
 
 
 def brute_subsums(values) -> dict[Fraction, int]:
@@ -82,3 +91,215 @@ def brute_max_tight_diameter(points, eps) -> Fraction:
 def point_in_intervals(x, intervals) -> bool:
     x = Fraction(x)
     return any(Fraction(lo) <= x <= Fraction(hi) for lo, hi in intervals)
+
+
+def point_in_set(x, s) -> bool:
+    """Membership of x in an IntervalSet, by scanning its parts."""
+    return point_in_intervals(x, [(p.lo, p.hi) for p in s.parts])
+
+
+def brute_intersect(a, b) -> list[tuple[Fraction, Fraction]]:
+    """Pairwise intersections of two IntervalSets' parts, event-merged."""
+    pieces = []
+    for p in a.parts:
+        for r in b.parts:
+            lo, hi = max(p.lo, r.lo), min(p.hi, r.hi)
+            if lo <= hi:
+                pieces.append((lo, hi))
+    return brute_merge(pieces)
+
+
+# --- Reference: the Fraction certificate search ----------------------------
+#
+# The interval-union search as it ran on IntervalSets of Fractions, with the
+# IntervalSet methods it used turned into functions.  Its results are the
+# reference for the integer-lattice search in cantorval.engine.
+
+
+def set_nondegenerate(s):
+    return IntervalSet(tuple(p for p in s.parts if not p.is_degenerate))
+
+
+def set_union(s, other):
+    return normalize(s.parts + other.parts)
+
+
+def set_intersect(s, other):
+    """Pointwise intersection; degenerate touching points are kept."""
+    out = []
+    i = j = 0
+    a, b = s.parts, other.parts
+    while i < len(a) and j < len(b):
+        lo = max(a[i].lo, b[j].lo)
+        hi = min(a[i].hi, b[j].hi)
+        if lo <= hi:
+            out.append(Interval(lo, hi))
+        if a[i].hi < b[j].hi:
+            i += 1
+        else:
+            j += 1
+    return IntervalSet(tuple(out))
+
+
+def set_difference(s, other):
+    """Closures of the components of s minus other (merged sweep)."""
+    out = []
+    b = other.parts
+    j = 0
+    for p in s.parts:
+        while j < len(b) and b[j].hi < p.lo:
+            j += 1
+        cursor = p.lo
+        covered_end = False
+        i = j
+        while i < len(b) and b[i].lo <= p.hi:
+            if b[i].lo > cursor:
+                out.append(Interval(cursor, b[i].lo))
+            if b[i].hi >= cursor:
+                cursor = b[i].hi
+            if cursor >= p.hi:
+                covered_end = True
+                break
+            i += 1
+        if not covered_end and cursor <= p.hi:
+            out.append(Interval(cursor, p.hi))
+    return normalize(out)
+
+
+def fraction_hutchinson(spec, s):
+    """Self-similar operator: union over block subsums sigma of q*s + q*sigma."""
+    ambient = IntervalSet((Interval(Fraction(0), spec.total),))
+    if not s.is_subset_of(ambient):
+        raise ValueError("operand must be contained in [0, r_0]")
+    q = spec.ratio
+    pieces = []
+    for sigma in mg_block(spec).values:
+        shift = q * sigma
+        pieces.extend(Interval(q * p.lo + shift, q * p.hi + shift) for p in s.parts)
+    return normalize(pieces)
+
+
+def _self_covered(spec, s) -> bool:
+    return bool(s) and s.is_subset_of(fraction_hutchinson(spec, s))
+
+
+def _prune_to_covered(spec, s):
+    current = set_nondegenerate(s)
+    while current:
+        image = fraction_hutchinson(spec, current)
+        kept = tuple(
+            p for p in current.parts if IntervalSet((p,)).is_subset_of(image)
+        )
+        if len(kept) == len(current.parts):
+            break
+        current = IntervalSet(kept)
+    return current
+
+
+def _run_window_candidates(spec):
+    sigmas = mg_block(spec).values
+    q = spec.ratio
+    factor = q / (1 - q)
+    candidates = []
+    for a in range(len(sigmas)):
+        max_gap = Fraction(0)
+        for b in range(a + 1, len(sigmas)):
+            max_gap = max(max_gap, sigmas[b] - sigmas[b - 1])
+            if max_gap <= factor * (sigmas[b] - sigmas[a]):
+                lo = factor * sigmas[a]
+                hi = factor * sigmas[b]
+                candidates.append(IntervalSet((Interval(lo, hi),)))
+    return candidates
+
+
+def fraction_certify_interior(
+    spec, ladder, seed_depth=2, budget=16, *, part_limit=DEFAULT_PART_LIMIT
+):
+    """The certificate search on Fraction IntervalSets."""
+    if seed_depth < 1 or budget < 0:
+        raise ValueError("need seed_depth >= 1 and budget >= 0")
+    s = set_nondegenerate(iterate(ladder, spec.m * seed_depth).iteration)
+    diagnostics = []
+    rounds = 0
+    stabilized = False
+    for _ in range(budget):
+        image = fraction_hutchinson(spec, s)
+        refined = set_nondegenerate(set_intersect(s, image))
+        rounds += 1
+        if refined == s:
+            stabilized = True
+            break
+        s = refined
+        if not s:
+            diagnostics.append("refinement emptied the candidate")
+            break
+        if len(s) > part_limit:
+            diagnostics.append(
+                f"refinement stopped at round {rounds}: {len(s)} parts exceed limit {part_limit}"
+            )
+            break
+
+    verified_pieces = []
+    if stabilized and _self_covered(spec, s):
+        verified_pieces.append(s)
+    else:
+        for candidate in _run_window_candidates(spec):
+            pruned = _prune_to_covered(spec, candidate)
+            if _self_covered(spec, pruned):
+                verified_pieces.append(pruned)
+
+    if verified_pieces:
+        union = verified_pieces[0]
+        for piece in verified_pieces[1:]:
+            union = set_union(union, piece)
+        union = set_nondegenerate(union)
+        if _self_covered(spec, union):  # final exact recheck
+            return InteriorCertificate(
+                spec=spec,
+                s=union,
+                verified=True,
+                interior_measure=union.interior_measure,
+                rounds=rounds,
+                diagnostics=tuple(diagnostics),
+            )
+        diagnostics.append("union of verified pieces failed the exact recheck")
+
+    if s and not stabilized:
+        head = IntervalSet(s.parts[:32])
+        reach = head.parts[-1].hi / spec.ratio
+        near = IntervalSet(tuple(p for p in s.parts if p.lo <= reach))
+        uncovered = set_difference(head, fraction_hutchinson(spec, near))
+        preview = ", ".join(str(p) for p in uncovered.parts[:4])
+        diagnostics.append(f"uncovered remainder after {rounds} rounds: {preview}")
+    return InteriorCertificate(
+        spec=spec,
+        s=EMPTY_SET,
+        verified=False,
+        interior_measure=Fraction(0),
+        rounds=rounds,
+        diagnostics=tuple(diagnostics),
+    )
+
+
+# --- Reference: the Fraction representation oracle -------------------------
+
+
+def fraction_representation_uniqueness_oracle(spec, depth, cap) -> bool:
+    """Partial sums of all coefficient tuples, pairwise more than the tail apart."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth == 0:
+        return True
+    total = 1
+    ks = [spec.counts[i] for i in range(1, depth + 1)]
+    for c in ks:
+        total *= c + 1
+        if total > cap:
+            raise CapacityError("representation_uniqueness_oracle", total, cap)
+    ys = [spec.y.value(i) for i in range(1, depth + 1)]
+    sums = sorted(
+        sum((n * y for n, y in zip(tup, ys)), Fraction(0))
+        for tup in itertools.product(*(range(c + 1) for c in ks))
+    )
+    tail = spec.weighted_tail(depth)
+    return all(b - a > tail for a, b in zip(sums, sums[1:]))

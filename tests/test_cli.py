@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorval.cli import build_report, main, validate_report_document
 from cantorval.families import spec_from_json
@@ -264,3 +267,58 @@ class TestReportBuilder:
 
     def test_main_returns_usage_on_unknown_flag(self):
         assert main(["analyze", "--bogus"]) == 2
+
+
+# Values swapped in for one entry of a bundled spec, as JSON text so that
+# each swap inserts a fresh object.
+REPLACEMENTS = ("null", "[]", "[2, 1]", '"x"', '"1/0"', "0.5", "0", "-1", "-2")
+
+
+def _paths(doc, prefix=()):
+    """Every key path inside a JSON document, the root left out."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ()
+    )
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A bundled spec with one or two entries dropped or swapped."""
+    doc = json.loads(draw(st.sampled_from(sorted(SPECS.glob("*.json")))).read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = json.loads(draw(st.sampled_from(REPLACEMENTS)))
+    return json.dumps(doc)
+
+
+class TestFuzzedSpecs:
+    @given(
+        mutated_specs(),
+        st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_one_line_errors(self, spec, numbers):
+        flags = [
+            f"--{name}={value}"
+            for name, value in zip(("depth", "horizon", "budget"), numbers)
+        ]
+        for command in ("validate", "analyze"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--inline", spec, *flags])
+            assert code in (0, 1, 2, 3)
+            # 1 is a failed admissibility condition, reported on stdout
+            assert len(err.getvalue().splitlines()) == (1 if code in (2, 3) else 0)
+            assert "Traceback" not in err.getvalue()

@@ -21,7 +21,7 @@ from cantorval.families import (
 )
 from cantorval.series import DEFAULT_CAP, SubsumLadder, kakeya_split
 
-from oracles import brute_bricks, brute_subsums
+from oracles import brute_bricks, brute_intersect, brute_subsums, fraction_certify_interior
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -113,7 +113,7 @@ class TestIterate:
             r_n, r_next, x_next = stream.tail(n), stream.tail(n + 1), stream.term(n + 1)
             for f in sorted(brute_subsums(stream.terms(n))):
                 brick = IntervalSet((Interval(f, f + r_n),))
-                got = nxt.intersect(brick)
+                got = iset(*brute_intersect(nxt, brick))
                 assert got == iset((f, f + r_next), (f + x_next, f + r_n))
 
 
@@ -209,6 +209,54 @@ class TestCertify:
                 assert cert.s.is_subset_of(iterate(ladder, n).iteration)
         else:
             assert cert.interior_measure == 0 and not cert.s
+
+
+class TestLatticeSearchMatchesFractionSearch:
+    """The integer-lattice search returns the Fraction search's certificate."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.sampled_from([1, 2, 3, 5])),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(2, 8).flatmap(
+            lambda b: st.tuples(st.one_of(st.just(1), st.integers(1, b - 1)), st.just(b))
+        ),
+        st.integers(1, 3),
+        st.integers(0, 12),
+        st.sampled_from([16, 512]),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(  # refinement stops at the part limit
+        raw_coeffs=[(2, 1)], ratio=(1, 3), seed_depth=3, budget=6, part_limit=16
+    )
+    @example(  # uncovered remainder diagnostic
+        raw_coeffs=[(6, 1)], ratio=(1, 3), seed_depth=1, budget=3, part_limit=512
+    )
+    @example(  # ferens_5432: the run-window certificate [2/9, 4/3]
+        raw_coeffs=[(5, 1), (4, 1), (3, 1), (2, 1)],
+        ratio=(1, 10),
+        seed_depth=1,
+        budget=6,
+        part_limit=512,
+    )
+    @example(  # q = a / b with a >= 2 and a rational coefficient
+        raw_coeffs=[(7, 2), (5, 3)], ratio=(3, 5), seed_depth=2, budget=12, part_limit=512
+    )
+    def test_whole_certificate_is_equal(
+        self, raw_coeffs, ratio, seed_depth, budget, part_limit
+    ):
+        spec = multigeometric(
+            sorted((F(p, q) for p, q in raw_coeffs), reverse=True), F(*ratio)
+        )
+        got = certify_interior(
+            spec, mg_ladder(spec), seed_depth, budget, part_limit=part_limit
+        )
+        expected = fraction_certify_interior(
+            spec, mg_ladder(spec), seed_depth, budget, part_limit=part_limit
+        )
+        assert got == expected  # every field, diagnostics strings included
 
 
 class TestMeasureBounds:

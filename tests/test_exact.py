@@ -7,7 +7,12 @@ from cantorval.exact import (
     EMPTY_SET,
     IntervalSet,
     PointSet,
+    covered_parts,
+    difference_parts,
+    intersect_parts,
     interval,
+    merge_parts,
+    nondegenerate_parts,
     normalize,
     rat,
     rat_str,
@@ -29,6 +34,23 @@ def interval_sets(max_parts=5):
     return st.lists(
         st.tuples(small_fractions, small_fractions), min_size=0, max_size=max_parts
     ).map(lambda ps: normalize(interval(min(a, b), max(a, b)) for a, b in ps))
+
+
+small_ints = st.integers(min_value=-40, max_value=40)
+
+# points on and halfway between the integer endpoints
+lattice_points = st.fractions(min_value=-41, max_value=41, max_denominator=2)
+
+
+def part_lists(max_parts=5):
+    """Canonical integer part lists, as merge_parts makes them."""
+    return st.lists(
+        st.tuples(small_ints, small_ints), min_size=0, max_size=max_parts
+    ).map(lambda ps: merge_parts((min(a, b), max(a, b)) for a, b in ps))
+
+
+def parts_length(parts):
+    return sum(hi - lo for lo, hi in parts)
 
 
 class TestRat:
@@ -95,29 +117,42 @@ class TestMeasure:
         s = iset((0, 1), (2, 2))
         assert s.measure == 1
         assert s.interior_measure == 1
-        assert s.nondegenerate() == iset((0, 1))
+        assert nondegenerate_parts([(0, 1), (2, 2)]) == [(0, 1)]
 
-    @given(interval_sets(), interval_sets())
+    @given(part_lists(), part_lists())
     def test_inclusion_exclusion(self, a, b):
-        union = a.union(b)
-        inter = a.intersect(b)
-        assert union.measure + inter.measure == a.measure + b.measure
+        union = merge_parts(a + b)
+        inter = intersect_parts(a, b)
+        assert parts_length(union) + parts_length(inter) == parts_length(a) + parts_length(b)
+
+
+class TestMergeParts:
+    def test_touching_parts_merge(self):
+        assert merge_parts([(2, 3), (0, 1), (1, 2)]) == [(0, 3)]
+
+    @given(st.lists(st.tuples(small_ints, small_ints), max_size=6))
+    def test_matches_event_merge_oracle(self, pairs):
+        fixed = [(min(a, b), max(a, b)) for a, b in pairs]
+        assert merge_parts(fixed) == brute_merge(fixed)
 
 
 class TestIntersect:
+    # integer parts over the denominator 4: [0, 1/2] is (0, 2)
     def test_touching_gives_degenerate_point(self):
-        assert iset((0, 1)).intersect(iset((1, 2))) == IntervalSet((interval(1, 1),))
+        assert intersect_parts([(0, 4)], [(4, 8)]) == [(4, 4)]
 
     def test_overlap(self):
-        assert iset((0, "1/2")).intersect(iset(("1/4", "3/4"))) == iset(("1/4", "1/2"))
+        assert intersect_parts([(0, 2)], [(1, 3)]) == [(1, 2)]
 
     def test_empty(self):
-        assert EMPTY_SET.intersect(iset((0, 1))) == EMPTY_SET
+        assert intersect_parts([], [(0, 4)]) == []
 
-    @given(interval_sets(), interval_sets(), small_fractions)
+    @given(part_lists(), part_lists(), lattice_points)
     def test_pointwise_agreement(self, a, b, x):
-        got = a.intersect(b)
-        assert got.contains_point(x) == (a.contains_point(x) and b.contains_point(x))
+        got = intersect_parts(a, b)
+        assert point_in_intervals(x, got) == (
+            point_in_intervals(x, a) and point_in_intervals(x, b)
+        )
 
 
 class TestSubset:
@@ -141,20 +176,39 @@ class TestSubset:
             assert not claim
 
 
+class TestCoveredParts:
+    def test_examples(self):
+        cover = [(0, 2), (3, 4)]
+        assert covered_parts([(0, 1), (1, 3), (3, 4)], cover) == [(0, 1), (3, 4)]
+        assert covered_parts([], cover) == []
+        assert covered_parts([(0, 1)], []) == []
+
+    @given(part_lists(), part_lists())
+    def test_agrees_with_endpoint_and_midpoint_sampling(self, a, b):
+        kept = covered_parts(a, b)
+        for lo, hi in a:
+            sampled = all(
+                point_in_intervals(x, b) for x in (lo, hi, F(lo + hi, 2))
+            )
+            if (lo, hi) in kept:
+                assert sampled
+            if not sampled:
+                assert (lo, hi) not in kept
+
+
 class TestDifference:
+    # integer parts over the denominator 4: [1/4, 1/2] is (1, 2)
     def test_middle_removed(self):
-        got = iset((0, 1)).difference(iset(("1/4", "1/2")))
-        assert got == iset((0, "1/4"), ("1/2", 1))
+        assert difference_parts([(0, 4)], [(1, 2)]) == [(0, 1), (2, 4)]
 
     def test_uncovered_degenerate_survives(self):
-        got = IntervalSet((interval(0, 0),)).difference(iset((1, 2)))
-        assert got == IntervalSet((interval(0, 0),))
+        assert difference_parts([(0, 0)], [(4, 8)]) == [(0, 0)]
 
-    @given(interval_sets(), interval_sets(), small_fractions)
+    @given(part_lists(), part_lists(), lattice_points)
     def test_difference_covers_uncovered_points(self, a, b, x):
-        got = a.difference(b)
-        if a.contains_point(x) and not b.contains_point(x):
-            assert got.contains_point(x)
+        got = difference_parts(a, b)
+        if point_in_intervals(x, a) and not point_in_intervals(x, b):
+            assert point_in_intervals(x, got)
 
 
 class TestPointSet:

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval.exact import IntervalSet, interval, normalize
 from cantorval.families import PeriodicSeq, geometric, mg_stream, multigeometric
+from cantorval.families.periodic import BlockGeometric
 from cantorval.series import (
+    DEFAULT_CAP,
     CapacityError,
     GeometricTailStream,
     SubsumLadder,
@@ -19,6 +22,8 @@ from cantorval.uniqueness import (
     semifast_check,
     tail_sum_unique,
 )
+
+from oracles import fraction_representation_uniqueness_oracle, point_in_set
 
 GN = mg_stream(multigeometric([3, 2], "1/4"))
 DYADIC = mg_stream(multigeometric([1], "1/2"))
@@ -36,6 +41,27 @@ def planted_stream():
 
 def iset(*pairs):
     return normalize(interval(lo, hi) for lo, hi in pairs)
+
+
+@st.composite
+def repeated_specs(draw):
+    """Strictly decreasing y (prefix, then a block of one or two values)
+    with eventually periodic repetition counts in 1..3."""
+    ratio = F(draw(st.integers(1, 3)), draw(st.integers(4, 10)))
+    start = F(draw(st.integers(1, 9)), draw(st.sampled_from([1, 2, 3, 5])))
+    block = [start]
+    if draw(st.booleans()):
+        # strictly between ratio * start and start
+        block.append(start * (ratio + (1 - ratio) * F(draw(st.integers(1, 9)), 10)))
+    pre = []
+    for _ in range(draw(st.integers(0, 2))):
+        step = F(draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 4])))
+        pre.insert(0, (pre[0] if pre else start) + step)
+    counts = PeriodicSeq(
+        tuple(draw(st.lists(st.integers(1, 3), max_size=2))),
+        tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))),
+    )
+    return RepeatedTermSpec(BlockGeometric(tuple(pre), tuple(block), ratio), counts)
 
 
 class TestCollisions:
@@ -91,14 +117,14 @@ class TestMultirepOuter:
         for j in range(4, 8):
             outer = multirep_outer(ladder, j)
             for value in report.collisions.values:
-                assert outer.contains_point(value)
+                assert point_in_set(value, outer)
 
     def test_outer_contains_collisions_at_own_level(self):
         ladder = SubsumLadder(repeated_stream(HALVING))
         for k in (3, 4, 5, 6):
             outer = multirep_outer(ladder, k)
             for value in repetition_report(ladder, k).collisions.values:
-                assert outer.contains_point(value)
+                assert point_in_set(value, outer)
 
 
 class TestSemifast:
@@ -147,6 +173,14 @@ class TestRepresentationOracle:
         assert semifast_check(spec).semifast
         for depth in (1, 2, 3, 4):
             assert representation_uniqueness_oracle(spec, depth)
+
+    @given(repeated_specs(), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    # binary digits: neighbouring sums lie exactly one tail apart
+    @example(spec=RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((), (1,))), depth=3)
+    def test_lattice_sums_match_fraction_sums(self, spec, depth):
+        got = representation_uniqueness_oracle(spec, depth)
+        assert got == fraction_representation_uniqueness_oracle(spec, depth, DEFAULT_CAP)
 
 
 class TestTailUniqueness:
