@@ -84,6 +84,80 @@ def _usage_error(reason: object) -> int:
     return EXIT_USAGE
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for a report.
+
+    The standard library's indenting encoder is pure Python and yields one
+    small string per token.  This writer appends to one chunk list, testing
+    types in the same order (str, None, True, False, int, list or tuple,
+    dict), and renders a list of ints, of strs or of [str, str] pairs (the
+    bulk of a report: its parts and gaps) with one join.  A report holds no
+    floats and only str keys, so either raises TypeError.
+    """
+    chunks: list[str] = []
+    _write(doc, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(o, chunks: list[str], newline: str) -> None:
+    """Append the encoding of ``o``; ``newline`` is "\n" plus its indent."""
+    if isinstance(o, str):
+        chunks.append(_encode_str(o))
+    elif o is None:
+        chunks.append("null")
+    elif o is True:
+        chunks.append("true")
+    elif o is False:
+        chunks.append("false")
+    elif isinstance(o, int):
+        chunks.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in o):
+            items = map(int.__repr__, o)
+        elif all(type(x) is str for x in o):
+            items = map(_encode_str, o)
+        elif all(
+            type(x) is list and len(x) == 2 and type(x[0]) is str and type(x[1]) is str
+            for x in o
+        ):
+            deeper = inner + "  "
+            items = (
+                f"[{deeper}{_encode_str(a)},{deeper}{_encode_str(b)}{inner}]" for a, b in o
+            )
+        else:
+            separator = "[" + inner
+            for item in o:
+                chunks.append(separator)
+                _write(item, chunks, inner)
+                separator = "," + inner
+            chunks.append(newline + "]")
+            return
+        chunks.append(f"[{inner}{(',' + inner).join(items)}{newline}]")
+    elif isinstance(o, dict):
+        if not o:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            chunks.append(separator + _encode_str(key) + ": ")
+            _write(value, chunks, inner)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
@@ -157,7 +231,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     passed = all(c["passed"] for c in conditions)
     if args.format == "json":
         doc = {"spec": spec.to_json(), "passed": passed, "conditions": conditions}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _dumps(doc)
     else:
         lines = [
             f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['witness']}"
@@ -317,13 +391,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _usage_error(exc)
     try:
         if args.format == "json":
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
+            _emit(_dumps(doc), args.out)
         elif args.format == "csv":
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
             for name, text in _csv_tables(doc).items():
                 (outdir / name).write_text(text)
-            (outdir / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
+            (outdir / "report.json").write_text(_dumps(doc))
         else:
             _emit(_human_summary(doc), args.out)
     except OSError as exc:

@@ -76,10 +76,6 @@ class IterationReport:
         lengths = self.bricks.lengths()
         return lengths.index(max(lengths))
 
-    @property
-    def longest_component(self) -> Interval:
-        return self.iteration.parts[self._longest_index()]
-
     def gaps(self) -> IntervalSet:
         """Closures of the bounded gaps between consecutive components."""
         parts = self.iteration.parts
@@ -284,10 +280,10 @@ def certify_interior(
         if refined == scaled:
             stabilized = True
             break
+        # s never empties: E lies in the seed I_n and E = Phi(E) lies in
+        # Phi(S), so every round keeps the achievement set E, a perfect set
+        # that no dropped single point can hold.
         s, d = refined, b * d
-        if not s:
-            diagnostics.append("refinement emptied the candidate")
-            break
         if len(s) > part_limit:
             diagnostics.append(
                 f"refinement stopped at round {rounds}: {len(s)} parts exceed limit {part_limit}"

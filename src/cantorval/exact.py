@@ -75,18 +75,8 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
     def as_pair(self) -> list[str]:
         return [rat_str(self.lo), rat_str(self.hi)]
-
-    @staticmethod
-    def from_pair(pair: Sequence[RationalLike]) -> "Interval":
-        if len(pair) != 2:
-            raise ValueError(f"interval pair must have two entries, got {pair!r}")
-        return Interval(rat(pair[0]), rat(pair[1]))
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -103,8 +93,7 @@ class IntervalSet:
     Canonical means strictly increasing with a positive gap between
     consecutive parts: parts[i].hi < parts[i+1].lo.  Intervals that touch at
     an endpoint are merged on construction, so the union of points determines
-    the representation uniquely.  Degenerate parts [x, x] are retained but
-    excluded from interior measure.
+    the representation uniquely.  Degenerate parts [x, x] are retained.
     """
 
     parts: tuple[Interval, ...] = ()
@@ -131,36 +120,8 @@ class IntervalSet:
         """Exact total length (Lebesgue measure of the union)."""
         return sum((p.length for p in self.parts), Fraction(0))
 
-    @property
-    def interior_measure(self) -> Fraction:
-        """Measure of the topological interior.
-
-        For a finite union of closed intervals this equals the measure of the
-        nondegenerate parts, so it is the same exact sum with points dropped.
-        """
-        return sum((p.length for p in self.parts if not p.is_degenerate), Fraction(0))
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        """True iff every point of self lies in other (linear sweep).
-
-        Parts of a canonical set are separated by open gaps, so a connected
-        part of self fits in other iff it fits inside a single part of other.
-        """
-        j = 0
-        b = other.parts
-        for p in self.parts:
-            while j < len(b) and b[j].hi < p.lo:
-                j += 1
-            if j == len(b) or not (b[j].lo <= p.lo and p.hi <= b[j].hi):
-                return False
-        return True
-
     def to_pairs(self) -> list[list[str]]:
         return [p.as_pair() for p in self.parts]
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[Sequence[RationalLike]]) -> "IntervalSet":
-        return normalize(Interval.from_pair(p) for p in pairs)
 
     @staticmethod
     def from_lattice(

