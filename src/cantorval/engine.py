@@ -199,23 +199,6 @@ def _self_covered(phi: _LatticeOperator, d: int, parts: Parts) -> bool:
     return len(covered_parts(_scaled(parts, phi.b), phi(d, parts))) == len(parts)
 
 
-def _prune_to_covered(phi: _LatticeOperator, d: int, parts: Parts) -> Parts:
-    """Drop parts not fully covered by the image until the family stabilizes.
-
-    Monotone: removing parts can only shrink the image, so the loop ends in
-    at most len(parts) rounds.  The survivor is a candidate, not a proof; the
-    caller rechecks it exactly.
-    """
-    b = phi.b
-    current = nondegenerate_parts(parts)
-    while current:
-        kept = covered_parts(_scaled(current, b), phi(d, current))
-        if len(kept) == len(current):
-            break
-        current = [(lo // b, hi // b) for lo, hi in kept]
-    return current
-
-
 def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
     """Single-interval candidates anchored at chain fixed points.
 
@@ -251,7 +234,7 @@ def certify_interior(
     I_{m * seed_depth} and refines S to S intersect Phi(S); a refinement
     fixed point is exactly the wanted property.  When refinement does not
     stabilize (for many Cantorvals it cannot: the parts multiply
-    forever), analytic run-window candidates are pruned and tried.
+    forever), analytic run-window candidates are tried one by one.
     Whatever survives is rechecked exactly; only that recheck sets
     ``verified``.
 
@@ -296,9 +279,8 @@ def certify_interior(
         d_verified, candidates = _run_window_candidates(phi)
         verified = []
         for candidate in candidates:
-            pruned = _prune_to_covered(phi, d_verified, [candidate])
-            if _self_covered(phi, d_verified, pruned):
-                verified.extend(pruned)
+            if _self_covered(phi, d_verified, [candidate]):
+                verified.append(candidate)
 
     if verified:
         union = nondegenerate_parts(merge_parts(verified))

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..exact import PointSet, rat_str
 from .grouped import GroupedStream
-from .periodic import BlockGeometric, PeriodicSeq, weighted_block_geometric
+from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 
 
 def subsum_run_total(p: int, r: int) -> int:
@@ -38,9 +38,9 @@ class GFSpec:
         probe = self.alignment_horizon
         for n in range(1, probe + 1):
             mv, kv = self.m[n], self.k[n]
-            if not isinstance(mv, int) or mv < 2:
+            if not is_int(mv) or mv < 2:
                 raise ValueError(f"m_{n} must be an integer >= 2, got {mv!r}")
-            if not isinstance(kv, int) or kv <= mv:
+            if not is_int(kv) or kv <= mv:
                 raise ValueError(f"k_{n} must be an integer > m_{n}, got {kv!r}")
 
     @property
@@ -113,18 +113,6 @@ class GFValidation:
         }
 
 
-def gf_weighted_tail(spec: GFSpec, coefficient, n: int) -> Fraction:
-    """Exact sum over i > n of coefficient(i) * q_i."""
-    weighted = weighted_block_geometric(
-        coefficient,
-        spec.q.value,
-        spec.group_preperiod,
-        spec.group_period,
-        spec.block_ratio,
-    )
-    return weighted.tail(n)
-
-
 def gf_validate(spec: GFSpec, horizon: Optional[int] = None) -> GFValidation:
     """Check the two growth conditions for every n.
 
@@ -142,7 +130,13 @@ def gf_validate(spec: GFSpec, horizon: Optional[int] = None) -> GFValidation:
         if gf1_fail is None and not lhs1 <= rhs1:
             gf1_fail = (n, lhs1, rhs1)
         lhs2 = spec.m[n] * spec.q[n]
-        rhs2 = gf_weighted_tail(spec, lambda i: spec.s(i) + spec.m[i], n)
+        rhs2 = periodic_tail(
+            lambda i: (spec.s(i) + spec.m[i]) * spec.q[i],
+            n,
+            spec.group_preperiod,
+            spec.group_period,
+            spec.block_ratio,
+        )
         if gf2_fail is None and not lhs2 > rhs2:
             gf2_fail = (n, lhs2, rhs2)
     return GFValidation(
@@ -169,10 +163,6 @@ class GFStream(GroupedStream):
     def group_terms(self, k: int) -> tuple[Fraction, ...]:
         m, r, q = self.spec.m[k], self.spec.k[k], self.spec.q[k]
         return tuple((m + t) * q for t in range(r - 1, -1, -1))
-
-    @property
-    def descriptor(self) -> str:
-        return "generalized-ferens"
 
 
 def gf_stream(spec: GFSpec) -> GFStream:

@@ -5,7 +5,9 @@ Marchwicki-Miska, Kyiv, repeated-term) produces its terms in groups, and
 beyond a preperiod the whole group pattern repeats scaled by one exact
 rational factor.  That single fact gives closed-form tails and an analytic
 Kakeya comparison pattern, so subclasses only provide the group terms and
-the scaling data.
+the scaling data.  ``GroupedStream`` holds a family's preperiod, period
+and block ratio: its tails, and the family's standardness ratios, are
+summed with them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..series import KakeyaPattern, StreamError, TermStream, compare_sign
+from .periodic import periodic_tail
 
 
 class GroupedStream(TermStream):
@@ -100,11 +103,9 @@ class GroupedStream(TermStream):
                 value += self.group_sum(i + 1)
                 self._tail_cache[i] = value
         else:
-            block = sum(
-                (self.group_sum(j) for j in range(k + 1, k + self._period + 1)),
-                Fraction(0),
+            value = periodic_tail(
+                self.group_sum, k, self._preperiod, self._period, self._block_ratio
             )
-            value = block / (1 - self._block_ratio)
         self._tail_cache[k] = value
         return value
 

@@ -23,7 +23,7 @@ from math import lcm
 from ..exact import PointSet, rat_str
 from ..series import DEFAULT_CAP, CapacityError, FiniteStream, SubsumLadder
 from .grouped import GroupedStream
-from .periodic import PeriodicSeq
+from .periodic import PeriodicSeq, is_int
 
 MAX_GROUP_ENUMERATION = 24
 
@@ -44,9 +44,9 @@ class KyivSpec:
         probe = self.group_preperiod + self.group_period
         for n in range(1, probe + 1):
             mv, sv = self.m[n], self.s[n]
-            if not isinstance(mv, int) or mv < 1:
+            if not is_int(mv) or mv < 1:
                 raise ValueError(f"m_{n} must be a positive integer, got {mv!r}")
-            if not isinstance(sv, int) or sv < 1:
+            if not is_int(sv) or sv < 1:
                 raise ValueError(f"s_{n} must be a positive integer, got {sv!r}")
 
     @property
@@ -189,10 +189,6 @@ class KyivStream(GroupedStream):
         a = kyiv_values(self.spec, k).a
         m, s = self.spec.m[k], self.spec.s[k]
         return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
-
-    @property
-    def descriptor(self) -> str:
-        return "kyiv"
 
 
 def kyiv_stream(spec: KyivSpec) -> KyivStream:

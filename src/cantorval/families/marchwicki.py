@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ..exact import PointSet
 from .grouped import GroupedStream
-from .periodic import PeriodicSeq
+from .periodic import PeriodicSeq, is_int
 
 
 def mm_block_coefficients(n: int) -> tuple[int, ...]:
@@ -53,7 +53,7 @@ class MMSpec:
     def __post_init__(self) -> None:
         for s in range(1, self.gaps.preperiod_length + self.gaps.period_length + 1):
             v = self.gaps[s]
-            if not isinstance(v, int) or v < 1:
+            if not is_int(v) or v < 1:
                 raise ValueError(f"gap parameter n_{s} must be an integer >= 1, got {v!r}")
 
     @property
@@ -107,10 +107,6 @@ class MMStream(GroupedStream):
     def group_terms(self, k: int) -> tuple[Fraction, ...]:
         q = mm_scale(self.spec, k)
         return tuple(b * q for b in mm_block_coefficients(self.spec.gaps[k]))
-
-    @property
-    def descriptor(self) -> str:
-        return "marchwicki-miska"
 
 
 def mm_stream(spec: MMSpec) -> MMStream:

@@ -128,11 +128,6 @@ class MultigeometricStream(GroupedStream):
         self.boundary(k - 1)  # builds groups 1..k-1 in order, no deep recursion
         return tuple(t * self.spec.ratio for t in self._group(k - 1))
 
-    @property
-    def descriptor(self) -> str:
-        ks = ",".join(str(c) for c in self.spec.coefficients)
-        return f"multigeometric({ks}; {self.spec.ratio})"
-
 
 def mg_stream(spec: MultigeometricSpec) -> MultigeometricStream:
     return MultigeometricStream(spec)

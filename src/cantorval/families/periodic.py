@@ -1,8 +1,9 @@
 """Eventually-periodic integer sequences and block-geometric rational scales.
 
-Family parameters are restricted to these two shapes so that every infinite
-tail sum in the package is a finite exact computation: one period block plus
-a geometric series over block repetitions.
+Family parameters are restricted to these two shapes so that every weight
+the package sums to infinity, w(i + period) = ratio * w(i) past a
+preperiod, has an exact tail: ``periodic_tail`` adds the finite head and
+one period block over 1 - ratio.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class BlockGeometric:
     """Positive rationals: prefix, then one block scaled geometrically.
 
     value(i) = pre[i-1] for i <= P, and block[j] * ratio^c for
-    i = P + c*L + j + 1 (0 <= j < L).  Tail sums are exact geometric sums of
-    block totals, which is what makes every family tail computable.
+    i = P + c*L + j + 1 (0 <= j < L), so value(i + L) = ratio * value(i)
+    for every i > P and ``periodic_tail`` sums it exactly.
     """
 
     pre: tuple[Fraction, ...]
@@ -104,18 +105,6 @@ class BlockGeometric:
     def __getitem__(self, i: int) -> Fraction:
         return self.value(i)
 
-    def tail(self, k: int) -> Fraction:
-        """Exact sum of value(i) over i > k."""
-        if k < 0:
-            raise ValueError("tail indices start at 0")
-        p = len(self.pre)
-        if k < p:
-            return sum(self.pre[k:], Fraction(0)) + self.tail(p)
-        block_sum = sum(self.block, Fraction(0))
-        c, j = divmod(k - p, len(self.block))
-        rest = sum(self.block[j:], Fraction(0)) * self.ratio**c
-        return rest + block_sum * self.ratio ** (c + 1) / (1 - self.ratio)
-
     def is_strictly_decreasing(self) -> bool:
         """Exact check over one period boundary proves it for all indices."""
         probe = len(self.pre) + 2 * len(self.block) + 1
@@ -143,24 +132,28 @@ def geometric(start: RationalLike, ratio: RationalLike) -> BlockGeometric:
     return BlockGeometric((), (rat(start),), rat(ratio))
 
 
-def weighted_block_geometric(
-    coefficient: Callable[[int], RationalLike],
-    scale: Callable[[int], Fraction],
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def periodic_tail(
+    weight: Callable[[int], Fraction],
+    k: int,
     preperiod: int,
     period: int,
-    block_ratio: Fraction,
-) -> BlockGeometric:
-    """BlockGeometric for w_i = coefficient(i) * scale(i).
+    ratio: Fraction,
+) -> Fraction:
+    """Exact sum of weight(i) over i > k.
 
-    Valid whenever coefficient has period dividing ``period`` beyond
-    ``preperiod`` and scale satisfies scale(i + period) = block_ratio *
-    scale(i) there; then w inherits exactly the same block structure, and
-    w.tail gives exact weighted tail sums.
+    Valid when weight(i + period) == ratio * weight(i) for every i >
+    preperiod, with 0 < ratio < 1: past max(k, preperiod) the weights are
+    one period block repeated at ratio, ratio^2, ..., so the tail is the
+    head up to there plus that block over 1 - ratio.
     """
-    pre = tuple(rat(coefficient(i)) * scale(i) for i in range(1, preperiod + 1))
-    block = tuple(
-        rat(coefficient(i)) * scale(i)
-        for i in range(preperiod + 1, preperiod + period + 1)
-    )
-    return BlockGeometric(pre, block, block_ratio)
-
+    if k < 0:
+        raise ValueError("tail indices start at 0")
+    start = max(k, preperiod)
+    head = sum((weight(i) for i in range(k + 1, start + 1)), Fraction(0))
+    block = sum((weight(i) for i in range(start + 1, start + period + 1)), Fraction(0))
+    return head + block / (1 - ratio)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ..exact import rat_str
-from .ferens import GFSpec, gf_weighted_tail
-from .kyiv import KyivSpec, kyiv_values
-from .marchwicki import MMSpec, mm_scale
-from .periodic import weighted_block_geometric
+from .ferens import GFSpec, gf_stream
+from .kyiv import KyivSpec, kyiv_stream, kyiv_values
+from .marchwicki import MMSpec, mm_scale, mm_stream
+from .periodic import periodic_tail
 
 
 @dataclass(frozen=True)
@@ -38,71 +39,53 @@ class StandardnessResult:
         }
 
 
-def _gf_ratio(spec: GFSpec, k: int) -> Fraction:
-    num = gf_weighted_tail(spec, lambda i: spec.s(i) - spec.m[i], k)
-    den = gf_weighted_tail(spec, lambda i: spec.s(i) + spec.m[i], k)
-    return num / den
+def _gf_length(spec: GFSpec, i: int) -> Fraction:
+    return (spec.s(i) - spec.m[i]) * spec.q[i]
 
 
-def _mm_ratio(spec: MMSpec, k: int) -> Fraction:
-    pre = spec.group_preperiod + 1
-    period = spec.group_period
-    num = weighted_block_geometric(
-        lambda i: 3 * 2 ** spec.gaps[i] - 1,
-        lambda i: mm_scale(spec, i),
-        pre,
-        period,
-        spec.block_ratio,
-    )
-    den = weighted_block_geometric(
-        lambda i: 5 * 2 ** spec.gaps[i] - 1,
-        lambda i: mm_scale(spec, i),
-        pre,
-        period,
-        spec.block_ratio,
-    )
-    return num.tail(k) / den.tail(k)
+def _mm_length(spec: MMSpec, i: int) -> Fraction:
+    return (3 * 2 ** spec.gaps[i] - 1) * mm_scale(spec, i)
 
 
-def _kyiv_ratio(spec: KyivSpec, k: int) -> Fraction:
-    vals = kyiv_values(spec, k)
-    pre = spec.group_preperiod + 1
-    period = spec.group_period
-    probe = pre + 1
-    block_ratio = kyiv_values(spec, probe + period).a / kyiv_values(spec, probe).a
-    weighted = weighted_block_geometric(
-        lambda i: spec.s[i] - spec.m[i] + 6 - Fraction(4, spec.m[i]),
-        lambda i: kyiv_values(spec, i).a,
-        pre,
-        period,
-        block_ratio,
-    )
-    interval_length = weighted.tail(k)
-    return spec.m[k] * interval_length / (2 * vals.a)
+def _kyiv_length(spec: KyivSpec, i: int) -> Fraction:
+    m = spec.m[i]
+    return (spec.s[i] - m + 6 - Fraction(4, m)) * kyiv_values(spec, i).a
+
+
+# spec type -> (family name, stream constructor, interval-length weight)
+_FAMILIES = {
+    GFSpec: ("gf", gf_stream, _gf_length),
+    MMSpec: ("mm", mm_stream, _mm_length),
+    KyivSpec: ("kyiv", kyiv_stream, _kyiv_length),
+}
 
 
 def standardness_ratio(spec, k: int) -> StandardnessResult:
-    """Exact interval-over-tail ratio at index k, with its periodic limsup.
+    """Exact interval-over-tail ratio at group index k, with its periodic limsup.
 
-    Defined for the generalized Ferens, Marchwicki-Miska, and Kyiv families,
-    whose suffix interval lengths have closed forms; other inputs are
-    rejected.
+    Defined for the generalized Ferens, Marchwicki-Miska, and Kyiv families.
+    The interval in the suffix past group j has length the sum over i > j
+    of a closed-form weight: (s_i - m_i) q_i for gf, (3 * 2^(n_i) - 1) q_i
+    for mm, and (s_i - m_i + 6 - 4/m_i) a_i for kyiv.  Past the family
+    stream's preperiod that weight scales like the groups, so
+    ``periodic_tail`` sums it with the stream's period and block ratio, and
+    the ratio is that sum over the stream's ``group_tail(j)``.  Other
+    inputs are rejected.
     """
     if k < 1:
         raise ValueError("indices start at 1")
-    if isinstance(spec, GFSpec):
-        family, ratio_at = "gf", _gf_ratio
-        pre, period = spec.group_preperiod, spec.group_period
-    elif isinstance(spec, MMSpec):
-        family, ratio_at = "mm", _mm_ratio
-        pre, period = spec.group_preperiod + 1, spec.group_period
-    elif isinstance(spec, KyivSpec):
-        family, ratio_at = "kyiv", _kyiv_ratio
-        pre, period = spec.group_preperiod + 1, spec.group_period
-    else:
+    family = _FAMILIES.get(type(spec))
+    if family is None:
         raise ValueError(
             "standardness ratio has a closed form only for gf, mm, and kyiv specs"
         )
-    at_index = ratio_at(spec, k)
-    limit = max(ratio_at(spec, j) for j in range(pre + 1, pre + period + 1))
-    return StandardnessResult(family=family, index=k, at_index=at_index, limit=limit)
+    name, make_stream, weight = family
+    stream = make_stream(spec)
+    pre, period = stream.preperiod, stream.period
+
+    def ratio(j: int) -> Fraction:
+        length = periodic_tail(partial(weight, spec), j, pre, period, stream.block_ratio)
+        return length / stream.group_tail(j)
+
+    limit = max(ratio(j) for j in range(pre + 1, pre + period + 1))
+    return StandardnessResult(family=name, index=k, at_index=ratio(k), limit=limit)

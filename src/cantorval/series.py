@@ -1,10 +1,9 @@
 """Term streams for convergent positive nonincreasing series.
 
-A stream exposes exact terms x_n, exact tail sums r_n = sum of x_i for i > n,
-and suffix views (the remainder series).  A SubsumLadder builds the finite
-subsum sets F_n of one stream once, for every analysis layer to read; they
-carry multiplicities so that downstream uniqueness analysis can see
-collisions.
+A stream exposes exact terms x_n and exact tail sums r_n = sum of x_i for
+i > n.  A SubsumLadder builds the finite subsum sets F_n of one stream
+once, for every analysis layer to read; they carry multiplicities so that
+downstream uniqueness analysis can see collisions.
 
 The ladder stores F_n on an integer lattice: D_n, the lcm of the
 denominators of x_1..x_n, and the sorted integers f * D_n.  Each step is one
@@ -91,13 +90,6 @@ class KakeyaPattern:
         """True iff {n : x_n < r_n} is finite."""
         return LESS not in self.cycle
 
-    def shifted(self, k: int) -> "KakeyaPattern":
-        """Pattern of the suffix stream (x_n) for n > k."""
-        if k <= len(self.prefix):
-            return KakeyaPattern(self.prefix[k:], self.cycle)
-        offset = (k - len(self.prefix)) % len(self.cycle)
-        return KakeyaPattern((), self.cycle[offset:] + self.cycle[:offset])
-
 
 class TermStream(abc.ABC):
     """Exact generator of a convergent positive nonincreasing series."""
@@ -110,59 +102,12 @@ class TermStream(abc.ABC):
     def tail(self, n: int) -> Fraction:
         """r_n = sum of x_i over i > n, for n >= 0; r_0 is the full sum."""
 
-    @property
-    def descriptor(self) -> str:
-        return type(self).__name__
-
     def terms(self, k: int) -> tuple[Fraction, ...]:
         return tuple(self.term(n) for n in range(1, k + 1))
-
-    def suffix(self, k: int) -> "TermStream":
-        if k < 0:
-            raise ValueError("suffix shift must be nonnegative")
-        if k == 0:
-            return self
-        return SuffixStream(self, k)
 
     def kakeya_pattern(self) -> Optional[KakeyaPattern]:
         """Exact comparison pattern when one is analytically available."""
         return None
-
-
-class SuffixStream(TermStream):
-    """View of the remainder series (x_n) for n > shift."""
-
-    def __init__(self, base: TermStream, shift: int) -> None:
-        if isinstance(base, SuffixStream):
-            shift += base._shift
-            base = base._base
-        self._base = base
-        self._shift = shift
-
-    def term(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("term indices start at 1")
-        return self._base.term(self._shift + n)
-
-    def tail(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("tail indices start at 0")
-        return self._base.tail(self._shift + n)
-
-    def suffix(self, k: int) -> TermStream:
-        if k < 0:
-            raise ValueError("suffix shift must be nonnegative")
-        if k == 0:
-            return self
-        return SuffixStream(self._base, self._shift + k)
-
-    @property
-    def descriptor(self) -> str:
-        return f"{self._base.descriptor}[{self._shift}:]"
-
-    def kakeya_pattern(self) -> Optional[KakeyaPattern]:
-        pattern = self._base.kakeya_pattern()
-        return pattern.shifted(self._shift) if pattern is not None else None
 
 
 class GeometricTailStream(TermStream):
@@ -211,10 +156,6 @@ class GeometricTailStream(TermStream):
         if n >= p:
             return self._geo_sum * self._ratio ** (n - p)
         return sum(self._prefix[n:], Fraction(0)) + self._geo_sum
-
-    @property
-    def descriptor(self) -> str:
-        return f"geometric(prefix={len(self._prefix)}, ratio={self._ratio})"
 
     def kakeya_pattern(self) -> KakeyaPattern:
         # In the geometric regime x_n / r_n = (1 - ratio) / ratio exactly,

@@ -18,11 +18,7 @@ from typing import Optional
 
 from .exact import IntervalSet, PointSet, lattice_str, rat_str
 from .families.grouped import GroupedStream
-from .families.periodic import (
-    BlockGeometric,
-    PeriodicSeq,
-    weighted_block_geometric,
-)
+from .families.periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
 
 
@@ -43,7 +39,7 @@ class RepeatedTermSpec:
         probe = self.counts.preperiod_length + self.counts.period_length
         for i in range(1, probe + 1):
             c = self.counts[i]
-            if not isinstance(c, int) or c < 1:
+            if not is_int(c) or c < 1:
                 raise ValueError(f"repetition count K_{i} must be a positive integer")
 
     @property
@@ -61,14 +57,13 @@ class RepeatedTermSpec:
 
     def weighted_tail(self, k: int) -> Fraction:
         """Exact sum over i > k of counts[i] * y_i (base-value indexing)."""
-        weighted = weighted_block_geometric(
-            self.counts.value,
-            self.y.value,
+        return periodic_tail(
+            lambda i: self.counts[i] * self.y.value(i),
+            k,
             self.group_preperiod,
             self.group_period,
             self.block_ratio,
         )
-        return weighted.tail(k)
 
     def to_json(self) -> dict:
         return {
@@ -97,10 +92,6 @@ class RepeatedTermStream(GroupedStream):
 
     def group_terms(self, k: int) -> tuple[Fraction, ...]:
         return (self.spec.y.value(k),) * self.spec.counts[k]
-
-    @property
-    def descriptor(self) -> str:
-        return "repeated-term"
 
 
 def repeated_stream(spec: RepeatedTermSpec) -> RepeatedTermStream:

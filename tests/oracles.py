@@ -7,7 +7,8 @@ Expected values frozen in the tests were computed with these.
 
 The reference section at the end keeps the library's earlier Fraction
 implementations of the certificate search and the representation oracle,
-which the integer-lattice versions must match result for result.
+which the integer-lattice versions must match result for result, and its
+earlier per-family tail sums, which ``periodic_tail`` replaced.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ import itertools
 from fractions import Fraction
 
 from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, iterate
-from cantorval.exact import EMPTY_SET, Interval, IntervalSet, normalize
+from cantorval.exact import EMPTY_SET, Interval, IntervalSet, normalize, rat
+from cantorval.families.ferens import GFSpec
+from cantorval.families.kyiv import KyivSpec, kyiv_values
+from cantorval.families.marchwicki import MMSpec, mm_scale
 from cantorval.families.multigeometric import mg_block
+from cantorval.families.periodic import BlockGeometric
 from cantorval.series import CapacityError
 
 
@@ -348,3 +353,140 @@ def fraction_representation_uniqueness_oracle(spec, depth, cap) -> bool:
     )
     tail = spec.weighted_tail(depth)
     return all(b - a > tail for a, b in zip(sums, sums[1:]))
+
+
+# --- Reference: the per-family tail sums -----------------------------------
+
+
+class ReferenceBlockGeometric(BlockGeometric):
+    """BlockGeometric with the closed-form tail it carried itself."""
+
+    def tail(self, k: int) -> Fraction:
+        """Exact sum of value(i) over i > k."""
+        if k < 0:
+            raise ValueError("tail indices start at 0")
+        p = len(self.pre)
+        if k < p:
+            return sum(self.pre[k:], Fraction(0)) + self.tail(p)
+        block_sum = sum(self.block, Fraction(0))
+        c, j = divmod(k - p, len(self.block))
+        rest = sum(self.block[j:], Fraction(0)) * self.ratio**c
+        return rest + block_sum * self.ratio ** (c + 1) / (1 - self.ratio)
+
+
+def weighted_block_geometric(coefficient, scale, preperiod, period, block_ratio):
+    """BlockGeometric for w_i = coefficient(i) * scale(i).
+
+    Valid whenever coefficient has period dividing ``period`` beyond
+    ``preperiod`` and scale satisfies scale(i + period) = block_ratio *
+    scale(i) there; then w inherits exactly the same block structure, and
+    w.tail gives exact weighted tail sums.
+    """
+    pre = tuple(rat(coefficient(i)) * scale(i) for i in range(1, preperiod + 1))
+    block = tuple(
+        rat(coefficient(i)) * scale(i)
+        for i in range(preperiod + 1, preperiod + period + 1)
+    )
+    return ReferenceBlockGeometric(pre, block, block_ratio)
+
+
+def gf_weighted_tail(spec, coefficient, n):
+    """Exact sum over i > n of coefficient(i) * q_i."""
+    weighted = weighted_block_geometric(
+        coefficient,
+        spec.q.value,
+        spec.group_preperiod,
+        spec.group_period,
+        spec.block_ratio,
+    )
+    return weighted.tail(n)
+
+
+def reference_gf2_failure(spec):
+    """First (n, lhs, rhs) with m_n q_n <= tail of (s_i + m_i) q_i, or None."""
+    for n in range(1, spec.group_preperiod + spec.group_period + 1):
+        lhs2 = spec.m[n] * spec.q[n]
+        rhs2 = gf_weighted_tail(spec, lambda i: spec.s(i) + spec.m[i], n)
+        if not lhs2 > rhs2:
+            return (n, lhs2, rhs2)
+    return None
+
+
+def reference_weighted_tail(spec, k):
+    """Exact sum over i > k of counts[i] * y_i (base-value indexing)."""
+    weighted = weighted_block_geometric(
+        spec.counts.value,
+        spec.y.value,
+        spec.group_preperiod,
+        spec.group_period,
+        spec.block_ratio,
+    )
+    return weighted.tail(k)
+
+
+def reference_semifast_violation(spec):
+    """First k with y_k <= tail of K_i y_i, or None."""
+    for k in range(1, spec.group_preperiod + spec.group_period + 1):
+        if not spec.y.value(k) > reference_weighted_tail(spec, k):
+            return k
+    return None
+
+
+def _gf_ratio(spec, k):
+    num = gf_weighted_tail(spec, lambda i: spec.s(i) - spec.m[i], k)
+    den = gf_weighted_tail(spec, lambda i: spec.s(i) + spec.m[i], k)
+    return num / den
+
+
+def _mm_ratio(spec, k):
+    pre = spec.group_preperiod + 1
+    period = spec.group_period
+    num = weighted_block_geometric(
+        lambda i: 3 * 2 ** spec.gaps[i] - 1,
+        lambda i: mm_scale(spec, i),
+        pre,
+        period,
+        spec.block_ratio,
+    )
+    den = weighted_block_geometric(
+        lambda i: 5 * 2 ** spec.gaps[i] - 1,
+        lambda i: mm_scale(spec, i),
+        pre,
+        period,
+        spec.block_ratio,
+    )
+    return num.tail(k) / den.tail(k)
+
+
+def _kyiv_ratio(spec, k):
+    vals = kyiv_values(spec, k)
+    pre = spec.group_preperiod + 1
+    period = spec.group_period
+    probe = pre + 1
+    block_ratio = kyiv_values(spec, probe + period).a / kyiv_values(spec, probe).a
+    weighted = weighted_block_geometric(
+        lambda i: spec.s[i] - spec.m[i] + 6 - Fraction(4, spec.m[i]),
+        lambda i: kyiv_values(spec, i).a,
+        pre,
+        period,
+        block_ratio,
+    )
+    interval_length = weighted.tail(k)
+    return spec.m[k] * interval_length / (2 * vals.a)
+
+
+def reference_standardness(spec, k):
+    """(ratio at k, limsup over one period), each family with its own tails."""
+    if isinstance(spec, GFSpec):
+        ratio_at = _gf_ratio
+        pre, period = spec.group_preperiod, spec.group_period
+    elif isinstance(spec, MMSpec):
+        ratio_at = _mm_ratio
+        pre, period = spec.group_preperiod + 1, spec.group_period
+    elif isinstance(spec, KyivSpec):
+        ratio_at = _kyiv_ratio
+        pre, period = spec.group_preperiod + 1, spec.group_period
+    else:
+        raise ValueError("no reference standardness ratio for this spec")
+    limit = max(ratio_at(spec, j) for j in range(pre + 1, pre + period + 1))
+    return ratio_at(spec, k), limit

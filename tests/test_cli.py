@@ -28,6 +28,10 @@ REPEATED = (
     '{"type":"repeated","y":{"pre":[],"block":["1/4"],"ratio":"1/4"},'
     '"counts":{"pre":[],"period":[2]}}'
 )
+# JSON true is a Python bool, and so an int: each spec must still refuse it
+MM_TRUE = '{"type":"mm","gaps":{"pre":[],"period":[true]}}'
+KYIV_TRUE = '{"type":"kyiv","m":{"pre":[],"period":[4]},"s":{"pre":[],"period":[true]}}'
+REPEATED_TRUE = REPEATED.replace('"period":[2]', '"period":[true]')
 
 
 def run_cli(*args, env=None):
@@ -224,6 +228,12 @@ class TestBadInput:
               "--format", "csv"), None),
             (("analyze", "--spec", str(SPECS / "gn.json"), "--depth", "7",
               "--cap", "100", "--format", "csv"), None),
+            (("validate", "--inline", MM_TRUE), None),
+            (("analyze", "--inline", MM_TRUE), None),
+            (("validate", "--inline", KYIV_TRUE), None),
+            (("analyze", "--inline", KYIV_TRUE), None),
+            (("validate", "--inline", REPEATED_TRUE), None),
+            (("analyze", "--inline", REPEATED_TRUE), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -232,6 +242,9 @@ class TestBadInput:
             "validate-zero-denominator-q", "analyze-zero-denominator-q",
             "validate-zero-denominator-k", "analyze-zero-denominator-k",
             "csv-without-out", "csv-without-out-over-capacity",
+            "validate-mm-gap-true", "analyze-mm-gap-true",
+            "validate-kyiv-s-true", "analyze-kyiv-s-true",
+            "validate-repeated-count-true", "analyze-repeated-count-true",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):
@@ -316,7 +329,7 @@ class TestDumps:
 
 # Values swapped in for one entry of a bundled spec, as JSON text so that
 # each swap inserts a fresh object.
-REPLACEMENTS = ("null", "[]", "[2, 1]", '"x"', '"1/0"', "0.5", "0", "-1", "-2")
+REPLACEMENTS = ("null", "[]", "[2, 1]", '"x"', '"1/0"', "0.5", "0", "-1", "-2", "true")
 
 
 def _paths(doc, prefix=()):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorval.families import (
     BlockGeometric,
@@ -31,11 +31,12 @@ from cantorval.families import (
     standardness_ratio,
     subsum_run_total,
 )
+from cantorval.families.periodic import periodic_tail
 from cantorval.series import StreamError
 from cantorval.tightness import max_tight_diameter
 from cantorval.uniqueness import RepeatedTermSpec
 
-from oracles import brute_subsums
+from oracles import brute_subsums, reference_gf2_failure, reference_standardness
 
 
 GN = multigeometric([3, 2], "1/4")
@@ -54,15 +55,31 @@ class TestPeriodic:
         bg = BlockGeometric((F(1),), (F(1, 2), F(1, 4)), F(1, 8))
         # values: 1, 1/2, 1/4, 1/16, 1/32, 1/128, ...
         assert [bg.value(i) for i in range(1, 6)] == [1, F(1, 2), F(1, 4), F(1, 16), F(1, 32)]
+
+        def tail(k):
+            return periodic_tail(bg.value, k, 1, 2, F(1, 8))
+
         total = 1 + (F(1, 2) + F(1, 4)) / (1 - F(1, 8))
-        assert bg.tail(0) == total
+        assert tail(0) == total
         for k in range(0, 12):
-            assert bg.tail(k) == bg.value(k + 1) + bg.tail(k + 1)
+            assert tail(k) == bg.value(k + 1) + tail(k + 1)
 
     def test_geometric_tail(self):
         g = geometric("1/10", "1/10")
-        assert g.tail(0) == F(1, 9)
-        assert g.tail(2) == F(1, 900)
+        assert periodic_tail(g.value, 0, 0, 1, F(1, 10)) == F(1, 9)
+        assert periodic_tail(g.value, 2, 0, 1, F(1, 10)) == F(1, 900)
+
+    def test_tail_below_the_preperiod_adds_the_head(self):
+        bg = BlockGeometric((F(5), F(3)), (F(2), F(1)), F(1, 3))
+
+        def tail(k):
+            return periodic_tail(bg.value, k, 2, 2, F(1, 3))
+
+        assert tail(0) == 8 + F(9, 2)
+        for k in range(0, 8):
+            assert tail(k) == bg.value(k + 1) + tail(k + 1)
+        with pytest.raises(ValueError):
+            tail(-1)
 
 
 class TestMultigeometric:
@@ -344,6 +361,63 @@ class TestStandardness:
         res = standardness_ratio(KYIV_MIXED, 1)
         assert res.limit >= res.at_index or res.at_index >= res.limit  # exact rationals
         assert res.limit >= F(1, 2)
+
+
+def _periodic_seqs(draw, values):
+    """PeriodicSeq with a preperiod of 0-1 and a period of 1-2 entries."""
+    return PeriodicSeq(
+        tuple(draw(st.lists(values, max_size=1))),
+        tuple(draw(st.lists(values, min_size=1, max_size=2))),
+    )
+
+
+@st.composite
+def gf_specs(draw):
+    """Preperiod 0-1 and period 1-2 in m, k and q, with m_n < k_n; q falls
+    at least 5-fold per group, so the stream is nonincreasing."""
+    m = _periodic_seqs(draw, st.integers(2, 4))
+    k = _periodic_seqs(draw, st.integers(5, 7))
+    steps = draw(st.lists(st.integers(5, 40), min_size=4, max_size=4))
+    pre_len = draw(st.integers(0, 1))
+    block_len = draw(st.integers(1, 2))
+    values = [F(1, draw(st.integers(2, 10)))]
+    for step in steps[: pre_len + block_len - 1]:
+        values.append(values[-1] / step)
+    ratio = F(1, steps[-1])
+    for step in steps[pre_len : pre_len + block_len - 1]:
+        ratio /= step
+    q = BlockGeometric(tuple(values[:pre_len]), tuple(values[pre_len:]), ratio)
+    return GFSpec(m, k, q)
+
+
+@st.composite
+def mm_specs(draw):
+    return MMSpec(_periodic_seqs(draw, st.integers(1, 3)))
+
+
+@st.composite
+def kyiv_specs(draw):
+    return KyivSpec(
+        _periodic_seqs(draw, st.integers(2, 6)), _periodic_seqs(draw, st.integers(1, 12))
+    )
+
+
+class TestTailsMatchReference:
+    """periodic_tail against each family's own earlier tail sums."""
+
+    @given(st.one_of(gf_specs(), mm_specs(), kyiv_specs()), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_standardness_ratio(self, spec, k):
+        try:
+            got = standardness_ratio(spec, k)
+        except StreamError:
+            assume(False)
+        assert (got.at_index, got.limit) == reference_standardness(spec, k)
+
+    @given(gf_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_gf_validate(self, spec):
+        assert gf_validate(spec).first_gf2_failure == reference_gf2_failure(spec)
 
 
 class TestStreamDiscipline:

@@ -14,6 +14,11 @@ digest, and ``analyze --format csv`` must write the same bytes to its
 ``report.json``.  ``VALIDATE_SHA256`` pins the whole file that ``validate
 --out`` writes for every bundled spec, recorded with ``json.dumps`` before
 the encoder replaced it.
+
+Every bundled spec has an empty preperiod, so ``PREPERIOD_SHA256`` pins
+what ``validate --format json`` and ``analyze --depth 6`` print for one
+spec per family with a nonempty preperiod and a period of 2, recorded
+before ``periodic_tail`` replaced the per-family tail sums.
 """
 
 import hashlib
@@ -82,6 +87,30 @@ VALIDATE_SHA256 = {
     "semifast": "c98008c0ee33f6d22302e5a0cbc86e09bf2f020bb0523e96b26c2c73e9e6341b",
 }
 
+# one spec per family with a nonempty preperiod and a period of 2; gf and
+# repeated have two preperiod entries, so some tails start inside it
+PREPERIOD_SPECS = {
+    "gf": '{"type":"gf","m":{"pre":[3,4],"period":[2,3]},"k":{"pre":[5,6],"period":[4,5]},'
+          '"q":{"pre":["1/5","1/100"],"block":["1/1000","1/16000"],"ratio":"1/128"}}',
+    "mm": '{"type":"mm","gaps":{"pre":[2],"period":[1,2]}}',
+    "kyiv": '{"type":"kyiv","m":{"pre":[5],"period":[4,3]},"s":{"pre":[11],"period":[8,5]}}',
+    "repeated": '{"type":"repeated","y":{"pre":["1/2","1/5"],"block":["1/32","1/128"],'
+                '"ratio":"1/64"},"counts":{"pre":[1,2],"period":[1,2]}}',
+}
+
+# sha256 of stdout, per (family, command); every command exits 0
+PREPERIOD_SHA256 = {
+    ("gf", "validate"): "eb849ff36a3f7da58b1f3b1ec7b784154524c8f7cf413c89e9f7cda595befe95",
+    ("gf", "analyze"): "0850f98dd27cac166b8beb8fb0caff9e6d637c5e75614aa7d7c49a71a85162ae",
+    ("mm", "validate"): "66226aa5f6774f2607c40d8f8340c3eb1171daa240e252eb7a1a0149103afabe",
+    ("mm", "analyze"): "6051f6e49ab65a9e24fb2243eba58ace1c3dbcf13d607d8bd49ce7d497746f10",
+    ("kyiv", "validate"): "41bc199ca967b6b1e2d0d9c3fd4c5f641d3ee2e5ac79b26cc9140bf7d9e727d3",
+    ("kyiv", "analyze"): "385f7a93da58008aa21c8c247fe18cb376ab25660bcf55febad0a5c9a022bda6",
+    ("repeated", "validate"): "4e45e59110c7756f7dea0e0403de2aeae825f90f5756238b7a253d290b927e2a",
+    ("repeated", "analyze"): "65e21386122fd5ca4b1d9965f46384dd35395fe47eb18396d218477b885b2161",
+}
+PREPERIOD_ARGS = {"validate": ["--format", "json"], "analyze": ["--depth", "6"]}
+
 
 def load(name):
     return spec_from_json(json.loads((SPECS / f"{name}.json").read_text()))
@@ -125,6 +154,14 @@ def test_validate_writes_the_pinned_bytes(name, tmp_path):
     out = tmp_path / "validate.json"
     assert main(["validate", "--spec", str(SPECS / f"{name}.json"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_SHA256[name]
+
+
+@pytest.mark.parametrize("family,command", sorted(PREPERIOD_SHA256))
+def test_preperiod_specs_print_the_pinned_bytes(family, command, capsys):
+    args = [command, "--inline", PREPERIOD_SPECS[family], *PREPERIOD_ARGS[command]]
+    assert main(args) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == PREPERIOD_SHA256[family, command]
 
 
 @pytest.mark.parametrize("name", sorted(CAP_100_DEPTH_7))

@@ -193,16 +193,6 @@ class TestStreams:
         assert all(t > 0 for t in terms)
         assert all(a >= b for a, b in zip(terms, terms[1:]))
 
-    @pytest.mark.parametrize("make", [dyadic, gn, repeated_1_2])
-    def test_suffix_views(self, make):
-        stream = make()
-        for k in (0, 1, 3, 7):
-            sub = stream.suffix(k)
-            assert sub.tail(0) == stream.tail(k)
-            for i in range(1, 8):
-                assert sub.term(i) == stream.term(k + i)
-        assert stream.suffix(2).suffix(3).term(1) == stream.term(6)
-
     def test_geometric_tail_stream_validation(self):
         with pytest.raises(ValueError):
             GeometricTailStream([1, 2], 1, F(1, 2))  # increasing prefix
@@ -224,14 +214,6 @@ class TestStreams:
                     assert got == ">"
                 else:
                     assert got in expected
-
-    def test_pattern_shift_matches_suffix(self):
-        stream = gn()
-        for k in (1, 2, 5):
-            shifted = stream.suffix(k).kakeya_pattern()
-            base = stream.kakeya_pattern()
-            for n in range(1, 12):
-                assert shifted.comparison_at(n) == base.comparison_at(n + k)
 
 
 class TestKakeyaPattern:

@@ -23,7 +23,12 @@ from cantorval.uniqueness import (
     tail_sum_unique,
 )
 
-from oracles import fraction_representation_uniqueness_oracle, point_in_set
+from oracles import (
+    fraction_representation_uniqueness_oracle,
+    point_in_set,
+    reference_semifast_violation,
+    reference_weighted_tail,
+)
 
 GN = mg_stream(multigeometric([3, 2], "1/4"))
 DYADIC = mg_stream(multigeometric([1], "1/2"))
@@ -143,6 +148,13 @@ class TestSemifast:
         spec = RepeatedTermSpec(geometric("1/3", "1/3"), PeriodicSeq((), (1,)))
         assert semifast_check(spec).semifast
 
+    @given(repeated_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_tails(self, spec):
+        assert semifast_check(spec).first_violation == reference_semifast_violation(spec)
+        for k in range(0, 6):
+            assert spec.weighted_tail(k) == reference_weighted_tail(spec, k)
+
 
 class TestRepresentationOracle:
     def test_semifast_depth_four(self):
@@ -210,6 +222,8 @@ class TestRepeatedTermSpecValidation:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((), (0,)))
+        with pytest.raises(ValueError):
+            RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((), (True,)))
 
     def test_expanded_stream_shape(self):
         stream = repeated_stream(HALVING)
