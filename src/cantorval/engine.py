@@ -273,7 +273,9 @@ def certify_interior(
             )
             break
 
-    if stabilized and _self_covered(phi, d, s):
+    if stabilized:
+        # nondeg(S b cap Phi(S)) == S b puts each part of S inside one part
+        # of Phi(S): the self-cover the final recheck confirms.
         verified, d_verified = s, d
     else:
         d_verified, candidates = _run_window_candidates(phi)

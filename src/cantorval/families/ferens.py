@@ -113,18 +113,16 @@ class GFValidation:
         }
 
 
-def gf_validate(spec: GFSpec, horizon: Optional[int] = None) -> GFValidation:
+def gf_validate(spec: GFSpec) -> GFValidation:
     """Check the two growth conditions for every n.
 
     Both sides of each condition scale by the same exact factor from one
     period of groups to the next, so checking indices up to preperiod +
-    period decides all n.  ``horizon`` only extends the explicitly checked
-    range (for reporting); it cannot change the verdict.
+    period decides all n.
     """
     decisive = spec.group_preperiod + spec.group_period
-    limit = max(decisive, horizon or 0)
     gf1_fail = gf2_fail = None
-    for n in range(1, limit + 1):
+    for n in range(1, decisive + 1):
         lhs1 = spec.q[n]
         rhs1 = (spec.s(n + 1) - spec.m[n + 1] + 1) * spec.q[n + 1]
         if gf1_fail is None and not lhs1 <= rhs1:
@@ -143,30 +141,20 @@ def gf_validate(spec: GFSpec, horizon: Optional[int] = None) -> GFValidation:
         gf1_holds=gf1_fail is None,
         gf2_holds=gf2_fail is None,
         s_values=tuple(spec.s(n) for n in range(1, decisive + 1)),
-        checked_through=limit,
+        checked_through=decisive,
         first_gf1_failure=gf1_fail,
         first_gf2_failure=gf2_fail,
     )
 
 
-class GFStream(GroupedStream):
+def gf_stream(spec: GFSpec) -> GroupedStream:
     """Group n: coefficients m_n + k_n - 1 down to m_n, scaled by q_n."""
-
-    def __init__(self, spec: GFSpec) -> None:
-        self.spec = spec
-        super().__init__(
-            preperiod=spec.group_preperiod,
-            period=spec.group_period,
-            block_ratio=spec.block_ratio,
-        )
-
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        m, r, q = self.spec.m[k], self.spec.k[k], self.spec.q[k]
-        return tuple((m + t) * q for t in range(r - 1, -1, -1))
-
-
-def gf_stream(spec: GFSpec) -> GFStream:
-    return GFStream(spec)
+    pre, period = spec.group_preperiod, spec.group_period
+    groups = [
+        tuple((spec.m[n] + t) * spec.q[n] for t in range(spec.k[n] - 1, -1, -1))
+        for n in range(1, pre + 2 * period + 1)
+    ]
+    return GroupedStream(groups, pre, period)
 
 
 def gf_group_set(spec: GFSpec, n: int) -> PointSet:

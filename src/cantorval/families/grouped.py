@@ -1,56 +1,55 @@
-"""Streams assembled from consecutive groups of terms with periodic scaling.
+"""Streams given by their first groups of terms, repeating at one ratio.
 
 Every explicit family here (multigeometric, generalized Ferens,
 Marchwicki-Miska, Kyiv, repeated-term) produces its terms in groups, and
-beyond a preperiod the whole group pattern repeats scaled by one exact
-rational factor.  That single fact gives closed-form tails and an analytic
-Kakeya comparison pattern, so subclasses only provide the group terms and
-the scaling data.  ``GroupedStream`` holds a family's preperiod, period
-and block ratio: its tails, and the family's standardness ratios, are
-summed with them.
+beyond a preperiod P the whole pattern of p groups repeats scaled by one
+exact rational factor.  So a family stream is its groups 1 .. P + 2p: the
+block ratio is read off the two given periods, and every later group is
+that ratio times the group one period earlier.  That single fact gives
+exact tails and an analytic Kakeya comparison pattern.  ``GroupedStream``
+holds a family's head, period and block ratio as data: its tails, and the
+family's standardness ratios, are summed with them.
 """
 
 from __future__ import annotations
 
-import abc
 import bisect
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..series import KakeyaPattern, StreamError, TermStream, compare_sign
 from .periodic import periodic_tail
 
 
 class GroupedStream(TermStream):
-    """Base for streams whose groups repeat geometrically.
+    """A stream built from its first P + 2p groups, P the preperiod, p the period.
 
-    Subclass contract: ``group_terms(k)`` returns the terms of group k
-    (k >= 1) in order, and for every k > ``preperiod`` the identity
-    group_terms(k + period) == block_ratio * group_terms(k) holds exactly.
-    The base class turns that into exact tails, global monotonicity
-    validation, and a proof-carrying Kakeya pattern.
+    ``groups[k - 1]`` holds the terms of group k, in order, for k = 1 ..
+    P + 2p.  The block ratio is the first term of group P + p + 1 over the
+    first term of group P + 1, and the second given period must equal that
+    ratio times the first, term by term.  Group k > P + 2p is the ratio
+    times group k - p.  Construction checks positivity, monotonicity and
+    the period exactly, which proves them for every index.
 
     Streams are observationally pure: the interior caches only memoize
     values that are deterministic functions of the index, so concurrent
     readers can at worst duplicate a computation, never observe a wrong one.
     """
 
-    def __init__(self, preperiod: int, period: int, block_ratio: Fraction) -> None:
+    def __init__(
+        self, groups: Sequence[Sequence[Fraction]], preperiod: int, period: int
+    ) -> None:
         if period < 1:
             raise ValueError("period must be positive")
-        if not (0 < block_ratio < 1):
-            raise ValueError("block ratio must lie in (0, 1)")
+        if preperiod < 0 or len(groups) != preperiod + 2 * period:
+            raise ValueError("need exactly the groups 1 .. preperiod + 2 * period")
         self._preperiod = preperiod
         self._period = period
-        self._block_ratio = block_ratio
-        self._groups: dict[int, tuple[Fraction, ...]] = {}
+        self._block_ratio: Optional[Fraction] = None
+        self._groups: list[tuple[Fraction, ...]] = [tuple(g) for g in groups]
         self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
         self._tail_cache: dict[int, Fraction] = {}
         self._validate()
-
-    @abc.abstractmethod
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        """Terms of group k, in order, exact."""
 
     # -- derived structure ------------------------------------------------
 
@@ -66,24 +65,24 @@ class GroupedStream(TermStream):
     def block_ratio(self) -> Fraction:
         return self._block_ratio
 
-    def _group(self, k: int) -> tuple[Fraction, ...]:
-        got = self._groups.get(k)
-        if got is None:
-            got = tuple(self.group_terms(k))
-            if not got:
-                raise ValueError(f"group {k} is empty")
-            self._groups[k] = got
-        return got
+    def group_terms(self, k: int) -> tuple[Fraction, ...]:
+        """Terms of group k >= 1, in order, exact."""
+        if k < 1:
+            raise ValueError("group indices start at 1")
+        groups = self._groups
+        while len(groups) < k:
+            groups.append(tuple(self._block_ratio * t for t in groups[-self._period]))
+        return groups[k - 1]
 
     def boundary(self, k: int) -> int:
         """N_k, the index of the last term of group k (N_0 = 0)."""
         while len(self._boundaries) <= k:
             j = len(self._boundaries)
-            self._boundaries.append(self._boundaries[-1] + len(self._group(j)))
+            self._boundaries.append(self._boundaries[-1] + len(self.group_terms(j)))
         return self._boundaries[k]
 
     def group_sum(self, k: int) -> Fraction:
-        return sum(self._group(k), Fraction(0))
+        return sum(self.group_terms(k), Fraction(0))
 
     def group_tail(self, k: int) -> Fraction:
         """r at the group boundary: sum of all terms in groups > k."""
@@ -122,7 +121,7 @@ class GroupedStream(TermStream):
 
     def term(self, n: int) -> Fraction:
         k, offset = self.locate(n)
-        return self._group(k)[offset - 1]
+        return self.group_terms(k)[offset - 1]
 
     def tail(self, n: int) -> Fraction:
         if n < 0:
@@ -130,7 +129,7 @@ class GroupedStream(TermStream):
         if n == 0:
             return self.group_sum(1) + self.group_tail(1)
         k, offset = self.locate(n)
-        rest = sum(self._group(k)[offset:], Fraction(0))
+        rest = sum(self.group_terms(k)[offset:], Fraction(0))
         return rest + self.group_tail(k)
 
     def kakeya_pattern(self) -> Optional[KakeyaPattern]:
@@ -155,10 +154,18 @@ class GroupedStream(TermStream):
         Checking groups up to preperiod + 2*period + 1 proves the properties
         for every index because later groups are exact scaled copies.
         """
-        horizon = self._preperiod + 2 * self._period + 1
+        pre, period = self._preperiod, self._period
+        given = pre + 2 * period
         previous_last: Optional[Fraction] = None
-        for k in range(1, horizon + 1):
-            terms = self._group(k)
+        for k in range(1, given + 2):
+            if k > given:
+                # The given groups are positive, so the division is defined.
+                self._block_ratio = self._groups[pre + period][0] / self._groups[pre][0]
+                if not self._block_ratio < 1:
+                    raise ValueError("block ratio must lie in (0, 1)")
+            terms = self.group_terms(k)
+            if not terms:
+                raise ValueError(f"group {k} is empty")
             if any(t <= 0 for t in terms):
                 raise StreamError(f"group {k} contains a nonpositive term")
             for a, b in zip(terms, terms[1:]):
@@ -167,7 +174,9 @@ class GroupedStream(TermStream):
             if previous_last is not None and terms[0] > previous_last:
                 raise StreamError(f"terms increase across the boundary into group {k}")
             previous_last = terms[-1]
-        for k in range(self._preperiod + 1, self._preperiod + self._period + 1):
-            scaled = tuple(t * self._block_ratio for t in self._group(k))
-            if self._group(k + self._period) != scaled:
-                raise ValueError("groups do not scale by the declared block ratio")
+        for k in range(pre + 1, pre + period + 1):
+            scaled = tuple(t * self._block_ratio for t in self.group_terms(k))
+            if self.group_terms(k + period) != scaled:
+                raise ValueError(
+                    "the second given period is not the block ratio times the first"
+                )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from ..exact import PointSet, rat_str
 from ..series import DEFAULT_CAP, CapacityError, FiniteStream, SubsumLadder
@@ -151,48 +152,48 @@ class KyivValues:
         }
 
 
-def kyiv_values(spec: KyivSpec, k: int) -> KyivValues:
-    """Exact a_k, r_{N_k}, G_k; cross-checks the one-step recurrence.
+def _kyiv_run(spec: KyivSpec, k: int) -> Iterator[KyivValues]:
+    """KyivValues at 1, ..., k in one pass, cross-checking at every step.
 
-    The recurrence a_{k+1}/a_k = 2 m_{k+1} / (m_k d_{k+1}) must reproduce the
-    closed form; a mismatch would be an implementation bug, so it is asserted.
+    Each closed form must satisfy the one-step recurrence a_{i+1}/a_i =
+    2 m_{i+1} / (m_i d_{i+1}) and r_{N_i} = 2 a_i / m_i; a mismatch would be
+    an implementation bug, so both are asserted.
     """
+    prod, previous = 1, None
+    for i in range(1, k + 1):
+        m = spec.m[i]
+        prod *= spec.divisor(i)
+        a = Fraction(2 ** (i - 1) * m, prod)
+        r = Fraction(2**i, prod)
+        if previous is not None:
+            step = Fraction(2 * m, spec.m[i - 1] * spec.divisor(i))
+            assert a == previous * step, "closed form disagrees with the recurrence"
+        assert r == 2 * a / m, "boundary tail disagrees with 2 a_k / m_k"
+        previous = a
+        yield KyivValues(k=i, a=a, boundary_tail=r, group_sum=(spec.s[i] + m) * a)
+
+
+def kyiv_values(spec: KyivSpec, k: int) -> KyivValues:
+    """Exact a_k, r_{N_k}, G_k; cross-checks the one-step recurrence."""
     if k < 1:
         raise ValueError("group indices start at 1")
-    prod = 1
-    for i in range(1, k + 1):
-        prod *= spec.divisor(i)
-    a = Fraction(2 ** (k - 1) * spec.m[k], prod)
-    r = Fraction(2**k, prod)
-    if k > 1:
-        prev = kyiv_values(spec, k - 1).a
-        step = Fraction(2 * spec.m[k], spec.m[k - 1] * spec.divisor(k))
-        assert a == prev * step, "closed form disagrees with the recurrence"
-    assert r == 2 * a / spec.m[k], "boundary tail disagrees with 2 a_k / m_k"
-    return KyivValues(k=k, a=a, boundary_tail=r, group_sum=(spec.s[k] + spec.m[k]) * a)
+    *_, values = _kyiv_run(spec, k)
+    return values
 
 
-class KyivStream(GroupedStream):
+def _kyiv_group(spec: KyivSpec, k: int, a: Fraction) -> tuple[Fraction, ...]:
+    m, s = spec.m[k], spec.s[k]
+    return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
+
+
+def kyiv_stream(spec: KyivSpec) -> GroupedStream:
     """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k."""
-
-    def __init__(self, spec: KyivSpec) -> None:
-        self.spec = spec
-        preperiod = spec.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
-        period = spec.group_period
-        probe = preperiod + 1
-        ratio = (
-            kyiv_values(spec, probe + period).a / kyiv_values(spec, probe).a
-        )
-        super().__init__(preperiod=preperiod, period=period, block_ratio=ratio)
-
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        a = kyiv_values(self.spec, k).a
-        m, s = self.spec.m[k], self.spec.s[k]
-        return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
-
-
-def kyiv_stream(spec: KyivSpec) -> KyivStream:
-    return KyivStream(spec)
+    pre = spec.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
+    period = spec.group_period
+    groups = [
+        _kyiv_group(spec, v.k, v.a) for v in _kyiv_run(spec, pre + 2 * period)
+    ]
+    return GroupedStream(groups, pre, period)
 
 
 def kyiv_progression(spec: KyivSpec, k: int) -> PointSet:
@@ -216,8 +217,7 @@ def kyiv_group_set(spec: KyivSpec, k: int, cap: int = DEFAULT_CAP) -> PointSet:
     size = s + m + 1
     if size > MAX_GROUP_ENUMERATION:
         raise CapacityError("kyiv_group_set", 2**size, 2**MAX_GROUP_ENUMERATION)
-    vals = kyiv_values(spec, k)
-    terms = (vals.a,) * (s + 1) + (Fraction(m - 1, m) * vals.a,) * m
+    terms = _kyiv_group(spec, k, kyiv_values(spec, k).a)
     return SubsumLadder(FiniteStream(terms), cap)[size]
 
 

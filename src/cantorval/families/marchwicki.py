@@ -64,15 +64,6 @@ class MMSpec:
     def group_period(self) -> int:
         return self.gaps.period_length
 
-    @property
-    def block_ratio(self) -> Fraction:
-        """Scale factor of q over one full period of blocks."""
-        ratio = Fraction(1)
-        start = self.group_preperiod + 1
-        for s in range(start, start + self.group_period):
-            ratio /= 3 * 2 ** self.gaps[s]
-        return ratio
-
     def to_json(self) -> dict:
         return {"type": "mm", "gaps": self.gaps.to_json()}
 
@@ -91,23 +82,14 @@ def mm_scale(spec: MMSpec, k: int) -> Fraction:
     return q
 
 
-class MMStream(GroupedStream):
+def mm_stream(spec: MMSpec) -> GroupedStream:
     """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""
-
-    def __init__(self, spec: MMSpec) -> None:
-        self.spec = spec
-        # group_terms(k+L) = ratio * group_terms(k) needs gaps[k] and the
-        # q-recurrence steps between k and k+L all periodic, hence the +1.
-        super().__init__(
-            preperiod=spec.group_preperiod + 1,
-            period=spec.group_period,
-            block_ratio=spec.block_ratio,
-        )
-
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        q = mm_scale(self.spec, k)
-        return tuple(b * q for b in mm_block_coefficients(self.spec.gaps[k]))
-
-
-def mm_stream(spec: MMSpec) -> MMStream:
-    return MMStream(spec)
+    # group k + L = ratio * group k needs gaps[k] and the q-recurrence
+    # steps between k and k + L all periodic, hence the + 1.
+    pre, period = spec.group_preperiod + 1, spec.group_period
+    groups, q = [], Fraction(1)
+    for k in range(1, pre + 2 * period + 1):
+        if k > 1:
+            q /= 3 * 2 ** spec.gaps[k]
+        groups.append(tuple(b * q for b in mm_block_coefficients(spec.gaps[k])))
+    return GroupedStream(groups, pre, period)

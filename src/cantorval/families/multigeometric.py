@@ -22,8 +22,6 @@ from ..exact import PointSet, rat, rat_str, RationalLike
 from ..series import DEFAULT_CAP, FiniteStream, SubsumLadder
 from .grouped import GroupedStream
 
-MAX_BLOCK_COEFFICIENTS = 30
-
 
 @dataclass(frozen=True)
 class MultigeometricSpec:
@@ -106,7 +104,7 @@ def _sorted_head(spec: MultigeometricSpec) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(runs)
 
 
-class MultigeometricStream(GroupedStream):
+def mg_stream(spec: MultigeometricSpec) -> GroupedStream:
     """The terms k_i q^j (j >= 1) in nonincreasing order, in runs of m.
 
     Group j is the j-th run of m consecutive sorted terms, with period 1 and
@@ -114,23 +112,9 @@ class MultigeometricStream(GroupedStream):
     q * group(j) for every j > P.  It is 0 exactly when k_m >= k_1 q, and
     then group j is (k_1 q^j, ..., k_m q^j).
     """
-
-    def __init__(self, spec: MultigeometricSpec) -> None:
-        self.spec = spec
-        self._head = _sorted_head(spec)
-        super().__init__(
-            preperiod=len(self._head) - 1, period=1, block_ratio=spec.ratio
-        )
-
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        if k <= len(self._head):
-            return self._head[k - 1]
-        self.boundary(k - 1)  # builds groups 1..k-1 in order, no deep recursion
-        return tuple(t * self.spec.ratio for t in self._group(k - 1))
-
-
-def mg_stream(spec: MultigeometricSpec) -> MultigeometricStream:
-    return MultigeometricStream(spec)
+    head = _sorted_head(spec)
+    tail_run = tuple(spec.ratio * t for t in head[-1])
+    return GroupedStream(head + (tail_run,), preperiod=len(head) - 1, period=1)
 
 
 @lru_cache(maxsize=64)
@@ -142,6 +126,4 @@ def mg_block(spec: MultigeometricSpec, cap: int = DEFAULT_CAP) -> PointSet:
     since the operator, its certificate candidates and the separated-block
     test all read it.
     """
-    if spec.m > MAX_BLOCK_COEFFICIENTS:
-        raise ValueError(f"block enumeration limited to {MAX_BLOCK_COEFFICIENTS} coefficients")
     return SubsumLadder(FiniteStream(spec.coefficients), cap)[spec.m]

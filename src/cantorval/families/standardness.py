@@ -16,8 +16,9 @@ from functools import partial
 
 from ..exact import rat_str
 from .ferens import GFSpec, gf_stream
-from .kyiv import KyivSpec, kyiv_stream, kyiv_values
-from .marchwicki import MMSpec, mm_scale, mm_stream
+from .grouped import GroupedStream
+from .kyiv import KyivSpec, kyiv_stream
+from .marchwicki import MMSpec, mm_stream
 from .periodic import periodic_tail
 
 
@@ -39,17 +40,18 @@ class StandardnessResult:
         }
 
 
-def _gf_length(spec: GFSpec, i: int) -> Fraction:
+def _gf_length(spec: GFSpec, stream: GroupedStream, i: int) -> Fraction:
     return (spec.s(i) - spec.m[i]) * spec.q[i]
 
 
-def _mm_length(spec: MMSpec, i: int) -> Fraction:
-    return (3 * 2 ** spec.gaps[i] - 1) * mm_scale(spec, i)
+def _mm_length(spec: MMSpec, stream: GroupedStream, i: int) -> Fraction:
+    q = stream.group_terms(i)[-1] / 2  # every block ends with the coefficient 2
+    return (3 * 2 ** spec.gaps[i] - 1) * q
 
 
-def _kyiv_length(spec: KyivSpec, i: int) -> Fraction:
+def _kyiv_length(spec: KyivSpec, stream: GroupedStream, i: int) -> Fraction:
     m = spec.m[i]
-    return (spec.s[i] - m + 6 - Fraction(4, m)) * kyiv_values(spec, i).a
+    return (spec.s[i] - m + 6 - Fraction(4, m)) * stream.group_terms(i)[0]  # a_i
 
 
 # spec type -> (family name, stream constructor, interval-length weight)
@@ -69,8 +71,9 @@ def standardness_ratio(spec, k: int) -> StandardnessResult:
     for mm, and (s_i - m_i + 6 - 4/m_i) a_i for kyiv.  Past the family
     stream's preperiod that weight scales like the groups, so
     ``periodic_tail`` sums it with the stream's period and block ratio, and
-    the ratio is that sum over the stream's ``group_tail(j)``.  Other
-    inputs are rejected.
+    the ratio is that sum over the stream's ``group_tail(j)``.  The mm and
+    kyiv weights read q_i and a_i off the stream's groups.  Other inputs
+    are rejected.
     """
     if k < 1:
         raise ValueError("indices start at 1")
@@ -84,7 +87,9 @@ def standardness_ratio(spec, k: int) -> StandardnessResult:
     pre, period = stream.preperiod, stream.period
 
     def ratio(j: int) -> Fraction:
-        length = periodic_tail(partial(weight, spec), j, pre, period, stream.block_ratio)
+        length = periodic_tail(
+            partial(weight, spec, stream), j, pre, period, stream.block_ratio
+        )
         return length / stream.group_tail(j)
 
     limit = max(ratio(j) for j in range(pre + 1, pre + period + 1))

@@ -79,23 +79,13 @@ class RepeatedTermSpec:
         )
 
 
-class RepeatedTermStream(GroupedStream):
+def repeated_stream(spec: RepeatedTermSpec) -> GroupedStream:
     """Expanded stream: group i is counts[i] copies of y_i."""
-
-    def __init__(self, spec: RepeatedTermSpec) -> None:
-        self.spec = spec
-        super().__init__(
-            preperiod=spec.group_preperiod,
-            period=spec.group_period,
-            block_ratio=spec.block_ratio,
-        )
-
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        return (self.spec.y.value(k),) * self.spec.counts[k]
-
-
-def repeated_stream(spec: RepeatedTermSpec) -> RepeatedTermStream:
-    return RepeatedTermStream(spec)
+    pre, period = spec.group_preperiod, spec.group_period
+    groups = [
+        (spec.y.value(i),) * spec.counts[i] for i in range(1, pre + 2 * period + 1)
+    ]
+    return GroupedStream(groups, pre, period)
 
 
 @dataclass(frozen=True)

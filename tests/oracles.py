@@ -7,8 +7,10 @@ Expected values frozen in the tests were computed with these.
 
 The reference section at the end keeps the library's earlier Fraction
 implementations of the certificate search and the representation oracle,
-which the integer-lattice versions must match result for result, and its
-earlier per-family tail sums, which ``periodic_tail`` replaced.
+which the integer-lattice versions must match result for result, its
+earlier per-family tail sums, which ``periodic_tail`` replaced, and its
+earlier per-family group closed forms, which every family stream must
+reproduce now that it derives each later group from its first ones.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from fractions import Fraction
 from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, iterate
 from cantorval.exact import EMPTY_SET, Interval, IntervalSet, normalize, rat
 from cantorval.families.ferens import GFSpec
-from cantorval.families.kyiv import KyivSpec, kyiv_values
-from cantorval.families.marchwicki import MMSpec, mm_scale
-from cantorval.families.multigeometric import mg_block
+from cantorval.families.kyiv import KyivSpec, KyivValues
+from cantorval.families.marchwicki import MMSpec, mm_block_coefficients, mm_scale
+from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head, mg_block
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import CapacityError
 
@@ -438,6 +440,15 @@ def _gf_ratio(spec, k):
     return num / den
 
 
+def mm_block_ratio(spec):
+    """Scale factor of q over one full period of blocks, as MMSpec computed it."""
+    ratio = Fraction(1)
+    start = spec.group_preperiod + 1
+    for s in range(start, start + spec.group_period):
+        ratio /= 3 * 2 ** spec.gaps[s]
+    return ratio
+
+
 def _mm_ratio(spec, k):
     pre = spec.group_preperiod + 1
     period = spec.group_period
@@ -446,27 +457,29 @@ def _mm_ratio(spec, k):
         lambda i: mm_scale(spec, i),
         pre,
         period,
-        spec.block_ratio,
+        mm_block_ratio(spec),
     )
     den = weighted_block_geometric(
         lambda i: 5 * 2 ** spec.gaps[i] - 1,
         lambda i: mm_scale(spec, i),
         pre,
         period,
-        spec.block_ratio,
+        mm_block_ratio(spec),
     )
     return num.tail(k) / den.tail(k)
 
 
 def _kyiv_ratio(spec, k):
-    vals = kyiv_values(spec, k)
+    vals = reference_kyiv_values(spec, k)
     pre = spec.group_preperiod + 1
     period = spec.group_period
     probe = pre + 1
-    block_ratio = kyiv_values(spec, probe + period).a / kyiv_values(spec, probe).a
+    block_ratio = (
+        reference_kyiv_values(spec, probe + period).a / reference_kyiv_values(spec, probe).a
+    )
     weighted = weighted_block_geometric(
         lambda i: spec.s[i] - spec.m[i] + 6 - Fraction(4, spec.m[i]),
-        lambda i: kyiv_values(spec, i).a,
+        lambda i: reference_kyiv_values(spec, i).a,
         pre,
         period,
         block_ratio,
@@ -490,3 +503,76 @@ def reference_standardness(spec, k):
         raise ValueError("no reference standardness ratio for this spec")
     limit = max(ratio_at(spec, j) for j in range(pre + 1, pre + period + 1))
     return ratio_at(spec, k), limit
+
+
+# --- Reference: the per-family group closed forms ----------------------------
+
+
+def reference_kyiv_values(spec, k):
+    """Exact a_k, r_{N_k}, G_k; cross-checks the one-step recurrence.
+
+    The recurrence a_{k+1}/a_k = 2 m_{k+1} / (m_k d_{k+1}) must reproduce the
+    closed form; a mismatch would be an implementation bug, so it is asserted.
+    """
+    if k < 1:
+        raise ValueError("group indices start at 1")
+    prod = 1
+    for i in range(1, k + 1):
+        prod *= spec.divisor(i)
+    a = Fraction(2 ** (k - 1) * spec.m[k], prod)
+    r = Fraction(2**k, prod)
+    if k > 1:
+        prev = reference_kyiv_values(spec, k - 1).a
+        step = Fraction(2 * spec.m[k], spec.m[k - 1] * spec.divisor(k))
+        assert a == prev * step, "closed form disagrees with the recurrence"
+    assert r == 2 * a / spec.m[k], "boundary tail disagrees with 2 a_k / m_k"
+    return KyivValues(k=k, a=a, boundary_tail=r, group_sum=(spec.s[k] + spec.m[k]) * a)
+
+
+class ReferenceGroups:
+    """group_terms(k) of each family stream, from that family's closed form.
+
+    Each branch is the body of the family's own stream class before the
+    streams were built from their first groups.  Groups are memoized in k
+    order, so the multigeometric run scaling never nests deeply.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._groups = {}
+        if isinstance(spec, MultigeometricSpec):
+            self._head = _sorted_head(spec)
+
+    def _group(self, k):
+        got = self._groups.get(k)
+        if got is None:
+            got = self._groups[k] = tuple(self.group_terms(k))
+        return got
+
+    def boundary(self, k):
+        """Builds groups 1..k in order."""
+        for j in range(1, k + 1):
+            self._group(j)
+
+    def groups(self, k):
+        """Groups 1..k."""
+        return [self._group(j) for j in range(1, k + 1)]
+
+    def group_terms(self, k):
+        spec = self.spec
+        if isinstance(spec, MultigeometricSpec):
+            if k <= len(self._head):
+                return self._head[k - 1]
+            self.boundary(k - 1)  # builds groups 1..k-1 in order, no deep recursion
+            return tuple(t * self.spec.ratio for t in self._group(k - 1))
+        if isinstance(spec, GFSpec):
+            m, r, q = self.spec.m[k], self.spec.k[k], self.spec.q[k]
+            return tuple((m + t) * q for t in range(r - 1, -1, -1))
+        if isinstance(spec, MMSpec):
+            q = mm_scale(self.spec, k)
+            return tuple(b * q for b in mm_block_coefficients(self.spec.gaps[k]))
+        if isinstance(spec, KyivSpec):
+            a = reference_kyiv_values(self.spec, k).a
+            m, s = self.spec.m[k], self.spec.s[k]
+            return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
+        return (self.spec.y.value(k),) * self.spec.counts[k]

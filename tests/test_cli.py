@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval.cli import _dumps, build_report, main, validate_report_document
 from cantorval.families import spec_from_json
+
+from test_families import mm_specs
+from test_uniqueness import repeated_specs
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 GN_JSON = '{"type":"multigeometric","k":[3,2],"q":"1/4"}'
@@ -27,6 +30,13 @@ ZERO_K = '{"type":"multigeometric","k":[3,"2/0"],"q":"1/4"}'
 REPEATED = (
     '{"type":"repeated","y":{"pre":[],"block":["1/4"],"ratio":"1/4"},'
     '"counts":{"pre":[],"period":[2]}}'
+)
+# more block coefficients than the block enumeration once allowed
+ONES_31 = json.dumps({"type": "multigeometric", "k": [1] * 31, "q": "1/100"})
+# a Kyiv head of 1200 groups, built in one pass without recursion
+KYIV_LONG_HEAD = json.dumps(
+    {"type": "kyiv", "m": {"pre": [4] * 1200, "period": [4]},
+     "s": {"pre": [8] * 1200, "period": [8]}}
 )
 # JSON true is a Python bool, and so an int: each spec must still refuse it
 MM_TRUE = '{"type":"mm","gaps":{"pre":[],"period":[true]}}'
@@ -197,6 +207,16 @@ class TestAnalyze:
         path.write_text(GN_JSON)
         proc = run_cli("analyze", "--spec", str(path), "--depth", "4")
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "spec,depth", [(ONES_31, "8"), (KYIV_LONG_HEAD, "4")], ids=["ones-31", "kyiv-head-1200"]
+    )
+    def test_validated_large_spec_analyzes(self, spec, depth):
+        checked = run_cli("validate", "--inline", spec)
+        proc = run_cli("analyze", "--inline", spec, "--depth", depth)
+        assert checked.returncode == 0
+        assert proc.returncode == 0
+        assert "Traceback" not in checked.stderr + proc.stderr
 
     def test_repeated_spec_uniqueness_section(self):
         proc = run_cli("analyze", "--inline", REPEATED, "--depth", "6")
@@ -380,3 +400,52 @@ class TestFuzzedSpecs:
             # 1 is a failed admissibility condition, reported on stdout
             assert len(err.getvalue().splitlines()) == (1 if code in (2, 3) else 0)
             assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def multigeometric_json(draw):
+    """1-32 coefficients in 1..3 and q = 1/b or a/b, b <= 10; k_m < k_1 q
+    whenever the coefficients spread wider than 1/q."""
+    coefficients = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=32)))
+    b = draw(st.integers(2, 10))
+    a = draw(st.one_of(st.just(1), st.integers(1, b - 1)))
+    return {"type": "multigeometric", "k": coefficients[::-1], "q": f"{a}/{b}"}
+
+
+@st.composite
+def kyiv_json(draw):
+    """m in 3..6, preperiod 0-2 and period 1-2 long, and s_n >= 3 m_n - 4
+    at every index, so validate passes unless no m in the period reaches 4."""
+    m = {
+        "pre": draw(st.lists(st.integers(3, 6), max_size=2)),
+        "period": draw(st.lists(st.integers(3, 6), min_size=1, max_size=2)),
+    }
+    s = {key: [3 * v - 4 + draw(st.integers(0, 4)) for v in m[key]] for key in m}
+    return {"type": "kyiv", "m": m, "s": s}
+
+
+class TestValidatedSpecsAnalyze:
+    """A spec that validate accepts can be analyzed (generalized Ferens is
+    left out: validate still accepts some GF specs whose stream is not
+    monotone across a group boundary)."""
+
+    @given(
+        st.one_of(
+            multigeometric_json(),
+            mm_specs().map(lambda spec: spec.to_json()),
+            kyiv_json(),
+            repeated_specs().map(lambda spec: spec.to_json()),
+        )
+    )
+    @example(json.loads(ONES_31))
+    @settings(max_examples=100, deadline=None)
+    def test_validate_pass_implies_analyze_runs(self, doc):
+        spec = json.dumps(doc)
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["validate", "--inline", spec]) != 0:
+                return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--inline", spec, "--depth", "3"])
+        assert code in (0, 3)
+        assert "Traceback" not in err.getvalue()

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from cantorval.classify import resolve_stream
 from cantorval.families import (
     BlockGeometric,
     GFSpec,
@@ -36,7 +37,14 @@ from cantorval.series import StreamError
 from cantorval.tightness import max_tight_diameter
 from cantorval.uniqueness import RepeatedTermSpec
 
-from oracles import brute_subsums, reference_gf2_failure, reference_standardness
+from oracles import (
+    ReferenceGroups,
+    brute_subsums,
+    reference_gf2_failure,
+    reference_kyiv_values,
+    reference_standardness,
+)
+from test_uniqueness import repeated_specs
 
 
 GN = multigeometric([3, 2], "1/4")
@@ -364,21 +372,21 @@ class TestStandardness:
 
 
 def _periodic_seqs(draw, values):
-    """PeriodicSeq with a preperiod of 0-1 and a period of 1-2 entries."""
+    """PeriodicSeq with a preperiod of 0-2 and a period of 1-2 entries."""
     return PeriodicSeq(
-        tuple(draw(st.lists(values, max_size=1))),
+        tuple(draw(st.lists(values, max_size=2))),
         tuple(draw(st.lists(values, min_size=1, max_size=2))),
     )
 
 
 @st.composite
 def gf_specs(draw):
-    """Preperiod 0-1 and period 1-2 in m, k and q, with m_n < k_n; q falls
+    """Preperiod 0-2 and period 1-2 in m, k and q, with m_n < k_n; q falls
     at least 5-fold per group, so the stream is nonincreasing."""
     m = _periodic_seqs(draw, st.integers(2, 4))
     k = _periodic_seqs(draw, st.integers(5, 7))
     steps = draw(st.lists(st.integers(5, 40), min_size=4, max_size=4))
-    pre_len = draw(st.integers(0, 1))
+    pre_len = draw(st.integers(0, 2))
     block_len = draw(st.integers(1, 2))
     values = [F(1, draw(st.integers(2, 10)))]
     for step in steps[: pre_len + block_len - 1]:
@@ -400,6 +408,37 @@ def kyiv_specs(draw):
     return KyivSpec(
         _periodic_seqs(draw, st.integers(2, 6)), _periodic_seqs(draw, st.integers(1, 12))
     )
+
+
+@st.composite
+def mg_specs(draw):
+    """1-4 coefficients in 1..6 and q = a/b with b <= 10; the sorted stream
+    has a preperiod whenever k_m < k_1 q."""
+    coefficients = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    b = draw(st.integers(2, 10))
+    return multigeometric(coefficients[::-1], F(draw(st.integers(1, b - 1)), b))
+
+
+class TestStreamsMatchClosedForms:
+    """Each family stream, built from its first P + 2p groups, against the
+    family's closed form for every group through P + 4p."""
+
+    @given(st.one_of(mg_specs(), gf_specs(), mm_specs(), kyiv_specs(), repeated_specs()))
+    @example(multigeometric([5, 1], "2/3"))  # k_m < k_1 q: preperiod 2
+    @settings(max_examples=150, deadline=None)
+    def test_groups_and_tails(self, spec):
+        stream, _ = resolve_stream(spec)
+        last = stream.preperiod + 4 * stream.period
+        got = [stream.group_terms(k) for k in range(1, last + 1)]
+        assert got == ReferenceGroups(spec).groups(last)
+        for n in range(0, stream.boundary(last)):
+            assert stream.tail(n) == stream.term(n + 1) + stream.tail(n + 1)
+
+    @given(kyiv_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_kyiv_values_match_the_recursive_reference(self, spec):
+        for k in range(1, 41):
+            assert kyiv_values(spec, k) == reference_kyiv_values(spec, k)
 
 
 class TestTailsMatchReference:
