@@ -288,7 +288,7 @@ def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     )
     trend = tight_trend(ladder, horizon)
     try:
-        standardness = standardness_ratio(spec, 1).to_json()
+        standardness = standardness_ratio(spec, 1, stream).to_json()
     except ValueError:
         standardness = None
     return {
@@ -433,10 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; returns its exit code.
+
+    The parser is built on the first call and kept for later ones, so a
+    caller that runs many commands in one process (a benchmark, the test
+    suite, a library user) pays for the argument tree once.  A one-shot
+    process builds it once either way, and importing this module builds
+    nothing.  Defaults that read the environment, such as CANTORVAL_CAP,
+    are still read on every call.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     return args.handler(args)

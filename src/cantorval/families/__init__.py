@@ -8,7 +8,6 @@ from .marchwicki import (
     mm_block,
     mm_block_coefficients,
     mm_block_sum,
-    mm_scale,
     mm_stream,
 )
 from .kyiv import (

@@ -48,7 +48,8 @@ class GroupedStream(TermStream):
         self._block_ratio: Optional[Fraction] = None
         self._groups: list[tuple[Fraction, ...]] = [tuple(g) for g in groups]
         self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
-        self._tail_cache: dict[int, Fraction] = {}
+        self._tail_cache: dict[int, Fraction] = {}  # group tails, by group k
+        self._term_tails: dict[int, Fraction] = {}  # r_n, by term index n
         self._validate()
 
     # -- derived structure ------------------------------------------------
@@ -124,13 +125,18 @@ class GroupedStream(TermStream):
         return self.group_terms(k)[offset - 1]
 
     def tail(self, n: int) -> Fraction:
+        cached = self._term_tails.get(n)
+        if cached is not None:
+            return cached
         if n < 0:
             raise ValueError("tail indices start at 0")
         if n == 0:
-            return self.group_sum(1) + self.group_tail(1)
-        k, offset = self.locate(n)
-        rest = sum(self.group_terms(k)[offset:], Fraction(0))
-        return rest + self.group_tail(k)
+            value = self.group_sum(1) + self.group_tail(1)
+        else:
+            k, offset = self.locate(n)
+            value = sum(self.group_terms(k)[offset:], Fraction(0)) + self.group_tail(k)
+        self._term_tails[n] = value
+        return value
 
     def kakeya_pattern(self) -> Optional[KakeyaPattern]:
         # Terms and tails both scale by the block ratio from one period of

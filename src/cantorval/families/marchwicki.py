@@ -72,16 +72,6 @@ class MMSpec:
         return MMSpec(PeriodicSeq.from_json(doc["gaps"]))
 
 
-def mm_scale(spec: MMSpec, k: int) -> Fraction:
-    """q_k: q_1 = 1, thereafter divided by 3 * 2^(gaps[k]) at each step."""
-    if k < 1:
-        raise ValueError("block indices start at 1")
-    q = Fraction(1)
-    for s in range(2, k + 1):
-        q /= 3 * 2 ** spec.gaps[s]
-    return q
-
-
 def mm_stream(spec: MMSpec) -> GroupedStream:
     """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""
     # group k + L = ratio * group k needs gaps[k] and the q-recurrence

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Optional
 
 from ..exact import rat_str
 from .ferens import GFSpec, gf_stream
@@ -62,7 +63,9 @@ _FAMILIES = {
 }
 
 
-def standardness_ratio(spec, k: int) -> StandardnessResult:
+def standardness_ratio(
+    spec, k: int, stream: Optional[GroupedStream] = None
+) -> StandardnessResult:
     """Exact interval-over-tail ratio at group index k, with its periodic limsup.
 
     Defined for the generalized Ferens, Marchwicki-Miska, and Kyiv families.
@@ -74,6 +77,10 @@ def standardness_ratio(spec, k: int) -> StandardnessResult:
     the ratio is that sum over the stream's ``group_tail(j)``.  The mm and
     kyiv weights read q_i and a_i off the stream's groups.  Other inputs
     are rejected.
+
+    ``stream`` is the spec's family stream when the caller has already
+    built it (``analyze`` passes the one its report reads); without it the
+    stream is built, and validated, here.
     """
     if k < 1:
         raise ValueError("indices start at 1")
@@ -83,7 +90,8 @@ def standardness_ratio(spec, k: int) -> StandardnessResult:
             "standardness ratio has a closed form only for gf, mm, and kyiv specs"
         )
     name, make_stream, weight = family
-    stream = make_stream(spec)
+    if stream is None:
+        stream = make_stream(spec)
     pre, period = stream.preperiod, stream.period
 
     def ratio(j: int) -> Fraction:

@@ -266,7 +266,9 @@ class LatticeLevel:
         """The next level: these subsums merged with the same plus ``term``.
 
         Raises CapacityError, naming the full deduplicated size, when the
-        merge would hold more than ``cap`` values.
+        merge would hold more than ``cap`` values.  When it might (2n > cap),
+        the size is counted first by a merge that stores nothing, so the
+        error comes before the oversized level is allocated.
         """
         d = lcm(self.denominator, term.denominator)
         values = self.values
@@ -276,6 +278,10 @@ class LatticeLevel:
         shift = term.numerator * (d // term.denominator)
         counts = self.counts
         n = len(values)
+        if 2 * n > cap:
+            size = _merged_size(values, shift)
+            if size > cap:
+                raise CapacityError("subsum_ladder", size, cap)
         out_values: list[int] = []
         out_counts: list[int] = []
         i = j = 0
@@ -298,13 +304,28 @@ class LatticeLevel:
         out_counts.extend(counts[i:])
         out_values.extend(v + shift for v in values[j:])
         out_counts.extend(counts[j:])
-        if len(out_values) > cap:
-            raise CapacityError("subsum_ladder", len(out_values), cap)
         return LatticeLevel(d, tuple(out_values), tuple(out_counts))
 
     def points(self) -> PointSet:
         d = self.denominator
         return PointSet(tuple(Fraction(v, d) for v in self.values), self.counts)
+
+
+def _merged_size(values, shift: int) -> int:
+    """|values u (values + shift)| for strictly increasing ``values``."""
+    n = len(values)
+    common = i = j = 0
+    while i < n and j < n:
+        a, b = values[i], values[j] + shift
+        if a < b:
+            i += 1
+        elif b < a:
+            j += 1
+        else:
+            common += 1
+            i += 1
+            j += 1
+    return 2 * n - common
 
 
 @dataclass(frozen=True)

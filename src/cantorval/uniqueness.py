@@ -5,12 +5,15 @@ non-unique (both extend by the empty tail).  The converse direction is not
 finitely decidable, so the module reports certified collisions, an outer
 brick approximation of the depth-k multiple-representation set, and the
 semi-fast criterion that forces global uniqueness for repeated-term series.
+
+Collisions are tallied over multiplicity profiles (how many terms of each
+distinct value a subsum takes) in one pass over the value groups, which
+keeps per sum only its profile count and the ranks of its first two
+profiles; witnesses are decoded from those ranks for collided sums alone.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -146,45 +149,82 @@ def _value_groups(terms: tuple[Fraction, ...]) -> list[tuple[Fraction, list[int]
     return groups
 
 
+def _profile_pass(
+    weights: list[int], sizes: list[int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Every multiplicity-profile sum, in one pass from the last group to the first.
+
+    A profile takes 0..sizes[i] terms of weight weights[i] from group i.
+    Its rank is the mixed-radix number whose digits are those counts, group
+    1 most significant and radix sizes[i] + 1, so rank order is the order of
+    ``itertools.product`` over the groups.  Returns, for each reachable sum,
+    the number of profiles reaching it, the rank of the first, and the rank
+    of the second when there is one.  Prepending a group puts its digit in
+    front: digit n adds n * weight to the sum and n * radix to the rank, and
+    every rank with digit n precedes every rank with digit n + 1, so taking
+    the digits in increasing order keeps the first two ranks of each sum.
+    """
+    tally, first, second = {0: 1}, {0: 0}, {}
+    radix = 1
+    for weight, size in zip(reversed(weights), reversed(sizes)):
+        new_tally, new_first, new_second = dict(tally), dict(first), dict(second)
+        for n in range(1, size + 1):
+            shift, offset = n * weight, n * radix
+            for v, count in tally.items():
+                u = v + shift
+                seen = new_tally.get(u)
+                if seen is None:
+                    new_tally[u] = count
+                    new_first[u] = first[v] + offset
+                    if v in second:
+                        new_second[u] = second[v] + offset
+                else:
+                    new_tally[u] = seen + count
+                    if u not in new_second:
+                        new_second[u] = first[v] + offset
+        tally, first, second = new_tally, new_first, new_second
+        radix *= size + 1
+    return tally, first, second
+
+
 def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     """Collisions (distinct value multisets, same sum) with witness subsets.
 
-    Enumerates multiplicity profiles over the distinct term values of the
-    ladder's stream; the profile count is guarded by the ladder's cap.  The
-    reported count for each collision value is the number of distinct
-    multisets achieving it.
+    Tallies the sums of the multiplicity profiles over the distinct term
+    values of the ladder's stream in one pass over the value groups (see
+    ``_profile_pass``), and decodes witness profiles only for collided
+    values: the first two profiles reaching the value, in the order of
+    ``itertools.product`` over the groups.  The profile count is guarded by
+    the ladder's cap.  The reported count for each collision value is the
+    number of distinct multisets achieving it; when the first k terms are
+    distinct, the tallies are the subset counts of the ladder's F_k.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
     terms = ladder.stream.terms(k)
     groups = _value_groups(terms)
+    sizes = [len(indices) for _, indices in groups]
     total = 1
-    for _, indices in groups:
-        total *= len(indices) + 1
+    for size in sizes:
+        total *= size + 1
         if total > ladder.cap:
             raise CapacityError("repetition_report", total, ladder.cap)
     # Profile sums on the lattice of D_k, the lcm of the term denominators.
     d = lcm(*(t.denominator for t in terms))
     weights = [v.numerator * (d // v.denominator) for v, _ in groups]
-    seen: dict[int, list[tuple[int, ...]]] = {}
-    tallies: dict[int, int] = {}
-    for profile in itertools.product(*(range(len(ix) + 1) for _, ix in groups)):
-        value = sum(map(operator.mul, profile, weights))
-        tallies[value] = tallies.get(value, 0) + 1
-        bucket = seen.setdefault(value, [])
-        if len(bucket) < 2:
-            bucket.append(profile)
+    tallies, first, second = _profile_pass(weights, sizes)
     lattice = sorted(v for v, c in tallies.items() if c >= 2)
     collided = [Fraction(v, d) for v in lattice]
 
-    def subset(profile: tuple[int, ...]) -> tuple[int, ...]:
+    def subset(rank: int) -> tuple[int, ...]:
         picks: list[int] = []
-        for n, (_, indices) in zip(profile, groups):
+        for size, (_, indices) in zip(reversed(sizes), reversed(groups)):
+            rank, n = divmod(rank, size + 1)
             picks.extend(indices[:n])
         return tuple(sorted(picks))
 
     witnesses = tuple(
-        (f, subset(seen[v][0]), subset(seen[v][1])) for f, v in zip(collided, lattice)
+        (f, subset(first[v]), subset(second[v])) for f, v in zip(collided, lattice)
     )
     collision_set = (
         PointSet(tuple(collided), tuple(tallies[v] for v in lattice))

@@ -8,24 +8,30 @@ Expected values frozen in the tests were computed with these.
 The reference section at the end keeps the library's earlier Fraction
 implementations of the certificate search and the representation oracle,
 which the integer-lattice versions must match result for result, its
-earlier per-family tail sums, which ``periodic_tail`` replaced, and its
+earlier per-family tail sums, which ``periodic_tail`` replaced, its
 earlier per-family group closed forms, which every family stream must
-reproduce now that it derives each later group from its first ones.
+reproduce now that it derives each later group from its first ones, and
+its earlier enumeration of every multiplicity profile in
+``repetition_report``, which the one-pass tally must match report for
+report.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from math import lcm
 
 from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, iterate
-from cantorval.exact import EMPTY_SET, Interval, IntervalSet, normalize, rat
+from cantorval.exact import EMPTY_SET, Interval, IntervalSet, PointSet, normalize, rat
 from cantorval.families.ferens import GFSpec
 from cantorval.families.kyiv import KyivSpec, KyivValues
-from cantorval.families.marchwicki import MMSpec, mm_block_coefficients, mm_scale
+from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
 from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head, mg_block
 from cantorval.families.periodic import BlockGeometric
-from cantorval.series import CapacityError
+from cantorval.series import CapacityError, SubsumLadder
+from cantorval.uniqueness import RepetitionReport, _multirep_sweep, _value_groups
 
 
 def brute_subsums(values) -> dict[Fraction, int]:
@@ -440,6 +446,16 @@ def _gf_ratio(spec, k):
     return num / den
 
 
+def mm_scale(spec: MMSpec, k: int) -> Fraction:
+    """q_k: q_1 = 1, thereafter divided by 3 * 2^(gaps[k]) at each step."""
+    if k < 1:
+        raise ValueError("block indices start at 1")
+    q = Fraction(1)
+    for s in range(2, k + 1):
+        q /= 3 * 2 ** spec.gaps[s]
+    return q
+
+
 def mm_block_ratio(spec):
     """Scale factor of q over one full period of blocks, as MMSpec computed it."""
     ratio = Fraction(1)
@@ -576,3 +592,62 @@ class ReferenceGroups:
             m, s = self.spec.m[k], self.spec.s[k]
             return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
         return (self.spec.y.value(k),) * self.spec.counts[k]
+
+
+# --- Reference: repetition_report by enumerating every profile --------------
+
+
+def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
+    """Collisions (distinct value multisets, same sum) with witness subsets.
+
+    Enumerates multiplicity profiles over the distinct term values of the
+    ladder's stream; the profile count is guarded by the ladder's cap.  The
+    reported count for each collision value is the number of distinct
+    multisets achieving it.
+    """
+    if k < 0:
+        raise ValueError("depth must be nonnegative")
+    terms = ladder.stream.terms(k)
+    groups = _value_groups(terms)
+    total = 1
+    for _, indices in groups:
+        total *= len(indices) + 1
+        if total > ladder.cap:
+            raise CapacityError("repetition_report", total, ladder.cap)
+    # Profile sums on the lattice of D_k, the lcm of the term denominators.
+    d = lcm(*(t.denominator for t in terms))
+    weights = [v.numerator * (d // v.denominator) for v, _ in groups]
+    seen: dict[int, list[tuple[int, ...]]] = {}
+    tallies: dict[int, int] = {}
+    for profile in itertools.product(*(range(len(ix) + 1) for _, ix in groups)):
+        value = sum(map(operator.mul, profile, weights))
+        tallies[value] = tallies.get(value, 0) + 1
+        bucket = seen.setdefault(value, [])
+        if len(bucket) < 2:
+            bucket.append(profile)
+    lattice = sorted(v for v, c in tallies.items() if c >= 2)
+    collided = [Fraction(v, d) for v in lattice]
+
+    def subset(profile: tuple[int, ...]) -> tuple[int, ...]:
+        picks: list[int] = []
+        for n, (_, indices) in zip(profile, groups):
+            picks.extend(indices[:n])
+        return tuple(sorted(picks))
+
+    witnesses = tuple(
+        (f, subset(seen[v][0]), subset(seen[v][1])) for f, v in zip(collided, lattice)
+    )
+    collision_set = (
+        PointSet(tuple(collided), tuple(tallies[v] for v in lattice))
+        if collided
+        else PointSet((), ())
+    )
+    outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
+    return RepetitionReport(
+        k=k,
+        collisions=collision_set,
+        witnesses=witnesses,
+        outer_denominator=outer_d,
+        outer_starts=starts,
+        outer_ends=ends,
+    )

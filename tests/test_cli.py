@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantorval import cli
 from cantorval.cli import _dumps, build_report, main, validate_report_document
 from cantorval.families import spec_from_json
 
@@ -188,6 +189,31 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert "capacity" in proc.stderr.lower()
 
+    def test_oversized_block_level_fails_before_it_is_built(self):
+        # the block of (2^22, ..., 2, 1 x 9; 1/2) reaches 2,097,152 subsums at
+        # its 21st coefficient, past the default cap; the block ladder must
+        # refuse that level before merging it (peak about 160 MB when it merged
+        # first), and the report, which does without the block, is unchanged
+        script = (
+            "import contextlib, hashlib, io, json, resource\n"
+            "from cantorval.cli import main\n"
+            "k = [2 ** e for e in range(22, 0, -1)] + [1] * 9\n"
+            "spec = json.dumps({'type': 'multigeometric', 'k': k, 'q': '1/2'})\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['analyze', '--inline', spec])\n"
+            "digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+            "print(code, digest, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.stderr == ""
+        code, digest, peak_kb = proc.stdout.split()
+        assert code == "0"
+        assert digest == "7cd7e841ad36e37dee9dc1eacbfd015082e4cfa162005050bf3691a21ac2e16c"
+        assert int(peak_kb) < 135 * 1024
+
     def test_env_cap_override(self):
         proc = run_cli(
             "analyze", "--inline", GN_JSON, "--depth", "9",
@@ -300,6 +326,30 @@ class TestReportBuilder:
 
     def test_main_returns_usage_on_unknown_flag(self):
         assert main(["analyze", "--bogus"]) == 2
+
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        gn = str(SPECS / "gn.json")
+        assert main(["analyze", "--depth", "0"]) == 2
+        assert main(["validate", "--spec", gn]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--spec", gn, "--depth", "6"]) == 0
+        in_process = capsys.readouterr().out
+        assert builds == [1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cantorval", "analyze", "--spec", gn, "--depth", "6"],
+            capture_output=True,
+        )
+        assert fresh.returncode == 0
+        assert in_process.encode() == fresh.stdout
 
 
 # JSON trees for the report encoder: strings with escapes, non-ASCII and

@@ -25,7 +25,6 @@ from cantorval.families import (
     mm_block,
     mm_block_coefficients,
     mm_block_sum,
-    mm_scale,
     mm_stream,
     multigeometric,
     spec_from_json,
@@ -40,6 +39,7 @@ from cantorval.uniqueness import RepeatedTermSpec
 from oracles import (
     ReferenceGroups,
     brute_subsums,
+    mm_scale,
     reference_gf2_failure,
     reference_kyiv_values,
     reference_standardness,
@@ -433,6 +433,22 @@ class TestStreamsMatchClosedForms:
         assert got == ReferenceGroups(spec).groups(last)
         for n in range(0, stream.boundary(last)):
             assert stream.tail(n) == stream.term(n + 1) + stream.tail(n + 1)
+
+    @given(st.one_of(mg_specs(), gf_specs(), mm_specs(), kyiv_specs(), repeated_specs()))
+    @example(multigeometric([5, 1], "2/3"))
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_tails_match_fresh_streams(self, spec):
+        # tail(n) is kept per index: any reading order, and a second reading,
+        # must give what a stream that has computed nothing yet gives
+        stream, _ = resolve_stream(spec)
+        indices = range(stream.boundary(stream.preperiod + 3 * stream.period) + 1)
+        fresh = [resolve_stream(spec)[0].tail(n) for n in indices]
+        ascending, _ = resolve_stream(spec)
+        assert [ascending.tail(n) for n in indices] == fresh
+        assert [ascending.tail(n) for n in indices] == fresh
+        descending, _ = resolve_stream(spec)
+        assert [descending.tail(n) for n in reversed(indices)] == fresh[::-1]
+        assert [descending.tail(n) for n in indices] == fresh
 
     @given(kyiv_specs())
     @settings(max_examples=40, deadline=None)

@@ -9,12 +9,14 @@ from cantorval.families.periodic import BlockGeometric
 from cantorval.series import (
     DEFAULT_CAP,
     CapacityError,
+    FiniteStream,
     GeometricTailStream,
     SubsumLadder,
     kakeya_split,
 )
 from cantorval.uniqueness import (
     RepeatedTermSpec,
+    _profile_pass,
     multirep_outer,
     repeated_stream,
     repetition_report,
@@ -24,6 +26,7 @@ from cantorval.uniqueness import (
 )
 
 from oracles import (
+    enumerated_repetition_report,
     fraction_representation_uniqueness_oracle,
     point_in_set,
     reference_semifast_violation,
@@ -103,6 +106,66 @@ class TestCollisions:
         spec = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
         report = repetition_report(SubsumLadder(repeated_stream(spec)), 6)
         assert len(report.collisions) == 0
+
+
+# a small pool of term values, so that drawn streams repeat values often
+POOL = sorted({F(a, b) for a in (1, 2, 3) for b in (1, 2, 3, 4, 6)}, reverse=True)
+
+
+@st.composite
+def streams_with_depth(draw, distinct=False):
+    """(stream, k): a finite or geometric-tail stream and a depth 0..10 within it.
+
+    Terms come from POOL, nonincreasing, so values repeat unless
+    ``distinct``; a geometric tail may start at the last explicit value.
+    """
+    picks = st.lists(st.sampled_from(POOL), max_size=10, unique=distinct)
+    prefix = sorted(draw(picks), reverse=True)
+    if draw(st.booleans()):
+        stream = FiniteStream(prefix)
+        return stream, draw(st.integers(0, len(prefix)))
+    top = prefix[-1] if prefix else POOL[0]
+    below = [v for v in POOL if v < top or v == top and not distinct]
+    start = draw(st.sampled_from(below)) if below else top / 2
+    ratio = F(draw(st.integers(1, 3)), draw(st.integers(4, 7)))
+    return GeometricTailStream(prefix, start, ratio), draw(st.integers(0, 10))
+
+
+class TestProfilePass:
+    """The one-pass profile tally against the earlier enumeration of every profile."""
+
+    @given(streams_with_depth())
+    @settings(max_examples=150, deadline=None)
+    @example((GeometricTailStream([], 1, F(1, 2)), 10))  # distinct terms, no collision
+    @example((FiniteStream([3, 2, 1]), 3))  # distinct terms, 3 = 2 + 1
+    @example((FiniteStream([1] * 8), 8))  # all terms equal: one multiset per size
+    @example((FiniteStream([3, 2, 2, 1, 1, 1]), 6))  # 3 = 2 + 1 = 1 + 1 + 1
+    def test_report_matches_enumeration(self, stream_and_depth):
+        stream, k = stream_and_depth
+        ladder = SubsumLadder(stream)
+        assert repetition_report(ladder, k).to_json() == (
+            enumerated_repetition_report(ladder, k).to_json()
+        )
+
+    @given(streams_with_depth(distinct=True))
+    @settings(max_examples=100, deadline=None)
+    @example((FiniteStream([3, 2, 1]), 3))
+    def test_distinct_terms_tally_the_ladder_counts(self, stream_and_depth):
+        stream, k = stream_and_depth
+        level = SubsumLadder(stream).level(k)
+        d = level.denominator
+        weights = [t.numerator * (d // t.denominator) for t in stream.terms(k)]
+        tallies, _, _ = _profile_pass(weights, [1] * k)
+        assert tuple(sorted(tallies)) == level.values
+        assert tuple(tallies[v] for v in level.values) == level.counts
+
+    def test_three_profiles_keep_the_first_two_witnesses(self):
+        report = repetition_report(SubsumLadder(FiniteStream([3, 2, 2, 1, 1, 1])), 6)
+        at = report.collisions.values.index(3)
+        assert report.collisions.counts[at] == 3  # {3}, {2, 1} and {1, 1, 1}
+        value, first, second = next(w for w in report.witnesses if w[0] == 3)
+        # in product order the profile with fewest 3s and 2s comes first
+        assert (first, second) == ((4, 5, 6), (2, 4))
 
 
 class TestMultirepOuter:
