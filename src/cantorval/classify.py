@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .engine import InteriorCertificate, certify_interior, iterate
+from .engine import InteriorCertificate, certify_interior, iterate, run_windows_verify
 from .exact import rat_str
 from .families.ferens import GFSpec, gf_stream, gf_validate
 from .families.kyiv import KyivSpec, kyiv_stream, kyiv_validate
@@ -61,9 +61,10 @@ class Classification:
     """A verdict at its tier, with the witnesses that place it there.
 
     ``certificate`` is the interior-certificate search that classify ran at
-    seed depth 2 (None when it ran none, or ran out of capacity).  It is not
-    part of the verdict or its JSON; build_report hands it on to
-    measure_bounds so the same search is not run twice.
+    seed depth 2 (None when it ran none, because no search could verify, or
+    ran out of capacity).  It is not part of the verdict or its JSON;
+    build_report hands it on to measure_bounds so the same search is not
+    run twice.
     """
 
     verdict: Verdict
@@ -202,6 +203,12 @@ def classify(
     pattern proofs, then exact finite certificates (multigeometric only),
     then finite-horizon heuristics.  Certified verdicts do not depend on the
     horizon, so they are stable under horizon increase.
+
+    The certificate tier is reached only with infinitely many Kakeya
+    indices (a multigeometric stream always has a pattern), where a search
+    verifies exactly when run_windows_verify(spec) holds (see the engine
+    module docstring), so only then does it search.  An unverified search
+    changes no verdict: the heuristic tier never reads it.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -225,10 +232,11 @@ def classify(
             return Classification(
                 Verdict.CANTOR, Tier.CERTIFIED, horizon, {"separated_blocks": separated}
             )
-        try:
-            certificate = certify_interior(spec, ladder, seed_depth=2, budget=budget)
-        except CapacityError:
-            certificate = None
+        if run_windows_verify(spec):
+            try:
+                certificate = certify_interior(spec, ladder, seed_depth=2, budget=budget)
+            except CapacityError:
+                certificate = None
         if (
             certificate is not None
             and certificate.verified

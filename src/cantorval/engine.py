@@ -9,6 +9,18 @@ union S with S contained in Phi(S) is contained in the achievement set
 (coinduction: S in Phi^j(I_0) for every j).  Verified such sets give exact
 lower bounds on the interior measure.
 
+A search can verify only in two ways.  When its refinement S -> S cap Phi(S)
+stabilizes, S lies in Phi(S), so S lies in the achievement set E; and E lies
+in every refined S, because E lies in the seed I_n and E = Phi(E) lies in
+Phi(S), and a perfect set loses no point when degenerate parts are dropped.
+So S = E, a finite union of intervals, which by Guthrie-Nymann happens only
+with finitely many Kakeya indices.  Otherwise the search falls back on the
+run-window candidates, which depend only on the spec, so with infinitely
+many Kakeya indices every search verifies exactly when
+``run_windows_verify(spec)`` holds, whatever its seed and budget.
+Unverified certificates never reach a report, so searches that cannot
+verify are skipped without changing a byte.
+
 The certificate search runs on integer endpoints: every set it handles is a
 sorted list of (lo, hi) integer pairs over one common denominator, and Phi
 maps a list over d to one over b * d for q = a / b.  Fractions are built
@@ -19,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional
 
@@ -220,6 +232,29 @@ def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
     return (b - a) * phi.sigma_den, candidates
 
 
+def _verified_run_windows(phi: _LatticeOperator) -> tuple[int, Parts]:
+    """The run-window candidates that cover themselves, with their denominator."""
+    d, candidates = _run_window_candidates(phi)
+    return d, [c for c in candidates if _self_covered(phi, d, [c])]
+
+
+@lru_cache(maxsize=64)
+def run_windows_verify(spec: MultigeometricSpec) -> bool:
+    """The union of the self-covered run-window candidates passes the recheck.
+
+    This is exactly the verdict of certify_interior whenever its refinement
+    does not stabilize, and it depends only on the spec, so it is kept per
+    spec as mg_block is.  A block over capacity counts as "cannot verify":
+    every search would raise CapacityError building it.
+    """
+    try:
+        phi = _LatticeOperator(spec)
+    except CapacityError:
+        return False
+    d, verified = _verified_run_windows(phi)
+    return bool(verified) and _self_covered(phi, d, nondegenerate_parts(merge_parts(verified)))
+
+
 def certify_interior(
     spec: MultigeometricSpec,
     ladder: SubsumLadder,
@@ -278,11 +313,7 @@ def certify_interior(
         # of Phi(S): the self-cover the final recheck confirms.
         verified, d_verified = s, d
     else:
-        d_verified, candidates = _run_window_candidates(phi)
-        verified = []
-        for candidate in candidates:
-            if _self_covered(phi, d_verified, [candidate]):
-                verified.append(candidate)
+        d_verified, verified = _verified_run_windows(phi)
 
     if verified:
         union = nondegenerate_parts(merge_parts(verified))
@@ -359,8 +390,16 @@ def measure_bounds(
     lower bound is certified only when ``spec`` is given (``ladder`` is then
     the ladder of mg_stream(spec)); other streams get a lower bound of zero
     here (their interior content is covered by the family closed forms
-    instead).  The best certificate over seed depths up to depth is used,
-    which keeps the boundary gap nonincreasing as depth and budget grow.
+    instead).  The first certificate of largest measure over seed depths up
+    to depth is used, which keeps the boundary gap nonincreasing as depth
+    and budget grow.
+
+    Only verified certificates count, so a search that cannot verify is
+    skipped.  With infinitely many Kakeya indices no refinement stabilizes
+    (see the module docstring): if ``run_windows_verify(spec)`` fails no
+    seed is searched, and if it holds every seed's certificate is the same
+    run-window union, so the first verified one is kept.  No certificate
+    exceeds lambda(I_depth) either, so the seeds stop once lower == upper.
 
     ``seed2``, when given, is the result of
     ``certify_interior(spec, ladder, 2, budget)`` already in hand (classify
@@ -375,7 +414,10 @@ def measure_bounds(
     lower = Fraction(0)
     best: Optional[InteriorCertificate] = None
     if spec is not None:
-        max_seed = max(1, min(depth // spec.m, 4))
+        pattern = ladder.stream.kakeya_pattern()
+        kakeya_infinite = pattern is not None and not pattern.kakeya_is_finite
+        searchable = not kakeya_infinite or run_windows_verify(spec)
+        max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):
             if seed == 2 and seed2 is not None:
                 cert = seed2
@@ -387,6 +429,8 @@ def measure_bounds(
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert
+                if kakeya_infinite or lower == upper:
+                    break
     return MeasureBounds(
         depth=depth,
         upper_lambda_e=upper,

@@ -50,6 +50,7 @@ class GroupedStream(TermStream):
         self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
         self._tail_cache: dict[int, Fraction] = {}  # group tails, by group k
         self._term_tails: dict[int, Fraction] = {}  # r_n, by term index n
+        self._pattern: Optional[KakeyaPattern] = None
         self._validate()
 
     # -- derived structure ------------------------------------------------
@@ -138,10 +139,13 @@ class GroupedStream(TermStream):
         self._term_tails[n] = value
         return value
 
-    def kakeya_pattern(self) -> Optional[KakeyaPattern]:
+    def kakeya_pattern(self) -> KakeyaPattern:
         # Terms and tails both scale by the block ratio from one period of
         # groups to the next (beyond the preperiod), so the comparison signs
-        # over a single period of groups repeat exactly.
+        # over a single period of groups repeat exactly.  Computed once and
+        # kept, like the tails.
+        if self._pattern is not None:
+            return self._pattern
         head = self.boundary(self._preperiod)
         cycle_end = self.boundary(self._preperiod + self._period)
         prefix = tuple(
@@ -150,7 +154,8 @@ class GroupedStream(TermStream):
         cycle = tuple(
             compare_sign(self.term(n), self.tail(n)) for n in range(head + 1, cycle_end + 1)
         )
-        return KakeyaPattern(prefix, cycle)
+        self._pattern = KakeyaPattern(prefix, cycle)
+        return self._pattern
 
     # -- construction-time validation ---------------------------------------
 

@@ -8,6 +8,8 @@ Expected values frozen in the tests were computed with these.
 The reference section at the end keeps the library's earlier Fraction
 implementations of the certificate search and the representation oracle,
 which the integer-lattice versions must match result for result, its
+earlier classify and measure-bounds seed loop, which searched at every
+chance where the library now skips the searches that cannot verify, its
 earlier per-family tail sums, which ``periodic_tail`` replaced, its
 earlier per-family group closed forms, which every family stream must
 reproduce now that it derives each later group from its first ones, and
@@ -23,14 +25,16 @@ import operator
 from fractions import Fraction
 from math import lcm
 
-from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, iterate
+from cantorval import classify as classify_module, engine
+from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, MeasureBounds, iterate
 from cantorval.exact import EMPTY_SET, Interval, IntervalSet, PointSet, normalize, rat
 from cantorval.families.ferens import GFSpec
 from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
 from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head, mg_block
 from cantorval.families.periodic import BlockGeometric
-from cantorval.series import CapacityError, SubsumLadder
+from cantorval.series import GREATER, CapacityError, SubsumLadder, TermStream, kakeya_split
+from cantorval.tightness import tight_trend
 from cantorval.uniqueness import RepetitionReport, _multirep_sweep, _value_groups
 
 
@@ -337,6 +341,133 @@ def fraction_certify_interior(
         rounds=rounds,
         diagnostics=tuple(diagnostics),
     )
+
+
+# --- Reference: every certificate search run ------------------------------
+
+
+def every_seed_measure_bounds(ladder, depth, budget=12, spec=None, *, seed2=None):
+    """measure_bounds searching every seed depth 1 .. min(4, depth // m).
+
+    The library skips the searches that cannot verify; this is its seed loop
+    from before, which ran them all and kept the first certificate of
+    largest measure.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    upper = iterate(ladder, depth).measure
+    lower = Fraction(0)
+    best = None
+    if spec is not None:
+        max_seed = max(1, min(depth // spec.m, 4))
+        for seed in range(1, max_seed + 1):
+            if seed == 2 and seed2 is not None:
+                cert = seed2
+            else:
+                try:
+                    cert = engine.certify_interior(spec, ladder, seed, budget)
+                except CapacityError:
+                    continue
+            if cert.verified and cert.interior_measure > lower:
+                lower = cert.interior_measure
+                best = cert
+    return MeasureBounds(
+        depth=depth,
+        upper_lambda_e=upper,
+        lower_interior=lower,
+        boundary_gap=upper - lower,
+        certificate=best,
+    )
+
+
+def always_searching_classify(subject, ladder, horizon=12, budget=16):
+    """classify as it was when it ran its seed-2 search at every chance."""
+    c = classify_module
+    stream = ladder.stream
+    spec = None if isinstance(subject, TermStream) else subject
+
+    from_family = c._family_classification(spec, horizon) if spec is not None else None
+    if from_family is not None:
+        return from_family
+
+    pattern = stream.kakeya_pattern()
+    if pattern is not None:
+        from_pattern = c._pattern_classification(pattern, horizon)
+        if from_pattern is not None:
+            return from_pattern
+
+    certificate = None
+    if isinstance(spec, MultigeometricSpec):
+        separated = c._separated_blocks(spec)
+        if separated is not None:
+            return c.Classification(
+                c.Verdict.CANTOR, c.Tier.CERTIFIED, horizon, {"separated_blocks": separated}
+            )
+        try:
+            certificate = engine.certify_interior(spec, ladder, seed_depth=2, budget=budget)
+        except CapacityError:
+            certificate = None
+        if (
+            certificate is not None
+            and certificate.verified
+            and certificate.interior_measure > 0
+            and pattern is not None
+            and GREATER in pattern.cycle
+        ):
+            first_strict = next(
+                n for n in range(1, len(pattern.prefix) + len(pattern.cycle) + 1)
+                if pattern.comparison_at(n) == GREATER
+            )
+            gap_witness = iterate(ladder, first_strict).gaps()
+            return c.Classification(
+                c.Verdict.CANTORVAL,
+                c.Tier.CERTIFIED,
+                horizon,
+                {
+                    "certificate": certificate.to_json(),
+                    "kakeya_pattern": c._pattern_witness(pattern),
+                    "gaps": gap_witness.to_pairs(),
+                },
+                certificate,
+            )
+
+    trend = tight_trend(ladder, horizon)
+    report = iterate(ladder, horizon)
+    split = kakeya_split(stream, horizon)
+    witness = {
+        "tight_trend": trend.to_json(),
+        "gap_count": report.gap_count,
+        "kakeya": split.to_json(),
+    }
+    if pattern is not None:
+        witness["kakeya_pattern"] = c._pattern_witness(pattern)
+    kakeya_infinite = (
+        GREATER in pattern.cycle if pattern is not None else bool(split.kakeya)
+    )
+    if trend.interval_evidence and report.gap_count > 0 and kakeya_infinite:
+        verdict = c.Verdict.CANTORVAL
+    elif trend.interval_evidence and report.gap_count == 0:
+        verdict = c.Verdict.MULTI_INTERVAL
+    elif trend.final == 0:
+        verdict = c.Verdict.CANTOR
+    else:
+        verdict = c.Verdict.UNKNOWN
+    return c.Classification(verdict, c.Tier.HEURISTIC, horizon, witness, certificate)
+
+
+def reference_report_sections(spec, depth, horizon, cap, budget) -> dict:
+    """build_report's classification and measure_bounds, every search run."""
+    ladder = SubsumLadder(classify_module.resolve_stream(spec)[0], cap)
+    classification = always_searching_classify(spec, ladder, horizon, budget)
+    searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
+    bounds = every_seed_measure_bounds(
+        ladder, depth, budget, spec if searchable else None,
+        seed2=classification.certificate,
+    )
+    return {
+        "classification": classification.to_json(),
+        "measure_bounds": bounds.to_json(),
+    }
 
 
 # --- Reference: the Fraction representation oracle -------------------------

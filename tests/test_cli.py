@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -474,20 +475,52 @@ def kyiv_json(draw):
     return {"type": "kyiv", "m": m, "s": s}
 
 
+@st.composite
+def gf_json(draw):
+    """m in 2..4 and k = m + 1..3, preperiod 0-2 and period 1-2 long, and
+    q falling 2- to 12-fold per group, so some groups start above the
+    previous group's last term."""
+    m = {
+        "pre": draw(st.lists(st.integers(2, 4), max_size=2)),
+        "period": draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)),
+    }
+    k = {key: [v + draw(st.integers(1, 3)) for v in m[key]] for key in m}
+    pre_len = draw(st.integers(0, 2))
+    block_len = draw(st.integers(1, 2))
+    steps = draw(st.lists(st.integers(2, 12), min_size=4, max_size=4))
+    values = [F(1, draw(st.integers(1, 10)))]
+    for step in steps[: pre_len + block_len - 1]:
+        values.append(values[-1] / step)
+    ratio = F(1, steps[-1])
+    for step in steps[pre_len : pre_len + block_len - 1]:
+        ratio /= step
+    q = {
+        "pre": [str(v) for v in values[:pre_len]],
+        "block": [str(v) for v in values[pre_len:]],
+        "ratio": str(ratio),
+    }
+    return {"type": "gf", "m": m, "k": k, "q": q}
+
+
 class TestValidatedSpecsAnalyze:
-    """A spec that validate accepts can be analyzed (generalized Ferens is
-    left out: validate still accepts some GF specs whose stream is not
-    monotone across a group boundary)."""
+    """A spec that validate accepts can be analyzed.
+
+    For generalized Ferens specs this rests on GF2: at index n it bounds
+    the tail past group n, and so group n + 1's first term, below m_n q_n,
+    the last term of group n, so a validated GF stream never increases
+    across a group boundary."""
 
     @given(
         st.one_of(
             multigeometric_json(),
+            gf_json(),
             mm_specs().map(lambda spec: spec.to_json()),
             kyiv_json(),
             repeated_specs().map(lambda spec: spec.to_json()),
         )
     )
     @example(json.loads(ONES_31))
+    @example(json.loads((SPECS / "gf_decimal.json").read_text()))
     @settings(max_examples=100, deadline=None)
     def test_validate_pass_implies_analyze_runs(self, doc):
         spec = json.dumps(doc)

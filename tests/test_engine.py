@@ -10,6 +10,7 @@ from cantorval.engine import (
     hutchinson,
     iterate,
     measure_bounds,
+    run_windows_verify,
 )
 from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, normalize
 from cantorval.families import (
@@ -28,6 +29,7 @@ from oracles import (
     fraction_certify_interior,
     is_subset_of,
     longest_component,
+    reference_report_sections,
 )
 
 DYADIC = multigeometric([1], "1/2")
@@ -324,3 +326,52 @@ class TestMeasureBounds:
         assert full.certificate is None
         report = build_report(spec, 6, 6, DEFAULT_CAP, 12)
         assert report["measure_bounds"] == full.to_json()
+
+
+def ratios():
+    """q = a / b with b <= 10, as (a, b)."""
+    return st.integers(2, 10).flatmap(
+        lambda b: st.tuples(st.one_of(st.just(1), st.integers(1, b - 1)), st.just(b))
+    )
+
+
+class TestSkippedSearches:
+    """With infinitely many Kakeya indices a search verifies exactly when the
+    run-window candidates do, so skipping the others changes no report."""
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        ratios(),
+        st.integers(1, 3),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(raw_coeffs=[5, 4, 3, 2], ratio=(1, 10), seed_depth=1, budget=12)  # verifies
+    @example(raw_coeffs=[3, 2], ratio=(1, 4), seed_depth=2, budget=12)  # does not
+    def test_search_never_stabilizes(self, raw_coeffs, ratio, seed_depth, budget):
+        spec = multigeometric(sorted(raw_coeffs, reverse=True), F(*ratio))
+        ladder = mg_ladder(spec)
+        assume(not ladder.stream.kakeya_pattern().kakeya_is_finite)
+        cert = certify_interior(spec, ladder, seed_depth, budget)
+        # an unstabilized refinement spends its budget or hits the part limit
+        assert cert.rounds == budget or any("exceed limit" in d for d in cert.diagnostics)
+        # and then verifies through the run-window candidates, which a
+        # budget-0 search tries at once
+        assert cert.verified == run_windows_verify(spec)
+        assert cert.s == certify_interior(spec, ladder, seed_depth, 0).s
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        ratios(),
+        st.integers(1, 8),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(raw_coeffs=[5, 4, 3, 2], ratio=(1, 10), depth=12, horizon=12)
+    @example(raw_coeffs=[5, 1], ratio=(2, 3), depth=6, horizon=6)  # preperiod 2
+    def test_report_sections_match_every_search(self, raw_coeffs, ratio, depth, horizon):
+        spec = multigeometric(sorted(raw_coeffs, reverse=True), F(*ratio))
+        report = build_report(spec, depth, horizon, DEFAULT_CAP, 12)
+        expected = reference_report_sections(spec, depth, horizon, DEFAULT_CAP, 12)
+        assert report["classification"] == expected["classification"]
+        assert report["measure_bounds"] == expected["measure_bounds"]

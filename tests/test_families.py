@@ -449,6 +449,9 @@ class TestStreamsMatchClosedForms:
         descending, _ = resolve_stream(spec)
         assert [descending.tail(n) for n in reversed(indices)] == fresh[::-1]
         assert [descending.tail(n) for n in indices] == fresh
+        # the Kakeya pattern is kept as well, whether read before or after
+        assert descending.kakeya_pattern() == resolve_stream(spec)[0].kakeya_pattern()
+        assert descending.kakeya_pattern() is descending.kakeya_pattern()
 
     @given(kyiv_specs())
     @settings(max_examples=40, deadline=None)
