@@ -17,11 +17,12 @@ Unknown is an honest first-class verdict, not an error.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .engine import InteriorCertificate, certify_interior, iterate, run_windows_verify
-from .exact import rat_str
+from .engine import certify_interior, iterate, run_windows_verify
+from .exact import lattice_str, rat_str
 from .families.ferens import GFSpec, gf_stream, gf_validate
 from .families.kyiv import KyivSpec, kyiv_stream, kyiv_validate
 from .families.marchwicki import MMSpec, mm_stream
@@ -58,20 +59,12 @@ class Tier(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """A verdict at its tier, with the witnesses that place it there.
-
-    ``certificate`` is the interior-certificate search that classify ran at
-    seed depth 2 (None when it ran none, because no search could verify, or
-    ran out of capacity).  It is not part of the verdict or its JSON;
-    build_report hands it on to measure_bounds so the same search is not
-    run twice.
-    """
+    """A verdict at its tier, with the witnesses that place it there."""
 
     verdict: Verdict
     tier: Tier
     horizon: int
     witnesses: dict = field(default_factory=dict)
-    certificate: Optional[InteriorCertificate] = field(default=None, compare=False)
 
     @property
     def interior_empty(self) -> bool:
@@ -177,15 +170,19 @@ def _separated_blocks(spec: MultigeometricSpec) -> Optional[dict]:
 
     Then the group-level bricks are pairwise disjoint and the separation
     recurs inside every brick by self-similarity, so the attractor is
-    totally disconnected: a Cantor set.
+    totally disconnected: a Cantor set.  The gaps are compared on the
+    block's lattice; a block of positive coefficients has at least two
+    subsums, so there is always a gap.
     """
     block = mg_block(spec)
-    gaps = block.gaps()
-    if gaps and min(gaps) > spec.total:
+    d, values = block.denominator, block.values
+    min_gap = min(map(operator.sub, values[1:], values))
+    r0 = spec.total
+    if min_gap * r0.denominator > r0.numerator * d:
         return {
-            "block": [rat_str(v) for v in block.values],
-            "min_gap": rat_str(min(gaps)),
-            "r0": rat_str(spec.total),
+            "block": [lattice_str(v, d) for v in values],
+            "min_gap": lattice_str(min_gap, d),
+            "r0": rat_str(r0),
         }
     return None
 
@@ -225,13 +222,13 @@ def classify(
         if from_pattern is not None:
             return from_pattern
 
-    certificate = None
     if isinstance(spec, MultigeometricSpec):
         separated = _separated_blocks(spec)
         if separated is not None:
             return Classification(
                 Verdict.CANTOR, Tier.CERTIFIED, horizon, {"separated_blocks": separated}
             )
+        certificate = None
         if run_windows_verify(spec):
             try:
                 certificate = certify_interior(spec, ladder, seed_depth=2, budget=budget)
@@ -261,7 +258,6 @@ def classify(
                     "kakeya_pattern": _pattern_witness(pattern),
                     "gaps": gap_witness.to_pairs(),
                 },
-                certificate,
             )
 
     # Heuristic tier: exact finite-horizon measurements, honest about reach.
@@ -286,4 +282,4 @@ def classify(
         verdict = Verdict.CANTOR
     else:
         verdict = Verdict.UNKNOWN
-    return Classification(verdict, Tier.HEURISTIC, horizon, witness, certificate)
+    return Classification(verdict, Tier.HEURISTIC, horizon, witness)

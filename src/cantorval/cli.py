@@ -271,21 +271,17 @@ def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     """The composite analysis document; everything exact and deterministic.
 
     One subsum ladder is built for the spec's stream and every section reads
-    its F_n from it.  Each interior-certificate search runs at most once:
-    measure_bounds reuses the seed-2 search that classify ran with the same
-    budget, and runs none at all when the classification proves the
-    interior empty (Finite or Cantor, Proved or Certified), because then
-    its lower bound is 0 with no certificate whatever the search finds.
+    its F_n from it.  measure_bounds runs no interior-certificate search
+    when the classification proves the interior empty (Finite or Cantor,
+    Proved or Certified), because then its lower bound is 0 with no
+    certificate whatever the search finds.
     """
     stream, _ = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
     classification = classify(spec, ladder, horizon=horizon, budget=budget)
     iterations = [iterate(ladder, n).to_json() for n in range(depth + 1)]
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
-    bounds = measure_bounds(
-        ladder, depth, budget, spec if searchable else None,
-        seed2=classification.certificate,
-    )
+    bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)
     trend = tight_trend(ladder, horizon)
     try:
         standardness = standardness_ratio(spec, 1, stream).to_json()

@@ -127,15 +127,16 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
 class _LatticeOperator:
     """Phi on integer parts: a part list over d maps to one over b * d.
 
-    With q = a / b and each block subsum sigma = sigmas[i] / sigma_den, the
-    part [lo, hi] / d of S maps to [a (sigma d + lo), a (sigma d + hi)] /
-    (b d).  ``d`` must be a multiple of sigma_den.
+    With q = a / b and each block subsum sigma = sigmas[i] / sigma_den, read
+    off the block's lattice, the part [lo, hi] / d of S maps to
+    [a (sigma d + lo), a (sigma d + hi)] / (b d).  ``d`` must be a multiple
+    of sigma_den.
     """
 
     def __init__(self, spec: MultigeometricSpec) -> None:
-        values = mg_block(spec).values
-        self.sigma_den = lcm(*(v.denominator for v in values))
-        self.sigmas = [v.numerator * (self.sigma_den // v.denominator) for v in values]
+        block = mg_block(spec)
+        self.sigma_den = block.denominator
+        self.sigmas = block.values
         self.a = spec.ratio.numerator
         self.b = spec.ratio.denominator
         self.total = spec.total
@@ -381,8 +382,6 @@ def measure_bounds(
     depth: int,
     budget: int = 12,
     spec: Optional[MultigeometricSpec] = None,
-    *,
-    seed2: Optional[InteriorCertificate] = None,
 ) -> MeasureBounds:
     """Upper bound lambda(I_depth); certified interior lower bound when possible.
 
@@ -401,9 +400,6 @@ def measure_bounds(
     run-window union, so the first verified one is kept.  No certificate
     exceeds lambda(I_depth) either, so the seeds stop once lower == upper.
 
-    ``seed2``, when given, is the result of
-    ``certify_interior(spec, ladder, 2, budget)`` already in hand (classify
-    runs exactly that search); it stands in for the seed-2 search here.
     build_report passes no ``spec`` when the classification proves the
     interior empty: a verified certificate lies inside the set, so no search
     could raise the lower bound above zero.
@@ -419,13 +415,10 @@ def measure_bounds(
         searchable = not kakeya_infinite or run_windows_verify(spec)
         max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):
-            if seed == 2 and seed2 is not None:
-                cert = seed2
-            else:
-                try:
-                    cert = certify_interior(spec, ladder, seed, budget)
-                except CapacityError:
-                    continue
+            try:
+                cert = certify_interior(spec, ladder, seed, budget)
+            except CapacityError:
+                continue
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert

@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterator
 
 from ..exact import PointSet, rat_str
-from ..series import DEFAULT_CAP, CapacityError, FiniteStream, SubsumLadder
+from ..series import DEFAULT_CAP, CapacityError, subsum_level
 from .grouped import GroupedStream
 from .periodic import PeriodicSeq, is_int
 
@@ -218,7 +218,7 @@ def kyiv_group_set(spec: KyivSpec, k: int, cap: int = DEFAULT_CAP) -> PointSet:
     if size > MAX_GROUP_ENUMERATION:
         raise CapacityError("kyiv_group_set", 2**size, 2**MAX_GROUP_ENUMERATION)
     terms = _kyiv_group(spec, k, kyiv_values(spec, k).a)
-    return SubsumLadder(FiniteStream(terms), cap)[size]
+    return subsum_level(terms, cap).points()
 
 
 def kyiv_chain_margin(spec: KyivSpec, k: int) -> Fraction:

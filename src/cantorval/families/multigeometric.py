@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ..exact import PointSet, rat, rat_str, RationalLike
-from ..series import DEFAULT_CAP, FiniteStream, SubsumLadder
+from ..exact import rat, rat_str, RationalLike
+from ..series import LatticeLevel, subsum_level
 from .grouped import GroupedStream
 
 
@@ -118,12 +118,14 @@ def mg_stream(spec: MultigeometricSpec) -> GroupedStream:
 
 
 @lru_cache(maxsize=64)
-def mg_block(spec: MultigeometricSpec, cap: int = DEFAULT_CAP) -> PointSet:
-    """Subsum set of the unscaled coefficients {k_1, ..., k_m}.
+def mg_block(spec: MultigeometricSpec) -> LatticeLevel:
+    """Subsum set of the unscaled coefficients {k_1, ..., k_m}, on its lattice.
 
     This is the translation set of the self-similar operator: the achievement
-    set satisfies E = q * (block + E).  It is built once per spec and kept,
-    since the operator, its certificate candidates and the separated-block
-    test all read it.
+    set satisfies E = q * (block + E).  Its denominator is the lcm of the
+    coefficients' denominators, which every block subsum's denominator
+    divides.  It is built once per spec and kept, since the operator, its
+    certificate candidates and the separated-block test all read it; a block
+    over DEFAULT_CAP raises CapacityError.
     """
-    return SubsumLadder(FiniteStream(spec.coefficients), cap)[spec.m]
+    return subsum_level(spec.coefficients)

@@ -3,7 +3,9 @@
 A stream exposes exact terms x_n and exact tail sums r_n = sum of x_i for
 i > n.  A SubsumLadder builds the finite subsum sets F_n of one stream
 once, for every analysis layer to read; they carry multiplicities so that
-downstream uniqueness analysis can see collisions.
+downstream uniqueness analysis can see collisions.  subsum_level builds the
+subsum set of a finite multiset, such as a family block, the same way but
+keeps only the last level.
 
 The ladder stores F_n on an integer lattice: D_n, the lcm of the
 denominators of x_1..x_n, and the sorted integers f * D_n.  Each step is one
@@ -225,27 +227,6 @@ def group_convolve(a: PointSet, b: PointSet, cap: int = DEFAULT_CAP) -> PointSet
     return PointSet(values, tuple(acc[v] for v in values))
 
 
-class FiniteStream(TermStream):
-    """Finitely many explicit terms and nothing after them.
-
-    Lets a SubsumLadder enumerate the subsums of a finite multiset, such as
-    a family block or group; indices past the last term are out of range.
-    """
-
-    def __init__(self, values: Iterable[RationalLike]) -> None:
-        self._values = tuple(rat(v) for v in values)
-
-    def term(self, n: int) -> Fraction:
-        if not 1 <= n <= len(self._values):
-            raise ValueError(f"term index {n} outside 1..{len(self._values)}")
-        return self._values[n - 1]
-
-    def tail(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("tail indices start at 0")
-        return sum(self._values[n:], Fraction(0))
-
-
 @dataclass(frozen=True)
 class LatticeLevel:
     """A subsum set F_n as integers over one common denominator.
@@ -328,6 +309,21 @@ def _merged_size(values, shift: int) -> int:
     return 2 * n - common
 
 
+ZERO_LEVEL = LatticeLevel(1, (0,), (1,))
+
+
+def subsum_level(terms: Iterable[Fraction], cap: int = DEFAULT_CAP) -> LatticeLevel:
+    """Every subsum of a finite multiset of terms, with multiplicities.
+
+    One fold of LatticeLevel.extend from the empty sum; only the current
+    level is kept, so a family block or group costs one level of memory.
+    """
+    level = ZERO_LEVEL
+    for term in terms:
+        level = level.extend(term, cap)
+    return level
+
+
 @dataclass(frozen=True)
 class Bricks:
     """The iteration I_n = union of [f, f + r_n] over f in F_n, on a lattice.
@@ -357,13 +353,13 @@ class Bricks:
 class SubsumLadder:
     """The subsum sets F_0, F_1, ... of one stream, built once and shared.
 
-    ``ladder.level(n)`` is F_n on its integer lattice; ``ladder[n]`` is the
-    same set as a PointSet, with multiplicities counting the subsets of
-    {1..n} that achieve each value (they sum to 2^n), built on first read
-    and kept.  Levels are built on request, one term at a time, and kept; a
-    level that would exceed ``cap`` raises CapacityError, nothing is stored,
-    and asking for it again raises the same error.  ``ladder.bricks(n)``
-    keeps the iteration I_n, swept from the same integers.
+    ``ladder.level(n)`` is F_n on its integer lattice, with multiplicities
+    counting the subsets of {1..n} that achieve each value (they sum to
+    2^n); ``ladder.level(n).points()`` builds it as a PointSet.  Levels are
+    built on request, one term at a time, and kept; a level that would
+    exceed ``cap`` raises CapacityError, nothing is stored, and asking for
+    it again raises the same error.  ``ladder.bricks(n)`` keeps the
+    iteration I_n, swept from the same integers.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -371,8 +367,7 @@ class SubsumLadder:
             raise ValueError("cap must be positive")
         self.stream = stream
         self.cap = cap
-        self._levels = [LatticeLevel(1, (0,), (1,))]
-        self._points: dict[int, PointSet] = {}
+        self._levels = [ZERO_LEVEL]
         self._bricks: dict[int, Bricks] = {}
 
     def level(self, n: int) -> LatticeLevel:
@@ -383,12 +378,6 @@ class SubsumLadder:
             term = self.stream.term(len(levels))
             levels.append(levels[-1].extend(term, self.cap))
         return levels[n]
-
-    def __getitem__(self, n: int) -> PointSet:
-        points = self._points.get(n)
-        if points is None:
-            points = self._points[n] = self.level(n).points()
-        return points
 
     def on_tail_lattice(self, n: int) -> tuple[int, tuple[int, ...], int]:
         """(D, F_n * D, r_n * D) with D = lcm(D_n, den r_n), all integers."""
@@ -414,4 +403,4 @@ class SubsumLadder:
 
 def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:
     """F_k of a fresh ladder: all subsums of the first k terms, with multiplicities."""
-    return SubsumLadder(stream, cap)[k]
+    return SubsumLadder(stream, cap).level(k).points()

@@ -6,14 +6,14 @@ sweep in normalize, exhaustive subset search for tight decompositions.
 Expected values frozen in the tests were computed with these.
 
 The reference section at the end keeps the library's earlier Fraction
-implementations of the certificate search and the representation oracle,
-which the integer-lattice versions must match result for result, its
-earlier classify and measure-bounds seed loop, which searched at every
-chance where the library now skips the searches that cannot verify, its
-earlier per-family tail sums, which ``periodic_tail`` replaced, its
-earlier per-family group closed forms, which every family stream must
-reproduce now that it derives each later group from its first ones, and
-its earlier enumeration of every multiplicity profile in
+implementations of the separated-block test, the certificate search and the
+representation oracle, which the integer-lattice versions must match result
+for result, its earlier classify and measure-bounds seed loop, which
+searched at every chance where the library now skips the searches that
+cannot verify, its earlier per-family tail sums, which ``periodic_tail``
+replaced, its earlier per-family group closed forms, which every family
+stream must reproduce now that it derives each later group from its first
+ones, and its earlier enumeration of every multiplicity profile in
 ``repetition_report``, which the one-pass tally must match report for
 report.
 """
@@ -24,14 +24,24 @@ import itertools
 import operator
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from cantorval import classify as classify_module, engine
 from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, MeasureBounds, iterate
-from cantorval.exact import EMPTY_SET, Interval, IntervalSet, PointSet, normalize, rat
+from cantorval.exact import (
+    EMPTY_SET,
+    Interval,
+    IntervalSet,
+    PointSet,
+    RationalLike,
+    normalize,
+    rat,
+    rat_str,
+)
 from cantorval.families.ferens import GFSpec
 from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
-from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head, mg_block
+from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import GREATER, CapacityError, SubsumLadder, TermStream, kakeya_split
 from cantorval.tightness import tight_trend
@@ -47,6 +57,11 @@ def brute_subsums(values) -> dict[Fraction, int]:
             total = sum((vals[i] for i in combo), Fraction(0))
             acc[total] = acc.get(total, 0) + 1
     return acc
+
+
+def fraction_block(spec) -> PointSet:
+    """A multigeometric spec's block subsums, by enumerating coefficient subsets."""
+    return PointSet.from_values(brute_subsums(spec.coefficients))
 
 
 def brute_subsum_levels(values) -> list[dict[Fraction, int]]:
@@ -171,6 +186,43 @@ def longest_component(report) -> Interval:
     return parts[lengths.index(max(lengths))]
 
 
+class FiniteStream(TermStream):
+    """Finitely many explicit terms and nothing after them.
+
+    Lets a SubsumLadder enumerate the subsums of a finite multiset, such as
+    a family block or group; indices past the last term are out of range.
+    """
+
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        self._values = tuple(rat(v) for v in values)
+
+    def term(self, n: int) -> Fraction:
+        if not 1 <= n <= len(self._values):
+            raise ValueError(f"term index {n} outside 1..{len(self._values)}")
+        return self._values[n - 1]
+
+    def tail(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("tail indices start at 0")
+        return sum(self._values[n:], Fraction(0))
+
+
+# --- Reference: the Fraction separated-block test ---------------------------
+
+
+def fraction_separated_blocks(spec):
+    """classify._separated_blocks as it compared Fraction gaps with r_0."""
+    block = fraction_block(spec)
+    gaps = block.gaps()
+    if gaps and min(gaps) > spec.total:
+        return {
+            "block": [rat_str(v) for v in block.values],
+            "min_gap": rat_str(min(gaps)),
+            "r0": rat_str(spec.total),
+        }
+    return None
+
+
 # --- Reference: the Fraction certificate search ----------------------------
 #
 # The interval-union search as it ran on IntervalSets of Fractions, with the
@@ -235,7 +287,7 @@ def fraction_hutchinson(spec, s):
         raise ValueError("operand must be contained in [0, r_0]")
     q = spec.ratio
     pieces = []
-    for sigma in mg_block(spec).values:
+    for sigma in fraction_block(spec).values:
         shift = q * sigma
         pieces.extend(Interval(q * p.lo + shift, q * p.hi + shift) for p in s.parts)
     return normalize(pieces)
@@ -259,7 +311,7 @@ def _prune_to_covered(spec, s):
 
 
 def _run_window_candidates(spec):
-    sigmas = mg_block(spec).values
+    sigmas = fraction_block(spec).values
     q = spec.ratio
     factor = q / (1 - q)
     candidates = []
@@ -346,7 +398,7 @@ def fraction_certify_interior(
 # --- Reference: every certificate search run ------------------------------
 
 
-def every_seed_measure_bounds(ladder, depth, budget=12, spec=None, *, seed2=None):
+def every_seed_measure_bounds(ladder, depth, budget=12, spec=None):
     """measure_bounds searching every seed depth 1 .. min(4, depth // m).
 
     The library skips the searches that cannot verify; this is its seed loop
@@ -361,13 +413,10 @@ def every_seed_measure_bounds(ladder, depth, budget=12, spec=None, *, seed2=None
     if spec is not None:
         max_seed = max(1, min(depth // spec.m, 4))
         for seed in range(1, max_seed + 1):
-            if seed == 2 and seed2 is not None:
-                cert = seed2
-            else:
-                try:
-                    cert = engine.certify_interior(spec, ladder, seed, budget)
-                except CapacityError:
-                    continue
+            try:
+                cert = engine.certify_interior(spec, ladder, seed, budget)
+            except CapacityError:
+                continue
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert
@@ -428,7 +477,6 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
                     "kakeya_pattern": c._pattern_witness(pattern),
                     "gaps": gap_witness.to_pairs(),
                 },
-                certificate,
             )
 
     trend = tight_trend(ladder, horizon)
@@ -452,7 +500,7 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
         verdict = c.Verdict.CANTOR
     else:
         verdict = c.Verdict.UNKNOWN
-    return c.Classification(verdict, c.Tier.HEURISTIC, horizon, witness, certificate)
+    return c.Classification(verdict, c.Tier.HEURISTIC, horizon, witness)
 
 
 def reference_report_sections(spec, depth, horizon, cap, budget) -> dict:
@@ -460,10 +508,7 @@ def reference_report_sections(spec, depth, horizon, cap, budget) -> dict:
     ladder = SubsumLadder(classify_module.resolve_stream(spec)[0], cap)
     classification = always_searching_classify(spec, ladder, horizon, budget)
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
-    bounds = every_seed_measure_bounds(
-        ladder, depth, budget, spec if searchable else None,
-        seed2=classification.certificate,
-    )
+    bounds = every_seed_measure_bounds(ladder, depth, budget, spec if searchable else None)
     return {
         "classification": classification.to_json(),
         "measure_bounds": bounds.to_json(),

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval.classify import (
     Tier,
     Verdict,
+    _separated_blocks,
     classify,
     resolve_stream,
 )
@@ -19,6 +21,8 @@ from cantorval.families import (
 )
 from cantorval.series import GeometricTailStream, SubsumLadder, TermStream, kakeya_split
 from cantorval.uniqueness import RepeatedTermSpec
+
+from oracles import fraction_separated_blocks
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -162,3 +166,32 @@ class TestClassify:
         doc = fresh_classify(GN, horizon=6).to_json()
         assert set(doc) == {"verdict", "tier", "horizon", "witnesses"}
         assert doc["verdict"] == "Cantorval"
+
+
+class TestSeparatedBlocks:
+    """The lattice comparison and its witness against the Fraction test."""
+
+    @given(
+        st.lists(
+            st.builds(F, st.integers(1, 30), st.sampled_from([1, 2, 3, 5])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(2, 10).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(coeffs=[F(1)], ratio=(1, 2))  # min gap 1 equals r_0 = 1
+    @example(coeffs=[F(1)], ratio=(1, 3))  # min gap 1 exceeds r_0 = 1/2
+    @example(coeffs=[F(5), F(4), F(2)], ratio=(1, 13))
+    @example(coeffs=[F(7, 2), F(5, 3)], ratio=(1, 9))  # block lattice 1/6
+    def test_matches_fraction_reference(self, coeffs, ratio):
+        spec = multigeometric(sorted(coeffs, reverse=True), F(*ratio))
+        assert _separated_blocks(spec) == fraction_separated_blocks(spec)
+
+    def test_strict_edge(self):
+        assert _separated_blocks(multigeometric([1], "1/2")) is None
+        assert _separated_blocks(multigeometric([1], "1/3")) == {
+            "block": ["0/1", "1/1"],
+            "min_gap": "1/1",
+            "r0": "1/2",
+        }

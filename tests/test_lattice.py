@@ -55,18 +55,18 @@ class TestLevels:
         terms = stream.terms(depth)
         expected = brute_subsum_levels(terms)
         for k in range(depth + 1):
-            got = ladder[k]
+            got = ladder.level(k).points()
             assert dict(zip(got.values, got.counts)) == expected[k]
             assert ladder.level(k).denominator == lcm(*(t.denominator for t in terms[:k]))
             if k:
                 step = PointSet.from_pairs([(0, 1), (terms[k - 1], 1)])
-                assert got == group_convolve(ladder[k - 1], step)
+                assert got == group_convolve(ladder.level(k - 1).points(), step)
 
     def test_rescales_when_a_denominator_is_new(self):
         ladder = SubsumLadder(GeometricTailStream(["1/2", "1/3", "1/4", "1/5"], "1/7", "1/2"))
         assert [ladder.level(k).denominator for k in range(6)] == [1, 2, 6, 12, 60, 420]
         assert ladder.level(2).values == (0, 2, 3, 5)
-        assert ladder[5].total_count == 32
+        assert ladder.level(5).points().total_count == 32
 
     def test_capacity_error_counts_the_full_merge(self):
         ladder = SubsumLadder(mg_stream(multigeometric([3, 2], "1/4")), cap=15)
@@ -86,7 +86,7 @@ class TestReaders:
             tail = stream.tail(n)
             report = iterate(ladder, n)
             parts = report.iteration.parts
-            expected = brute_merge((f, f + tail) for f in ladder[n].values)
+            expected = brute_merge((f, f + tail) for f in ladder.level(n).points().values)
             assert [(p.lo, p.hi) for p in parts] == expected
             assert report.measure == sum((hi - lo for lo, hi in expected), F(0))
             assert report.gap_count == len(expected) - 1
@@ -103,7 +103,7 @@ class TestReaders:
         stream, depth = drawn
         ladder = SubsumLadder(stream)
         for n, value in tight_trend(ladder, depth).rows:
-            assert value == max_tight_diameter(ladder[n], stream.tail(n))
+            assert value == max_tight_diameter(ladder.level(n).points(), stream.tail(n))
 
     @given(mixed_streams())
     @settings(max_examples=60, deadline=None)
@@ -111,7 +111,7 @@ class TestReaders:
         stream, depth = drawn
         ladder = SubsumLadder(stream)
         for k in range(1, depth + 1):
-            values = ladder[k].values
+            values = ladder.level(k).points().values
             tail = stream.tail(k)
             expected = normalize(
                 Interval(b, a + tail) for a, b in zip(values, values[1:]) if b <= a + tail

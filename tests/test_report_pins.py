@@ -29,8 +29,8 @@ import pytest
 
 from cantorval import classify, engine
 from cantorval.cli import build_report, main
-from cantorval.families import spec_from_json
-from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel
+from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
+from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
@@ -174,28 +174,39 @@ def test_capacity_outcome_unchanged(name):
     assert outcome == CAP_100_DEPTH_7[name]
 
 
-@pytest.mark.parametrize("name", ["kyiv48", "gf_decimal", "mm_ones", "semifast"])
+@pytest.mark.parametrize("name", sorted(CAP_100_DEPTH_7))
 def test_one_report_builds_one_ladder(name, monkeypatch):
-    # every section reads F_n from one ladder, so depth 8 costs 8 level extensions
-    calls = []
-    extend = LatticeLevel.extend
+    # every section reads F_n from one ladder, and the multigeometric block
+    # is one fold that builds none; without a block, depth 8 costs 8 level
+    # extensions
+    spec = load(name)
+    ladders, extensions = [], []
+    init, extend = SubsumLadder.__init__, LatticeLevel.extend
 
-    def counting(level, term, cap):
-        calls.append(len(level))
+    def counting_init(ladder, *args, **kwargs):
+        ladders.append(None)
+        init(ladder, *args, **kwargs)
+
+    def counting_extend(level, term, cap):
+        extensions.append(len(level))
         return extend(level, term, cap)
 
-    monkeypatch.setattr(LatticeLevel, "extend", counting)
-    build_report(load(name), 8, 8, DEFAULT_CAP, 12)
-    assert len(calls) == 8
+    monkeypatch.setattr(SubsumLadder, "__init__", counting_init)
+    monkeypatch.setattr(LatticeLevel, "extend", counting_extend)
+    mg_block.cache_clear()
+    build_report(spec, 8, 8, DEFAULT_CAP, 12)
+    assert len(ladders) == 1
+    if not isinstance(spec, MultigeometricSpec):
+        assert len(extensions) == 8
 
 
-# certify_interior calls per report at depth 14: the seed-2 search is shared
-# by classify and measure_bounds, a proved Cantor set is never searched, and
-# neither is a set whose search cannot verify.  gn has infinitely many
-# Kakeya indices and its run-window candidates fail, so it gets no search;
-# ferens_5432's seed-1 certificate is the run-window union every seed finds,
-# so its later seeds are skipped; dyadic's seed-1 certificate reaches
-# lambda(I_14), so no later seed can beat it.
+# certify_interior calls per report at depth 14: a proved Cantor set is
+# never searched, and neither is a set whose search cannot verify.  gn has
+# infinitely many Kakeya indices and its run-window candidates fail, so it
+# gets no search; ferens_5432 gets classify's seed-2 search and the seed-1
+# search of measure_bounds, whose certificate is the run-window union every
+# seed finds, so its later seeds are skipped; dyadic's seed-1 certificate
+# reaches lambda(I_14), so no later seed can beat it.
 CERTIFY_CALLS_DEPTH_14 = {
     "dyadic": 1,
     "ferens_5432": 2,

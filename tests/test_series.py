@@ -5,7 +5,6 @@ from cantorval.exact import PointSet
 from cantorval.families import geometric, multigeometric, mg_stream, PeriodicSeq
 from cantorval.series import (
     CapacityError,
-    FiniteStream,
     GeometricTailStream,
     KakeyaPattern,
     SubsumLadder,
@@ -15,7 +14,7 @@ from cantorval.series import (
 )
 from cantorval.uniqueness import RepeatedTermSpec, repeated_stream
 
-from oracles import brute_subsum_levels, brute_subsums
+from oracles import FiniteStream, brute_subsum_levels, brute_subsums
 
 
 GN_BLOCK = PointSet.from_pairs([(0, 1), (2, 1), (3, 1), (5, 1)])  # subsums of {3, 2}
@@ -90,30 +89,29 @@ class TestSubsumLadder:
     def test_every_level_matches_direct_enumeration(self, make):
         stream = make()
         ladder = SubsumLadder(stream)
-        ladder[12]  # builds all levels in one go; the reads below reuse them
+        ladder.level(12)  # builds all levels in one go; the reads below reuse them
         expected = brute_subsum_levels(stream.terms(12))
         for k in range(13):
-            got = ladder[k]
+            got = ladder.level(k).points()
             assert dict(zip(got.values, got.counts)) == expected[k]
-            assert ladder[k] is got
 
     def test_capacity_error_names_the_first_oversized_level(self):
         ladder = SubsumLadder(gn(), cap=10)
-        assert len(ladder[3]) == 8
+        assert len(ladder.level(3)) == 8
         for _ in range(2):  # asking again fails the same way
             with pytest.raises(CapacityError, match="would produce 16 values, cap is 10"):
-                ladder[6]
-        assert len(ladder[3]) == 8
+                ladder.level(6)
+        assert len(ladder.level(3)) == 8
 
     def test_rejects_negative_depth_and_cap(self):
         with pytest.raises(ValueError):
-            SubsumLadder(gn())[-1]
+            SubsumLadder(gn()).level(-1)
         with pytest.raises(ValueError):
             SubsumLadder(gn(), cap=0)
 
     def test_finite_stream_subsums(self):
         values = FiniteStream([3, 2, 2])
-        got = SubsumLadder(values)[3]
+        got = SubsumLadder(values).level(3).points()
         assert dict(zip(got.values, got.counts)) == brute_subsums([3, 2, 2])
         assert values.tail(1) == 4 and values.tail(3) == 0
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from cantorval.families.periodic import BlockGeometric
 from cantorval.series import (
     DEFAULT_CAP,
     CapacityError,
-    FiniteStream,
     GeometricTailStream,
     SubsumLadder,
     kakeya_split,
@@ -26,6 +25,7 @@ from cantorval.uniqueness import (
 )
 
 from oracles import (
+    FiniteStream,
     enumerated_repetition_report,
     fraction_representation_uniqueness_oracle,
     point_in_set,
