@@ -9,17 +9,22 @@ semi-fast criterion that forces global uniqueness for repeated-term series.
 Collisions are tallied over multiplicity profiles (how many terms of each
 distinct value a subsum takes) in one pass over the value groups, which
 keeps per sum only its profile count and the ranks of its first two
-profiles; witnesses are decoded from those ranks for collided sums alone.
+profiles.  The collided sums stay integers on the lattice of D_k, the lcm of
+the term denominators, and Fractions are built only when a caller reads
+them.  Witnesses are decoded from the ranks for collided sums alone: a rank
+splits into a lead and a trailing half of the value groups, and each half's
+picks are memoized, so a witness is two lookups and a concatenation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional
+from functools import cache, cached_property
+from math import lcm, prod
+from typing import Callable, Optional
 
-from .exact import IntervalSet, PointSet, lattice_str, rat_str
+from .exact import IntervalSet, PointSet, lattice_str
 from .families.grouped import GroupedStream
 from .families.periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
@@ -103,17 +108,35 @@ class RepetitionReport:
     bricks both contain the value, which is what the outer approximation
     captures.
 
-    The outer approximation stays on the integer lattice of its sweep, the
-    parts [outer_starts[i], outer_ends[i]] / outer_denominator; ``outer``
-    builds them as an IntervalSet when read.
+    The collided values stay on the lattice of D_k: value i is
+    collided[i] / denominator, reached by counts[i] multisets, with the
+    witness pair subsets[i].  ``collisions`` and ``witnesses`` build them as
+    a PointSet and as (Fraction, first, second) tuples on first read.  The
+    outer approximation stays on the integer lattice of its sweep, the parts
+    [outer_starts[i], outer_ends[i]] / outer_denominator; ``outer`` builds
+    them as an IntervalSet when read.
     """
 
     k: int
-    collisions: PointSet
-    witnesses: tuple[tuple[Fraction, tuple[int, ...], tuple[int, ...]], ...]
+    denominator: int
+    collided: tuple[int, ...]
+    counts: tuple[int, ...]
+    subsets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     outer_denominator: int
     outer_starts: list[int]
     outer_ends: list[int]
+
+    @cached_property
+    def collisions(self) -> PointSet:
+        d = self.denominator
+        return PointSet(tuple(Fraction(v, d) for v in self.collided), self.counts)
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[Fraction, tuple[int, ...], tuple[int, ...]], ...]:
+        return tuple(
+            (f, first, second)
+            for f, (first, second) in zip(self.collisions.values, self.subsets)
+        )
 
     @property
     def outer(self) -> IntervalSet:
@@ -122,13 +145,14 @@ class RepetitionReport:
         )
 
     def to_json(self) -> dict:
+        values = [lattice_str(v, self.denominator) for v in self.collided]
         d = self.outer_denominator
         return {
             "k": self.k,
-            "collisions": self.collisions.to_json(),
+            "collisions": {"values": values, "counts": list(self.counts)},
             "witnesses": [
-                {"value": rat_str(v), "first": list(a), "second": list(b)}
-                for v, a, b in self.witnesses
+                {"value": v, "first": list(a), "second": list(b)}
+                for v, (a, b) in zip(values, self.subsets)
             ],
             "outer": [
                 [lattice_str(lo, d), lattice_str(hi, d)]
@@ -187,6 +211,48 @@ def _profile_pass(
     return tally, first, second
 
 
+def _half_picks(
+    groups: list[tuple[Fraction, list[int]]],
+) -> Callable[[int], tuple[int, ...]]:
+    """Memoized rank -> sorted picks over ``groups`` alone, in the mixed radix
+    of ``_profile_pass`` (first group most significant, radix size + 1)."""
+
+    @cache
+    def picks(rank: int) -> tuple[int, ...]:
+        out: list[int] = []
+        for _, indices in reversed(groups):
+            rank, n = divmod(rank, len(indices) + 1)
+            out.extend(indices[:n])
+        return tuple(sorted(out))
+
+    return picks
+
+
+def _rank_decoder(
+    groups: list[tuple[Fraction, list[int]]],
+) -> Callable[[int], tuple[int, ...]]:
+    """Profile rank -> witness index subset, from two memoized halves.
+
+    The groups split where the radix of the trailing ones first reaches the
+    square root of the profile count, so a rank is high * radix + low with
+    high a rank over the lead groups and low one over the trailing groups.
+    Each half has about that square root of ranks, and its picks are cached;
+    lead groups hold the smaller indices, so the concatenation is sorted.
+    """
+    total = prod(len(indices) + 1 for _, indices in groups)
+    split, radix = len(groups), 1
+    while split and radix * radix < total:
+        split -= 1
+        radix *= len(groups[split][1]) + 1
+    lead, trail = _half_picks(groups[:split]), _half_picks(groups[split:])
+
+    def subset(rank: int) -> tuple[int, ...]:
+        high, low = divmod(rank, radix)
+        return lead(high) + trail(low)
+
+    return subset
+
+
 def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     """Collisions (distinct value multisets, same sum) with witness subsets.
 
@@ -194,8 +260,11 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     values of the ladder's stream in one pass over the value groups (see
     ``_profile_pass``), and decodes witness profiles only for collided
     values: the first two profiles reaching the value, in the order of
-    ``itertools.product`` over the groups.  The profile count is guarded by
-    the ladder's cap.  The reported count for each collision value is the
+    ``itertools.product`` over the groups, each decoded from two memoized
+    halves (see ``_rank_decoder``).  The profile count is guarded by the
+    ladder's cap before anything is allocated.  The sums stay integers over
+    D_k, the lcm of the term denominators, which the report keeps as its
+    ``denominator``.  The reported count for each collision value is the
     number of distinct multisets achieving it; when the first k terms are
     distinct, the tallies are the subset counts of the ladder's F_k.
     """
@@ -213,29 +282,15 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     d = lcm(*(t.denominator for t in terms))
     weights = [v.numerator * (d // v.denominator) for v, _ in groups]
     tallies, first, second = _profile_pass(weights, sizes)
-    lattice = sorted(v for v, c in tallies.items() if c >= 2)
-    collided = [Fraction(v, d) for v in lattice]
-
-    def subset(rank: int) -> tuple[int, ...]:
-        picks: list[int] = []
-        for size, (_, indices) in zip(reversed(sizes), reversed(groups)):
-            rank, n = divmod(rank, size + 1)
-            picks.extend(indices[:n])
-        return tuple(sorted(picks))
-
-    witnesses = tuple(
-        (f, subset(first[v]), subset(second[v])) for f, v in zip(collided, lattice)
-    )
-    collision_set = (
-        PointSet(tuple(collided), tuple(tallies[v] for v in lattice))
-        if collided
-        else PointSet((), ())
-    )
+    collided = tuple(sorted(v for v, c in tallies.items() if c >= 2))
+    subset = _rank_decoder(groups)
     outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
     return RepetitionReport(
         k=k,
-        collisions=collision_set,
-        witnesses=witnesses,
+        denominator=d,
+        collided=collided,
+        counts=tuple(tallies[v] for v in collided),
+        subsets=tuple((subset(first[v]), subset(second[v])) for v in collided),
         outer_denominator=outer_d,
         outer_starts=starts,
         outer_ends=ends,

@@ -13,9 +13,10 @@ searched at every chance where the library now skips the searches that
 cannot verify, its earlier per-family tail sums, which ``periodic_tail``
 replaced, its earlier per-family group closed forms, which every family
 stream must reproduce now that it derives each later group from its first
-ones, and its earlier enumeration of every multiplicity profile in
+ones, its earlier enumeration of every multiplicity profile in
 ``repetition_report``, which the one-pass tally must match report for
-report.
+report, and its earlier per-rank witness decoding, which the two memoized
+halves must match rank for rank.
 """
 
 from __future__ import annotations
@@ -801,8 +802,7 @@ def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionRepo
         bucket = seen.setdefault(value, [])
         if len(bucket) < 2:
             bucket.append(profile)
-    lattice = sorted(v for v, c in tallies.items() if c >= 2)
-    collided = [Fraction(v, d) for v in lattice]
+    collided = tuple(sorted(v for v, c in tallies.items() if c >= 2))
 
     def subset(profile: tuple[int, ...]) -> tuple[int, ...]:
         picks: list[int] = []
@@ -810,20 +810,31 @@ def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionRepo
             picks.extend(indices[:n])
         return tuple(sorted(picks))
 
-    witnesses = tuple(
-        (f, subset(seen[v][0]), subset(seen[v][1])) for f, v in zip(collided, lattice)
-    )
-    collision_set = (
-        PointSet(tuple(collided), tuple(tallies[v] for v in lattice))
-        if collided
-        else PointSet((), ())
-    )
     outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
     return RepetitionReport(
         k=k,
-        collisions=collision_set,
-        witnesses=witnesses,
+        denominator=d,
+        collided=collided,
+        counts=tuple(tallies[v] for v in collided),
+        subsets=tuple((subset(seen[v][0]), subset(seen[v][1])) for v in collided),
         outer_denominator=outer_d,
         outer_starts=starts,
         outer_ends=ends,
     )
+
+
+def rank_subset(
+    sizes: list[int], groups: list[tuple[Fraction, list[int]]], rank: int
+) -> tuple[int, ...]:
+    """Witness index subset of one profile rank, one group at a time.
+
+    The rank is mixed-radix over the value groups, group 1 most significant
+    and radix sizes[i] + 1; digit n picks the first n indices of its group.
+    This is the per-rank decoding ``repetition_report`` used before it split
+    the groups into two memoized halves.
+    """
+    picks: list[int] = []
+    for size, (_, indices) in zip(reversed(sizes), reversed(groups)):
+        rank, n = divmod(rank, size + 1)
+        picks.extend(indices[:n])
+    return tuple(sorted(picks))

@@ -4,7 +4,10 @@ each interior-certificate search run at most once per report.
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
 a shared SubsumLadder.  A horizon above and below the depth makes the ladder
-extend lazily in both orders.  At cap 100 and depth 7 most specs exhaust the
+extend lazily in both orders.  The depth-14 digests, recorded before the
+repetition report kept its collisions on the integer lattice, cover the
+uniqueness section at its deepest level, k = 12, where ferens_5432 has 1,131
+collided sums.  At cap 100 and depth 7 most specs exhaust the
 capacity, and the message must still name the first oversized level.
 
 The CLI writes reports with its own indent-2 encoder, so the bytes it
@@ -38,27 +41,35 @@ REPORT_SHA256 = {
     ("dyadic", 1, 1): "324e5799c8d129afce4af73e3aee7566f8ee467cefe6a037e556229a9f19ab3b",
     ("dyadic", 3, 6): "387367870f009fda14d3da508a699e3b154b389745eeb896c137961bd335e58c",
     ("dyadic", 6, 3): "e2c74bccea9be6ad4fa0f99b613bdd0362b782f2fdd1052e9901e5f945dff508",
+    ("dyadic", 14, 14): "31c8f31b79c81e83cd0ba25dadb52369692a4954feba00394d1457f5b0d45a0b",
     ("ferens_5432", 1, 1): "14238f978dd40418a0cc6412b062352aaa98388db69992966ef137ba071c56b1",
     ("ferens_5432", 3, 6): "923a9ec0d66b5e38605b83d56dd7db04622a08212a58b6e59a95f5d460e0afc5",
     ("ferens_5432", 6, 3): "a803a7c60308c9a4059871bb15737aa7ddcd8d390209879f0f19adec2a4a9c78",
+    ("ferens_5432", 14, 14): "d851284f3552184336bddc1b9c8ce492b04768a7145e5c24808f44fbd2ee2395",
     ("gf_decimal", 1, 1): "c1de825b4af92192ee1624bb89efa567be49ff3daf0b2613a318d88d19b6e725",
     ("gf_decimal", 3, 6): "3252f04042e8664f92467e0b0820668175df983ed6a97f6758d3286ca18e4be2",
     ("gf_decimal", 6, 3): "0bbc64aac7d1a7de4c27af3e881e968d9025c12bcf528d1763eed914a41569d4",
+    ("gf_decimal", 14, 14): "738963904b3807f106b64658b9bff98bdbe80f432cd35e2f3040b4beabbd56e8",
     ("gn", 1, 1): "afe954b0bbb5ab87dca5d0dfabfee3904e3872f78fcd4d326b522d095ade075b",
     ("gn", 3, 6): "860a171234cf74a10eda88f27ace2a7e2b0120d8de683a7041b1f4d2502e1195",
     ("gn", 6, 3): "c1b4fc082cd4a884f0c9a48aa5ebeedbbc5003e5a30c53e1600bdcf4f09a21fa",
+    ("gn", 14, 14): "471c43a5139eb32decdcc6d1f21a55261f821980d2f1f32c0269cb2a70074ae0",
     ("kyiv48", 1, 1): "000e1ef10aba83bc36413678b8fea04d9e34706982a4cb9c6f1715a56b0c032f",
     ("kyiv48", 3, 6): "51ae3548c659c6695a3592da13a31ea248a487da45a4d567ea72f2b924e5747d",
     ("kyiv48", 6, 3): "0d55c6f58943fb1c044f4b1f84c145be12f33f2d8544251b148a9bd5ee696221",
+    ("kyiv48", 14, 14): "004638ce67495525a0a20b057662051716dfe3f5d6531b462f7bae9e843a7cd3",
     ("middle_thirds", 1, 1): "29a51d5c592af4d0c54e7fc6141579443458f0dfc4c55679d223c243b9f9590a",
     ("middle_thirds", 3, 6): "2eef316b274c6d744ffaf71b01a48c7165ee568ed034e6ed3af791f681acfcda",
     ("middle_thirds", 6, 3): "25b6e9a7eeed4d8e0970311878d1f3a8eaf979c92527f7b53009483b32216de7",
+    ("middle_thirds", 14, 14): "c964fb0e352c77d482a14ae62402e0f6c91675952fe3a2f59192f25975d15210",
     ("mm_ones", 1, 1): "f3c77b81df799fb9ffdd2faa534bd10180105f85c6bc07499acd903da1682196",
     ("mm_ones", 3, 6): "dd4f32d22230dc2385f0e878f89da56232436c8917db18490fdf88c0bd8e7f97",
     ("mm_ones", 6, 3): "2458a8ee5467528a7e8b5adee9ebf2392b0b0715cf1231c2b9dd00e502fd7b19",
+    ("mm_ones", 14, 14): "274a3ac22ada1b6a48db7914d2ac68c9a68e9bda87e195778bbaba95d8853d5f",
     ("semifast", 1, 1): "aa08601a224c5889bd086842a77b38b241dc53d597d5e9f7fbd6f29942d68229",
     ("semifast", 3, 6): "25c5690a388990c2d55ade700cbc032e50f342568cd5cae868e0769f5ff4cee6",
     ("semifast", 6, 3): "b38c57c799c6c9a20942aa977ad25f229bdc471eb00284cb5c6526507b9d6a7b",
+    ("semifast", 14, 14): "84982064c42f6d5867fb4d19b269aeca5e21b1fcd7c2306077a839ad0da1ee3b",
 }
 
 # cap 100, depth 7, horizon 7: the CapacityError message, or the report

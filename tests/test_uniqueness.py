@@ -1,10 +1,21 @@
+import json
 from fractions import Fraction as F
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantorval import uniqueness
+from cantorval.classify import resolve_stream
 from cantorval.exact import IntervalSet, interval, normalize
-from cantorval.families import PeriodicSeq, geometric, mg_stream, multigeometric
+from cantorval.families import (
+    PeriodicSeq,
+    geometric,
+    mg_stream,
+    multigeometric,
+    spec_from_json,
+)
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import (
     DEFAULT_CAP,
@@ -16,6 +27,7 @@ from cantorval.series import (
 from cantorval.uniqueness import (
     RepeatedTermSpec,
     _profile_pass,
+    _rank_decoder,
     multirep_outer,
     repeated_stream,
     repetition_report,
@@ -29,6 +41,7 @@ from oracles import (
     enumerated_repetition_report,
     fraction_representation_uniqueness_oracle,
     point_in_set,
+    rank_subset,
     reference_semifast_violation,
     reference_weighted_tail,
 )
@@ -40,6 +53,8 @@ THIRDS = mg_stream(multigeometric([2], "1/3"))
 # y_i = 2^(1-i) repeated (1, 2, 2, ...): 1, 1/2, 1/2, 1/4, 1/4, ...
 HALVING = RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((1,), (2,)))
 SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
 def planted_stream():
@@ -166,6 +181,53 @@ class TestProfilePass:
         value, first, second = next(w for w in report.witnesses if w[0] == 3)
         # in product order the profile with fewest 3s and 2s comes first
         assert (first, second) == ((4, 5, 6), (2, 4))
+
+
+def value_groups(sizes):
+    """Value groups of the given sizes over consecutive indices 1, 2, ...,
+    in the shape ``_value_groups`` returns."""
+    groups, start = [], 1
+    for i, size in enumerate(sizes, start=1):
+        groups.append((F(1, i), list(range(start, start + size))))
+        start += size
+    return groups
+
+
+class TestRankDecoder:
+    """Witnesses from two memoized halves against the per-rank decoding."""
+
+    @given(st.lists(st.integers(1, 4), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    @example([8])  # a single group of 8 equal terms: the lead half is empty
+    @example([3, 1, 1])  # radix 2 * 2 = 4 reaches sqrt(16): split after the 3
+    @example([])  # k = 0: the one empty profile
+    def test_every_rank_decodes_as_one_group_at_a_time(self, sizes):
+        groups = value_groups(sizes)
+        subset = _rank_decoder(groups)
+        ranks = range(prod(size + 1 for size in sizes))
+        assert [subset(r) for r in ranks] == [rank_subset(sizes, groups, r) for r in ranks]
+
+
+class TestLatticeReport:
+    def test_report_and_json_build_no_fraction(self, monkeypatch):
+        spec = spec_from_json(json.loads((SPECS / "ferens_5432.json").read_text()))
+        ladder = SubsumLadder(resolve_stream(spec)[0])
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(uniqueness, "Fraction", counting)
+        report = repetition_report(ladder, 12)
+        doc = report.to_json()
+        assert made == []
+        monkeypatch.undo()
+        values = tuple(F(v) for v in doc["collisions"]["values"])
+        assert len(values) == 1131
+        assert report.collisions.values == values
+        assert report.collisions.counts == tuple(doc["collisions"]["counts"])
+        assert [w[0] for w in report.witnesses] == [F(w["value"]) for w in doc["witnesses"]]
 
 
 class TestMultirepOuter:
