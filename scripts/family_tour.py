@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from cantorval.classify import classify, resolve_stream
+from cantorval.classify import classify
 from cantorval.exact import rat_str
 from cantorval.families import (
     GFSpec,
@@ -33,7 +33,7 @@ HERE = Path(__file__).resolve().parent
 
 def tour(name: str) -> None:
     spec = spec_from_json(json.loads((HERE / "specs" / name).read_text()))
-    stream, _ = resolve_stream(spec)
+    stream = spec.stream()
     print(f"== {name} ==")
     if isinstance(spec, KyivSpec):
         print("  validation:", "pass" if kyiv_validate(spec).passed else "FAIL")

@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from cantorval.classify import resolve_stream
 from cantorval.engine import iterate, measure_bounds
 from cantorval.exact import rat_str
 from cantorval.families import MultigeometricSpec, spec_from_json
@@ -27,7 +26,7 @@ def main() -> int:
     spec_path = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE / "specs" / "gn.json"
     max_depth = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     spec = spec_from_json(json.loads(spec_path.read_text()))
-    ladder = SubsumLadder(resolve_stream(spec)[0])
+    ladder = SubsumLadder(spec.stream())
     mg_spec = spec if isinstance(spec, MultigeometricSpec) else None
     print("n,upper,lower,boundary_gap,gap_count")
     for n in range(1, max_depth + 1):

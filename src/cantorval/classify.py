@@ -23,10 +23,8 @@ from typing import Optional, Union
 
 from .engine import certify_interior, iterate, run_windows_verify
 from .exact import lattice_str, rat_str
-from .families.ferens import GFSpec, gf_stream, gf_validate
-from .families.kyiv import KyivSpec, kyiv_stream, kyiv_validate
-from .families.marchwicki import MMSpec, mm_stream
-from .families.multigeometric import MultigeometricSpec, mg_block, mg_stream
+from .families.io import FamilySpec
+from .families.multigeometric import MultigeometricSpec, mg_block
 from .series import (
     GREATER,
     CapacityError,
@@ -36,11 +34,8 @@ from .series import (
     kakeya_split,
 )
 from .tightness import tight_trend
-from .uniqueness import RepeatedTermSpec, repeated_stream, semifast_check
 
-Subject = Union[
-    TermStream, MultigeometricSpec, GFSpec, MMSpec, KyivSpec, RepeatedTermSpec
-]
+Subject = Union[TermStream, FamilySpec]
 
 
 class Verdict(enum.Enum):
@@ -87,21 +82,9 @@ class Classification:
         }
 
 
-def resolve_stream(subject: Subject) -> tuple[TermStream, Optional[object]]:
-    """(stream, spec-or-None) for any classifiable subject."""
-    if isinstance(subject, TermStream):
-        return subject, None
-    if isinstance(subject, MultigeometricSpec):
-        return mg_stream(subject), subject
-    if isinstance(subject, GFSpec):
-        return gf_stream(subject), subject
-    if isinstance(subject, MMSpec):
-        return mm_stream(subject), subject
-    if isinstance(subject, KyivSpec):
-        return kyiv_stream(subject), subject
-    if isinstance(subject, RepeatedTermSpec):
-        return repeated_stream(subject), subject
-    raise TypeError(f"cannot classify {subject!r}")
+def resolve_stream(subject: Subject) -> TermStream:
+    """The term stream of any classifiable subject."""
+    return subject if isinstance(subject, TermStream) else subject.stream()
 
 
 def _pattern_witness(pattern: KakeyaPattern) -> dict:
@@ -124,44 +107,6 @@ def _pattern_classification(
     if pattern.strict_reversed_is_finite:
         # Cycle has '>' (otherwise the previous branch fired) and no '<'.
         return Classification(Verdict.CANTOR, Tier.PROVED, horizon, witness)
-    return None
-
-
-def _family_classification(spec, horizon: int) -> Optional[Classification]:
-    if isinstance(spec, KyivSpec):
-        report = kyiv_validate(spec)
-        if report.passed:
-            return Classification(
-                Verdict.CANTORVAL,
-                Tier.PROVED,
-                horizon,
-                {"family": "kyiv", "validation": report.to_json()},
-            )
-    if isinstance(spec, GFSpec):
-        report = gf_validate(spec)
-        if report.passed:
-            return Classification(
-                Verdict.CANTORVAL,
-                Tier.PROVED,
-                horizon,
-                {"family": "gf", "validation": report.to_json()},
-            )
-    if isinstance(spec, MMSpec):
-        return Classification(
-            Verdict.CANTORVAL,
-            Tier.PROVED,
-            horizon,
-            {"family": "mm", "gaps": spec.gaps.to_json()},
-        )
-    if isinstance(spec, RepeatedTermSpec):
-        report = semifast_check(spec)
-        if report.semifast:
-            return Classification(
-                Verdict.CANTOR,
-                Tier.PROVED,
-                horizon,
-                {"family": "repeated", "semifast": report.to_json()},
-            )
     return None
 
 
@@ -196,10 +141,11 @@ def classify(
     """Decide the topological type at the strongest honest tier.
 
     ``ladder`` is the subsum ladder of the subject's stream (see
-    resolve_stream).  Family-analytic proofs are tried first, then exact
-    pattern proofs, then exact finite certificates (multigeometric only),
-    then finite-horizon heuristics.  Certified verdicts do not depend on the
-    horizon, so they are stable under horizon increase.
+    resolve_stream).  Family-analytic proofs (the spec's family_verdict)
+    are tried first, then exact pattern proofs, then exact finite
+    certificates (multigeometric only), then finite-horizon heuristics.
+    Certified verdicts do not depend on the horizon, so they are stable
+    under horizon increase.
 
     The certificate tier is reached only with infinitely many Kakeya
     indices (a multigeometric stream always has a pattern), where a search
@@ -212,9 +158,10 @@ def classify(
     stream = ladder.stream
     spec = None if isinstance(subject, TermStream) else subject
 
-    from_family = _family_classification(spec, horizon) if spec is not None else None
+    from_family = spec.family_verdict() if spec is not None else None
     if from_family is not None:
-        return from_family
+        verdict, witness = from_family
+        return Classification(Verdict(verdict), Tier.PROVED, horizon, witness)
 
     pattern = stream.kakeya_pattern()
     if pattern is not None:
@@ -248,7 +195,6 @@ def classify(
                 n for n in range(1, len(pattern.prefix) + len(pattern.cycle) + 1)
                 if pattern.comparison_at(n) == GREATER
             )
-            gap_witness = iterate(ladder, first_strict).gaps()
             return Classification(
                 Verdict.CANTORVAL,
                 Tier.CERTIFIED,
@@ -256,7 +202,7 @@ def classify(
                 {
                     "certificate": certificate.to_json(),
                     "kakeya_pattern": _pattern_witness(pattern),
-                    "gaps": gap_witness.to_pairs(),
+                    "gaps": iterate(ladder, first_strict).to_json()["gaps"],
                 },
             )
 

@@ -24,24 +24,15 @@ from typing import Optional
 from .classify import Verdict, classify, resolve_stream
 from .engine import iterate, measure_bounds
 from .families import (
-    GFSpec,
-    KyivSpec,
-    MMSpec,
     MultigeometricSpec,
-    gf_validate,
-    kyiv_validate,
+    RepeatedTermSpec,
+    semifast_check,
     spec_from_json,
     standardness_ratio,
 )
 from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder, kakeya_split
 from .tightness import tight_trend
-from .uniqueness import (
-    RepeatedTermSpec,
-    repetition_report,
-    representation_uniqueness_oracle,
-    semifast_check,
-    tail_sum_unique,
-)
+from .uniqueness import repetition_report, representation_uniqueness_oracle, tail_sum_unique
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILURE = 1
@@ -165,69 +156,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _validation_conditions(spec) -> list[dict]:
-    """Per-condition pass/fail with exact witnesses, per family."""
-    if isinstance(spec, KyivSpec):
-        return kyiv_validate(spec).to_json()["conditions"]
-    if isinstance(spec, GFSpec):
-        report = gf_validate(spec)
-        doc = report.to_json()
-        conditions = [
-            {
-                "name": "GF1: q_n <= (s_{n+1} - m_{n+1} + 1) q_{n+1}",
-                "passed": report.gf1_holds,
-                "witness": "all indices" if report.gf1_holds else str(doc["gf1_failure"]),
-            },
-            {
-                "name": "GF2: m_n q_n > tail of (s_i + m_i) q_i",
-                "passed": report.gf2_holds,
-                "witness": "all indices" if report.gf2_holds else str(doc["gf2_failure"]),
-            },
-            {
-                "name": "run totals s_n",
-                "passed": True,
-                "witness": str(doc["s"]),
-            },
-        ]
-        return conditions
-    if isinstance(spec, MMSpec):
-        return [
-            {
-                "name": "gap parameters n_s >= 1, eventually periodic",
-                "passed": True,
-                "witness": str(spec.gaps.to_json()),
-            }
-        ]
-    if isinstance(spec, MultigeometricSpec):
-        return [
-            {
-                "name": "coefficients nonincreasing positive, ratio in (0,1)",
-                "passed": True,
-                "witness": str(spec.to_json()),
-            }
-        ]
-    if isinstance(spec, RepeatedTermSpec):
-        report = semifast_check(spec)
-        return [
-            {
-                "name": "semi-fast: y_k > tail of K_i y_i",
-                "passed": report.semifast,
-                "witness": (
-                    "all indices"
-                    if report.semifast
-                    else f"fails at k={report.first_violation}"
-                ),
-            }
-        ]
-    raise ValueError(f"no validator for {type(spec).__name__}")
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         spec = _load_spec(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _usage_error(exc)
-    conditions = _validation_conditions(spec)
+    conditions = spec.conditions()
     passed = all(c["passed"] for c in conditions)
     if args.format == "json":
         doc = {"spec": spec.to_json(), "passed": passed, "conditions": conditions}
@@ -276,7 +210,7 @@ def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     Proved or Certified), because then its lower bound is 0 with no
     certificate whatever the search finds.
     """
-    stream, _ = resolve_stream(spec)
+    stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
     classification = classify(spec, ladder, horizon=horizon, budget=budget)
     iterations = [iterate(ladder, n).to_json() for n in range(depth + 1)]
@@ -414,16 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of achievement sets of convergent series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("validate", cmd_validate), ("analyze", cmd_analyze)):
+    commands = (
+        ("validate", cmd_validate, ("json", "human")),
+        ("analyze", cmd_analyze, ("json", "csv", "human")),
+    )
+    for name, handler, formats in commands:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="path to a family spec JSON file")
         p.add_argument("--inline", help="family spec JSON as a literal argument")
-        p.add_argument("--depth", type=partial(_int_at_least, 1), default=8)
-        p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
-        p.add_argument("--cap", type=partial(_int_at_least, 1), default=None,
-                       help="dedup capacity (env CANTORVAL_CAP overrides the default)")
-        p.add_argument("--budget", type=partial(_int_at_least, 0), default=12)
-        p.add_argument("--format", choices=("json", "csv", "human"), default="json")
+        if handler is cmd_analyze:
+            p.add_argument("--depth", type=partial(_int_at_least, 1), default=8)
+            p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
+            p.add_argument("--cap", type=partial(_int_at_least, 1), default=None,
+                           help="dedup capacity (env CANTORVAL_CAP overrides the default)")
+            p.add_argument("--budget", type=partial(_int_at_least, 0), default=12)
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(handler=handler)
     return parser

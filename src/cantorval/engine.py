@@ -88,13 +88,6 @@ class IterationReport:
         lengths = self.bricks.lengths()
         return lengths.index(max(lengths))
 
-    def gaps(self) -> IntervalSet:
-        """Closures of the bounded gaps between consecutive components."""
-        parts = self.iteration.parts
-        return IntervalSet(
-            tuple(Interval(a.hi, b.lo) for a, b in zip(parts, parts[1:]))
-        )
-
     def to_json(self) -> dict:
         b = self.bricks
         starts = [lattice_str(v, b.denominator) for v in b.starts]
@@ -266,7 +259,7 @@ def certify_interior(
 ) -> InteriorCertificate:
     """Search for a finite self-covered interval union inside the attractor.
 
-    ``ladder`` is the subsum ladder of mg_stream(spec).  Seeds with
+    ``ladder`` is the subsum ladder of spec.stream().  Seeds with
     I_{m * seed_depth} and refines S to S intersect Phi(S); a refinement
     fixed point is exactly the wanted property.  When refinement does not
     stabilize (for many Cantorvals it cannot: the parts multiply
@@ -387,7 +380,7 @@ def measure_bounds(
 
     Only multigeometric specs have the exact self-similar operator, so a
     lower bound is certified only when ``spec`` is given (``ladder`` is then
-    the ladder of mg_stream(spec)); other streams get a lower bound of zero
+    the ladder of spec.stream()); other streams get a lower bound of zero
     here (their interior content is covered by the family closed forms
     instead).  The first certificate of largest measure over seed depths up
     to depth is used, which keeps the boundary gap nonincreasing as depth

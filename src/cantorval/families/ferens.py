@@ -80,6 +80,40 @@ class GFSpec:
             BlockGeometric.from_json(doc["q"]),
         )
 
+    def stream(self) -> GroupedStream:
+        """Group n: coefficients m_n + k_n - 1 down to m_n, scaled by q_n."""
+        pre, period = self.group_preperiod, self.group_period
+        groups = [
+            tuple((self.m[n] + t) * self.q[n] for t in range(self.k[n] - 1, -1, -1))
+            for n in range(1, pre + 2 * period + 1)
+        ]
+        return GroupedStream(groups, pre, period)
+
+    def conditions(self) -> list[dict]:
+        """``validate``'s rows: GF1, GF2 and the run totals, with witnesses."""
+        report = gf_validate(self)
+        doc = report.to_json()
+        return [
+            {
+                "name": "GF1: q_n <= (s_{n+1} - m_{n+1} + 1) q_{n+1}",
+                "passed": report.gf1_holds,
+                "witness": "all indices" if report.gf1_holds else str(doc["gf1_failure"]),
+            },
+            {
+                "name": "GF2: m_n q_n > tail of (s_i + m_i) q_i",
+                "passed": report.gf2_holds,
+                "witness": "all indices" if report.gf2_holds else str(doc["gf2_failure"]),
+            },
+            {"name": "run totals s_n", "passed": True, "witness": str(doc["s"])},
+        ]
+
+    def family_verdict(self) -> Optional[tuple[str, dict]]:
+        """A Cantorval when GF1 and GF2 hold, with the validation as witness."""
+        report = gf_validate(self)
+        if not report.passed:
+            return None
+        return "Cantorval", {"family": "gf", "validation": report.to_json()}
+
 
 @dataclass(frozen=True)
 class GFValidation:
@@ -145,16 +179,6 @@ def gf_validate(spec: GFSpec) -> GFValidation:
         first_gf1_failure=gf1_fail,
         first_gf2_failure=gf2_fail,
     )
-
-
-def gf_stream(spec: GFSpec) -> GroupedStream:
-    """Group n: coefficients m_n + k_n - 1 down to m_n, scaled by q_n."""
-    pre, period = spec.group_preperiod, spec.group_period
-    groups = [
-        tuple((spec.m[n] + t) * spec.q[n] for t in range(spec.k[n] - 1, -1, -1))
-        for n in range(1, pre + 2 * period + 1)
-    ]
-    return GroupedStream(groups, pre, period)
 
 
 def gf_group_set(spec: GFSpec, n: int) -> PointSet:

@@ -17,30 +17,27 @@ from .ferens import GFSpec
 from .kyiv import KyivSpec
 from .marchwicki import MMSpec
 from .multigeometric import MultigeometricSpec
+from .repeated import RepeatedTermSpec
 
-FamilySpec = Union[MultigeometricSpec, GFSpec, MMSpec, KyivSpec, "RepeatedTermSpec"]
+FamilySpec = Union[MultigeometricSpec, GFSpec, MMSpec, KyivSpec, RepeatedTermSpec]
 
 _PARSERS = {
     "multigeometric": MultigeometricSpec.from_json,
     "gf": GFSpec.from_json,
     "mm": MMSpec.from_json,
     "kyiv": KyivSpec.from_json,
+    "repeated": RepeatedTermSpec.from_json,
 }
 
 
 def spec_from_json(doc: dict) -> FamilySpec:
     """Parse a family spec document; raises ValueError on malformed input."""
-    from ..uniqueness import RepeatedTermSpec
-
     if not isinstance(doc, dict):
         raise ValueError("spec document must be a JSON object")
     kind = doc.get("type")
-    if kind == "repeated":
-        parser = RepeatedTermSpec.from_json
-    else:
-        parser = _PARSERS.get(kind) if isinstance(kind, str) else None
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
-        known = sorted(_PARSERS) + ["repeated"]
+        known = sorted(_PARSERS)
         raise ValueError(f"unknown spec type {kind!r}; expected one of {known}")
     try:
         return parser(doc)

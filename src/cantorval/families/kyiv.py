@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Optional
 
 from ..exact import PointSet, rat_str
 from ..series import DEFAULT_CAP, CapacityError, subsum_level
@@ -69,6 +69,26 @@ class KyivSpec:
     @staticmethod
     def from_json(doc: dict) -> "KyivSpec":
         return KyivSpec(PeriodicSeq.from_json(doc["m"]), PeriodicSeq.from_json(doc["s"]))
+
+    def stream(self) -> GroupedStream:
+        """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k."""
+        pre = self.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
+        period = self.group_period
+        groups = [
+            _kyiv_group(self, v.k, v.a) for v in _kyiv_run(self, pre + 2 * period)
+        ]
+        return GroupedStream(groups, pre, period)
+
+    def conditions(self) -> list[dict]:
+        """``validate``'s rows: the admissibility conditions of kyiv_validate."""
+        return kyiv_validate(self).to_json()["conditions"]
+
+    def family_verdict(self) -> Optional[tuple[str, dict]]:
+        """A Cantorval when the spec is admissible, with the validation as witness."""
+        report = kyiv_validate(self)
+        if not report.passed:
+            return None
+        return "Cantorval", {"family": "kyiv", "validation": report.to_json()}
 
 
 @dataclass(frozen=True)
@@ -184,16 +204,6 @@ def kyiv_values(spec: KyivSpec, k: int) -> KyivValues:
 def _kyiv_group(spec: KyivSpec, k: int, a: Fraction) -> tuple[Fraction, ...]:
     m, s = spec.m[k], spec.s[k]
     return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
-
-
-def kyiv_stream(spec: KyivSpec) -> GroupedStream:
-    """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k."""
-    pre = spec.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
-    period = spec.group_period
-    groups = [
-        _kyiv_group(spec, v.k, v.a) for v in _kyiv_run(spec, pre + 2 * period)
-    ]
-    return GroupedStream(groups, pre, period)
 
 
 def kyiv_progression(spec: KyivSpec, k: int) -> PointSet:

@@ -71,15 +71,28 @@ class MMSpec:
     def from_json(doc: dict) -> "MMSpec":
         return MMSpec(PeriodicSeq.from_json(doc["gaps"]))
 
+    def stream(self) -> GroupedStream:
+        """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""
+        # group k + L = ratio * group k needs gaps[k] and the q-recurrence
+        # steps between k and k + L all periodic, hence the + 1.
+        pre, period = self.group_preperiod + 1, self.group_period
+        groups, q = [], Fraction(1)
+        for k in range(1, pre + 2 * period + 1):
+            if k > 1:
+                q /= 3 * 2 ** self.gaps[k]
+            groups.append(tuple(b * q for b in mm_block_coefficients(self.gaps[k])))
+        return GroupedStream(groups, pre, period)
 
-def mm_stream(spec: MMSpec) -> GroupedStream:
-    """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""
-    # group k + L = ratio * group k needs gaps[k] and the q-recurrence
-    # steps between k and k + L all periodic, hence the + 1.
-    pre, period = spec.group_preperiod + 1, spec.group_period
-    groups, q = [], Fraction(1)
-    for k in range(1, pre + 2 * period + 1):
-        if k > 1:
-            q /= 3 * 2 ** spec.gaps[k]
-        groups.append(tuple(b * q for b in mm_block_coefficients(spec.gaps[k])))
-    return GroupedStream(groups, pre, period)
+    def conditions(self) -> list[dict]:
+        """``validate``'s one row: the constructor already enforced it."""
+        return [
+            {
+                "name": "gap parameters n_s >= 1, eventually periodic",
+                "passed": True,
+                "witness": str(self.gaps.to_json()),
+            }
+        ]
+
+    def family_verdict(self) -> tuple[str, dict]:
+        """Every Marchwicki-Miska series achieves a Cantorval."""
+        return "Cantorval", {"family": "mm", "gaps": self.gaps.to_json()}

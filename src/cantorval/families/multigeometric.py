@@ -72,6 +72,32 @@ class MultigeometricSpec:
     def from_json(doc: dict) -> "MultigeometricSpec":
         return MultigeometricSpec(tuple(rat(c) for c in doc["k"]), rat(doc["q"]))
 
+    def stream(self) -> GroupedStream:
+        """The terms k_i q^j (j >= 1) in nonincreasing order, in runs of m.
+
+        Group j is the j-th run of m consecutive sorted terms, with period 1
+        and block ratio q.  The preperiod is the least P with group(j+1) ==
+        q * group(j) for every j > P.  It is 0 exactly when k_m >= k_1 q,
+        and then group j is (k_1 q^j, ..., k_m q^j).
+        """
+        head = _sorted_head(self)
+        tail_run = tuple(self.ratio * t for t in head[-1])
+        return GroupedStream(head + (tail_run,), preperiod=len(head) - 1, period=1)
+
+    def conditions(self) -> list[dict]:
+        """``validate``'s rows: the constructor already enforced them all."""
+        return [
+            {
+                "name": "coefficients nonincreasing positive, ratio in (0,1)",
+                "passed": True,
+                "witness": str(self.to_json()),
+            }
+        ]
+
+    def family_verdict(self) -> None:
+        """No closed form decides the type; classify reads the stream instead."""
+        return None
+
 
 def multigeometric(coefficients, ratio: RationalLike) -> MultigeometricSpec:
     return MultigeometricSpec(tuple(rat(c) for c in coefficients), rat(ratio))
@@ -102,19 +128,6 @@ def _sorted_head(spec: MultigeometricSpec) -> tuple[tuple[Fraction, ...], ...]:
     while len(runs) > 1 and runs[-1] == tuple(q * t for t in runs[-2]):
         runs.pop()
     return tuple(runs)
-
-
-def mg_stream(spec: MultigeometricSpec) -> GroupedStream:
-    """The terms k_i q^j (j >= 1) in nonincreasing order, in runs of m.
-
-    Group j is the j-th run of m consecutive sorted terms, with period 1 and
-    block ratio q.  The preperiod is the least P with group(j+1) ==
-    q * group(j) for every j > P.  It is 0 exactly when k_m >= k_1 q, and
-    then group j is (k_1 q^j, ..., k_m q^j).
-    """
-    head = _sorted_head(spec)
-    tail_run = tuple(spec.ratio * t for t in head[-1])
-    return GroupedStream(head + (tail_run,), preperiod=len(head) - 1, period=1)
 
 
 @lru_cache(maxsize=64)

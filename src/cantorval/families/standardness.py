@@ -16,10 +16,10 @@ from functools import partial
 from typing import Optional
 
 from ..exact import rat_str
-from .ferens import GFSpec, gf_stream
+from .ferens import GFSpec
 from .grouped import GroupedStream
-from .kyiv import KyivSpec, kyiv_stream
-from .marchwicki import MMSpec, mm_stream
+from .kyiv import KyivSpec
+from .marchwicki import MMSpec
 from .periodic import periodic_tail
 
 
@@ -55,11 +55,11 @@ def _kyiv_length(spec: KyivSpec, stream: GroupedStream, i: int) -> Fraction:
     return (spec.s[i] - m + 6 - Fraction(4, m)) * stream.group_terms(i)[0]  # a_i
 
 
-# spec type -> (family name, stream constructor, interval-length weight)
+# spec type -> (family name, interval-length weight)
 _FAMILIES = {
-    GFSpec: ("gf", gf_stream, _gf_length),
-    MMSpec: ("mm", mm_stream, _mm_length),
-    KyivSpec: ("kyiv", kyiv_stream, _kyiv_length),
+    GFSpec: ("gf", _gf_length),
+    MMSpec: ("mm", _mm_length),
+    KyivSpec: ("kyiv", _kyiv_length),
 }
 
 
@@ -89,9 +89,9 @@ def standardness_ratio(
         raise ValueError(
             "standardness ratio has a closed form only for gf, mm, and kyiv specs"
         )
-    name, make_stream, weight = family
+    name, weight = family
     if stream is None:
-        stream = make_stream(spec)
+        stream = spec.stream()
     pre, period = stream.preperiod, stream.period
 
     def ratio(j: int) -> Fraction:

@@ -436,9 +436,10 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
     stream = ladder.stream
     spec = None if isinstance(subject, TermStream) else subject
 
-    from_family = c._family_classification(spec, horizon) if spec is not None else None
+    from_family = spec.family_verdict() if spec is not None else None
     if from_family is not None:
-        return from_family
+        verdict, witness = from_family
+        return c.Classification(c.Verdict(verdict), c.Tier.PROVED, horizon, witness)
 
     pattern = stream.kakeya_pattern()
     if pattern is not None:
@@ -468,7 +469,10 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
                 n for n in range(1, len(pattern.prefix) + len(pattern.cycle) + 1)
                 if pattern.comparison_at(n) == GREATER
             )
-            gap_witness = iterate(ladder, first_strict).gaps()
+            parts = iterate(ladder, first_strict).iteration.parts
+            gap_witness = IntervalSet(
+                tuple(Interval(a.hi, b.lo) for a, b in zip(parts, parts[1:]))
+            )
             return c.Classification(
                 c.Verdict.CANTORVAL,
                 c.Tier.CERTIFIED,
@@ -506,7 +510,7 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
 
 def reference_report_sections(spec, depth, horizon, cap, budget) -> dict:
     """build_report's classification and measure_bounds, every search run."""
-    ladder = SubsumLadder(classify_module.resolve_stream(spec)[0], cap)
+    ladder = SubsumLadder(classify_module.resolve_stream(spec), cap)
     classification = always_searching_classify(spec, ladder, horizon, budget)
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
     bounds = every_seed_measure_bounds(ladder, depth, budget, spec if searchable else None)

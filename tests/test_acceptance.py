@@ -20,29 +20,26 @@ from cantorval.families import (
     KyivSpec,
     MMSpec,
     PeriodicSeq,
+    RepeatedTermSpec,
     geometric,
     gf_group_set,
-    gf_stream,
     kyiv_group_set,
     kyiv_chain_margin,
     kyiv_progression,
-    kyiv_stream,
     kyiv_values,
-    mg_stream,
     mm_block,
     mm_block_coefficients,
     multigeometric,
+    semifast_check,
     standardness_ratio,
 )
 from cantorval.series import SubsumLadder, finite_subsums, kakeya_split
 from cantorval.exact import PointSet
 from cantorval.tightness import max_tight_diameter
 from cantorval.uniqueness import (
-    RepeatedTermSpec,
     multirep_outer,
     repetition_report,
     representation_uniqueness_oracle,
-    semifast_check,
     tail_sum_unique,
 )
 
@@ -60,7 +57,7 @@ SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
 
 
 def mg_ladder(spec):
-    return SubsumLadder(mg_stream(spec))
+    return SubsumLadder(spec.stream())
 
 
 def report(number: int, text: str) -> None:
@@ -94,7 +91,7 @@ def test_criterion_1_kyiv_closed_forms():
             assert kyiv_values(KYIV_48, k + 1).a / kyiv_values(KYIV_48, k).a == F(1, 25)
         margin = kyiv_chain_margin(KYIV_48, 1)
         assert margin == 24 and margin >= 0
-        stream = kyiv_stream(KYIV_48)
+        stream = KYIV_48.stream()
         assert stream.tail(13) == F(1, 25)
     report(1, "kyiv (4,8): a_1=2/25, r_N1=1/25, G_1+r_N1=1, a-ratio 1/25, margin 24")
 
@@ -112,7 +109,7 @@ def test_criterion_2_standardness_bounds():
 
 def test_criterion_3_self_similarity_identity():
     with timed(10.0):
-        ladder = SubsumLadder(mg_stream(GN))
+        ladder = SubsumLadder(GN.stream())
         hull = normalize([interval(0, "5/3")])
         first = hutchinson(GN, hull)
         expected = normalize(
@@ -155,7 +152,7 @@ def test_criterion_4_classification_suite():
 
 @pytest.mark.parametrize(
     "name,stream_maker",
-    [("gn", lambda: mg_stream(GN)), ("kyiv", lambda: kyiv_stream(KYIV_48))],
+    [("gn", lambda: GN.stream()), ("kyiv", lambda: KYIV_48.stream())],
 )
 def test_criterion_5_kakeya_iteration_coupling(name, stream_maker):
     stream = stream_maker()
@@ -175,7 +172,7 @@ def test_criterion_5_kakeya_iteration_coupling(name, stream_maker):
 def test_criterion_6_oracle_equivalence():
     # closed-form group sets vs brute force, group size <= 16
     got = gf_group_set(GF_DECIMAL, 1)
-    terms = gf_stream(GF_DECIMAL).terms(4)
+    terms = GF_DECIMAL.stream().terms(4)
     assert list(got.values) == sorted(brute_subsums(terms))
     for n in range(1, 9):
         assert list(mm_block(n).values) == sorted(
@@ -192,7 +189,7 @@ def test_criterion_6_oracle_equivalence():
     for eps in (F(1), F(3, 2), F(5, 2), F(5)):
         assert max_tight_diameter(ps, eps) == brute_max_tight_diameter(ps.values, eps)
     # incremental subsums vs direct enumeration, k <= 12
-    stream = mg_stream(GN)
+    stream = GN.stream()
     for k in range(0, 13):
         got_k = finite_subsums(stream, k)
         assert dict(zip(got_k.values, got_k.counts)) == brute_subsums(stream.terms(k))
@@ -248,7 +245,7 @@ def test_criterion_9_uniqueness_suite():
     ks = [SEMIFAST.counts[i] for i in range(1, 5)]
     assert (ks[0] + 1) * (ks[1] + 1) * (ks[2] + 1) * (ks[3] + 1) == 81
     assert representation_uniqueness_oracle(SEMIFAST, 4)
-    gn_stream = mg_stream(GN)
+    gn_stream = GN.stream()
     split = kakeya_split(gn_stream, 6)
     for k in range(1, 7):
         assert tail_sum_unique(gn_stream, k) == (k in split.kakeya)

@@ -16,11 +16,11 @@ from cantorval.families import (
     KyivSpec,
     MMSpec,
     PeriodicSeq,
+    RepeatedTermSpec,
     geometric,
     multigeometric,
 )
 from cantorval.series import GeometricTailStream, SubsumLadder, TermStream, kakeya_split
-from cantorval.uniqueness import RepeatedTermSpec
 
 from oracles import fraction_separated_blocks
 
@@ -37,7 +37,7 @@ SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
 
 def fresh_classify(subject, **options):
     """classify over a fresh ladder of the subject's stream."""
-    return classify(subject, SubsumLadder(resolve_stream(subject)[0]), **options)
+    return classify(subject, SubsumLadder(resolve_stream(subject)), **options)
 
 
 class PatternlessStream(TermStream):
@@ -101,7 +101,7 @@ class TestClassify:
         assert got.verdict is Verdict.CANTOR
         assert got.tier is Tier.CERTIFIED
         assert "separated_blocks" in got.witnesses
-        pattern = resolve_stream(spec)[0].kakeya_pattern()
+        pattern = resolve_stream(spec).kakeya_pattern()
         assert "<" in pattern.cycle and ">" in pattern.cycle
 
     def test_semifast_repeated_terms_cantor_proved(self):
@@ -122,7 +122,7 @@ class TestClassify:
             assert (a.verdict, a.tier) == (b.verdict, b.tier)
 
     def test_proved_multi_interval_iterations_stabilize(self):
-        stream, _ = resolve_stream(DYADIC)
+        stream = resolve_stream(DYADIC)
         split = kakeya_split(stream, 9)
         assert split.kakeya == ()
         ladder = SubsumLadder(stream)
@@ -131,7 +131,7 @@ class TestClassify:
             assert reports[n - 1].iteration == reports[n].iteration
 
     def test_proved_cantor_gaps_multiply(self):
-        ladder = SubsumLadder(resolve_stream(THIRDS)[0])
+        ladder = SubsumLadder(resolve_stream(THIRDS))
         for n in range(1, 9):
             parts_now = len(iterate(ladder, n).iteration.parts)
             parts_next = len(iterate(ladder, n + 1).iteration.parts)
@@ -153,7 +153,7 @@ class TestClassify:
         assert got.witnesses["kakeya"]["horizon"] == 9
 
     def test_patternless_stream_heuristics(self):
-        stream = PatternlessStream(resolve_stream(GN)[0])
+        stream = PatternlessStream(resolve_stream(GN))
         got = fresh_classify(stream, horizon=10)
         assert got.verdict is Verdict.CANTORVAL
         assert got.tier is Tier.HEURISTIC

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval import cli
 from cantorval.cli import _dumps, build_report, main, validate_report_document
-from cantorval.families import spec_from_json
+from cantorval.families import MultigeometricSpec, spec_from_json
 
-from test_families import mm_specs
+from test_families import kyiv_specs, mg_specs, mm_specs
 from test_uniqueness import repeated_specs
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
@@ -281,6 +281,8 @@ class TestBadInput:
             (("analyze", "--inline", KYIV_TRUE), None),
             (("validate", "--inline", REPEATED_TRUE), None),
             (("analyze", "--inline", REPEATED_TRUE), None),
+            (("validate", "--inline", GN_JSON, "--depth", "3"), None),
+            (("validate", "--inline", GN_JSON, "--format", "csv"), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -292,6 +294,7 @@ class TestBadInput:
             "validate-mm-gap-true", "analyze-mm-gap-true",
             "validate-kyiv-s-true", "analyze-kyiv-s-true",
             "validate-repeated-count-true", "analyze-repeated-count-true",
+            "validate-takes-no-depth", "validate-takes-no-csv",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):
@@ -443,10 +446,11 @@ class TestFuzzedSpecs:
             f"--{name}={value}"
             for name, value in zip(("depth", "horizon", "budget"), numbers)
         ]
-        for command in ("validate", "analyze"):
+        # validate reads no numeric option, so only analyze gets them
+        for command, options in (("validate", []), ("analyze", flags)):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "--inline", spec, *flags])
+                code = main([command, "--inline", spec, *options])
             assert code in (0, 1, 2, 3)
             # 1 is a failed admissibility condition, reported on stdout
             assert len(err.getvalue().splitlines()) == (1 if code in (2, 3) else 0)
@@ -532,3 +536,34 @@ class TestValidatedSpecsAnalyze:
             code = main(["analyze", "--inline", spec, "--depth", "3"])
         assert code in (0, 3)
         assert "Traceback" not in err.getvalue()
+
+
+class TestValidateAgreesWithFamilyTier:
+    """validate's rows and classify's family tier read one spec method each;
+    they must agree on every family."""
+
+    @given(
+        st.one_of(
+            mg_specs(),
+            multigeometric_json().map(spec_from_json),
+            gf_json().map(spec_from_json),
+            mm_specs(),
+            kyiv_specs(),
+            kyiv_json().map(spec_from_json),
+            repeated_specs(),
+        )
+    )
+    @example(spec_from_json(json.loads((SPECS / "gf_decimal.json").read_text())))
+    @example(spec_from_json(json.loads(GF_BAD)))
+    @example(spec_from_json(json.loads(KYIV_OK)))
+    @example(spec_from_json(json.loads(KYIV_BAD)))
+    @example(spec_from_json(json.loads(KYIV_M_ONE)))
+    @settings(max_examples=150, deadline=None)
+    def test_family_verdict_exactly_when_every_condition_passes(self, spec):
+        assert spec_from_json(spec.to_json()) == spec
+        rows = spec.conditions()
+        if isinstance(spec, MultigeometricSpec):
+            assert spec.family_verdict() is None
+            assert len(rows) == 1 and rows[0]["passed"]
+        else:
+            assert (spec.family_verdict() is not None) == all(r["passed"] for r in rows)

@@ -16,8 +16,6 @@ from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, normaliz
 from cantorval.families import (
     KyivSpec,
     PeriodicSeq,
-    kyiv_stream,
-    mg_stream,
     multigeometric,
 )
 from cantorval.series import DEFAULT_CAP, SubsumLadder, kakeya_split
@@ -41,7 +39,7 @@ KYIV_48 = KyivSpec(PeriodicSeq((), (4,)), PeriodicSeq((), (8,)))
 
 
 def mg_ladder(spec):
-    return SubsumLadder(mg_stream(spec))
+    return SubsumLadder(spec.stream())
 
 
 def iset(*pairs):
@@ -61,7 +59,7 @@ class TestIterate:
         assert rep.measure == F(3, 2)
         assert rep.gap_count == 2
         assert longest_component(rep) == interval("1/2", "7/6")
-        assert rep.gaps() == iset(("5/12", "1/2"), ("7/6", "5/4"))
+        assert rep.to_json()["gaps"] == [["5/12", "1/2"], ["7/6", "5/4"]]
 
     def test_middle_thirds_first_step(self):
         rep = iterate(mg_ladder(THIRDS), 1)
@@ -74,7 +72,7 @@ class TestIterate:
 
     @pytest.mark.parametrize("depth", range(0, 11))
     def test_matches_brute_force_bricks(self, depth):
-        stream = mg_stream(GN)
+        stream = GN.stream()
         rep = iterate(SubsumLadder(stream), depth)
         expected = brute_bricks(sorted(brute_subsums(stream.terms(depth))), stream.tail(depth))
         assert [(p.lo, p.hi) for p in rep.iteration.parts] == expected
@@ -83,7 +81,7 @@ class TestIterate:
         "spec", [DYADIC, THIRDS, GN, FERENS], ids=["dyadic", "thirds", "gn", "ferens"]
     )
     def test_nesting_and_measure_monotone(self, spec):
-        stream = mg_stream(spec)
+        stream = spec.stream()
         ladder = SubsumLadder(stream)
         reports = [iterate(ladder, n) for n in range(0, 10)]
         for prev, cur in zip(reports, reports[1:]):
@@ -93,7 +91,7 @@ class TestIterate:
 
     @pytest.mark.parametrize(
         "stream_maker",
-        [lambda: mg_stream(GN), lambda: kyiv_stream(KYIV_48)],
+        [lambda: GN.stream(), lambda: KYIV_48.stream()],
         ids=["gn", "kyiv"],
     )
     def test_kakeya_iteration_coupling(self, stream_maker):
@@ -115,7 +113,7 @@ class TestIterate:
     def test_brick_splitting_when_next_index_is_kakeya(self):
         # For a stream with disjoint bricks, each order-n brick meets I_{n+1}
         # in exactly [x_t, x_t + r_{n+1}] and [x_t + x_{n+1}, x_t + r_n].
-        stream = mg_stream(THIRDS)
+        stream = THIRDS.stream()
         ladder = SubsumLadder(stream)
         for n in range(0, 6):
             nxt = iterate(ladder, n + 1).iteration
@@ -299,7 +297,7 @@ class TestMeasureBounds:
         assert got.boundary_gap == got.upper_lambda_e - got.lower_interior
 
     def test_plain_stream_gets_upper_only(self):
-        got = measure_bounds(SubsumLadder(kyiv_stream(KYIV_48)), 13)
+        got = measure_bounds(SubsumLadder(KYIV_48.stream()), 13)
         assert got.upper_lambda_e < 1
         assert got.lower_interior == 0
 

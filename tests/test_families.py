@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import cantorval
 from cantorval.classify import resolve_stream
 from cantorval.families import (
     BlockGeometric,
@@ -10,22 +16,19 @@ from cantorval.families import (
     KyivSpec,
     MMSpec,
     PeriodicSeq,
+    RepeatedTermSpec,
     geometric,
     gf_group_set,
-    gf_stream,
     gf_validate,
     kyiv_chain_margin,
     kyiv_group_set,
     kyiv_progression,
-    kyiv_stream,
     kyiv_validate,
     kyiv_values,
     mg_block,
-    mg_stream,
     mm_block,
     mm_block_coefficients,
     mm_block_sum,
-    mm_stream,
     multigeometric,
     spec_from_json,
     standardness_ratio,
@@ -34,7 +37,6 @@ from cantorval.families import (
 from cantorval.families.periodic import periodic_tail
 from cantorval.series import StreamError
 from cantorval.tightness import max_tight_diameter
-from cantorval.uniqueness import RepeatedTermSpec
 
 from oracles import (
     ReferenceGroups,
@@ -92,26 +94,26 @@ class TestPeriodic:
 
 class TestMultigeometric:
     def test_gn_stream_values(self):
-        st = mg_stream(GN)
+        st = GN.stream()
         assert st.tail(0) == F(5, 3)
         assert st.terms(3) == (F(3, 4), F(1, 2), F(3, 16))
         assert st.tail(2) == F(5, 12)
 
     def test_gn_keeps_coefficient_groups(self):
-        st = mg_stream(GN)
+        st = GN.stream()
         assert st.preperiod == 0
         assert all(st.boundary(j) == 2 * j for j in range(0, 8))
 
     def test_overlapping_coefficients_are_sorted(self):
         # k_m < k_1 q: the sequences 3 q^j and q^j interleave across groups
-        st = mg_stream(multigeometric([3, 1], "1/2"))
+        st = multigeometric([3, 1], "1/2").stream()
         assert st.terms(4) == (F(3, 2), F(3, 4), F(1, 2), F(3, 8))
         assert st.preperiod == 1
         assert st.tail(0) == 4
 
     def test_long_preperiod_tails_are_exact(self):
         # 2^2099, ..., 2, 1 come before the run (1/2, 1/2): 1050 head groups
-        st = mg_stream(multigeometric([2**2100, 1], "1/2"))
+        st = multigeometric([2**2100, 1], "1/2").stream()
         assert st.preperiod == 1050
         assert st.tail(0) == 2**2100 + 1
         count = st.boundary(st.preperiod + 2)
@@ -120,7 +122,7 @@ class TestMultigeometric:
         assert st.kakeya_pattern().cycle == ("<", "<")
 
     def test_dyadic_stream(self):
-        st = mg_stream(multigeometric([1], "1/2"))
+        st = multigeometric([1], "1/2").stream()
         for n in range(1, 8):
             assert st.term(n) == F(1, 2) ** n
             assert st.tail(n) == F(1, 2) ** n
@@ -168,7 +170,7 @@ class TestGeneralizedFerens:
         assert report.first_gf2_failure[1] == 1  # m_1 q_1 = 2 * 1/2
 
     def test_group_terms_follow_the_coefficient_run(self):
-        st = gf_stream(GF_DECIMAL)
+        st = GF_DECIMAL.stream()
         assert st.terms(4) == (F(5, 10), F(4, 10), F(3, 10), F(2, 10))
         assert st.term(5) == F(5, 100)
 
@@ -197,7 +199,7 @@ class TestGeneralizedFerens:
             PeriodicSeq((4,), (5,)),
             BlockGeometric((F(1, 10),), (F(1, 100),), F(1, 10)),
         )
-        st = gf_stream(spec)
+        st = spec.stream()
         assert st.terms(4) == (F(5, 10), F(4, 10), F(3, 10), F(2, 10))
         assert st.terms(9)[4:] == (F(7, 100), F(6, 100), F(5, 100), F(4, 100), F(3, 100))
         for n in range(0, 30):
@@ -235,13 +237,13 @@ class TestMarchwickiMiska:
         assert mm_scale(MM_ONES, 3) == F(1, 36)
 
     def test_boundary_tail_closed_form(self):
-        st = mm_stream(MM_ONES)
+        st = MM_ONES.stream()
         for k in range(1, 6):
             q_k = mm_scale(MM_ONES, k)
             assert st.group_tail(k) == F(9, 5) * q_k
 
     def test_stream_terms(self):
-        st = mm_stream(MM_ONES)
+        st = MM_ONES.stream()
         assert st.terms(3) == (4, 3, 2)
         assert st.terms(6)[3:] == (F(4, 6), F(3, 6), F(2, 6))
 
@@ -274,11 +276,11 @@ class TestKyiv:
             v = kyiv_values(spec, k)
             total += v.group_sum
             assert total + v.boundary_tail == 1
-        st = kyiv_stream(spec)
+        st = spec.stream()
         assert st.tail(0) == 1
 
     def test_stream_group_structure(self):
-        st = kyiv_stream(KYIV_48)
+        st = KYIV_48.stream()
         a1 = F(2, 25)
         assert st.terms(13) == (a1,) * 9 + (F(3, 4) * a1,) * 4
         assert st.tail(13) == F(1, 25)
@@ -310,7 +312,7 @@ class TestKyiv:
         # (m_k - 1)/m_k * a_k is zero when m_k = 1
         spec = KyivSpec(PeriodicSeq(pre, period), PeriodicSeq((), (6,)))
         with pytest.raises(StreamError, match="contains a nonpositive term"):
-            kyiv_stream(spec)
+            spec.stream()
 
     def test_group_set_matches_brute_force(self):
         got = kyiv_group_set(KYIV_48, 1)
@@ -430,7 +432,7 @@ class TestStreamsMatchClosedForms:
     @example(multigeometric([5, 1], "2/3"))  # k_m < k_1 q: preperiod 2
     @settings(max_examples=150, deadline=None)
     def test_groups_and_tails(self, spec):
-        stream, _ = resolve_stream(spec)
+        stream = resolve_stream(spec)
         last = stream.preperiod + 4 * stream.period
         got = [stream.group_terms(k) for k in range(1, last + 1)]
         assert got == ReferenceGroups(spec).groups(last)
@@ -443,17 +445,17 @@ class TestStreamsMatchClosedForms:
     def test_memoized_tails_match_fresh_streams(self, spec):
         # tail(n) is kept per index: any reading order, and a second reading,
         # must give what a stream that has computed nothing yet gives
-        stream, _ = resolve_stream(spec)
+        stream = resolve_stream(spec)
         indices = range(stream.boundary(stream.preperiod + 3 * stream.period) + 1)
-        fresh = [resolve_stream(spec)[0].tail(n) for n in indices]
-        ascending, _ = resolve_stream(spec)
+        fresh = [resolve_stream(spec).tail(n) for n in indices]
+        ascending = resolve_stream(spec)
         assert [ascending.tail(n) for n in indices] == fresh
         assert [ascending.tail(n) for n in indices] == fresh
-        descending, _ = resolve_stream(spec)
+        descending = resolve_stream(spec)
         assert [descending.tail(n) for n in reversed(indices)] == fresh[::-1]
         assert [descending.tail(n) for n in indices] == fresh
         # the Kakeya pattern is kept as well, whether read before or after
-        assert descending.kakeya_pattern() == resolve_stream(spec)[0].kakeya_pattern()
+        assert descending.kakeya_pattern() == resolve_stream(spec).kakeya_pattern()
         assert descending.kakeya_pattern() is descending.kakeya_pattern()
 
     @given(kyiv_specs())
@@ -486,13 +488,13 @@ class TestStreamDiscipline:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: mg_stream(GN),
-            lambda: mg_stream(multigeometric([3, 1], "1/2")),
-            lambda: mg_stream(multigeometric([2, 1], "1/2")),
-            lambda: gf_stream(GF_DECIMAL),
-            lambda: mm_stream(MM_ONES),
-            lambda: kyiv_stream(KYIV_48),
-            lambda: kyiv_stream(KYIV_MIXED),
+            lambda: GN.stream(),
+            lambda: multigeometric([3, 1], "1/2").stream(),
+            lambda: multigeometric([2, 1], "1/2").stream(),
+            lambda: GF_DECIMAL.stream(),
+            lambda: MM_ONES.stream(),
+            lambda: KYIV_48.stream(),
+            lambda: KYIV_MIXED.stream(),
         ],
         ids=["gn", "mg-overlap", "mg-tie", "gf", "mm", "kyiv48", "kyiv-mixed"],
     )
@@ -516,7 +518,7 @@ class TestStreamDiscipline:
         ms, bumps = ms[:n], bumps[:n]
         ss = [3 * m - 4 + b for m, b in zip(ms, bumps)]
         spec = KyivSpec(PeriodicSeq((), tuple(ms)), PeriodicSeq((), tuple(ss)))
-        stream = kyiv_stream(spec)
+        stream = spec.stream()
         count = stream.boundary(4)
         assert stream.tail(0) == 1  # the construction normalizes to total 1
         for k in range(0, count):
@@ -530,10 +532,45 @@ class TestStreamDiscipline:
 
     def test_preperiodic_specs_work(self):
         mixed_mm = MMSpec(PeriodicSeq((3,), (1, 2)))
-        st = mm_stream(mixed_mm)
+        st = mixed_mm.stream()
         assert st.terms(5) == (16, 9, 8, 4, 2)
         for n in range(0, 30):
             assert st.tail(n) == st.term(n + 1) + st.tail(n + 1)
 
         spec = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
         assert spec.weighted_tail(0) == F(2, 3)
+
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
+# y = 1, 1/2, 1/4, ... with counts 1, 2, 2, ...: not semi-fast
+HALVING_DOC = {
+    "type": "repeated",
+    "y": {"pre": [], "block": ["1"], "ratio": "1/2"},
+    "counts": {"pre": [1], "period": [2]},
+}
+
+
+def test_parsing_specs_loads_no_analysis_layer():
+    """Each family's module stands alone: parsing every bundled spec and a
+    repeated one, in a fresh interpreter, imports none of the layers that
+    analyze a spec."""
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from cantorval.families import spec_from_json\n"
+        "docs = [json.loads(p.read_text()) for p in sorted(Path(sys.argv[1]).glob('*.json'))]\n"
+        "docs.append(json.loads(sys.argv[2]))\n"
+        "kinds = sorted({type(spec_from_json(doc)).__name__ for doc in docs})\n"
+        "print(json.dumps([kinds, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cantorval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SPECS), json.dumps(HALVING_DOC)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    kinds, modules = json.loads(proc.stdout)
+    assert kinds == ["GFSpec", "KyivSpec", "MMSpec", "MultigeometricSpec", "RepeatedTermSpec"]
+    for layer in ("uniqueness", "classify", "engine", "cli"):
+        assert f"cantorval.{layer}" not in modules

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorval.engine import iterate
 from cantorval.exact import Interval, PointSet, normalize, rat_str
-from cantorval.families import mg_stream, multigeometric
+from cantorval.families import multigeometric
 from cantorval.series import (
     CapacityError,
     GeometricTailStream,
@@ -69,7 +69,7 @@ class TestLevels:
         assert ladder.level(5).points().total_count == 32
 
     def test_capacity_error_counts_the_full_merge(self):
-        ladder = SubsumLadder(mg_stream(multigeometric([3, 2], "1/4")), cap=15)
+        ladder = SubsumLadder(multigeometric([3, 2], "1/4").stream(), cap=15)
         with pytest.raises(CapacityError) as info:
             ladder.level(4)
         assert (info.value.stage, info.value.size, info.value.cap) == ("subsum_ladder", 16, 15)
@@ -93,7 +93,9 @@ class TestReaders:
             assert longest_component(report) == max(parts, key=lambda p: p.length)
             doc = report.to_json()
             assert doc["parts"] == report.iteration.to_pairs()
-            assert doc["gaps"] == report.gaps().to_pairs()
+            assert doc["gaps"] == [
+                [rat_str(a.hi), rat_str(b.lo)] for a, b in zip(parts, parts[1:])
+            ]
             assert doc["longest_component"] == longest_component(report).as_pair()
             assert doc["measure"] == rat_str(report.measure)
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from cantorval.exact import PointSet
-from cantorval.families import geometric, multigeometric, mg_stream, PeriodicSeq
+from cantorval.families import RepeatedTermSpec, geometric, multigeometric, PeriodicSeq
 from cantorval.series import (
     CapacityError,
     GeometricTailStream,
@@ -12,7 +12,6 @@ from cantorval.series import (
     group_convolve,
     kakeya_split,
 )
-from cantorval.uniqueness import RepeatedTermSpec, repeated_stream
 
 from oracles import FiniteStream, brute_subsum_levels, brute_subsums
 
@@ -21,17 +20,17 @@ GN_BLOCK = PointSet.from_pairs([(0, 1), (2, 1), (3, 1), (5, 1)])  # subsums of {
 
 
 def dyadic():
-    return mg_stream(multigeometric([1], "1/2"))
+    return multigeometric([1], "1/2").stream()
 
 
 def gn():
-    return mg_stream(multigeometric([3, 2], "1/4"))
+    return multigeometric([3, 2], "1/4").stream()
 
 
 def repeated_1_2():
     # y_i = 2^(1-i) repeated (1, 2, 2, ...) times
     spec = RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((1,), (2,)))
-    return repeated_stream(spec)
+    return spec.stream()
 
 
 class TestFiniteSubsums:

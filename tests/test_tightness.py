@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorval.exact import PointSet
-from cantorval.families import mg_stream, multigeometric
+from cantorval.families import multigeometric
 from cantorval.series import SubsumLadder
 from cantorval.tightness import (
     max_tight_diameter,
@@ -91,18 +91,18 @@ class TestMaxDiameter:
 
 class TestTrend:
     def test_dyadic_closed_form(self):
-        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([1], "1/2"))), 10)
+        trend = tight_trend(SubsumLadder(multigeometric([1], "1/2").stream()), 10)
         for n, value in trend.rows:
             assert value == 1 - F(1, 2) ** n
         assert trend.interval_evidence
 
     def test_middle_thirds_is_identically_zero(self):
-        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([2], "1/3"))), 8)
+        trend = tight_trend(SubsumLadder(multigeometric([2], "1/3").stream()), 8)
         assert all(value == 0 for _, value in trend.rows)
         assert not trend.interval_evidence
 
     def test_gn_frozen_values(self):
-        trend = tight_trend(SubsumLadder(mg_stream(multigeometric([3, 2], "1/4"))), 8)
+        trend = tight_trend(SubsumLadder(multigeometric([3, 2], "1/4").stream()), 8)
         values = dict(trend.rows)
         assert values[2] == F(1, 4)
         assert values[3] == F(7, 16)
@@ -112,12 +112,12 @@ class TestTrend:
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
-            tight_trend(SubsumLadder(mg_stream(multigeometric([1], "1/2"))), 0)
+            tight_trend(SubsumLadder(multigeometric([1], "1/2").stream()), 0)
 
     def test_matches_exhaustive_oracle_at_small_depth(self):
         from oracles import brute_subsums
 
-        stream = mg_stream(multigeometric([3, 2], "1/4"))
+        stream = multigeometric([3, 2], "1/4").stream()
         trend = tight_trend(SubsumLadder(stream), 4)
         for n, value in trend.rows:  # F_4 has 16 points; oracle is O(2^16)
             subsums = sorted(brute_subsums(stream.terms(n)))

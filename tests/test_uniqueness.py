@@ -11,9 +11,10 @@ from cantorval.classify import resolve_stream
 from cantorval.exact import IntervalSet, interval, normalize
 from cantorval.families import (
     PeriodicSeq,
+    RepeatedTermSpec,
     geometric,
-    mg_stream,
     multigeometric,
+    semifast_check,
     spec_from_json,
 )
 from cantorval.families.periodic import BlockGeometric
@@ -25,14 +26,11 @@ from cantorval.series import (
     kakeya_split,
 )
 from cantorval.uniqueness import (
-    RepeatedTermSpec,
     _profile_pass,
     _rank_decoder,
     multirep_outer,
-    repeated_stream,
     repetition_report,
     representation_uniqueness_oracle,
-    semifast_check,
     tail_sum_unique,
 )
 
@@ -46,9 +44,9 @@ from oracles import (
     reference_weighted_tail,
 )
 
-GN = mg_stream(multigeometric([3, 2], "1/4"))
-DYADIC = mg_stream(multigeometric([1], "1/2"))
-THIRDS = mg_stream(multigeometric([2], "1/3"))
+GN = multigeometric([3, 2], "1/4").stream()
+DYADIC = multigeometric([1], "1/2").stream()
+THIRDS = multigeometric([2], "1/3").stream()
 
 # y_i = 2^(1-i) repeated (1, 2, 2, ...): 1, 1/2, 1/2, 1/4, 1/4, ...
 HALVING = RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((1,), (2,)))
@@ -89,7 +87,7 @@ def repeated_specs(draw):
 
 class TestCollisions:
     def test_repeated_halving_collides_at_three(self):
-        report = repetition_report(SubsumLadder(repeated_stream(HALVING)), 3)
+        report = repetition_report(SubsumLadder(HALVING.stream()), 3)
         assert report.collisions.values == (F(1),)
         assert report.collisions.counts == (2,)
         (value, first, second) = report.witnesses[0]
@@ -119,7 +117,7 @@ class TestCollisions:
     def test_equal_term_swaps_are_not_collisions(self):
         # two copies of the same value: one multiset, no collision
         spec = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
-        report = repetition_report(SubsumLadder(repeated_stream(spec)), 6)
+        report = repetition_report(SubsumLadder(spec.stream()), 6)
         assert len(report.collisions) == 0
 
 
@@ -211,7 +209,7 @@ class TestRankDecoder:
 class TestLatticeReport:
     def test_report_and_json_build_no_fraction(self, monkeypatch):
         spec = spec_from_json(json.loads((SPECS / "ferens_5432.json").read_text()))
-        ladder = SubsumLadder(resolve_stream(spec)[0])
+        ladder = SubsumLadder(resolve_stream(spec))
         made = []
 
         def counting(*args):
@@ -250,7 +248,7 @@ class TestMultirepOuter:
                 assert point_in_set(value, outer)
 
     def test_outer_contains_collisions_at_own_level(self):
-        ladder = SubsumLadder(repeated_stream(HALVING))
+        ladder = SubsumLadder(HALVING.stream())
         for k in (3, 4, 5, 6):
             outer = multirep_outer(ladder, k)
             for value in repetition_report(ladder, k).collisions.values:
@@ -351,7 +349,7 @@ class TestRepeatedTermSpecValidation:
             RepeatedTermSpec(geometric(1, "1/2"), PeriodicSeq((), (True,)))
 
     def test_expanded_stream_shape(self):
-        stream = repeated_stream(HALVING)
+        stream = HALVING.stream()
         assert stream.terms(5) == (1, F(1, 2), F(1, 2), F(1, 4), F(1, 4))
 
     def test_json_round_trip(self):
