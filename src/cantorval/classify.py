@@ -185,8 +185,6 @@ def classify(
             certificate is not None
             and certificate.verified
             and certificate.interior_measure > 0
-            and pattern is not None
-            and GREATER in pattern.cycle
         ):
             # Interval inside the attractor plus infinitely many Kakeya
             # indices (each strict index splits bricks at its level, and the

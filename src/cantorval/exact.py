@@ -16,6 +16,7 @@ shift.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -292,21 +293,17 @@ class PointSet:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
+    def _index(self, v: Fraction) -> Optional[int]:
+        """Position of ``v`` among the sorted values, or None when absent."""
+        i = bisect_left(self.values, v)
+        return i if i < len(self.values) and self.values[i] == v else None
+
     def __contains__(self, x: object) -> bool:
         try:
             v = rat(x)  # type: ignore[arg-type]
         except TypeError:
             return False
-        lo, hi = 0, len(self.values) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.values[mid] < v:
-                lo = mid + 1
-            elif self.values[mid] > v:
-                hi = mid - 1
-            else:
-                return True
-        return False
+        return self._index(v) is not None
 
     @property
     def min(self) -> Fraction:
@@ -331,32 +328,10 @@ class PointSet:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
 
     def count_of(self, x: RationalLike) -> int:
-        v = rat(x)
-        if self.counts is None:
-            return 1 if v in self else 0
-        lo, hi = 0, len(self.values) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.values[mid] < v:
-                lo = mid + 1
-            elif self.values[mid] > v:
-                hi = mid - 1
-            else:
-                return self.counts[mid]
-        return 0
-
-    def to_json(self) -> dict:
-        doc: dict = {"values": [rat_str(v) for v in self.values]}
-        doc["counts"] = list(self.counts) if self.counts is not None else None
-        return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "PointSet":
-        counts = doc.get("counts")
-        return PointSet(
-            tuple(rat(v) for v in doc["values"]),
-            tuple(int(c) for c in counts) if counts is not None else None,
-        )
+        i = self._index(rat(x))
+        if i is None:
+            return 0
+        return 1 if self.counts is None else self.counts[i]
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.values)!r})"

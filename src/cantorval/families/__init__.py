@@ -9,7 +9,7 @@ rows, and ``family_verdict()`` gives the type its closed form proves, as
 from .periodic import BlockGeometric, PeriodicSeq, geometric
 from .multigeometric import MultigeometricSpec, mg_block, multigeometric
 from .ferens import GFSpec, gf_group_set, gf_validate, subsum_run_total
-from .marchwicki import MMSpec, mm_block, mm_block_coefficients, mm_block_sum
+from .marchwicki import MMSpec, mm_block, mm_block_coefficients
 from .kyiv import (
     KyivSpec,
     kyiv_chain_margin,

@@ -31,9 +31,10 @@ class GroupedStream(TermStream):
     times group k - p.  Construction checks positivity, monotonicity and
     the period exactly, which proves them for every index.
 
-    Streams are observationally pure: the interior caches only memoize
-    values that are deterministic functions of the index, so concurrent
-    readers can at worst duplicate a computation, never observe a wrong one.
+    A stream is for one thread.  Its caches keep only values that are
+    deterministic functions of the index, but ``group_terms`` and
+    ``boundary`` append to their lists in place, so two threads reading at
+    once could append the same group twice and shift every later term.
     """
 
     def __init__(

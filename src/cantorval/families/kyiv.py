@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
 
-from ..exact import PointSet, rat_str
+from ..exact import PointSet
 from ..series import DEFAULT_CAP, CapacityError, subsum_level
 from .grouped import GroupedStream
 from .periodic import PeriodicSeq, is_int
@@ -162,14 +162,6 @@ class KyivValues:
     a: Fraction
     boundary_tail: Fraction  # r at N_k
     group_sum: Fraction      # G_k
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "a": rat_str(self.a),
-            "r_at_boundary": rat_str(self.boundary_tail),
-            "group_sum": rat_str(self.group_sum),
-        }
 
 
 def _kyiv_run(spec: KyivSpec, k: int) -> Iterator[KyivValues]:

@@ -39,11 +39,6 @@ def mm_block(n: int) -> PointSet:
     return PointSet.from_values(low + run + high)
 
 
-def mm_block_sum(n: int) -> int:
-    """Total of one unscaled block: 5 * 2^n - 1."""
-    return 5 * 2**n - 1
-
-
 @dataclass(frozen=True)
 class MMSpec:
     """Eventually periodic gap parameters n_s >= 1 (one per block)."""

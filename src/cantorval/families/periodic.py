@@ -49,9 +49,6 @@ class PeriodicSeq:
     def period_length(self) -> int:
         return len(self.period)
 
-    def values(self, k: int) -> tuple:
-        return tuple(self.value(n) for n in range(1, k + 1))
-
     def to_json(self) -> dict:
         return {"pre": list(self.pre), "period": list(self.period)}
 

@@ -26,7 +26,7 @@ from itertools import compress
 from math import lcm
 from typing import Iterable, Optional
 
-from .exact import PointSet, rat, RationalLike
+from .exact import PointSet
 
 DEFAULT_CAP = 2_000_000
 
@@ -110,63 +110,6 @@ class TermStream(abc.ABC):
     def kakeya_pattern(self) -> Optional[KakeyaPattern]:
         """Exact comparison pattern when one is analytically available."""
         return None
-
-
-class GeometricTailStream(TermStream):
-    """Finitely many explicit terms followed by an exact geometric tail.
-
-    The workhorse for hand-built streams in tests and for planted examples:
-    positivity and monotonicity are validated on construction, and every tail
-    sum is a closed-form geometric sum.
-    """
-
-    def __init__(
-        self,
-        prefix: Iterable[RationalLike],
-        start: RationalLike,
-        ratio: RationalLike,
-    ) -> None:
-        self._prefix = tuple(rat(v) for v in prefix)
-        self._start = rat(start)
-        self._ratio = rat(ratio)
-        if self._start <= 0:
-            raise ValueError("geometric tail must have a positive first term")
-        if not (0 < self._ratio < 1):
-            raise ValueError("geometric ratio must lie in (0, 1)")
-        for v in self._prefix:
-            if v <= 0:
-                raise ValueError("terms must be positive")
-        for a, b in zip(self._prefix, self._prefix[1:]):
-            if b > a:
-                raise ValueError("terms must be nonincreasing")
-        if self._prefix and self._start > self._prefix[-1]:
-            raise ValueError("geometric tail must not exceed the last explicit term")
-        self._geo_sum = self._start / (1 - self._ratio)
-
-    def term(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("term indices start at 1")
-        p = len(self._prefix)
-        if n <= p:
-            return self._prefix[n - 1]
-        return self._start * self._ratio ** (n - p - 1)
-
-    def tail(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("tail indices start at 0")
-        p = len(self._prefix)
-        if n >= p:
-            return self._geo_sum * self._ratio ** (n - p)
-        return sum(self._prefix[n:], Fraction(0)) + self._geo_sum
-
-    def kakeya_pattern(self) -> KakeyaPattern:
-        # In the geometric regime x_n / r_n = (1 - ratio) / ratio exactly,
-        # so one comparison settles every index past the prefix.
-        prefix = tuple(
-            compare_sign(self.term(n), self.tail(n)) for n in range(1, len(self._prefix) + 1)
-        )
-        cycle = (compare_sign(1 - self._ratio, self._ratio),)
-        return KakeyaPattern(prefix, cycle)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,6 @@ class TightDecomposition:
     def max_diameter(self) -> Fraction:
         return max(self.diameters)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def tight_decompose(points: PointSet, eps: RationalLike) -> TightDecomposition:
     """Split at every gap strictly exceeding eps (single left-to-right sweep)."""
@@ -71,10 +68,6 @@ class TightTrend:
 
     rows: tuple[tuple[int, Fraction], ...]
     interval_evidence: bool
-
-    @property
-    def depth(self) -> int:
-        return self.rows[-1][0]
 
     @property
     def final(self) -> Fraction:

@@ -5,6 +5,10 @@ instead of incremental convolution, endpoint-event merging instead of the
 sweep in normalize, exhaustive subset search for tight decompositions.
 Expected values frozen in the tests were computed with these.
 
+Hand-made streams are the exception: ``geometric_tail_stream`` builds
+explicit terms followed by a geometric tail as the library's own
+GroupedStream, so every test on such a stream runs the production class.
+
 The reference section at the end keeps the library's earlier Fraction
 implementations of the separated-block test, the certificate search and the
 representation oracle, which the integer-lattice versions must match result
@@ -40,6 +44,7 @@ from cantorval.exact import (
     rat_str,
 )
 from cantorval.families.ferens import GFSpec
+from cantorval.families.grouped import GroupedStream
 from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
 from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head
@@ -206,6 +211,21 @@ class FiniteStream(TermStream):
         if n < 0:
             raise ValueError("tail indices start at 0")
         return sum(self._values[n:], Fraction(0))
+
+
+def geometric_tail_stream(
+    prefix: Iterable[RationalLike], start: RationalLike, ratio: RationalLike
+) -> GroupedStream:
+    """Explicit terms, then start, start * ratio, start * ratio^2, ...
+
+    Built as the production stream class: one group per explicit term as
+    the preperiod, then two one-term groups that fix the ratio, so every
+    hand-built stream in the suite runs GroupedStream's validation, tails
+    and Kakeya pattern.
+    """
+    start, ratio = rat(start), rat(ratio)
+    groups = [(rat(t),) for t in prefix] + [(start,), (start * ratio,)]
+    return GroupedStream(groups, len(groups) - 2, 1)
 
 
 # --- Reference: the Fraction separated-block test ---------------------------

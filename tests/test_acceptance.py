@@ -231,9 +231,9 @@ def test_criterion_8_boundary_gap_monotone():
 
 
 def test_criterion_9_uniqueness_suite():
-    from cantorval.series import GeometricTailStream
+    from oracles import geometric_tail_stream
 
-    planted = GeometricTailStream([1, F(1, 2), F(1, 4), F(1, 4)], F(1, 8), F(1, 2))
+    planted = geometric_tail_stream([1, F(1, 2), F(1, 4), F(1, 4)], F(1, 8), F(1, 2))
     ladder = SubsumLadder(planted)
     rep = repetition_report(ladder, 4)
     assert len(rep.collisions) > 0

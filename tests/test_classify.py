@@ -20,9 +20,9 @@ from cantorval.families import (
     geometric,
     multigeometric,
 )
-from cantorval.series import GeometricTailStream, SubsumLadder, TermStream, kakeya_split
+from cantorval.series import SubsumLadder, TermStream, kakeya_split
 
-from oracles import fraction_separated_blocks
+from oracles import fraction_separated_blocks, geometric_tail_stream
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -139,7 +139,7 @@ class TestClassify:
 
     def test_equality_prefix_then_strict_is_cantor(self):
         # x_n = r_n for n <= 3, x_n > r_n afterwards
-        stream = GeometricTailStream([6, 3, F(3, 2)], 1, F(1, 3))
+        stream = geometric_tail_stream([6, 3, F(3, 2)], 1, F(1, 3))
         split = kakeya_split(stream, 8)
         assert split.reversed_kakeya == (1, 2, 3)
         got = fresh_classify(stream, horizon=8)

@@ -224,6 +224,20 @@ class TestPointSet:
         assert ps.count_of(1) == 4
         assert ps.count_of(7) == 0
 
+    @given(st.lists(small_fractions), small_fractions, st.booleans())
+    def test_lookup_matches_a_scan(self, values, x, bare):
+        ps = PointSet.from_values(values) if bare else PointSet.from_pairs((v, 1) for v in values)
+        assert (x in ps) == (x in values)
+        hits = values.count(x)
+        assert ps.count_of(x) == (min(hits, 1) if bare else hits)
+
+    def test_non_rationals_are_not_members(self):
+        ps = PointSet.from_values([F(1, 2), 1])
+        assert "1/2" in ps
+        assert 0.5 not in ps
+        assert None not in ps
+        assert True not in ps
+
     def test_rejects_disorder(self):
         with pytest.raises(ValueError):
             PointSet((F(1), F(0)))
@@ -231,12 +245,6 @@ class TestPointSet:
             PointSet((F(0), F(1)), (1,))
         with pytest.raises(ValueError):
             PointSet((F(0),), (0,))
-
-    def test_json_round_trip(self):
-        ps = PointSet.from_pairs([(F(1, 2), 2), (F(3, 4), 1)])
-        assert PointSet.from_json(ps.to_json()) == ps
-        bare = PointSet.from_values([F(1, 3), F(1, 3), 1])
-        assert PointSet.from_json(bare.to_json()) == bare
 
     def test_interval_set_pairs_round_trip(self):
         s = iset((0, "5/12"), ("1/2", "7/6"))

@@ -28,7 +28,6 @@ from cantorval.families import (
     mg_block,
     mm_block,
     mm_block_coefficients,
-    mm_block_sum,
     multigeometric,
     spec_from_json,
     standardness_ratio,
@@ -228,8 +227,7 @@ class TestMarchwickiMiska:
 
     def test_block_sum(self):
         for n in range(1, 9):
-            assert mm_block_sum(n) == sum(mm_block_coefficients(n))
-            assert mm_block(n).max == mm_block_sum(n)
+            assert mm_block(n).max == sum(mm_block_coefficients(n)) == 5 * 2**n - 1
 
     def test_scale_recurrence(self):
         assert mm_scale(MM_ONES, 1) == 1

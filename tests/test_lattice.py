@@ -16,16 +16,11 @@ from hypothesis import given, settings, strategies as st
 from cantorval.engine import iterate
 from cantorval.exact import Interval, PointSet, normalize, rat_str
 from cantorval.families import multigeometric
-from cantorval.series import (
-    CapacityError,
-    GeometricTailStream,
-    SubsumLadder,
-    group_convolve,
-)
+from cantorval.series import CapacityError, SubsumLadder, group_convolve
 from cantorval.tightness import max_tight_diameter, tight_trend
 from cantorval.uniqueness import multirep_outer, repetition_report
 
-from oracles import brute_merge, brute_subsum_levels, longest_component
+from oracles import brute_merge, brute_subsum_levels, geometric_tail_stream, longest_component
 
 
 @st.composite
@@ -43,7 +38,7 @@ def mixed_streams(draw):
     )
     start = prefix[-1] * draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
     ratio = F(1, draw(st.integers(2, 5)))
-    return GeometricTailStream(prefix, start, ratio), len(prefix) + 2
+    return geometric_tail_stream(prefix, start, ratio), len(prefix) + 2
 
 
 class TestLevels:
@@ -63,7 +58,7 @@ class TestLevels:
                 assert got == group_convolve(ladder.level(k - 1).points(), step)
 
     def test_rescales_when_a_denominator_is_new(self):
-        ladder = SubsumLadder(GeometricTailStream(["1/2", "1/3", "1/4", "1/5"], "1/7", "1/2"))
+        ladder = SubsumLadder(geometric_tail_stream(["1/2", "1/3", "1/4", "1/5"], "1/7", "1/2"))
         assert [ladder.level(k).denominator for k in range(6)] == [1, 2, 6, 12, 60, 420]
         assert ladder.level(2).values == (0, 2, 3, 5)
         assert ladder.level(5).points().total_count == 32

@@ -1,0 +1,174 @@
+"""Every public function and class is reached by a command or kept for a reason.
+
+A public module-level function or class of ``cantorval`` must run when
+``analyze`` or ``validate`` does, or be named below with the reason it is
+kept; anything else is a candidate for deletion.  The commands run under
+``sys.setprofile`` in a fresh interpreter, so no cache warmed by another
+test hides a call: ``analyze --depth 8`` and ``validate`` on every bundled
+spec, and one ``analyze --cap 2`` that ends in CapacityError.
+
+A function is reached when its code runs.  A class is reached when code
+defined in its body runs: a method, a property or a dataclass's generated
+``__init__``.  A class whose body defines no function, such as an enum or
+an exception, is reached when code that runs reads its name.
+
+Run as a script, this file runs the commands and prints the reached names
+as JSON.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import io
+import json
+import pkgutil
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = sorted((ROOT / "scripts" / "specs").glob("*.json"))
+
+# Kept without a command reaching them, each for the reason given.
+EXPLICIT = {
+    "cantorval.cli.validate_report_document": "perfbench/checks.py checks every report with it",
+    "cantorval.exact.difference_parts": (
+        "it only builds an unverified certificate's uncovered parts, a diagnostic"
+        " that no report carries"
+    ),
+    "cantorval.tightness.TightDecomposition": (
+        "tight_decompose returns it, and max_tight_diameter, which"
+        " test_acceptance.py imports, reads it"
+    ),
+}
+
+
+def public_objects() -> dict[str, object]:
+    """Every public function and class of cantorval, by its home module's name."""
+    import cantorval
+
+    modules = ["cantorval"] + [
+        info.name
+        for info in pkgutil.walk_packages(cantorval.__path__, "cantorval.")
+        if info.name != "cantorval.__main__"  # importing it runs the CLI
+    ]
+    found = {}
+    for name in modules:
+        for attr, obj in vars(importlib.import_module(name)).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isclass(obj) or inspect.isfunction(inspect.unwrap(obj)):
+                found[f"{name}.{attr}"] = obj
+    return found
+
+
+def home_name(obj) -> str:
+    return f"{obj.__module__}.{obj.__name__}"
+
+
+def _own_functions(cls):
+    for attr in vars(cls).values():
+        if isinstance(attr, (staticmethod, classmethod)):
+            attr = attr.__func__
+        elif isinstance(attr, property):
+            attr = attr.fget
+        if inspect.isfunction(attr) and attr.__qualname__.startswith(cls.__qualname__ + "."):
+            yield attr
+
+
+def run_commands() -> dict:
+    """Run the commands under a profiler: their exit codes and the reached names."""
+    from cantorval import cli
+
+    argvs = []
+    for spec in SPECS:
+        argvs.append(["analyze", "--spec", str(spec), "--depth", "8"])
+        argvs.append(["validate", "--spec", str(spec)])
+    argvs.append(["analyze", "--spec", str(ROOT / "scripts" / "specs" / "gn.json"), "--cap", "2"])
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sink = io.StringIO()
+    with redirect_stdout(sink), redirect_stderr(sink):
+        sys.setprofile(record)
+        try:
+            codes = [cli.main(argv) for argv in argvs]
+        finally:
+            sys.setprofile(None)
+    read = set().union(*(code.co_names for code in ran))
+    reached = []
+    for name, obj in public_objects().items():
+        if inspect.isclass(obj):
+            own = list(_own_functions(obj))
+            hit = any(f.__code__ in ran for f in own) if own else obj.__name__ in read
+        else:
+            hit = inspect.unwrap(obj).__code__ in ran
+        if hit:
+            reached.append(name)
+    return {"exit_codes": codes, "reached": reached}
+
+
+def span_targets() -> dict[str, str]:
+    """The functions perfbench/spans.py times, read as test_span_targets does."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {
+        home_name(inspect.unwrap(getattr(importlib.import_module(f"cantorval.{layer}"), name))):
+        "perfbench/spans.py times it"
+        for layer, names in module.TARGETS.items()
+        for name in names
+    }
+
+
+def acceptance_imports() -> dict[str, str]:
+    """The cantorval names that test_acceptance.py imports at module level."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cantorval"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = inspect.unwrap(getattr(module, alias.name))
+                found[home_name(obj)] = "test_acceptance.py uses it"
+    return found
+
+
+@pytest.fixture(scope="module")
+def commands() -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_run_to_their_exit_codes(commands):
+    assert commands["exit_codes"] == [0] * (2 * len(SPECS)) + [3]
+
+
+def test_every_public_name_is_reached_or_kept_for_a_reason(commands):
+    allowed = {**span_targets(), **acceptance_imports(), **EXPLICIT}
+    unreached = set(public_objects()) - set(commands["reached"]) - set(allowed)
+    assert not unreached, (
+        "public names that neither analyze nor validate reaches, kept for no reason: "
+        + ", ".join(sorted(unreached))
+    )
+
+
+def test_explicit_reasons_name_public_names_no_command_reaches(commands):
+    stale = set(EXPLICIT) - (set(public_objects()) - set(commands["reached"]))
+    assert not stale, f"stale entries: {sorted(stale)}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_commands()))

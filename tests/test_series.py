@@ -1,19 +1,33 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from cantorval.exact import PointSet
 from cantorval.families import RepeatedTermSpec, geometric, multigeometric, PeriodicSeq
 from cantorval.series import (
     CapacityError,
-    GeometricTailStream,
     KakeyaPattern,
     SubsumLadder,
+    compare_sign,
     finite_subsums,
     group_convolve,
     kakeya_split,
 )
 
-from oracles import FiniteStream, brute_subsum_levels, brute_subsums
+from oracles import FiniteStream, brute_subsum_levels, brute_subsums, geometric_tail_stream
+
+
+@st.composite
+def geometric_tails(draw):
+    """(prefix, start, ratio): positive nonincreasing terms, ratio in (0, 1)."""
+    positive = st.builds(F, st.integers(1, 20), st.integers(1, 12))
+    prefix = sorted(draw(st.lists(positive, max_size=6)), reverse=True)
+    start = draw(positive)
+    if prefix:
+        start = min(start, prefix[-1])
+    q = draw(st.integers(2, 9))
+    return prefix, start, F(draw(st.integers(1, q - 1)), q)
 
 
 GN_BLOCK = PointSet.from_pairs([(0, 1), (2, 1), (3, 1), (5, 1)])  # subsums of {3, 2}
@@ -129,7 +143,7 @@ class TestKakeyaSplit:
         assert split.reversed_kakeya == (1, 3)
 
     def test_plain_thirds_all_kakeya(self):
-        stream = GeometricTailStream([], F(1, 3), F(1, 3))  # x_n = 3^-n
+        stream = geometric_tail_stream([], F(1, 3), F(1, 3))  # x_n = 3^-n
         split = kakeya_split(stream, 5)
         assert split.kakeya == (1, 2, 3, 4, 5)
 
@@ -192,11 +206,36 @@ class TestStreams:
 
     def test_geometric_tail_stream_validation(self):
         with pytest.raises(ValueError):
-            GeometricTailStream([1, 2], 1, F(1, 2))  # increasing prefix
+            geometric_tail_stream([1, 2], 1, F(1, 2))  # increasing prefix
         with pytest.raises(ValueError):
-            GeometricTailStream([1], 2, F(1, 2))  # tail jumps above prefix
+            geometric_tail_stream([1], 2, F(1, 2))  # tail jumps above prefix
         with pytest.raises(ValueError):
-            GeometricTailStream([], 1, 1)  # ratio not < 1
+            geometric_tail_stream([], 1, 1)  # ratio not < 1
+        with pytest.raises(ValueError):
+            geometric_tail_stream([], 1, 0)  # ratio not > 0
+        with pytest.raises(ValueError):
+            geometric_tail_stream([], 1, F(-1, 2))  # ratio not > 0
+
+    @given(geometric_tails())
+    @settings(max_examples=100, deadline=None)
+    def test_fixture_matches_geometric_closed_forms(self, drawn):
+        # A tail reference that does not go through periodic_tail.
+        prefix, start, ratio = drawn
+        p = len(prefix)
+
+        def closed_tail(n):
+            if n < p:
+                return sum(prefix[n:], F(0)) + start / (1 - ratio)
+            return start * ratio ** (n - p) / (1 - ratio)
+
+        stream = geometric_tail_stream(prefix, start, ratio)
+        assert stream.terms(p + 4) == tuple(prefix) + tuple(start * ratio**i for i in range(4))
+        assert [stream.tail(n) for n in range(p + 5)] == [closed_tail(n) for n in range(p + 5)]
+        pattern = stream.kakeya_pattern()
+        assert pattern.prefix == tuple(
+            compare_sign(prefix[n - 1], closed_tail(n)) for n in range(1, p + 1)
+        )
+        assert pattern.cycle == (compare_sign(1 - ratio, ratio),)
 
     def test_pattern_matches_split_far_beyond_cycle(self):
         for make in (dyadic, gn, repeated_1_2):
