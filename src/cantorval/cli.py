@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -76,6 +77,8 @@ def _usage_error(reason: object) -> int:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_ENCODERS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__}
+_FLAT_ITEMS = ({int}, {str}, set())
 
 
 def _dumps(doc) -> str:
@@ -84,9 +87,9 @@ def _dumps(doc) -> str:
     The standard library's indenting encoder is pure Python and yields one
     small string per token.  This writer appends to one chunk list, testing
     types in the same order (str, None, True, False, int, list or tuple,
-    dict), and renders a list of ints, of strs or of [str, str] pairs (the
-    bulk of a report: its parts and gaps) with one join.  A report holds no
-    floats and only str keys, so either raises TypeError.
+    dict).  Lists of ints, of strs or of [str, str] pairs (parts and gaps)
+    take one join, record arrays (witnesses) the column path of ``_records``.
+    A report holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
     _write(doc, chunks, "\n")
@@ -95,7 +98,8 @@ def _dumps(doc) -> str:
 
 
 def _write(o, chunks: list[str], newline: str) -> None:
-    """Append the encoding of ``o``; ``newline`` is "\n" plus its indent."""
+    """Append the encoding of ``o``, a record array by the column path of
+    ``_records``; ``newline`` is "\n" plus its indent."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -111,11 +115,10 @@ def _write(o, chunks: list[str], newline: str) -> None:
             chunks.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in o):
-            items = map(int.__repr__, o)
-        elif all(type(x) is str for x in o):
-            items = map(_encode_str, o)
-        elif all(
+        if all(type(x) is int for x in o) or all(type(x) is str for x in o):
+            chunks.append(_flat_list(newline, o))
+            return
+        if all(
             type(x) is list and len(x) == 2 and type(x[0]) is str and type(x[1]) is str
             for x in o
         ):
@@ -123,6 +126,8 @@ def _write(o, chunks: list[str], newline: str) -> None:
             items = (
                 f"[{deeper}{_encode_str(a)},{deeper}{_encode_str(b)}{inner}]" for a, b in o
             )
+        elif (rows := _records(o, inner)) is not None:
+            items = rows
         else:
             separator = "[" + inner
             for item in o:
@@ -147,6 +152,45 @@ def _write(o, chunks: list[str], newline: str) -> None:
         chunks.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _flat_list(newline: str, items) -> str:
+    """A list of only ints or only strs; ``newline`` as in ``_write``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    encode = int.__repr__ if type(items[0]) is int else _encode_str
+    return f"[{inner}{(',' + inner).join(map(encode, items))}{newline}]"
+
+
+def _column_encoder(column, entry: str):
+    """The cell encoder of a flat column (see ``_records``), or None."""
+    kind, *mixed = set(map(type, column))
+    if kind is list and not mixed:
+        flat = set(map(type, chain.from_iterable(column))) in _FLAT_ITEMS
+        return partial(_flat_list, entry) if flat else None
+    return None if mixed else _ENCODERS.get(kind)
+
+
+def _records(o, inner: str):
+    """Rows of two or more dicts in one str key order whose columns are all
+    str, all int, all bool or all lists of only ints or only strs, encoded by
+    column (one type check and map each, one format per row), or None.  The
+    first row is checked first: iteration rows, with lists of pairs, fail."""
+    first, entry = o[0], inner + "  "
+    if type(first) is not dict or len(o) < 2 or set(map(type, first)) != {str} or not all(
+        _column_encoder((value,), entry) for value in first.values()
+    ):
+        return None
+    if set(map(type, o)) != {dict} or set(map(tuple, o)) != {tuple(first)}:
+        return None
+    columns = list(zip(*map(dict.values, o)))
+    encoders = [_column_encoder(column, entry) for column in columns]
+    if None in encoders:
+        return None
+    fields = (_encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in first)
+    template = "{{" + entry + ("," + entry).join(fields) + inner + "}}"
+    return map(template.format, *map(map, encoders, columns))
 
 
 def _emit(text: str, out: Optional[str]) -> None:

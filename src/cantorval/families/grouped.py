@@ -134,6 +134,10 @@ class GroupedStream(TermStream):
             raise ValueError("tail indices start at 0")
         if n == 0:
             value = self.group_sum(1) + self.group_tail(1)
+        elif n - 1 in self._term_tails:  # one step from a kept neighbour
+            value = self._term_tails[n - 1] - self.term(n)
+        elif n + 1 in self._term_tails:
+            value = self.term(n + 1) + self._term_tails[n + 1]
         else:
             k, offset = self.locate(n)
             value = sum(self.group_terms(k)[offset:], Fraction(0)) + self.group_tail(k)

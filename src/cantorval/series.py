@@ -13,6 +13,11 @@ linear merge of those integers with the same integers shifted by x_n * D_n,
 after rescaling when x_n's denominator does not divide D_{n-1}.  The brick
 union I_n (the union of [f, f + r_n] over F_n) is one sweep over the same
 integers; Fractions are built only where a caller reads them.
+
+Only level 0 and Kakeya levels (x_n > r_n) are swept.  If x_n <= r_n, the
+bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
+[f, f + r_{n-1}], so I_n = I_{n-1}; r_{n-1} = x_n + r_n makes d_{n-1} =
+lcm(D_{n-1}, den r_{n-1}) divide d_n, so I_n is I_{n-1} scaled by d_n/d_{n-1}.
 """
 
 from __future__ import annotations
@@ -302,7 +307,9 @@ class SubsumLadder:
     built on request, one term at a time, and kept; a level that would
     exceed ``cap`` raises CapacityError, nothing is stored, and asking for
     it again raises the same error.  ``ladder.bricks(n)`` keeps the
-    iteration I_n, swept from the same integers.
+    iteration I_n, swept from the same integers at 0 and Kakeya levels, else
+    I_{n-1} rescaled: x_n <= r_n joins [f, f + r_n] to [f + x_n, f + r_{n-1}]
+    and r_{n-1} = x_n + r_n makes the lattice of I_{n-1} divide that of I_n.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -332,15 +339,30 @@ class SubsumLadder:
         return d, values, tail.numerator * (d // tail.denominator)
 
     def bricks(self, n: int) -> Bricks:
-        """I_n: bricks merge across every gap of F_n that is at most r_n."""
-        got = self._bricks.get(n)
-        if got is None:
-            d, values, reach = self.on_tail_lattice(n)
-            gaps = map(operator.sub, values[1:], values)
-            cuts = list(compress(range(1, len(values)), map(partial(operator.lt, reach), gaps)))
-            starts = [values[0]] + [values[i] for i in cuts]
-            ends = [values[i - 1] + reach for i in cuts] + [values[-1] + reach]
-            got = self._bricks[n] = Bricks(d, tuple(starts), tuple(ends), reach)
+        """I_n: F_n's bricks merged across gaps <= r_n.  F_n is built first; no call nests."""
+        kept, stream = self._bricks, self.stream
+        if n not in kept:
+            self.level(n)
+            m = n
+            while m and m not in kept and stream.term(m) <= stream.tail(m):
+                m -= 1
+            got = kept[m] if m in kept else self._sweep(m)
+            for k in range(m + 1, n + 1):
+                tail = stream.tail(k)
+                d = lcm(self._levels[k].denominator, tail.denominator)
+                scale = partial(operator.mul, d // got.denominator)
+                starts, ends = (tuple(map(scale, v)) for v in (got.starts, got.ends))
+                got = kept[k] = Bricks(d, starts, ends, d * tail.numerator // tail.denominator)
+        return kept[n]
+
+    def _sweep(self, n: int) -> Bricks:
+        """I_n swept from F_n on the tail lattice, and kept."""
+        d, values, reach = self.on_tail_lattice(n)
+        gaps = map(operator.sub, values[1:], values)
+        cuts = list(compress(range(1, len(values)), map(partial(operator.lt, reach), gaps)))
+        starts = [values[0]] + [values[i] for i in cuts]
+        ends = [values[i - 1] + reach for i in cuts] + [values[-1] + reach]
+        got = self._bricks[n] = Bricks(d, tuple(starts), tuple(ends), reach)
         return got
 
 

@@ -384,7 +384,68 @@ json_trees = st.recursive(
 )
 
 
+# Record arrays for the encoder's column path: keys with quotes, backslashes,
+# braces and non-ASCII text; columns of str, int, bool, int lists and str
+# lists (empty cells included), next to columns that must fall back: a
+# nested dict, ints mixed with bools, lists mixing ints and strs.
+record_keys = st.one_of(json_text, st.text(alphabet='"\\{}\u00e9\u2603ab', max_size=6))
+record_cells = (
+    json_text,
+    json_ints,
+    st.booleans(),
+    st.lists(json_ints, max_size=3),
+    st.lists(json_text, max_size=3),
+    st.dictionaries(json_text, json_ints, max_size=2),
+    st.one_of(json_ints, st.booleans()),
+    st.lists(st.one_of(json_ints, json_text), max_size=3),
+)
+
+
+@st.composite
+def record_arrays(draw):
+    """Dicts sharing one key order, and sometimes one row in another."""
+    keys = draw(st.lists(record_keys, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(record_cells)) for _ in keys]
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
+    records = [dict(zip(keys, row)) for row in rows]
+    if len(records) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = dict(reversed(records[i].items()))
+    return records
+
+
 class TestDumps:
+    @given(record_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_record_arrays_match_stdlib(self, records):
+        for doc in (records, {"witnesses": records, "deeper": [records]}):
+            assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @given(record_arrays(), st.data())
+    def test_float_cell_in_a_record_array_is_a_type_error(self, records, data):
+        row = data.draw(st.sampled_from(records))
+        row[data.draw(st.sampled_from(sorted(row)))] = data.draw(st.floats())
+        with pytest.raises(TypeError):
+            _dumps(records)
+
+    @given(record_arrays(), st.data())
+    def test_non_str_key_in_a_record_array_is_a_type_error(self, records, data):
+        key = data.draw(st.one_of(st.none(), st.booleans(), json_ints, st.floats()))
+        for row in data.draw(st.sampled_from([records, records[:1], records[-1:]])):
+            row[key] = 0
+        with pytest.raises(TypeError):
+            _dumps(records)
+
+    def test_column_path_takes_witnesses_and_rejects_iteration_rows(self):
+        doc = build_report(
+            spec_from_json(json.loads((SPECS / "ferens_5432.json").read_text())),
+            4, 4, cli.DEFAULT_CAP, 12,
+        )
+        witnesses = doc["uniqueness"]["repetition"]["witnesses"]
+        assert len(witnesses) > 1
+        assert cli._records(witnesses, "\n  ") is not None
+        assert cli._records(doc["iterations"], "\n  ") is None
+
     @given(json_trees)
     @settings(max_examples=300, deadline=None)
     def test_matches_stdlib_indent_2(self, tree):

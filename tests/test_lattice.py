@@ -15,12 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from cantorval.engine import iterate
 from cantorval.exact import Interval, PointSet, normalize, rat_str
-from cantorval.families import multigeometric
-from cantorval.series import CapacityError, SubsumLadder, group_convolve
+from cantorval.families import multigeometric, spec_from_json
+from cantorval.families.grouped import GroupedStream
+from cantorval.series import Bricks, CapacityError, SubsumLadder, group_convolve
 from cantorval.tightness import max_tight_diameter, tight_trend
 from cantorval.uniqueness import multirep_outer, repetition_report
 
-from oracles import brute_merge, brute_subsum_levels, geometric_tail_stream, longest_component
+from oracles import (
+    brute_bricks,
+    brute_merge,
+    brute_subsum_levels,
+    geometric_tail_stream,
+    longest_component,
+)
 
 
 @st.composite
@@ -39,6 +46,76 @@ def mixed_streams(draw):
     start = prefix[-1] * draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
     ratio = F(1, draw(st.integers(2, 5)))
     return geometric_tail_stream(prefix, start, ratio), len(prefix) + 2
+
+
+@st.composite
+def mixed_pattern_streams(draw):
+    """A nonincreasing prefix, then c equal terms per group at ratio 1/b.
+
+    Inside a group x_n <= r_n until its last term, which is a Kakeya index
+    exactly when b - 1 > c, and the prefix mixes both kinds; returns the
+    stream and every level up to a depth of at most 10, in a random order.
+    """
+    prefix = sorted(
+        draw(st.lists(st.builds(F, st.integers(1, 30), st.integers(2, 12)), max_size=4)),
+        reverse=True,
+    )
+    term = (prefix[-1] if prefix else F(1)) * draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+    count = draw(st.integers(1, 3))
+    ratio = F(1, draw(st.integers(2, 6)))
+    groups = [(t,) for t in prefix] + [(term,) * count, (term * ratio,) * count]
+    stream = GroupedStream(groups, len(prefix), 1)
+    depth = min(10, len(prefix) + 3 * count)
+    return stream, draw(st.permutations(range(depth + 1)))
+
+
+def lattice_sweep(ladder, n):
+    """I_n swept gap by gap from F_n on the lattice lcm(D_n, den r_n)."""
+    d, values, reach = ladder.on_tail_lattice(n)
+    starts, ends = [values[0]], []
+    for a, b in zip(values, values[1:]):
+        if b - a > reach:
+            ends.append(a + reach)
+            starts.append(b)
+    ends.append(values[-1] + reach)
+    return Bricks(d, tuple(starts), tuple(ends), reach)
+
+
+class TestCarryForward:
+    """bricks(n) at x_n <= r_n rescales I_{n-1} instead of sweeping F_n."""
+
+    @given(mixed_pattern_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_any_request_order_matches_brute_force_and_sweep(self, drawn):
+        stream, order = drawn
+        ladder = SubsumLadder(stream)
+        for n in order:
+            got = ladder.bricks(n)
+            d = got.denominator
+            expected = brute_bricks(ladder.level(n).points().values, stream.tail(n))
+            assert [(F(a, d), F(b, d)) for a, b in zip(got.starts, got.ends)] == expected
+            assert got == lattice_sweep(ladder, n)
+
+    def test_deep_level_from_a_fresh_ladder_does_not_recurse(self, monkeypatch):
+        # 2000 terms 1/2, then 2000 terms 1/4, ...: x_n <= r_n at every n,
+        # so only level 0 is swept and the 1500 later levels are carried
+        spec = spec_from_json({
+            "type": "repeated",
+            "y": {"pre": [], "block": ["1/2"], "ratio": "1/2"},
+            "counts": {"pre": [], "period": [2000]},
+        })
+        swept = []
+        sweep = SubsumLadder._sweep
+        monkeypatch.setattr(
+            SubsumLadder, "_sweep", lambda ladder, n: swept.append(n) or sweep(ladder, n)
+        )
+        ladder = SubsumLadder(spec.stream())
+        got = ladder.bricks(1500)
+        assert len(got) == 1
+        assert (F(got.starts[0], got.denominator), F(got.ends[0], got.denominator)) == (
+            0, ladder.stream.tail(0)
+        )
+        assert swept == [0]
 
 
 class TestLevels:

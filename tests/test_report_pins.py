@@ -1,5 +1,6 @@
-"""Report bytes pinned across refactors, one subsum ladder per report, and
-each interior-certificate search run at most once per report.
+"""Report bytes pinned across refactors, one subsum ladder per report,
+each interior-certificate search run at most once per report, and I_n swept
+from F_n only at level 0 and the Kakeya indices.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -243,3 +244,36 @@ def test_each_certificate_search_runs_once(name, monkeypatch):
     monkeypatch.setattr(classify, "certify_interior", counting)
     build_report(load(name), 14, 14, DEFAULT_CAP, 12)
     assert len(calls) == CERTIFY_CALLS_DEPTH_14[name]
+
+
+# I_n sweeps per report at depth 14.  Only level 0 and the Kakeya indices
+# (x_n > r_n) are swept from F_n; every other level carries I_{n-1}
+# forward, so a report sweeps 1 + #{n <= 14 : x_n > r_n} levels.
+SWEEPS_DEPTH_14 = {
+    "dyadic": 1,
+    "ferens_5432": 4,
+    "gf_decimal": 4,
+    "gn": 8,
+    "kyiv48": 2,
+    "middle_thirds": 15,
+    "mm_ones": 5,
+    "semifast": 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS_DEPTH_14))
+def test_only_kakeya_levels_are_swept(name, monkeypatch):
+    swept = []
+    sweep = SubsumLadder._sweep
+
+    def counting(ladder, n):
+        swept.append(n)
+        return sweep(ladder, n)
+
+    monkeypatch.setattr(SubsumLadder, "_sweep", counting)
+    spec = load(name)
+    build_report(spec, 14, 14, DEFAULT_CAP, 12)
+    assert len(swept) == SWEEPS_DEPTH_14[name]
+    stream = spec.stream()
+    kakeya = [n for n in range(1, 15) if stream.term(n) > stream.tail(n)]
+    assert sorted(swept) == [0] + kakeya
