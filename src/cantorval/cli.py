@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from .classify import Verdict, classify, resolve_stream
-from .engine import iterate, measure_bounds
+from .engine import IterationReport, iterate, measure_bounds
+from .exact import rat_str
 from .families import (
     MultigeometricSpec,
     RepeatedTermSpec,
@@ -87,9 +88,10 @@ def _dumps(doc) -> str:
     The standard library's indenting encoder is pure Python and yields one
     small string per token.  This writer appends to one chunk list, testing
     types in the same order (str, None, True, False, int, list or tuple,
-    dict).  Lists of ints, of strs or of [str, str] pairs (parts and gaps)
-    take one join, record arrays (witnesses) the column path of ``_records``.
-    A report holds no floats and only str keys, so either raises TypeError.
+    dict).  Lists of ints, of strs or of [str, str] pairs (``outer``) take
+    one join, record arrays (witnesses) the column path of ``_records``, and
+    an IterationReport, the row path, writes its own ``json_text``.  A report
+    holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
     _write(doc, chunks, "\n")
@@ -99,7 +101,8 @@ def _dumps(doc) -> str:
 
 def _write(o, chunks: list[str], newline: str) -> None:
     """Append the encoding of ``o``, a record array by the column path of
-    ``_records``; ``newline`` is "\n" plus its indent."""
+    ``_records`` and an iteration row by its ``json_text``; ``newline`` is
+    "\n" plus its indent."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -150,6 +153,8 @@ def _write(o, chunks: list[str], newline: str) -> None:
             _write(value, chunks, inner)
             separator = "," + inner
         chunks.append(newline + "}")
+    elif isinstance(o, IterationReport):
+        chunks.append(o.json_text(newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -246,18 +251,26 @@ def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
 
 
 def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
+    """The composite analysis document as plain JSON; ``_analysis`` builds it."""
+    doc = _analysis(spec, depth, horizon, cap, budget)
+    doc["iterations"] = [row.to_json() for row in doc["iterations"]]
+    return doc
+
+
+def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     """The composite analysis document; everything exact and deterministic.
 
     One subsum ladder is built for the spec's stream and every section reads
     its F_n from it.  measure_bounds runs no interior-certificate search
     when the classification proves the interior empty (Finite or Cantor,
     Proved or Certified), because then its lower bound is 0 with no
-    certificate whatever the search finds.
+    certificate whatever the search finds.  The iteration rows are
+    IterationReports, which ``_write`` writes from their own text.
     """
     stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
     classification = classify(spec, ladder, horizon=horizon, budget=budget)
-    iterations = [iterate(ladder, n).to_json() for n in range(depth + 1)]
+    iterations = [iterate(ladder, n) for n in range(depth + 1)]
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
     bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)
     trend = tight_trend(ladder, horizon)
@@ -310,7 +323,7 @@ def _csv_tables(doc: dict) -> dict[str, str]:
     tables["iterations.csv"] = "\n".join(
         ["n,measure,brick_count,gap_count"]
         + [
-            f"{row['n']},{row['measure']},{row['brick_count']},{row['gap_count']}"
+            f"{row.n},{rat_str(row.measure)},{row.brick_count},{row.gap_count}"
             for row in doc["iterations"]
         ]
     ) + "\n"
@@ -357,7 +370,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _usage_error(exc)
     horizon = args.depth if args.horizon is None else args.horizon
     try:
-        doc = build_report(spec, args.depth, horizon, cap, args.budget)
+        doc = _analysis(spec, args.depth, horizon, cap, args.budget)
     except CapacityError as exc:
         sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
         return EXIT_CAPACITY

@@ -29,6 +29,7 @@ only for the values a report prints: the certificate and its diagnostics.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,7 +44,7 @@ from .exact import (
     covered_parts,
     difference_parts,
     intersect_parts,
-    lattice_str,
+    lattice_strs,
     merge_parts,
     nondegenerate_parts,
     normalize,
@@ -89,20 +90,36 @@ class IterationReport:
         return lengths.index(max(lengths))
 
     def to_json(self) -> dict:
+        return json.loads(self.json_text("\n"))
+
+    def json_text(self, newline: str) -> str:
+        """The row as ``json.dumps(self.to_json(), indent=2)`` writes it at
+        the nesting whose line break and indent are ``newline``.
+
+        Each endpoint string is built once, and ``parts`` and ``gaps`` are
+        each two joins whose separators carry the quote marks and brackets.
+        Endpoints hold only digits, "-" and "/", so nothing needs escaping.
+        """
         b = self.bricks
-        starts = [lattice_str(v, b.denominator) for v in b.starts]
-        ends = [lattice_str(v, b.denominator) for v in b.ends]
+        starts = lattice_strs(b.starts, b.denominator)
+        ends = lattice_strs(b.ends, b.denominator)
         longest = self._longest_index()
-        return {
-            "n": self.n,
-            "measure": rat_str(self.measure),
-            "tail": rat_str(self.tail),
-            "brick_count": self.brick_count,
-            "gap_count": self.gap_count,
-            "parts": [[lo, hi] for lo, hi in zip(starts, ends)],
-            "gaps": [[hi, lo] for hi, lo in zip(ends, starts[1:])],
-            "longest_component": [starts[longest], ends[longest]],
-        }
+        i1 = newline + "  "
+        i2, i3 = i1 + "  ", i1 + "    "
+        pair = '",' + i3 + '"'
+        next_pair = '"' + i2 + "]," + i2 + "[" + i3 + '"'
+
+        def pairs(los, his) -> str:
+            body = next_pair.join(map(pair.join, zip(los, his)))
+            return f'[{i2}[{i3}"{body}"{i2}]{i1}]' if body else "[]"
+
+        return (
+            f'{{{i1}"n": {self.n},{i1}"measure": "{rat_str(self.measure)}",'
+            f'{i1}"tail": "{rat_str(self.tail)}",{i1}"brick_count": {self.brick_count},'
+            f'{i1}"gap_count": {self.gap_count},{i1}"parts": {pairs(starts, ends)},'
+            f'{i1}"gaps": {pairs(ends, starts[1:])},{i1}"longest_component": '
+            f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
+        )
 
 
 def iterate(ladder: SubsumLadder, n: int) -> IterationReport:

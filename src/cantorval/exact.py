@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -57,6 +58,16 @@ def lattice_str(k: int, d: int) -> str:
     """Canonical "p/q" form of k / d for integers k and d > 0."""
     g = gcd(k, d)
     return f"{k // g}/{d // g}"
+
+
+def lattice_strs(ks: Sequence[int], d: int) -> list[str]:
+    """``[lattice_str(k, d) for k in ks]``, with every gcd taken in one
+    ``map`` and ``str(d)`` written once for every k coprime to d."""
+    den = "/" + str(d)
+    return [
+        f"{k}{den}" if g == 1 else f"{k // g}/{d // g}"
+        for k, g in zip(ks, map(gcd, ks, repeat(d)))
+    ]
 
 
 @dataclass(frozen=True)

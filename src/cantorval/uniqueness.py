@@ -26,7 +26,7 @@ from functools import cache, cached_property
 from math import lcm, prod
 from typing import Callable
 
-from .exact import IntervalSet, PointSet, lattice_str
+from .exact import IntervalSet, PointSet, lattice_strs
 from .families.repeated import RepeatedTermSpec
 from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
 
@@ -80,8 +80,9 @@ class RepetitionReport:
         )
 
     def to_json(self) -> dict:
-        values = [lattice_str(v, self.denominator) for v in self.collided]
+        values = lattice_strs(self.collided, self.denominator)
         d = self.outer_denominator
+        outer = zip(lattice_strs(self.outer_starts, d), lattice_strs(self.outer_ends, d))
         return {
             "k": self.k,
             "collisions": {"values": values, "counts": list(self.counts)},
@@ -89,10 +90,7 @@ class RepetitionReport:
                 {"value": v, "first": list(a), "second": list(b)}
                 for v, (a, b) in zip(values, self.subsets)
             ],
-            "outer": [
-                [lattice_str(lo, d), lattice_str(hi, d)]
-                for lo, hi in zip(self.outer_starts, self.outer_ends)
-            ],
+            "outer": list(map(list, outer)),
         }
 
 

@@ -10,6 +10,8 @@ from cantorval.exact import (
     difference_parts,
     intersect_parts,
     interval,
+    lattice_str,
+    lattice_strs,
     merge_parts,
     nondegenerate_parts,
     normalize,
@@ -249,3 +251,25 @@ class TestPointSet:
     def test_interval_set_pairs_round_trip(self):
         s = iset((0, "5/12"), ("1/2", "7/6"))
         assert interval_set_from_pairs(s.to_pairs()) == s
+
+
+class TestLatticeStrs:
+    """lattice_strs is lattice_str over a list, with str(d) written once."""
+
+    @given(
+        st.integers(1, 12),
+        st.one_of(st.integers(1, 50), st.integers(2**64, 2**100)),
+        st.lists(st.integers(-100, 100), max_size=8),
+        st.lists(st.integers(-(10**40), 10**40), max_size=8),
+    )
+    def test_matches_lattice_str(self, a, b, multiples, free):
+        # d = a * b, so multiples of a share a factor with d when a > 1
+        d = a * b
+        ks = [0, d, -d, 2 * d] + [m * a for m in multiples] + free
+        assert lattice_strs(ks, d) == [lattice_str(k, d) for k in ks]
+
+    def test_examples(self):
+        assert lattice_strs([0, 6, 4, 5, -3], 6) == ["0/1", "1/1", "2/3", "5/6", "-1/2"]
+        assert lattice_strs([], 7) == []
+        big = 3 * 2**80
+        assert lattice_strs([2**80, 1], big) == ["1/3", f"1/{big}"]

@@ -7,6 +7,7 @@ and tight_decompose, and the multiple-representation formula written out.
 The streams mix term denominators 2..12, so the lattice rescales as it grows.
 """
 
+import json
 from fractions import Fraction as F
 from math import lcm
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorval.engine import iterate
-from cantorval.exact import Interval, PointSet, normalize, rat_str
+from cantorval.exact import Interval, PointSet, lattice_str, normalize, rat_str
 from cantorval.families import multigeometric, spec_from_json
 from cantorval.families.grouped import GroupedStream
 from cantorval.series import Bricks, CapacityError, SubsumLadder, group_convolve
@@ -22,6 +23,7 @@ from cantorval.tightness import max_tight_diameter, tight_trend
 from cantorval.uniqueness import multirep_outer, repetition_report
 
 from oracles import (
+    FiniteStream,
     brute_bricks,
     brute_merge,
     brute_subsum_levels,
@@ -116,6 +118,48 @@ class TestCarryForward:
             0, ladder.stream.tail(0)
         )
         assert swept == [0]
+
+
+@st.composite
+def finite_ladders(draw):
+    """Up to 8 terms and a zero tail: the last level is all single points."""
+    terms = draw(st.lists(st.sampled_from([F(3), F(2), F(1), F(1, 2), F(1, 3)]), max_size=8))
+    stream = FiniteStream(sorted(terms, reverse=True))
+    return stream, draw(st.permutations(range(len(terms) + 1)))
+
+
+class TestRowText:
+    """IterationReport.json_text is its row's indent-2 text at any nesting."""
+
+    @given(st.one_of(mixed_pattern_streams(), finite_ladders()), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_row_text_is_indent_2_json(self, drawn, data):
+        stream, order = drawn
+        ladder = SubsumLadder(stream)
+        for n in order:
+            report = iterate(ladder, n)
+            newline = "\n" + "  " * data.draw(st.integers(0, 6))
+            text = report.json_text(newline)
+            doc = json.loads(text)
+            assert json.dumps(doc, indent=2).replace("\n", newline) == text
+            assert report.to_json() == doc
+            b = report.bricks
+            starts = [lattice_str(k, b.denominator) for k in b.starts]
+            ends = [lattice_str(k, b.denominator) for k in b.ends]
+            assert doc["parts"] == [list(p) for p in zip(starts, ends)]
+            assert doc["gaps"] == [list(g) for g in zip(ends, starts[1:])]
+            assert doc["longest_component"] in doc["parts"]
+            assert doc["measure"] == rat_str(report.measure)
+            assert doc["tail"] == rat_str(stream.tail(n))
+
+    @pytest.mark.parametrize("terms", [[], [F(1)], [F(2), F(1), F(1)]])
+    def test_single_part_level_has_no_gaps(self, terms):
+        report = iterate(SubsumLadder(FiniteStream(terms)), 0)
+        text = report.json_text("\n  ")
+        assert '"gaps": [],' in text
+        doc = json.loads(text)
+        assert doc["parts"] == [["0/1", rat_str(sum(terms, F(0)))]]
+        assert doc["gaps"] == [] and doc["gap_count"] == 0
 
 
 class TestLevels:

@@ -1,6 +1,7 @@
 """Report bytes pinned across refactors, one subsum ladder per report,
-each interior-certificate search run at most once per report, and I_n swept
-from F_n only at level 0 and the Kakeya indices.
+each interior-certificate search run at most once per report, I_n swept
+from F_n only at level 0 and the Kakeya indices, and iteration rows written
+as text without building their dicts.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -15,7 +16,9 @@ The CLI writes reports with its own indent-2 encoder, so the bytes it
 writes are pinned as well: for the same grid, ``analyze --out`` must write
 exactly ``json.dumps(build_report(...), indent=2) + "\n"`` with the pinned
 digest, and ``analyze --format csv`` must write the same bytes to its
-``report.json``.  ``VALIDATE_SHA256`` pins the whole file that ``validate
+``report.json``.  ``CSV_SHA256_DEPTH_6`` pins the tables that ``analyze
+--format csv`` writes beside it, recorded while they were still read from
+the plain-JSON rows.  ``VALIDATE_SHA256`` pins the whole file that ``validate
 --out`` writes for every bundled spec, recorded with ``json.dumps`` before
 the encoder replaced it.
 
@@ -32,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from cantorval import classify, engine
+from cantorval.engine import IterationReport
 from cantorval.cli import build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
@@ -277,3 +281,93 @@ def test_only_kakeya_levels_are_swept(name, monkeypatch):
     stream = spec.stream()
     kakeya = [n for n in range(1, 15) if stream.term(n) > stream.tail(n)]
     assert sorted(swept) == [0] + kakeya
+
+
+# IterationReport.to_json calls per ``analyze --depth 14``: the CLI writes
+# each iteration row from its ``json_text``, so only classify's gaps witness
+# for a certified Cantorval (ferens_5432, at its first Kakeya index) builds
+# a row dict.
+ROW_DICTS_DEPTH_14 = {
+    "dyadic": 0,
+    "ferens_5432": 1,
+    "gf_decimal": 0,
+    "gn": 0,
+    "kyiv48": 0,
+    "middle_thirds": 0,
+    "mm_ones": 0,
+    "semifast": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
+def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
+    calls = []
+    to_json = IterationReport.to_json
+
+    def counting(report):
+        calls.append(report.n)
+        return to_json(report)
+
+    monkeypatch.setattr(IterationReport, "to_json", counting)
+    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
+    assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == ROW_DICTS_DEPTH_14[name]
+
+
+# sha256 of iterations.csv, tight_trend.csv and standardness.csv (None when
+# the spec has no standardness section) from ``analyze --depth 6 --format csv``
+CSV_SHA256_DEPTH_6 = {
+    "dyadic": (
+        "09b2fac6b82bb62d1fd508b0b1f355b72d99a4398cfc52ed8f9cffa0d38f8e2a",
+        "3f3c9c080aa0db3baf9a450bedd16b631908fb947962fea46d1f63ed2cf083c8",
+        None,
+    ),
+    "ferens_5432": (
+        "263aec78ef8a2a956f63f8a19ac82dd216eb68a5cbe029a47424a88d5208d040",
+        "53e643cdef0fc4301c28a7411183d997a342efb702fcebe2ef72db3e0c1dd1fb",
+        None,
+    ),
+    "gf_decimal": (
+        "263aec78ef8a2a956f63f8a19ac82dd216eb68a5cbe029a47424a88d5208d040",
+        "53e643cdef0fc4301c28a7411183d997a342efb702fcebe2ef72db3e0c1dd1fb",
+        "46ffb71ae7a7804526fcac7d004a380b2142abbf2a0f65babab84e5103014cb6",
+    ),
+    "gn": (
+        "9d2c55c64d99774508b4572fa462dc494af01953e52ccd830c51e0cbae6f13e0",
+        "459ab73138177bf82e54bce579f5981e7e4d67e6c28034d7201d71b4656ecae8",
+        None,
+    ),
+    "kyiv48": (
+        "3c19b781727e8933836b0f1463687c50c593edd6d3e4ee4b710e4e5cbd28579d",
+        "16c22c5b4a8c2c1b7601ef40592c071e852f5762e0f07bc2e8074a6127fe1b55",
+        "ccf1e770a0b084da91830771d7da5eaada4b66224cc50b8b27ccf740a840c3e2",
+    ),
+    "middle_thirds": (
+        "be2c9c84069496bed86dbecf6965ed893d8b4f93abfa94cb8e8e74a7ff7ef41b",
+        "bc391b28506cdd5f7836d611ea71ce803360f38feae5fbb8df802cc516c0b3f6",
+        None,
+    ),
+    "mm_ones": (
+        "8dd3ba3a60efa1f333767d2a95de6bef8a90cd0442adfc6fcecdafa52d49f3a0",
+        "92e83ecf20bb9ff4fdcde68e42f70cb0a28ed00a8d5df6de62ea55259b61129a",
+        "6bc9825b24c765b556cd536d3def7a6fe9c47c3768fdd69233760d91f9a41712",
+    ),
+    "semifast": (
+        "e10b1fce45127ab4e4cf867960821d4d0bbbd4cc9d266318a35f85ab74a3f3d7",
+        "74dffd9970fac329260755e4cc5e35d450f6e3deaf79db18df9a8f6202717120",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256_DEPTH_6))
+def test_csv_tables_unchanged(name, tmp_path):
+    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "6"]
+    assert main(args + ["--format", "csv", "--out", str(tmp_path)]) == 0
+    tables = ("iterations.csv", "tight_trend.csv", "standardness.csv")
+    got = tuple(
+        hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
+        if (tmp_path / table).exists() else None
+        for table in tables
+    )
+    assert got == CSV_SHA256_DEPTH_6[name]
