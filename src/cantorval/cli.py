@@ -34,7 +34,12 @@ from .families import (
 )
 from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder, kakeya_split
 from .tightness import tight_trend
-from .uniqueness import repetition_report, representation_uniqueness_oracle, tail_sum_unique
+from .uniqueness import (
+    RepetitionReport,
+    repetition_report,
+    representation_uniqueness_oracle,
+    tail_sum_unique,
+)
 
 EXIT_OK = 0
 EXIT_CONDITION_FAILURE = 1
@@ -88,10 +93,13 @@ def _dumps(doc) -> str:
     The standard library's indenting encoder is pure Python and yields one
     small string per token.  This writer appends to one chunk list, testing
     types in the same order (str, None, True, False, int, list or tuple,
-    dict).  Lists of ints, of strs or of [str, str] pairs (``outer``) take
-    one join, record arrays (witnesses) the column path of ``_records``, and
-    an IterationReport, the row path, writes its own ``json_text``.  A report
-    holds no floats and only str keys, so either raises TypeError.
+    dict).  Lists of ints, of strs or of [str, str] pairs (the short
+    certificate and witness lists of a classification) take one join, and
+    record arrays (``validate``'s conditions) the column path of
+    ``_records``.  An IterationReport or a RepetitionReport, which hold the
+    iteration rows and the uniqueness section's witnesses and ``outer``,
+    writes its own ``json_text``.  A report holds no floats and only str
+    keys, so either raises TypeError.
     """
     chunks: list[str] = []
     _write(doc, chunks, "\n")
@@ -101,8 +109,8 @@ def _dumps(doc) -> str:
 
 def _write(o, chunks: list[str], newline: str) -> None:
     """Append the encoding of ``o``, a record array by the column path of
-    ``_records`` and an iteration row by its ``json_text``; ``newline`` is
-    "\n" plus its indent."""
+    ``_records`` and an iteration row or repetition report by its
+    ``json_text``; ``newline`` is "\n" plus its indent."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -153,7 +161,7 @@ def _write(o, chunks: list[str], newline: str) -> None:
             _write(value, chunks, inner)
             separator = "," + inner
         chunks.append(newline + "}")
-    elif isinstance(o, IterationReport):
+    elif isinstance(o, (IterationReport, RepetitionReport)):
         chunks.append(o.json_text(newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -232,9 +240,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
     k = min(depth, 12)
     stream = ladder.stream
-    report = repetition_report(ladder, k)
     section = {
-        "repetition": report.to_json(),
+        "repetition": repetition_report(ladder, k),
         "tail_unique": [[n, tail_sum_unique(stream, n)] for n in range(1, k + 1)],
         "semifast": None,
         "representation_oracle": None,
@@ -251,9 +258,12 @@ def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
 
 
 def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
-    """The composite analysis document as plain JSON; ``_analysis`` builds it."""
+    """The composite analysis document as plain JSON: ``_analysis`` builds it
+    with report objects, which this replaces by their ``to_json``."""
     doc = _analysis(spec, depth, horizon, cap, budget)
     doc["iterations"] = [row.to_json() for row in doc["iterations"]]
+    uniqueness = doc["uniqueness"]
+    uniqueness["repetition"] = uniqueness["repetition"].to_json()
     return doc
 
 
@@ -265,7 +275,8 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     when the classification proves the interior empty (Finite or Cantor,
     Proved or Certified), because then its lower bound is 0 with no
     certificate whatever the search finds.  The iteration rows are
-    IterationReports, which ``_write`` writes from their own text.
+    IterationReports and the uniqueness section's repetition is a
+    RepetitionReport, which ``_write`` writes from their own text.
     """
     stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
@@ -354,8 +365,9 @@ def _human_summary(doc: dict) -> str:
             f"standardness ratio: {doc['standardness']['at_index']}"
             f" (limit {doc['standardness']['limit']})"
         )
-    collisions = doc["uniqueness"]["repetition"]["collisions"]["values"]
-    lines.append(f"certified collisions at depth {doc['uniqueness']['repetition']['k']}: "
+    repetition = doc["uniqueness"]["repetition"]
+    collisions = repetition.value_strs()
+    lines.append(f"certified collisions at depth {repetition.k}: "
                  f"{collisions if collisions else 'none'}")
     return "\n".join(lines) + "\n"
 

@@ -48,6 +48,7 @@ from .exact import (
     merge_parts,
     nondegenerate_parts,
     normalize,
+    pairs_text,
     rat_str,
 )
 from .series import Bricks, CapacityError, SubsumLadder
@@ -97,27 +98,19 @@ class IterationReport:
         the nesting whose line break and indent are ``newline``.
 
         Each endpoint string is built once, and ``parts`` and ``gaps`` are
-        each two joins whose separators carry the quote marks and brackets.
-        Endpoints hold only digits, "-" and "/", so nothing needs escaping.
+        each written by ``pairs_text``, so nothing is escaped.
         """
         b = self.bricks
         starts = lattice_strs(b.starts, b.denominator)
         ends = lattice_strs(b.ends, b.denominator)
         longest = self._longest_index()
         i1 = newline + "  "
-        i2, i3 = i1 + "  ", i1 + "    "
-        pair = '",' + i3 + '"'
-        next_pair = '"' + i2 + "]," + i2 + "[" + i3 + '"'
-
-        def pairs(los, his) -> str:
-            body = next_pair.join(map(pair.join, zip(los, his)))
-            return f'[{i2}[{i3}"{body}"{i2}]{i1}]' if body else "[]"
-
+        i2 = i1 + "  "
         return (
             f'{{{i1}"n": {self.n},{i1}"measure": "{rat_str(self.measure)}",'
             f'{i1}"tail": "{rat_str(self.tail)}",{i1}"brick_count": {self.brick_count},'
-            f'{i1}"gap_count": {self.gap_count},{i1}"parts": {pairs(starts, ends)},'
-            f'{i1}"gaps": {pairs(ends, starts[1:])},{i1}"longest_component": '
+            f'{i1}"gap_count": {self.gap_count},{i1}"parts": {pairs_text(starts, ends, i1)},'
+            f'{i1}"gaps": {pairs_text(ends, starts[1:], i1)},{i1}"longest_component": '
             f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
         )
 

@@ -70,6 +70,21 @@ def lattice_strs(ks: Sequence[int], d: int) -> list[str]:
     ]
 
 
+def pairs_text(los: Sequence[str], his: Sequence[str], newline: str) -> str:
+    """The list of pairs [los[i], his[i]] as ``json.dumps(..., indent=2)``
+    writes it at the nesting whose line break and indent are ``newline``.
+
+    Two joins whose separators carry the quote marks and brackets, so no
+    per-pair list is made; the strings must need no escaping, as endpoint
+    strings do not (only digits, "-" and "/").
+    """
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    pair = '",' + i2 + '"'
+    body = ('"' + i1 + "]," + i1 + "[" + i2 + '"').join(map(pair.join, zip(los, his)))
+    return f'[{i1}[{i2}"{body}"{i1}]{newline}]' if body else "[]"
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints; lo == hi is allowed."""

@@ -75,9 +75,9 @@ class GFSpec:
     @staticmethod
     def from_json(doc: dict) -> "GFSpec":
         return GFSpec(
-            PeriodicSeq.from_json(doc["m"]),
-            PeriodicSeq.from_json(doc["k"]),
-            BlockGeometric.from_json(doc["q"]),
+            PeriodicSeq.from_json(doc["m"], "m"),
+            PeriodicSeq.from_json(doc["k"], "k"),
+            BlockGeometric.from_json(doc["q"], "q"),
         )
 
     def stream(self) -> GroupedStream:

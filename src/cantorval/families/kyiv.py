@@ -68,7 +68,9 @@ class KyivSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "KyivSpec":
-        return KyivSpec(PeriodicSeq.from_json(doc["m"]), PeriodicSeq.from_json(doc["s"]))
+        return KyivSpec(
+            PeriodicSeq.from_json(doc["m"], "m"), PeriodicSeq.from_json(doc["s"], "s")
+        )
 
     def stream(self) -> GroupedStream:
         """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k."""

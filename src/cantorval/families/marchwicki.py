@@ -64,7 +64,7 @@ class MMSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "MMSpec":
-        return MMSpec(PeriodicSeq.from_json(doc["gaps"]))
+        return MMSpec(PeriodicSeq.from_json(doc["gaps"], "gaps"))
 
     def stream(self) -> GroupedStream:
         """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""

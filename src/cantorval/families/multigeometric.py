@@ -21,6 +21,7 @@ from functools import lru_cache
 from ..exact import rat, rat_str, RationalLike
 from ..series import LatticeLevel, subsum_level
 from .grouped import GroupedStream
+from .periodic import json_array
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,9 @@ class MultigeometricSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "MultigeometricSpec":
-        return MultigeometricSpec(tuple(rat(c) for c in doc["k"]), rat(doc["q"]))
+        return MultigeometricSpec(
+            tuple(rat(c) for c in json_array(doc["k"], "k")), rat(doc["q"])
+        )
 
     def stream(self) -> GroupedStream:
         """The terms k_i q^j (j >= 1) in nonincreasing order, in runs of m.

@@ -53,8 +53,12 @@ class PeriodicSeq:
         return {"pre": list(self.pre), "period": list(self.period)}
 
     @staticmethod
-    def from_json(doc: dict) -> "PeriodicSeq":
-        return PeriodicSeq(tuple(doc.get("pre", ())), tuple(doc["period"]))
+    def from_json(doc: dict, name: str) -> "PeriodicSeq":
+        """Parse the spec field ``name``, an object of "pre" and "period"."""
+        return PeriodicSeq(
+            tuple(json_array(doc.get("pre", []), f"{name}.pre")),
+            tuple(json_array(doc["period"], f"{name}.period")),
+        )
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,11 @@ class BlockGeometric:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "BlockGeometric":
+    def from_json(doc: dict, name: str) -> "BlockGeometric":
+        """Parse the spec field ``name``, an object of "pre", "block" and "ratio"."""
         return BlockGeometric(
-            tuple(rat(v) for v in doc.get("pre", ())),
-            tuple(rat(v) for v in doc["block"]),
+            tuple(rat(v) for v in json_array(doc.get("pre", []), f"{name}.pre")),
+            tuple(rat(v) for v in json_array(doc["block"], f"{name}.block")),
             rat(doc["ratio"]),
         )
 
@@ -127,6 +132,28 @@ class BlockGeometric:
 def geometric(start: RationalLike, ratio: RationalLike) -> BlockGeometric:
     """Plain geometric scale start, start*ratio, start*ratio^2, ..."""
     return BlockGeometric((), (rat(start),), rat(ratio))
+
+
+_JSON_TYPES = {
+    str: "a string",
+    dict: "an object",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    type(None): "null",
+}
+
+
+def json_array(value, field: str) -> list:
+    """``value``, the list-valued spec field ``field``, when it is a JSON array.
+
+    Anything else is refused, since a string or an object would otherwise be
+    iterated silently: "21" as [2, 1], and {"3": 1, "2": 2} as its keys.
+    """
+    if not isinstance(value, list):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"spec field {field!r} must be a JSON array, not {kind}")
+    return value
 
 
 def is_int(value) -> bool:

@@ -70,7 +70,8 @@ class RepeatedTermSpec:
     @staticmethod
     def from_json(doc: dict) -> "RepeatedTermSpec":
         return RepeatedTermSpec(
-            BlockGeometric.from_json(doc["y"]), PeriodicSeq.from_json(doc["counts"])
+            BlockGeometric.from_json(doc["y"], "y"),
+            PeriodicSeq.from_json(doc["counts"], "counts"),
         )
 
     def stream(self) -> GroupedStream:

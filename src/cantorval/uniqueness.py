@@ -15,18 +15,22 @@ profiles.  The collided sums stay integers on the lattice of D_k, the lcm of
 the term denominators, and Fractions are built only when a caller reads
 them.  Witnesses are decoded from the ranks for collided sums alone: a rank
 splits into a lead and a trailing half of the value groups, and each half's
-picks are memoized, so a witness is two lookups and a concatenation.
+picks are memoized, so a witness is two lookups and a concatenation.  The
+report writes its own indent-2 JSON text from those integers
+(``RepetitionReport.json_text``), which the CLI copies into a report as it
+stands and ``to_json`` parses, so the section has one encoder.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm, prod
 from typing import Callable
 
-from .exact import IntervalSet, PointSet, lattice_strs
+from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
 from .families.repeated import RepeatedTermSpec
 from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
 
@@ -79,19 +83,48 @@ class RepetitionReport:
             self.outer_starts, self.outer_ends, self.outer_denominator
         )
 
+    def value_strs(self) -> list[str]:
+        """The collided values as canonical "p/q" strings, in order."""
+        return lattice_strs(self.collided, self.denominator)
+
     def to_json(self) -> dict:
-        values = lattice_strs(self.collided, self.denominator)
+        return json.loads(self.json_text("\n"))
+
+    def json_text(self, newline: str) -> str:
+        """The report as ``json.dumps(self.to_json(), indent=2)`` writes it
+        at the nesting whose line break and indent are ``newline``.
+
+        The value strings are built once for ``collisions`` and the
+        witnesses, each list is one join, each witness one format whose
+        subsets are one join each, and ``outer`` is ``pairs_text``.  Values
+        hold only digits, "-" and "/", so nothing is escaped.  A collided
+        sum is positive, so neither of its witness subsets is empty.
+        """
+        values = self.value_strs()
         d = self.outer_denominator
-        outer = zip(lattice_strs(self.outer_starts, d), lattice_strs(self.outer_ends, d))
-        return {
-            "k": self.k,
-            "collisions": {"values": values, "counts": list(self.counts)},
-            "witnesses": [
-                {"value": v, "first": list(a), "second": list(b)}
-                for v, (a, b) in zip(values, self.subsets)
-            ],
-            "outer": list(map(list, outer)),
-        }
+        i1 = newline + "  "
+        i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
+        at4 = "," + i4
+
+        def listed(items, inner: str, close: str) -> str:
+            body = ("," + inner).join(items)
+            return f"[{inner}{body}{close}]" if body else "[]"
+
+        witnesses = (
+            f'{{{i3}"value": "{v}",{i3}"first": [{i4}{at4.join(map(str, a))}{i3}],'
+            f'{i3}"second": [{i4}{at4.join(map(str, b))}{i3}]{i2}}}'
+            for v, (a, b) in zip(values, self.subsets)
+        )
+        quoted = map('"{}"'.format, values)
+        outer = pairs_text(
+            lattice_strs(self.outer_starts, d), lattice_strs(self.outer_ends, d), i1
+        )
+        return (
+            f'{{{i1}"k": {self.k},{i1}"collisions": {{'
+            f'{i2}"values": {listed(quoted, i3, i2)},'
+            f'{i2}"counts": {listed(map(str, self.counts), i3, i2)}{i1}}},'
+            f'{i1}"witnesses": {listed(witnesses, i2, i1)},{i1}"outer": {outer}{newline}}}'
+        )
 
 
 def _value_groups(terms: tuple[Fraction, ...]) -> list[tuple[Fraction, list[int]]]:

@@ -19,8 +19,9 @@ replaced, its earlier per-family group closed forms, which every family
 stream must reproduce now that it derives each later group from its first
 ones, its earlier enumeration of every multiplicity profile in
 ``repetition_report``, which the one-pass tally must match report for
-report, and its earlier per-rank witness decoding, which the two memoized
-halves must match rank for rank.
+report, its earlier per-rank witness decoding, which the two memoized
+halves must match rank for rank, and its earlier dict-building
+``RepetitionReport.to_json``, which the report's text must parse back to.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from cantorval.exact import (
     IntervalSet,
     PointSet,
     RationalLike,
+    lattice_strs,
     normalize,
     rat,
     rat_str,
@@ -862,3 +864,23 @@ def rank_subset(
         rank, n = divmod(rank, size + 1)
         picks.extend(indices[:n])
     return tuple(sorted(picks))
+
+
+def repetition_dict(report: RepetitionReport) -> dict:
+    """The plain-JSON repetition report, built as a dict.
+
+    This is ``RepetitionReport.to_json`` from before the report wrote its
+    own text, which ``to_json`` now parses.
+    """
+    values = lattice_strs(report.collided, report.denominator)
+    d = report.outer_denominator
+    outer = zip(lattice_strs(report.outer_starts, d), lattice_strs(report.outer_ends, d))
+    return {
+        "k": report.k,
+        "collisions": {"values": values, "counts": list(report.counts)},
+        "witnesses": [
+            {"value": v, "first": list(a), "second": list(b)}
+            for v, (a, b) in zip(values, report.subsets)
+        ],
+        "outer": list(map(list, outer)),
+    }

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval import cli
 from cantorval.cli import _dumps, build_report, main, validate_report_document
-from cantorval.families import MultigeometricSpec, spec_from_json
+from cantorval.families import MultigeometricSpec, io as family_io, spec_from_json
 
 from test_families import kyiv_specs, mg_specs, mm_specs
 from test_uniqueness import repeated_specs
@@ -315,6 +315,55 @@ class TestBadInput:
     def test_unwritable_out_is_one_line(self, tmp_path, args, out):
         (tmp_path / "taken").write_text("")
         assert_one_line_usage_error(run_cli(*args, "--out", str(tmp_path / out)))
+
+
+# one spec per family, whose list-valued fields each get a value that is no
+# JSON array: a string or an object was once iterated as one ("21" as
+# [2, 1], {"3": 1, "2": 2} as [3, 2])
+FAMILY_SPECS = {
+    "multigeometric": GN_JSON,
+    "gf": GF_BAD,
+    "mm": '{"type":"mm","gaps":{"pre":[],"period":[1]}}',
+    "kyiv": KYIV_OK,
+    "repeated": REPEATED,
+}
+NOT_ARRAYS = {"a string": '"21"', "an object": '{"3": 1, "2": 2}', "a number": "5"}
+
+
+def _list_fields(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, list):
+            yield prefix + key
+        elif isinstance(value, dict):
+            yield from _list_fields(value, f"{prefix}{key}.")
+
+
+LIST_FIELDS = [
+    (family, field)
+    for family, text in FAMILY_SPECS.items()
+    for field in _list_fields(json.loads(text))
+]
+
+
+class TestListFields:
+    def test_every_family_and_list_field_is_covered(self):
+        assert set(FAMILY_SPECS) == set(family_io._PARSERS)
+        assert len(LIST_FIELDS) == 17  # k; 3 x (pre, period) + (pre, block) twice
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("kind", sorted(NOT_ARRAYS))
+    @pytest.mark.parametrize("family,field", LIST_FIELDS)
+    def test_non_array_is_a_one_line_usage_error(self, family, field, kind, command, capsys):
+        doc = json.loads(FAMILY_SPECS[family])
+        *parents, key = field.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = json.loads(NOT_ARRAYS[kind])
+        assert main([command, "--inline", json.dumps(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: spec field '{field}' must be a JSON array, not {kind}\n"
 
 
 class TestReportBuilder:

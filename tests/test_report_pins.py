@@ -1,7 +1,8 @@
 """Report bytes pinned across refactors, one subsum ladder per report,
 each interior-certificate search run at most once per report, I_n swept
-from F_n only at level 0 and the Kakeya indices, and iteration rows written
-as text without building their dicts.
+from F_n only at level 0 and the Kakeya indices, and iteration rows and the
+uniqueness section's repetition report written as text without building
+their dicts.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -20,7 +21,9 @@ digest, and ``analyze --format csv`` must write the same bytes to its
 --format csv`` writes beside it, recorded while they were still read from
 the plain-JSON rows.  ``VALIDATE_SHA256`` pins the whole file that ``validate
 --out`` writes for every bundled spec, recorded with ``json.dumps`` before
-the encoder replaced it.
+the encoder replaced it.  ``HUMAN_SHA256_DEPTH_6`` pins what ``analyze
+--format human`` writes for every bundled spec, recorded while the summary
+still read the uniqueness section as plain JSON.
 
 Every bundled spec has an empty preperiod, so ``PREPERIOD_SHA256`` pins
 what ``validate --format json`` and ``analyze --depth 6`` print for one
@@ -39,6 +42,7 @@ from cantorval.engine import IterationReport
 from cantorval.cli import build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
+from cantorval.uniqueness import RepetitionReport
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
@@ -141,6 +145,7 @@ def test_every_bundled_spec_is_pinned():
     assert names == {name for name, _, _ in REPORT_SHA256}
     assert names == set(CAP_100_DEPTH_7)
     assert names == set(VALIDATE_SHA256)
+    assert names == set(HUMAN_SHA256_DEPTH_6)
 
 
 @pytest.mark.parametrize("name,depth,horizon", sorted(REPORT_SHA256))
@@ -312,6 +317,45 @@ def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
     args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
     assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == ROW_DICTS_DEPTH_14[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
+def test_cli_writes_repetition_from_text(name, monkeypatch, tmp_path):
+    # the CLI writes the uniqueness section's repetition report from its
+    # ``json_text``, so no report builds its dict
+    calls = []
+    to_json = RepetitionReport.to_json
+
+    def counting(report):
+        calls.append(report.k)
+        return to_json(report)
+
+    monkeypatch.setattr(RepetitionReport, "to_json", counting)
+    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
+    assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
+    assert calls == []
+
+
+# sha256 of the file ``analyze --spec <name>.json --depth 6 --format human
+# --out FILE`` writes
+HUMAN_SHA256_DEPTH_6 = {
+    "dyadic": "edf44b9dd94a92dd7e1625bcd12fe78e713cccf1befb745b5d038e0470970ca5",
+    "ferens_5432": "8a7cfbf012028f52974b3f6b2d27f032987cb98fe38cf1aa4599e99af6bed0cb",
+    "gf_decimal": "ed4b9bc581458fa5f0e67104baf38e610f201beb964f04d6fac8b2346fed8577",
+    "gn": "5877cf14afddf605631fba1a69f15f4148d6ef03bc8372d75ce5e798a43d9a60",
+    "kyiv48": "45d07497ce84c31db88e195cd6c78eec21724804cbdd2029df8b411286c2ff3b",
+    "middle_thirds": "3f0fb403732fde75665b2cc93e7238fdb8c853ec5ee52410c5af215e70dbd25e",
+    "mm_ones": "7c15e102cb51aae806bb023929fe9d173a8908ba15e990621c6839656b9e847d",
+    "semifast": "2d007d4d2f66ba45bca3455e9dfb317799358bb468b64f31f7e480d3617ef644",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUMAN_SHA256_DEPTH_6))
+def test_human_summary_unchanged(name, tmp_path):
+    out = tmp_path / "summary.txt"
+    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "6"]
+    assert main(args + ["--format", "human", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HUMAN_SHA256_DEPTH_6[name]
 
 
 # sha256 of iterations.csv, tight_trend.csv and standardness.csv (None when

@@ -41,6 +41,7 @@ from oracles import (
     point_in_set,
     rank_subset,
     reference_semifast_violation,
+    repetition_dict,
     reference_weighted_tail,
 )
 
@@ -226,6 +227,71 @@ class TestLatticeReport:
         assert report.collisions.values == values
         assert report.collisions.counts == tuple(doc["collisions"]["counts"])
         assert [w[0] for w in report.witnesses] == [F(w["value"]) for w in doc["witnesses"]]
+
+
+@st.composite
+def repeated_term_streams(draw):
+    """(stream, k): y_i = ratio^(i-1) repeated counts_i times, k up to 9.
+
+    Equal terms and a ratio of 1/2 or 1/3 make sums that three or more
+    multisets reach: with 1, 1/2, 1/2, 1/4, 1/4 the sum 1 is {1}, {1/2, 1/2}
+    and {1/2, 1/4, 1/4}.
+    """
+    counts = PeriodicSeq(
+        tuple(draw(st.lists(st.integers(1, 3), max_size=2))),
+        tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))),
+    )
+    spec = RepeatedTermSpec(geometric(1, F(1, draw(st.integers(2, 4)))), counts)
+    return spec.stream(), draw(st.integers(0, 9))
+
+
+@st.composite
+def multigeometric_streams(draw):
+    """(stream, k): a multigeometric stream of up to 3 coefficients, k up to 8."""
+    ks = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)), reverse=True)
+    q = F(1, draw(st.integers(2, 6)))
+    return multigeometric(ks, q).stream(), draw(st.integers(0, 8))
+
+
+class TestReportText:
+    """RepetitionReport.json_text is the report's indent-2 text at any
+    nesting, and it parses back to the dict the report once built."""
+
+    @given(
+        st.one_of(repeated_term_streams(), multigeometric_streams(), streams_with_depth()),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example((HALVING.stream(), 5), 3)  # the sum 1 is reached by 3 multisets
+    @example((FiniteStream([3, 2, 2, 1, 1, 1]), 6), 0)  # 3 = 2 + 1 = 1 + 1 + 1
+    @example((DYADIC, 0), 2)  # k = 0: no collision and no outer part
+    def test_text_is_indent_2_json(self, stream_and_depth, indent):
+        stream, k = stream_and_depth
+        report = repetition_report(SubsumLadder(stream), k)
+        newline = "\n" + "  " * indent
+        text = report.json_text(newline)
+        assert json.dumps(json.loads(text), indent=2).replace("\n", newline) == text
+        assert report.to_json() == repetition_dict(report)
+
+    def test_three_multisets_reach_one_sum(self):
+        report = repetition_report(SubsumLadder(HALVING.stream()), 5)
+        assert max(report.counts) >= 3
+        assert json.loads(report.json_text("\n")) == repetition_dict(report)
+
+    def test_depth_zero_has_no_collision_and_no_outer(self):
+        report = repetition_report(SubsumLadder(DYADIC), 0)
+        assert report.json_text("\n  ") == (
+            '{\n    "k": 0,\n    "collisions": {\n      "values": [],\n'
+            '      "counts": []\n    },\n    "witnesses": [],\n    "outer": []\n  }'
+        )
+
+    def test_middle_thirds_has_no_collision_and_no_outer(self):
+        report = repetition_report(SubsumLadder(THIRDS), 6)
+        doc = repetition_dict(report)
+        assert doc["collisions"] == {"values": [], "counts": []}
+        assert doc["witnesses"] == [] and doc["outer"] == []
+        assert report.to_json() == doc
+        assert report.json_text("\n") == json.dumps(doc, indent=2)
 
 
 class TestMultirepOuter:
