@@ -147,8 +147,8 @@ def classify(
     Certified verdicts do not depend on the horizon, so they are stable
     under horizon increase.
 
-    The certificate tier is reached only with infinitely many Kakeya
-    indices (a multigeometric stream always has a pattern), where a search
+    The certificate and heuristic tiers are reached only with infinitely
+    many Kakeya indices (every stream has an exact pattern), where a search
     verifies exactly when run_windows_verify(spec) holds (see the engine
     module docstring), so only then does it search.  An unverified search
     changes no verdict: the heuristic tier never reads it.
@@ -164,10 +164,9 @@ def classify(
         return Classification(Verdict(verdict), Tier.PROVED, horizon, witness)
 
     pattern = stream.kakeya_pattern()
-    if pattern is not None:
-        from_pattern = _pattern_classification(pattern, horizon)
-        if from_pattern is not None:
-            return from_pattern
+    from_pattern = _pattern_classification(pattern, horizon)
+    if from_pattern is not None:
+        return from_pattern
 
     if isinstance(spec, MultigeometricSpec):
         separated = _separated_blocks(spec)
@@ -212,13 +211,10 @@ def classify(
         "tight_trend": trend.to_json(),
         "gap_count": report.gap_count,
         "kakeya": split.to_json(),
+        "kakeya_pattern": _pattern_witness(pattern),
     }
-    if pattern is not None:
-        witness["kakeya_pattern"] = _pattern_witness(pattern)
-    kakeya_infinite = (
-        GREATER in pattern.cycle if pattern is not None else bool(split.kakeya)
-    )
-    if trend.interval_evidence and report.gap_count > 0 and kakeya_infinite:
+    # The pattern tier has returned unless the Kakeya indices are infinite.
+    if trend.interval_evidence and report.gap_count > 0:
         verdict = Verdict.CANTORVAL
     elif trend.interval_evidence and report.gap_count == 0:
         verdict = Verdict.MULTI_INTERVAL

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -83,23 +82,14 @@ def _usage_error(reason: object) -> int:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_ENCODERS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__}
-_FLAT_ITEMS = ({int}, {str}, set())
 
 
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for a report.
 
-    The standard library's indenting encoder is pure Python and yields one
-    small string per token.  This writer appends to one chunk list, testing
-    types in the same order (str, None, True, False, int, list or tuple,
-    dict).  Lists of ints, of strs or of [str, str] pairs (the short
-    certificate and witness lists of a classification) take one join, and
-    record arrays (``validate``'s conditions) the column path of
-    ``_records``.  An IterationReport or a RepetitionReport, which hold the
-    iteration rows and the uniqueness section's witnesses and ``outer``,
-    writes its own ``json_text``.  A report holds no floats and only str
-    keys, so either raises TypeError.
+    ``_write`` appends to one chunk list where the standard library's
+    pure-Python indenting encoder yields one small string per token.  A
+    report holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
     _write(doc, chunks, "\n")
@@ -108,9 +98,10 @@ def _dumps(doc) -> str:
 
 
 def _write(o, chunks: list[str], newline: str) -> None:
-    """Append the encoding of ``o``, a record array by the column path of
-    ``_records`` and an iteration row or repetition report by its
-    ``json_text``; ``newline`` is "\n" plus its indent."""
+    """Append the encoding of ``o``, testing types in json's order; ``newline``
+    is "\n" plus its indent.  An IterationReport or a RepetitionReport (the
+    iteration rows, the uniqueness section's witnesses and ``outer``) writes
+    its own ``json_text``."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -122,36 +113,14 @@ def _write(o, chunks: list[str], newline: str) -> None:
     elif isinstance(o, int):
         chunks.append(int.__repr__(o))
     elif isinstance(o, (list, tuple)):
-        if not o:
-            chunks.append("[]")
-            return
         inner = newline + "  "
-        if all(type(x) is int for x in o) or all(type(x) is str for x in o):
-            chunks.append(_flat_list(newline, o))
-            return
-        if all(
-            type(x) is list and len(x) == 2 and type(x[0]) is str and type(x[1]) is str
-            for x in o
-        ):
-            deeper = inner + "  "
-            items = (
-                f"[{deeper}{_encode_str(a)},{deeper}{_encode_str(b)}{inner}]" for a, b in o
-            )
-        elif (rows := _records(o, inner)) is not None:
-            items = rows
-        else:
-            separator = "[" + inner
-            for item in o:
-                chunks.append(separator)
-                _write(item, chunks, inner)
-                separator = "," + inner
-            chunks.append(newline + "]")
-            return
-        chunks.append(f"[{inner}{(',' + inner).join(items)}{newline}]")
+        separator = "[" + inner
+        for item in o:
+            chunks.append(separator)
+            _write(item, chunks, inner)
+            separator = "," + inner
+        chunks.append(newline + "]" if o else "[]")
     elif isinstance(o, dict):
-        if not o:
-            chunks.append("{}")
-            return
         inner = newline + "  "
         separator = "{" + inner
         for key, value in o.items():
@@ -160,50 +129,11 @@ def _write(o, chunks: list[str], newline: str) -> None:
             chunks.append(separator + _encode_str(key) + ": ")
             _write(value, chunks, inner)
             separator = "," + inner
-        chunks.append(newline + "}")
+        chunks.append(newline + "}" if o else "{}")
     elif isinstance(o, (IterationReport, RepetitionReport)):
         chunks.append(o.json_text(newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _flat_list(newline: str, items) -> str:
-    """A list of only ints or only strs; ``newline`` as in ``_write``."""
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    encode = int.__repr__ if type(items[0]) is int else _encode_str
-    return f"[{inner}{(',' + inner).join(map(encode, items))}{newline}]"
-
-
-def _column_encoder(column, entry: str):
-    """The cell encoder of a flat column (see ``_records``), or None."""
-    kind, *mixed = set(map(type, column))
-    if kind is list and not mixed:
-        flat = set(map(type, chain.from_iterable(column))) in _FLAT_ITEMS
-        return partial(_flat_list, entry) if flat else None
-    return None if mixed else _ENCODERS.get(kind)
-
-
-def _records(o, inner: str):
-    """Rows of two or more dicts in one str key order whose columns are all
-    str, all int, all bool or all lists of only ints or only strs, encoded by
-    column (one type check and map each, one format per row), or None.  The
-    first row is checked first: iteration rows, with lists of pairs, fail."""
-    first, entry = o[0], inner + "  "
-    if type(first) is not dict or len(o) < 2 or set(map(type, first)) != {str} or not all(
-        _column_encoder((value,), entry) for value in first.values()
-    ):
-        return None
-    if set(map(type, o)) != {dict} or set(map(tuple, o)) != {tuple(first)}:
-        return None
-    columns = list(zip(*map(dict.values, o)))
-    encoders = [_column_encoder(column, entry) for column in columns]
-    if None in encoders:
-        return None
-    fields = (_encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in first)
-    template = "{{" + entry + ("," + entry).join(fields) + inner + "}}"
-    return map(template.format, *map(map, encoders, columns))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -449,6 +379,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     process builds it once either way, and importing this module builds
     nothing.  Defaults that read the environment, such as CANTORVAL_CAP,
     are still read on every call.
+
+    The command runs with Python's int-to-str digit limit lifted, since a
+    spec's exact values can outgrow it, and restores it on return.
     """
     global _parser
     if _parser is None:
@@ -457,7 +390,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.handler(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.handler(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -413,8 +413,7 @@ def measure_bounds(
     lower = Fraction(0)
     best: Optional[InteriorCertificate] = None
     if spec is not None:
-        pattern = ladder.stream.kakeya_pattern()
-        kakeya_infinite = pattern is not None and not pattern.kakeya_is_finite
+        kakeya_infinite = not ladder.stream.kakeya_pattern().kakeya_is_finite
         searchable = not kakeya_infinite or run_windows_verify(spec)
         max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):

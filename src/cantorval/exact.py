@@ -16,6 +16,7 @@ shift.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +28,15 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or canonical "p/q" string to a Fraction.
+    """Coerce an int, Fraction, or "p/q" or "p" string to a Fraction.
 
     Floats are rejected: accepting them silently would smuggle rounding
-    error into an exact pipeline.
+    error into an exact pipeline.  A string is [-]digits[/digits]: with no
+    exponent, a short string cannot name a huge number ("1e-20000").
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
@@ -41,8 +45,10 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL_TEXT.fullmatch(value) is None:
+            raise ValueError(f"expected a rational as 'p/q' or 'p' in digits, got {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

@@ -2,10 +2,11 @@
 
 A stream exposes exact terms x_n and exact tail sums r_n = sum of x_i for
 i > n.  A SubsumLadder builds the finite subsum sets F_n of one stream
-once, for every analysis layer to read; they carry multiplicities so that
-downstream uniqueness analysis can see collisions.  subsum_level builds the
-subsum set of a finite multiset, such as a family block, the same way but
-keeps only the last level.
+once, for every analysis layer to read.  Each level also counts the subsets
+achieving each value, which ``points()`` hands to a PointSet; the
+uniqueness report reads only the values and tallies its own multiplicity
+profiles.  subsum_level builds the subsum set of a finite multiset, such as
+a family block, the same way but keeps only the last level.
 
 The ladder stores F_n on an integer lattice: D_n, the lcm of the
 denominators of x_1..x_n, and the sorted integers f * D_n.  Each step is one
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .exact import PointSet
 
@@ -65,9 +66,9 @@ class KakeyaPattern:
     """Proof-carrying description of the comparisons x_n vs r_n.
 
     ``prefix`` gives the comparison sign for n = 1..len(prefix); afterwards
-    the signs repeat ``cycle`` forever.  A stream returns a pattern only when
-    the periodicity is exact (scale-invariance of both terms and tails), so a
-    pattern is an analytic statement about all n, not finite-horizon evidence.
+    the signs repeat ``cycle`` forever.  Every stream returns one, from the
+    exact periodicity of its terms and tails (scale-invariance), so a pattern
+    is an analytic statement about all n, not finite-horizon evidence.
     """
 
     prefix: tuple[str, ...]
@@ -112,9 +113,9 @@ class TermStream(abc.ABC):
     def terms(self, k: int) -> tuple[Fraction, ...]:
         return tuple(self.term(n) for n in range(1, k + 1))
 
-    def kakeya_pattern(self) -> Optional[KakeyaPattern]:
-        """Exact comparison pattern when one is analytically available."""
-        return None
+    @abc.abstractmethod
+    def kakeya_pattern(self) -> KakeyaPattern:
+        """The exact comparison pattern of x_n against r_n for all n."""
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,9 @@ class FiniteStream(TermStream):
             raise ValueError("tail indices start at 0")
         return sum(self._values[n:], Fraction(0))
 
+    def kakeya_pattern(self):
+        raise NotImplementedError("a finite stream has no infinite comparison pattern")
+
 
 def geometric_tail_stream(
     prefix: Iterable[RationalLike], start: RationalLike, ratio: RationalLike

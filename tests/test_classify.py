@@ -20,7 +20,7 @@ from cantorval.families import (
     geometric,
     multigeometric,
 )
-from cantorval.series import SubsumLadder, TermStream, kakeya_split
+from cantorval.series import SubsumLadder, kakeya_split
 
 from oracles import fraction_separated_blocks, geometric_tail_stream
 
@@ -38,19 +38,6 @@ SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
 def fresh_classify(subject, **options):
     """classify over a fresh ladder of the subject's stream."""
     return classify(subject, SubsumLadder(resolve_stream(subject)), **options)
-
-
-class PatternlessStream(TermStream):
-    """Wrapper that hides the analytic pattern (forces heuristic paths)."""
-
-    def __init__(self, base: TermStream) -> None:
-        self._base = base
-
-    def term(self, n):
-        return self._base.term(n)
-
-    def tail(self, n):
-        return self._base.tail(n)
 
 
 class TestClassify:
@@ -151,12 +138,6 @@ class TestClassify:
         assert got.tier is Tier.HEURISTIC
         assert got.horizon == 9
         assert got.witnesses["kakeya"]["horizon"] == 9
-
-    def test_patternless_stream_heuristics(self):
-        stream = PatternlessStream(resolve_stream(GN))
-        got = fresh_classify(stream, horizon=10)
-        assert got.verdict is Verdict.CANTORVAL
-        assert got.tier is Tier.HEURISTIC
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):

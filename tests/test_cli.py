@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,6 +45,13 @@ KYIV_LONG_HEAD = json.dumps(
 MM_TRUE = '{"type":"mm","gaps":{"pre":[],"period":[true]}}'
 KYIV_TRUE = '{"type":"kyiv","m":{"pre":[],"period":[4]},"s":{"pre":[],"period":[true]}}'
 REPEATED_TRUE = REPEATED.replace('"period":[2]', '"period":[true]')
+# exact values whose report outgrows Python's default int-to-str limit
+BIG_VALUES = json.dumps(
+    {"type": "multigeometric", "k": ["1/" + "9" * 3000], "q": "1/" + "9" * 2000}
+)
+# an exponent names a 20,001-digit denominator in eight characters
+EXPONENT_Q = '{"type":"multigeometric","k":[3,2],"q":"1e-20000"}'
+DECIMAL_Q = '{"type":"multigeometric","k":[3,2],"q":"0.5"}'
 
 
 def run_cli(*args, env=None):
@@ -283,6 +291,10 @@ class TestBadInput:
             (("analyze", "--inline", REPEATED_TRUE), None),
             (("validate", "--inline", GN_JSON, "--depth", "3"), None),
             (("validate", "--inline", GN_JSON, "--format", "csv"), None),
+            (("validate", "--inline", EXPONENT_Q), None),
+            (("analyze", "--inline", EXPONENT_Q), None),
+            (("validate", "--inline", DECIMAL_Q), None),
+            (("analyze", "--inline", DECIMAL_Q), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -295,6 +307,8 @@ class TestBadInput:
             "validate-kyiv-s-true", "analyze-kyiv-s-true",
             "validate-repeated-count-true", "analyze-repeated-count-true",
             "validate-takes-no-depth", "validate-takes-no-csv",
+            "validate-exponent-q", "analyze-exponent-q",
+            "validate-decimal-q", "analyze-decimal-q",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):
@@ -315,6 +329,22 @@ class TestBadInput:
     def test_unwritable_out_is_one_line(self, tmp_path, args, out):
         (tmp_path / "taken").write_text("")
         assert_one_line_usage_error(run_cli(*args, "--out", str(tmp_path / out)))
+
+    def test_values_past_the_int_str_limit_analyze(self):
+        checked = run_cli("validate", "--inline", BIG_VALUES)
+        proc = run_cli("analyze", "--inline", BIG_VALUES, "--depth", "2")
+        assert checked.returncode == 0
+        assert proc.returncode == 0
+        assert checked.stderr == proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["spec"]["q"] == "1/" + "9" * 2000
+        assert len(doc["iterations"][2]["measure"]) > 5000
+
+    def test_int_str_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["analyze", "--inline", BIG_VALUES, "--depth", "1"]) == 0
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == limit
 
 
 # one spec per family, whose list-valued fields each get a value that is no
@@ -433,10 +463,10 @@ json_trees = st.recursive(
 )
 
 
-# Record arrays for the encoder's column path: keys with quotes, backslashes,
-# braces and non-ASCII text; columns of str, int, bool, int lists and str
-# lists (empty cells included), next to columns that must fall back: a
-# nested dict, ints mixed with bools, lists mixing ints and strs.
+# Record arrays, the shape of validate's conditions: keys with quotes,
+# backslashes, braces and non-ASCII text; columns of str, int, bool, int
+# lists and str lists (empty cells included), a nested dict, ints mixed with
+# bools, and lists mixing ints and strs.
 record_keys = st.one_of(json_text, st.text(alphabet='"\\{}\u00e9\u2603ab', max_size=6))
 record_cells = (
     json_text,
@@ -484,16 +514,6 @@ class TestDumps:
             row[key] = 0
         with pytest.raises(TypeError):
             _dumps(records)
-
-    def test_column_path_takes_witnesses_and_rejects_iteration_rows(self):
-        doc = build_report(
-            spec_from_json(json.loads((SPECS / "ferens_5432.json").read_text())),
-            4, 4, cli.DEFAULT_CAP, 12,
-        )
-        witnesses = doc["uniqueness"]["repetition"]["witnesses"]
-        assert len(witnesses) > 1
-        assert cli._records(witnesses, "\n  ") is not None
-        assert cli._records(doc["iterations"], "\n  ") is None
 
     @given(json_trees)
     @settings(max_examples=300, deadline=None)
@@ -646,6 +666,51 @@ class TestValidatedSpecsAnalyze:
             code = main(["analyze", "--inline", spec, "--depth", "3"])
         assert code in (0, 3)
         assert "Traceback" not in err.getvalue()
+
+
+class TestCliMatchesStdlib:
+    """The files analyze and validate write are, byte for byte, what
+    ``json.dumps(doc, indent=2)`` writes for the same document."""
+
+    @given(
+        st.one_of(
+            multigeometric_json(),
+            gf_json(),
+            mm_specs().map(lambda spec: spec.to_json()),
+            kyiv_json(),
+            repeated_specs().map(lambda spec: spec.to_json()),
+        )
+    )
+    # a certified Cantorval: certificate parts and a gaps witness
+    @example(json.loads((SPECS / "ferens_5432.json").read_text()))
+    # a certified Cantor set: a separated_blocks witness
+    @example({"type": "multigeometric", "k": [9, 9], "q": "1/5"})
+    # semifast and representation_oracle in the uniqueness section
+    @example(json.loads((SPECS / "semifast.json").read_text()))
+    @settings(max_examples=50, deadline=None)
+    def test_report_and_validate_bytes(self, doc):
+        text = json.dumps(doc)
+        spec = spec_from_json(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                checked = main(["validate", "--inline", text, "--format", "json",
+                                "--out", str(out)])
+            conditions = spec.conditions()
+            expected = {
+                "spec": spec.to_json(),
+                "passed": all(c["passed"] for c in conditions),
+                "conditions": conditions,
+            }
+            assert checked in (0, 1)
+            assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["analyze", "--inline", text, "--depth", "3",
+                             "--cap", str(cli.DEFAULT_CAP), "--out", str(out)])
+            if code != 0:
+                return
+            report = build_report(spec, 3, 3, cli.DEFAULT_CAP, 12)
+            assert out.read_text() == json.dumps(report, indent=2) + "\n"
 
 
 class TestValidateAgreesWithFamilyTier:

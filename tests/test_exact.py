@@ -77,6 +77,13 @@ class TestRat:
         with pytest.raises(ValueError, match="zero denominator"):
             rat("1/0")
 
+    @pytest.mark.parametrize(
+        "text", ["1e-3", "1e-20000", "0.5", " 1/2", "+1/2", "1/-2", "1_000", "", "\u0661/2"]
+    )
+    def test_rejects_strings_beyond_digits_over_digits(self, text):
+        with pytest.raises(ValueError, match="'p/q' or 'p'"):
+            rat(text)
+
     def test_canonical_string(self):
         assert rat_str(F(5, 12)) == "5/12"
         assert rat_str(-3) == "-3/1"
