@@ -84,24 +84,26 @@ def _usage_error(reason: object) -> int:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for a report.
+def _dumps(doc) -> list[str]:
+    """The chunks of ``json.dumps(doc, indent=2) + "\n"`` for a report, in
+    order: joined, they are that string byte for byte.
 
     ``_write`` appends to one chunk list where the standard library's
-    pure-Python indenting encoder yields one small string per token.  A
-    report holds no floats and only str keys, so either raises TypeError.
+    pure-Python indenting encoder yields one small string per token, and
+    ``_emit`` writes the list as it is, so no whole-report string is built.
+    A report holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
     _write(doc, chunks, "\n")
     chunks.append("\n")
-    return "".join(chunks)
+    return chunks
 
 
 def _write(o, chunks: list[str], newline: str) -> None:
-    """Append the encoding of ``o``, testing types in json's order; ``newline``
-    is "\n" plus its indent.  An IterationReport or a RepetitionReport (the
-    iteration rows, the uniqueness section's witnesses and ``outer``) writes
-    its own ``json_text``."""
+    """Append the encoding of ``o`` to ``chunks``, testing types in json's
+    order; ``newline`` is "\n" plus its indent.  An IterationReport or a
+    RepetitionReport (the iteration rows, the uniqueness section's witnesses
+    and ``outer``) writes its own ``json_text`` as one chunk."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -136,11 +138,13 @@ def _write(o, chunks: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: list[str], out: Optional[str]) -> None:
+    """Write ``chunks`` in order to the file ``out``, or to stdout without it."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -152,16 +156,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     passed = all(c["passed"] for c in conditions)
     if args.format == "json":
         doc = {"spec": spec.to_json(), "passed": passed, "conditions": conditions}
-        text = _dumps(doc)
+        chunks = _dumps(doc)
     else:
         lines = [
             f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['witness']}"
             for c in conditions
         ]
         lines.append("all conditions pass" if passed else "some conditions fail")
-        text = "\n".join(lines) + "\n"
+        chunks = ["\n".join(lines) + "\n"]
     try:
-        _emit(text, args.out)
+        _emit(chunks, args.out)
     except OSError as exc:
         return _usage_error(exc)
     return EXIT_OK if passed else EXIT_CONDITION_FAILURE
@@ -326,9 +330,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
             for name, text in _csv_tables(doc).items():
                 (outdir / name).write_text(text)
-            (outdir / "report.json").write_text(_dumps(doc))
+            _emit(_dumps(doc), str(outdir / "report.json"))
         else:
-            _emit(_human_summary(doc), args.out)
+            _emit([_human_summary(doc)], args.out)
     except OSError as exc:
         return _usage_error(exc)
     return EXIT_OK

@@ -2,16 +2,19 @@
 
 A stream exposes exact terms x_n and exact tail sums r_n = sum of x_i for
 i > n.  A SubsumLadder builds the finite subsum sets F_n of one stream
-once, for every analysis layer to read.  Each level also counts the subsets
-achieving each value, which ``points()`` hands to a PointSet; the
-uniqueness report reads only the values and tallies its own multiplicity
-profiles.  subsum_level builds the subsum set of a finite multiset, such as
-a family block, the same way but keeps only the last level.
+once, for every analysis layer to read.  A level holds values only, not
+the number of subsets achieving each one: the uniqueness report tallies its
+own multiplicity profiles, and finite_subsums counts subsets by a separate
+fold of group_convolve.  subsum_level builds the subsum set of a finite
+multiset, such as a family block, the same way but keeps only the last
+level.
 
 The ladder stores F_n on an integer lattice: D_n, the lcm of the
-denominators of x_1..x_n, and the sorted integers f * D_n.  Each step is one
-linear merge of those integers with the same integers shifted by x_n * D_n,
-after rescaling when x_n's denominator does not divide D_{n-1}.  The brick
+denominators of x_1..x_n, and the sorted integers f * D_n.  Each step
+merges those integers with the same integers shifted by x_n * D_n, after
+rescaling when x_n's denominator does not divide D_{n-1}: one sort of the
+two increasing runs, which timsort merges in C, then, only when two
+neighbours are equal, one compress pass that keeps each value once.  The brick
 union I_n (the union of [f, f + r_n] over F_n) is one sweep over the same
 integers; Fractions are built only where a caller reads them.
 
@@ -28,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, islice
 from math import lcm
 from typing import Iterable
 
@@ -181,13 +184,11 @@ class LatticeLevel:
     """A subsum set F_n as integers over one common denominator.
 
     ``values`` are the distinct subsums times ``denominator``, strictly
-    increasing, and ``counts`` parallels them with the number of subsets
-    achieving each value.
+    increasing.  A level does not count the subsets achieving each value.
     """
 
     denominator: int
     values: tuple[int, ...]
-    counts: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -195,50 +196,32 @@ class LatticeLevel:
     def extend(self, term: Fraction, cap: int) -> "LatticeLevel":
         """The next level: these subsums merged with the same plus ``term``.
 
-        Raises CapacityError, naming the full deduplicated size, when the
-        merge would hold more than ``cap`` values.  When it might (2n > cap),
-        the size is counted first by a merge that stores nothing, so the
-        error comes before the oversized level is allocated.
+        Both runs are strictly increasing, so ``sorted`` merges them, and a
+        value in both sits next to its copy; only then does one ``compress``
+        pass keep each value once.  Raises CapacityError, naming the full
+        deduplicated size, when the merge would hold more than ``cap``
+        values.  When it might (2n > cap), the size is counted first by a
+        merge that stores nothing, so the error comes before the oversized
+        level is allocated.
         """
         d = lcm(self.denominator, term.denominator)
         values = self.values
         if d != self.denominator:
-            scale = d // self.denominator
-            values = [v * scale for v in values]
+            values = tuple(map(partial(operator.mul, d // self.denominator), values))
         shift = term.numerator * (d // term.denominator)
-        counts = self.counts
-        n = len(values)
-        if 2 * n > cap:
+        if 2 * len(values) > cap:
             size = _merged_size(values, shift)
             if size > cap:
                 raise CapacityError("subsum_ladder", size, cap)
-        out_values: list[int] = []
-        out_counts: list[int] = []
-        i = j = 0
-        while i < n and j < n:
-            a, b = values[i], values[j] + shift
-            if a < b:
-                out_values.append(a)
-                out_counts.append(counts[i])
-                i += 1
-            elif b < a:
-                out_values.append(b)
-                out_counts.append(counts[j])
-                j += 1
-            else:
-                out_values.append(a)
-                out_counts.append(counts[i] + counts[j])
-                i += 1
-                j += 1
-        out_values.extend(values[i:])
-        out_counts.extend(counts[i:])
-        out_values.extend(v + shift for v in values[j:])
-        out_counts.extend(counts[j:])
-        return LatticeLevel(d, tuple(out_values), tuple(out_counts))
+        merged = sorted(chain(values, map(partial(operator.add, shift), values)))
+        if any(map(operator.eq, merged, islice(merged, 1, None))):
+            distinct = map(operator.ne, merged, islice(merged, 1, None))
+            merged = [*compress(merged, distinct), merged[-1]]
+        return LatticeLevel(d, tuple(merged))
 
     def points(self) -> PointSet:
         d = self.denominator
-        return PointSet(tuple(Fraction(v, d) for v in self.values), self.counts)
+        return PointSet(tuple(Fraction(v, d) for v in self.values))
 
 
 def _merged_size(values, shift: int) -> int:
@@ -258,11 +241,11 @@ def _merged_size(values, shift: int) -> int:
     return 2 * n - common
 
 
-ZERO_LEVEL = LatticeLevel(1, (0,), (1,))
+ZERO_LEVEL = LatticeLevel(1, (0,))
 
 
 def subsum_level(terms: Iterable[Fraction], cap: int = DEFAULT_CAP) -> LatticeLevel:
-    """Every subsum of a finite multiset of terms, with multiplicities.
+    """Every distinct subsum of a finite multiset of terms, on its lattice.
 
     One fold of LatticeLevel.extend from the empty sum; only the current
     level is kept, so a family block or group costs one level of memory.
@@ -302,9 +285,9 @@ class Bricks:
 class SubsumLadder:
     """The subsum sets F_0, F_1, ... of one stream, built once and shared.
 
-    ``ladder.level(n)`` is F_n on its integer lattice, with multiplicities
-    counting the subsets of {1..n} that achieve each value (they sum to
-    2^n); ``ladder.level(n).points()`` builds it as a PointSet.  Levels are
+    ``ladder.level(n)`` is F_n on its integer lattice, values only;
+    ``ladder.level(n).points()`` builds it as a PointSet, and finite_subsums
+    counts the subsets of {1..n} that achieve each value.  Levels are
     built on request, one term at a time, and kept; a level that would
     exceed ``cap`` raises CapacityError, nothing is stored, and asking for
     it again raises the same error.  ``ladder.bricks(n)`` keeps the
@@ -336,7 +319,9 @@ class SubsumLadder:
         tail = self.stream.tail(n)
         d = lcm(level.denominator, tail.denominator)
         scale = d // level.denominator
-        values = level.values if scale == 1 else tuple(v * scale for v in level.values)
+        values = level.values
+        if scale != 1:
+            values = tuple(map(partial(operator.mul, scale), values))
         return d, values, tail.numerator * (d // tail.denominator)
 
     def bricks(self, n: int) -> Bricks:
@@ -357,16 +342,23 @@ class SubsumLadder:
         return kept[n]
 
     def _sweep(self, n: int) -> Bricks:
-        """I_n swept from F_n on the tail lattice, and kept."""
+        """I_n swept from F_n on the tail lattice, and kept: each gap wider than r_n cuts it."""
         d, values, reach = self.on_tail_lattice(n)
-        gaps = map(operator.sub, values[1:], values)
-        cuts = list(compress(range(1, len(values)), map(partial(operator.lt, reach), gaps)))
-        starts = [values[0]] + [values[i] for i in cuts]
-        ends = [values[i - 1] + reach for i in cuts] + [values[-1] + reach]
-        got = self._bricks[n] = Bricks(d, tuple(starts), tuple(ends), reach)
+        wide = list(map(partial(operator.lt, reach), map(operator.sub, values[1:], values)))
+        starts = (values[0], *compress(values[1:], wide))
+        ends = (*map(partial(operator.add, reach), compress(values, wide)), values[-1] + reach)
+        got = self._bricks[n] = Bricks(d, starts, ends, reach)
         return got
 
 
 def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:
-    """F_k of a fresh ladder: all subsums of the first k terms, with multiplicities."""
-    return SubsumLadder(stream, cap).level(k).points()
+    """F_k with multiplicities: all subsums of the first k terms, each counted
+    by the subsets of {1..k} achieving it (the counts sum to 2^k).
+
+    A fold of group_convolve over the two-point sets {0, x_n}, apart from
+    the ladder, whose levels keep values only.
+    """
+    got = PointSet((Fraction(0),), (1,))
+    for term in stream.terms(k):
+        got = group_convolve(got, PointSet((Fraction(0), term), (1, 1)), cap)
+    return got

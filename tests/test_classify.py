@@ -139,6 +139,18 @@ class TestClassify:
         assert got.horizon == 9
         assert got.witnesses["kakeya"]["horizon"] == 9
 
+    @pytest.mark.parametrize("horizon", [4, 6, 8, 10, 12])
+    def test_no_interval_evidence_and_nonzero_diameter_is_unknown(self, horizon):
+        # (8, 2; 1/4) has infinitely many Kakeya indices, and the tight
+        # diameter of F_n is 0 at odd n and 1/2^(n-1) at even n, so the trend
+        # shows no interval evidence and does not end at 0.  Its block has
+        # |S| = 4 subsums and Q = 1/4, so |S| Q = 1 and counting decides nothing.
+        got = fresh_classify(multigeometric([8, 2], "1/4"), horizon=horizon)
+        assert (got.verdict, got.tier, got.horizon) == (Verdict.UNKNOWN, Tier.HEURISTIC, horizon)
+        trend = got.witnesses["tight_trend"]
+        assert trend["interval_evidence"] is False
+        assert trend["rows"][-1] == [horizon, f"1/{2 ** (horizon - 1)}"]
+
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             fresh_classify(GN, horizon=0)

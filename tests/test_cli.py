@@ -498,7 +498,7 @@ class TestDumps:
     @settings(max_examples=300, deadline=None)
     def test_record_arrays_match_stdlib(self, records):
         for doc in (records, {"witnesses": records, "deeper": [records]}):
-            assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+            assert "".join(_dumps(doc)) == json.dumps(doc, indent=2) + "\n"
 
     @given(record_arrays(), st.data())
     def test_float_cell_in_a_record_array_is_a_type_error(self, records, data):
@@ -518,7 +518,7 @@ class TestDumps:
     @given(json_trees)
     @settings(max_examples=300, deadline=None)
     def test_matches_stdlib_indent_2(self, tree):
-        assert _dumps(tree) == json.dumps(tree, indent=2) + "\n"
+        assert "".join(_dumps(tree)) == json.dumps(tree, indent=2) + "\n"
 
     @given(json_trees, st.floats(allow_nan=False))
     def test_float_is_a_type_error(self, tree, x):
@@ -669,8 +669,9 @@ class TestValidatedSpecsAnalyze:
 
 
 class TestCliMatchesStdlib:
-    """The files analyze and validate write are, byte for byte, what
-    ``json.dumps(doc, indent=2)`` writes for the same document."""
+    """The files and standard output that analyze and validate write are,
+    byte for byte, what ``json.dumps(doc, indent=2)`` writes for the same
+    document: to ``--out``, to stdout, and as the csv format's report.json."""
 
     @given(
         st.one_of(
@@ -704,13 +705,22 @@ class TestCliMatchesStdlib:
             }
             assert checked in (0, 1)
             assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(["validate", "--inline", text, "--format", "json"]) == checked
+            assert stdout.getvalue() == json.dumps(expected, indent=2) + "\n"
+            analyze = ["analyze", "--inline", text, "--depth", "3", "--cap", str(cli.DEFAULT_CAP)]
             with contextlib.redirect_stderr(io.StringIO()):
-                code = main(["analyze", "--inline", text, "--depth", "3",
-                             "--cap", str(cli.DEFAULT_CAP), "--out", str(out)])
+                code = main([*analyze, "--out", str(out)])
             if code != 0:
                 return
-            report = build_report(spec, 3, 3, cli.DEFAULT_CAP, 12)
-            assert out.read_text() == json.dumps(report, indent=2) + "\n"
+            report = json.dumps(build_report(spec, 3, 3, cli.DEFAULT_CAP, 12), indent=2) + "\n"
+            assert out.read_text() == report
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(analyze) == 0
+            assert stdout.getvalue() == report
+            tables = Path(tmp) / "tables"
+            assert main([*analyze, "--format", "csv", "--out", str(tables)]) == 0
+            assert (tables / "report.json").read_text() == report
 
 
 class TestValidateAgreesWithFamilyTier:

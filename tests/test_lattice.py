@@ -10,15 +10,24 @@ The streams mix term denominators 2..12, so the lattice rescales as it grows.
 import json
 from fractions import Fraction as F
 from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cantorval import series
 from cantorval.engine import iterate
 from cantorval.exact import Interval, PointSet, lattice_str, normalize, rat_str
 from cantorval.families import multigeometric, spec_from_json
 from cantorval.families.grouped import GroupedStream
-from cantorval.series import Bricks, CapacityError, SubsumLadder, group_convolve
+from cantorval.series import (
+    Bricks,
+    CapacityError,
+    LatticeLevel,
+    SubsumLadder,
+    finite_subsums,
+    group_convolve,
+)
 from cantorval.tightness import max_tight_diameter, tight_trend
 from cantorval.uniqueness import multirep_outer, repetition_report
 
@@ -162,6 +171,62 @@ class TestRowText:
         assert doc["gaps"] == [] and doc["gap_count"] == 0
 
 
+@st.composite
+def levels_and_terms(draw):
+    """A strictly increasing integer level, a positive term whose denominator
+    divides the level's or is drawn freely, and a cap offset: the cap is the
+    merged size plus this offset, at least 1."""
+    denominator = draw(st.integers(1, 12))
+    values = tuple(sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=24))))
+    divisors = [k for k in range(1, denominator + 1) if denominator % k == 0]
+    term_denominator = draw(st.one_of(st.sampled_from(divisors), st.integers(1, 12)))
+    term = F(draw(st.integers(1, 60)), term_denominator)
+    return LatticeLevel(denominator, values), term, draw(st.integers(-3, 3))
+
+
+class TestExtend:
+    """LatticeLevel.extend, the merge that builds every level, against a set union."""
+
+    @given(levels_and_terms())
+    @settings(max_examples=200, deadline=None)
+    # equal terms: 3/4 + 3/4 lands on 3/4 + 0, and the cap is the merged size
+    @example((LatticeLevel(4, (0, 3)), F(3, 4), 0))
+    # the same collision one value over the cap
+    @example((LatticeLevel(4, (0, 3)), F(3, 4), -1))
+    # a new denominator rescales the level from 2 to 6
+    @example((LatticeLevel(2, (0, 1, 3)), F(1, 3), 2))
+    # 2n > cap, so the size is counted first, and it equals the cap
+    @example((LatticeLevel(1, (0, 1, 2)), F(1), 0))
+    def test_merge_matches_set_union_and_cap(self, drawn):
+        level, term, offset = drawn
+        d = lcm(level.denominator, term.denominator)
+        scaled = {v * (d // level.denominator) for v in level.values}
+        shift = term * d
+        assert shift.denominator == 1
+        expected = tuple(sorted(scaled | {v + shift.numerator for v in scaled}))
+        cap = max(1, len(expected) + offset)
+        ladder = SubsumLadder(FiniteStream([term]), cap)
+        ladder._levels[0] = level  # start the ladder from the drawn level
+        # extend allocates the merged level with one sorted call
+        with mock.patch.object(series, "sorted", create=True, wraps=sorted) as merges:
+            if len(expected) <= cap:
+                got = ladder.level(1)
+                assert (got.denominator, got.values) == (d, expected)
+                assert merges.call_count == 1
+            else:
+                for _ in range(2):  # asking again fails the same way
+                    with pytest.raises(CapacityError) as info:
+                        ladder.level(1)
+                    error = info.value
+                    assert (error.stage, error.size, error.cap) == (
+                        "subsum_ladder",
+                        len(expected),
+                        cap,
+                    )
+                assert merges.call_count == 0
+                assert ladder._levels == [level]
+
+
 class TestLevels:
     @given(mixed_streams())
     @settings(max_examples=60, deadline=None)
@@ -170,13 +235,17 @@ class TestLevels:
         ladder = SubsumLadder(stream)
         terms = stream.terms(depth)
         expected = brute_subsum_levels(terms)
+        counted = None
         for k in range(depth + 1):
             got = ladder.level(k).points()
-            assert dict(zip(got.values, got.counts)) == expected[k]
+            assert got.values == tuple(sorted(expected[k]))
             assert ladder.level(k).denominator == lcm(*(t.denominator for t in terms[:k]))
+            previous, counted = counted, finite_subsums(stream, k)
+            assert dict(zip(counted.values, counted.counts)) == expected[k]
             if k:
                 step = PointSet.from_pairs([(0, 1), (terms[k - 1], 1)])
-                assert got == group_convolve(ladder.level(k - 1).points(), step)
+                assert got.values == group_convolve(ladder.level(k - 1).points(), step).values
+                assert counted == group_convolve(previous, step)
 
     def test_rescales_when_a_denominator_is_new(self):
         ladder = SubsumLadder(geometric_tail_stream(["1/2", "1/3", "1/4", "1/5"], "1/7", "1/2"))
