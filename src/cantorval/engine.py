@@ -30,7 +30,7 @@ only for the values a report prints: the certificate and its diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -44,7 +44,6 @@ from .exact import (
     covered_parts,
     difference_parts,
     intersect_parts,
-    lattice_strs,
     merge_parts,
     nondegenerate_parts,
     normalize,
@@ -65,13 +64,15 @@ class IterationReport:
     """I_n with its brick count, exact measure, and component geometry.
 
     The parts stay on the ladder's integer lattice; ``iteration`` builds
-    them as an IntervalSet on first read.
+    them as an IntervalSet on first read, and ``json_text`` reads their
+    strings from ``ladder``.
     """
 
     n: int
     bricks: Bricks
     brick_count: int
     tail: Fraction
+    ladder: SubsumLadder = field(compare=False, repr=False)
 
     @cached_property
     def iteration(self) -> IntervalSet:
@@ -97,12 +98,13 @@ class IterationReport:
         """The row as ``json.dumps(self.to_json(), indent=2)`` writes it at
         the nesting whose line break and indent are ``newline``.
 
-        Each endpoint string is built once, and ``parts`` and ``gaps`` are
-        each written by ``pairs_text``, so nothing is escaped.
+        The endpoint strings come from ``ladder.endpoint_strs``, which
+        formats only the endpoints that the level before did not have when
+        that level was the last one asked for, so rows written in order
+        format each endpoint once.  ``parts`` and ``gaps`` are each written
+        by ``pairs_text``, so nothing is escaped.
         """
-        b = self.bricks
-        starts = lattice_strs(b.starts, b.denominator)
-        ends = lattice_strs(b.ends, b.denominator)
+        starts, ends = self.ladder.endpoint_strs(self.n)
         longest = self._longest_index()
         i1 = newline + "  "
         i2 = i1 + "  "
@@ -124,6 +126,7 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
         bricks=ladder.bricks(n),
         brick_count=len(ladder.level(n)),
         tail=ladder.stream.tail(n),
+        ladder=ladder,
     )
 
 

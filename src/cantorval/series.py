@@ -22,6 +22,15 @@ Only level 0 and Kakeya levels (x_n > r_n) are swept.  If x_n <= r_n, the
 bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
 [f, f + r_{n-1}], so I_n = I_{n-1}; r_{n-1} = x_n + r_n makes d_{n-1} =
 lcm(D_{n-1}, den r_{n-1}) divide d_n, so I_n is I_{n-1} scaled by d_n/d_{n-1}.
+
+The same divisibility holds at every level, so a report's endpoint strings
+chain from one level to the next: a "p/q" string names a rational in lowest
+terms, whatever lattice it was read from.  A carried level has I_{n-1}'s
+endpoints, so it reuses their strings as they are.  A swept level keeps them
+too: I_n lies in I_{n-1}, and a part [a, b] of I_{n-1} has a in F_{n-1},
+a subset of F_n, and b = f + r_{n-1} = (f + x_n) + r_n with f + x_n in F_n,
+so a starts a part of I_n and b ends one.  Only its other endpoints are
+formatted.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .exact import PointSet
+from .exact import PointSet, lattice_strs
 
 DEFAULT_CAP = 2_000_000
 
@@ -294,6 +303,9 @@ class SubsumLadder:
     iteration I_n, swept from the same integers at 0 and Kakeya levels, else
     I_{n-1} rescaled: x_n <= r_n joins [f, f + r_n] to [f + x_n, f + r_{n-1}]
     and r_{n-1} = x_n + r_n makes the lattice of I_{n-1} divide that of I_n.
+    ``ladder.endpoint_strs(n)`` gives I_n's endpoints as "p/q" strings; the
+    ladder keeps those of the last level asked for and builds the next
+    level's from them.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -303,6 +315,8 @@ class SubsumLadder:
         self.cap = cap
         self._levels = [ZERO_LEVEL]
         self._bricks: dict[int, Bricks] = {}
+        self._carried: set[int] = set()
+        self._strs: tuple[Optional[int], list[str], list[str]] = (None, [], [])
 
     def level(self, n: int) -> LatticeLevel:
         if n < 0:
@@ -339,7 +353,34 @@ class SubsumLadder:
                 scale = partial(operator.mul, d // got.denominator)
                 starts, ends = (tuple(map(scale, v)) for v in (got.starts, got.ends))
                 got = kept[k] = Bricks(d, starts, ends, d * tail.numerator // tail.denominator)
+                self._carried.add(k)
         return kept[n]
+
+    def endpoint_strs(self, n: int) -> tuple[list[str], list[str]]:
+        """The "p/q" strings of I_n's part starts and ends, in order.
+
+        Only the last level asked for is kept, and only it is read.  After
+        level n - 1, a carried level n is I_{n-1} rescaled, the same
+        rationals, so it returns n - 1's lists; a swept level n looks up
+        every endpoint of I_{n-1}, rescaled to its lattice, and formats
+        only the others.  Any other level is formatted whole.
+        """
+        last, starts, ends = self._strs
+        if last != n:
+            got = self.bricks(n)
+            d = got.denominator
+            if last != n - 1:
+                starts, ends = lattice_strs(got.starts, d), lattice_strs(got.ends, d)
+            elif n not in self._carried:
+                parent = self._bricks[last]
+                scale = partial(operator.mul, d // parent.denominator)
+                known = dict(
+                    zip(map(scale, chain(parent.starts, parent.ends)), chain(starts, ends))
+                )
+                starts = lattice_strs(got.starts, d, known)
+                ends = lattice_strs(got.ends, d, known)
+            self._strs = (n, starts, ends)
+        return starts, ends
 
     def _sweep(self, n: int) -> Bricks:
         """I_n swept from F_n on the tail lattice, and kept: each gap wider than r_n cuts it."""
@@ -356,9 +397,15 @@ def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointS
     by the subsets of {1..k} achieving it (the counts sum to 2^k).
 
     A fold of group_convolve over the two-point sets {0, x_n}, apart from
-    the ladder, whose levels keep values only.
+    the ladder, whose levels keep values only.  When a step might exceed
+    ``cap`` (2n > cap), its size is counted first, as LatticeLevel.extend
+    does, so CapacityError comes before the oversized set is built.
     """
     got = PointSet((Fraction(0),), (1,))
     for term in stream.terms(k):
+        if 2 * len(got) > cap:
+            size = _merged_size(got.values, term)
+            if size > cap:
+                raise CapacityError("group_convolve", size, cap)
         got = group_convolve(got, PointSet((Fraction(0), term), (1, 1)), cap)
     return got

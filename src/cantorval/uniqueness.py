@@ -96,9 +96,10 @@ class RepetitionReport:
 
         The value strings are built once for ``collisions`` and the
         witnesses, each list is one join, each witness one format whose
-        subsets are one join each, and ``outer`` is ``pairs_text``.  Values
-        hold only digits, "-" and "/", so nothing is escaped.  A collided
-        sum is positive, so neither of its witness subsets is empty.
+        subsets are one join each, and ``outer`` is ``pairs_text``, whose
+        ends reuse the starts' strings when every part is a single point.
+        Values hold only digits, "-" and "/", so nothing is escaped.  A
+        collided sum is positive, so neither of its witness subsets is empty.
         """
         values = self.value_strs()
         d = self.outer_denominator
@@ -116,9 +117,9 @@ class RepetitionReport:
             for v, (a, b) in zip(values, self.subsets)
         )
         quoted = map('"{}"'.format, values)
-        outer = pairs_text(
-            lattice_strs(self.outer_starts, d), lattice_strs(self.outer_ends, d), i1
-        )
+        los = lattice_strs(self.outer_starts, d)
+        his = los if self.outer_ends == self.outer_starts else lattice_strs(self.outer_ends, d)
+        outer = pairs_text(los, his, i1)
         return (
             f'{{{i1}"k": {self.k},{i1}"collisions": {{'
             f'{i2}"values": {listed(quoted, i3, i2)},'

@@ -20,8 +20,11 @@ stream must reproduce now that it derives each later group from its first
 ones, its earlier enumeration of every multiplicity profile in
 ``repetition_report``, which the one-pass tally must match report for
 report, its earlier per-rank witness decoding, which the two memoized
-halves must match rank for rank, and its earlier dict-building
-``RepetitionReport.to_json``, which the report's text must parse back to.
+halves must match rank for rank, its earlier dict-building
+``RepetitionReport.to_json``, which the report's text must parse back to,
+and its earlier ``IterationReport.json_text``, which formatted every
+endpoint of a row anew where the ladder now hands one level's strings to
+the next.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from cantorval.exact import (
     RationalLike,
     lattice_strs,
     normalize,
+    pairs_text,
     rat,
     rat_str,
 )
@@ -887,3 +891,25 @@ def repetition_dict(report: RepetitionReport) -> dict:
         ],
         "outer": list(map(list, outer)),
     }
+
+
+def iteration_row_text(report, newline: str) -> str:
+    """An iteration row's indent-2 text with every endpoint formatted anew.
+
+    This is ``IterationReport.json_text`` from before the ladder handed one
+    level's endpoint strings to the next.
+    """
+    b = report.bricks
+    starts = lattice_strs(b.starts, b.denominator)
+    ends = lattice_strs(b.ends, b.denominator)
+    lengths = b.lengths()
+    longest = lengths.index(max(lengths))
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    return (
+        f'{{{i1}"n": {report.n},{i1}"measure": "{rat_str(report.measure)}",'
+        f'{i1}"tail": "{rat_str(report.tail)}",{i1}"brick_count": {report.brick_count},'
+        f'{i1}"gap_count": {report.gap_count},{i1}"parts": {pairs_text(starts, ends, i1)},'
+        f'{i1}"gaps": {pairs_text(ends, starts[1:], i1)},{i1}"longest_component": '
+        f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
+    )

@@ -37,6 +37,7 @@ from oracles import (
     brute_merge,
     brute_subsum_levels,
     geometric_tail_stream,
+    iteration_row_text,
     longest_component,
 )
 
@@ -137,6 +138,15 @@ def finite_ladders(draw):
     return stream, draw(st.permutations(range(len(terms) + 1)))
 
 
+@st.composite
+def row_requests(draw):
+    """A stream's rows asked for ascending, descending, then shuffled with repeats."""
+    stream, order = draw(st.one_of(mixed_pattern_streams(), finite_ladders()))
+    levels = sorted(order)
+    repeats = draw(st.lists(st.sampled_from(levels), max_size=2 * len(levels)))
+    return stream, [*levels, *reversed(levels), *order, *repeats]
+
+
 class TestRowText:
     """IterationReport.json_text is its row's indent-2 text at any nesting."""
 
@@ -160,6 +170,29 @@ class TestRowText:
             assert doc["longest_component"] in doc["parts"]
             assert doc["measure"] == rat_str(report.measure)
             assert doc["tail"] == rat_str(stream.tail(n))
+
+    @given(row_requests())
+    @settings(max_examples=80, deadline=None)
+    # one swept row out of order first, as classify's gaps witness asks for
+    # a Kakeya index before the report's rows: x_1 = 1 <= r_1 = 5/3 is
+    # carried and x_2 = 1 > r_2 = 2/3 is swept
+    @example((GroupedStream([(F(1), F(1)), (F(1, 4), F(1, 4))], 0, 1), [2, 0, 1, 2, 3, 4, 5]))
+    # a zero tail last: level 3's parts are single points, starts == ends
+    @example((FiniteStream([F(2), F(1), F(1, 2)]), [0, 1, 2, 3, 3, 2, 1, 0, 3, 2, 3]))
+    def test_rows_in_any_order_match_fresh_formatting(self, drawn):
+        # the ladder hands one level's endpoint strings to the next; every
+        # row must read as if each endpoint were formatted anew, and writing
+        # it reads no term or tail of the stream
+        stream, requests = drawn
+        ladder = SubsumLadder(stream)
+        reports = [iterate(ladder, n) for n in requests]
+        unread = AssertionError("the row text read the stream")
+        with mock.patch.object(stream, "term", side_effect=unread), mock.patch.object(
+            stream, "tail", side_effect=unread
+        ):
+            for i, report in enumerate(reports):
+                newline = "\n" + "  " * (i % 4)
+                assert report.json_text(newline) == iteration_row_text(report, newline)
 
     @pytest.mark.parametrize("terms", [[], [F(1)], [F(2), F(1), F(1)]])
     def test_single_part_level_has_no_gaps(self, terms):

@@ -2,7 +2,7 @@
 each interior-certificate search run at most once per report, I_n swept
 from F_n only at level 0 and the Kakeya indices, and iteration rows and the
 uniqueness section's repetition report written as text without building
-their dicts.
+their dicts, and each endpoint string of the rows formatted once per report.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -37,9 +37,9 @@ from pathlib import Path
 
 import pytest
 
-from cantorval import classify, engine
+from cantorval import classify, engine, series
 from cantorval.engine import IterationReport
-from cantorval.cli import build_report, main
+from cantorval.cli import _analysis, _dumps, build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
 from cantorval.uniqueness import RepetitionReport
@@ -317,6 +317,41 @@ def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
     args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
     assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == ROW_DICTS_DEPTH_14[name]
+
+
+# Endpoint strings the iteration rows format per ``analyze --depth 14``.
+# The ladder hands each row's strings to the next: a carried level formats
+# none, and a swept level only the endpoints that I_{n-1} lacks, while
+# keeping every endpoint of I_{n-1}; so the rows format 2 |parts of I_14|
+# strings, where formatting each row anew cost 30, 266, 266, 8,746, 38,
+# 65,534, 726 and 8,746.
+ENDPOINT_STRS_DEPTH_14 = {
+    "dyadic": 2,
+    "ferens_5432": 54,
+    "gf_decimal": 54,
+    "gn": 4_374,
+    "kyiv48": 6,
+    "middle_thirds": 32_768,
+    "mm_ones": 162,
+    "semifast": 4_374,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
+def test_rows_format_each_endpoint_once(name, monkeypatch):
+    doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
+    formatted = []
+    lattice_strs = series.lattice_strs
+
+    def counting(ks, d, known=None):
+        # a value found in ``known`` is looked up, every other one formatted
+        formatted.append(len(ks) if known is None else sum(k not in known for k in ks))
+        return lattice_strs(ks, d, known)
+
+    monkeypatch.setattr(series, "lattice_strs", counting)
+    _dumps(doc)  # writes the rows, 0 to 14 in order
+    assert sum(formatted) == ENDPOINT_STRS_DEPTH_14[name]
+    assert sum(formatted) == 2 * len(doc["iterations"][-1].bricks)
 
 
 @pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))

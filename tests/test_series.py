@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorval import series
 from cantorval.exact import PointSet
 from cantorval.families import RepeatedTermSpec, geometric, multigeometric, PeriodicSeq
 from cantorval.series import (
@@ -69,6 +70,31 @@ class TestFiniteSubsums:
     def test_capacity_error_is_explicit(self):
         with pytest.raises(CapacityError):
             finite_subsums(gn(), 6, cap=10)
+
+    def test_capacity_error_comes_before_the_oversized_set(self, monkeypatch):
+        # sets of 2, 4 and 8 values fit; the 16-value step is counted first,
+        # so group_convolve never builds it
+        calls = []
+        convolve = series.group_convolve
+
+        def counting(a, b, cap):
+            calls.append(len(a))
+            return convolve(a, b, cap)
+
+        monkeypatch.setattr(series, "group_convolve", counting)
+        with pytest.raises(CapacityError) as info:
+            finite_subsums(gn(), 6, cap=10)
+        assert (info.value.stage, info.value.size, info.value.cap) == ("group_convolve", 16, 10)
+        assert calls == [1, 2, 4]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_capacity_counts_repeated_values_once(self, k):
+        # repeated_1_2 repeats subsums, so 2n exceeds the size at the cap
+        size = len(finite_subsums(repeated_1_2(), k))
+        assert finite_subsums(repeated_1_2(), k, cap=size).values
+        with pytest.raises(CapacityError) as info:
+            finite_subsums(repeated_1_2(), k, cap=size - 1)
+        assert (info.value.stage, info.value.size) == ("group_convolve", size)
 
     @pytest.mark.parametrize("k", range(0, 13))
     def test_matches_direct_enumeration(self, k):

@@ -286,6 +286,23 @@ class TestReportText:
             '      "counts": []\n    },\n    "witnesses": [],\n    "outer": []\n  }'
         )
 
+    def test_single_point_outer_formats_its_strings_once(self, monkeypatch):
+        # dyadic's 4,095 outer parts at k = 12 are all points: the ends
+        # reuse the starts' strings, so one call formats outer
+        report = repetition_report(SubsumLadder(DYADIC), 12)
+        assert report.outer_starts == report.outer_ends
+        assert len(report.outer_starts) == 4095
+        calls = []
+        lattice_strs = uniqueness.lattice_strs
+
+        def counting(ks, d, known=None):
+            calls.append(len(ks))
+            return lattice_strs(ks, d, known)
+
+        monkeypatch.setattr(uniqueness, "lattice_strs", counting)
+        assert report.to_json() == repetition_dict(report)
+        assert calls == [len(report.collided), 4095]
+
     def test_middle_thirds_has_no_collision_and_no_outer(self):
         report = repetition_report(SubsumLadder(THIRDS), 6)
         doc = repetition_dict(report)
