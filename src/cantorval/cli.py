@@ -50,7 +50,11 @@ def _load_spec(args: argparse.Namespace):
     if bool(args.spec) == bool(args.inline):
         raise ValueError("provide exactly one of --spec PATH or --inline JSON")
     raw = Path(args.spec).read_text() if args.spec else args.inline
-    return spec_from_json(json.loads(raw))
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise ValueError("spec JSON nests too deeply") from None
+    return spec_from_json(doc)
 
 
 def _int_at_least(low: int, text: str) -> int:

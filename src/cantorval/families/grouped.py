@@ -13,7 +13,6 @@ family's standardness ratios, are summed with them.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,10 +30,14 @@ class GroupedStream(TermStream):
     times group k - p.  Construction checks positivity, monotonicity and
     the period exactly, which proves them for every index.
 
-    A stream is for one thread.  Its caches keep only values that are
-    deterministic functions of the index, but ``group_terms`` and
-    ``boundary`` append to their lists in place, so two threads reading at
-    once could append the same group twice and shift every later term.
+    Terms and tails are kept in two flat lists, ``_terms`` by index n - 1
+    and ``_tails`` by index n: ``boundary`` extends the terms one group at
+    a time, and each tail is the one before it minus a term, from r_0.
+
+    A stream is for one thread.  Its lists hold only values that are
+    deterministic functions of the index, but ``_groups``, ``_boundaries``,
+    ``_terms`` and ``_tails`` grow in place, so two threads reading at once
+    could append the same group twice and shift every later term.
     """
 
     def __init__(
@@ -49,10 +52,12 @@ class GroupedStream(TermStream):
         self._block_ratio: Optional[Fraction] = None
         self._groups: list[tuple[Fraction, ...]] = [tuple(g) for g in groups]
         self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
-        self._tail_cache: dict[int, Fraction] = {}  # group tails, by group k
-        self._term_tails: dict[int, Fraction] = {}  # r_n, by term index n
+        self._terms: list[Fraction] = []  # x_1 .. x_{N_k}, group by group
         self._pattern: Optional[KakeyaPattern] = None
         self._validate()
+        self._tails: list[Fraction] = [  # r_0, r_1, ...
+            periodic_tail(self.group_sum, 0, preperiod, period, self._block_ratio)
+        ]
 
     # -- derived structure ------------------------------------------------
 
@@ -79,10 +84,12 @@ class GroupedStream(TermStream):
 
     def boundary(self, k: int) -> int:
         """N_k, the index of the last term of group k (N_0 = 0)."""
-        while len(self._boundaries) <= k:
-            j = len(self._boundaries)
-            self._boundaries.append(self._boundaries[-1] + len(self.group_terms(j)))
-        return self._boundaries[k]
+        boundaries = self._boundaries
+        while len(boundaries) <= k:
+            terms = self.group_terms(len(boundaries))
+            self._terms.extend(terms)
+            boundaries.append(boundaries[-1] + len(terms))
+        return boundaries[k]
 
     def group_sum(self, k: int) -> Fraction:
         return sum(self.group_terms(k), Fraction(0))
@@ -91,64 +98,30 @@ class GroupedStream(TermStream):
         """r at the group boundary: sum of all terms in groups > k."""
         if k < 0:
             raise ValueError("group index must be nonnegative")
-        cached = self._tail_cache.get(k)
-        if cached is not None:
-            return cached
-        if k < self._preperiod:
-            # Sum down from the nearest known tail above k, caching each
-            # step, so a long preperiod never nests calls.
-            j = k + 1
-            while j < self._preperiod and j not in self._tail_cache:
-                j += 1
-            value = self.group_tail(j)
-            for i in range(j - 1, k - 1, -1):
-                value += self.group_sum(i + 1)
-                self._tail_cache[i] = value
-        else:
-            value = periodic_tail(
-                self.group_sum, k, self._preperiod, self._period, self._block_ratio
-            )
-        self._tail_cache[k] = value
-        return value
-
-    def locate(self, n: int) -> tuple[int, int]:
-        """(group k, offset within group) for term index n >= 1; offset >= 1."""
-        if n < 1:
-            raise ValueError("term indices start at 1")
-        while self._boundaries[-1] < n:
-            self.boundary(len(self._boundaries))
-        k = bisect.bisect_left(self._boundaries, n)
-        return k, n - self._boundaries[k - 1]
+        return self.tail(self.boundary(k))
 
     # -- TermStream interface ---------------------------------------------
 
     def term(self, n: int) -> Fraction:
-        k, offset = self.locate(n)
-        return self.group_terms(k)[offset - 1]
+        if n < 1:
+            raise ValueError("term indices start at 1")
+        while len(self._terms) < n:
+            self.boundary(len(self._boundaries))
+        return self._terms[n - 1]
 
     def tail(self, n: int) -> Fraction:
-        cached = self._term_tails.get(n)
-        if cached is not None:
-            return cached
         if n < 0:
             raise ValueError("tail indices start at 0")
-        if n == 0:
-            value = self.group_sum(1) + self.group_tail(1)
-        elif n - 1 in self._term_tails:  # one step from a kept neighbour
-            value = self._term_tails[n - 1] - self.term(n)
-        elif n + 1 in self._term_tails:
-            value = self.term(n + 1) + self._term_tails[n + 1]
-        else:
-            k, offset = self.locate(n)
-            value = sum(self.group_terms(k)[offset:], Fraction(0)) + self.group_tail(k)
-        self._term_tails[n] = value
-        return value
+        tails = self._tails
+        while len(tails) <= n:
+            tails.append(tails[-1] - self.term(len(tails)))
+        return tails[n]
 
     def kakeya_pattern(self) -> KakeyaPattern:
         # Terms and tails both scale by the block ratio from one period of
         # groups to the next (beyond the preperiod), so the comparison signs
         # over a single period of groups repeat exactly.  Computed once and
-        # kept, like the tails.
+        # kept; every other x_n vs r_n decision reads it.
         if self._pattern is not None:
             return self._pattern
         head = self.boundary(self._preperiod)

@@ -18,7 +18,8 @@ neighbours are equal, one compress pass that keeps each value once.  The brick
 union I_n (the union of [f, f + r_n] over F_n) is one sweep over the same
 integers; Fractions are built only where a caller reads them.
 
-Only level 0 and Kakeya levels (x_n > r_n) are swept.  If x_n <= r_n, the
+Only level 0 and Kakeya levels (x_n > r_n) are swept; the stream's Kakeya
+pattern, the one source of that comparison, names them.  If x_n <= r_n, the
 bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
 [f, f + r_{n-1}], so I_n = I_{n-1}; r_{n-1} = x_n + r_n makes d_{n-1} =
 lcm(D_{n-1}, den r_{n-1}) divide d_n, so I_n is I_{n-1} scaled by d_n/d_{n-1}.
@@ -155,13 +156,11 @@ def kakeya_split(stream: TermStream, horizon: int) -> KakeyaSplit:
     """Classify each n <= horizon by the exact comparison x_n vs r_n."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    comparison_at = stream.kakeya_pattern().comparison_at
     strict: list[int] = []
     weak: list[int] = []
     for n in range(1, horizon + 1):
-        if stream.term(n) > stream.tail(n):
-            strict.append(n)
-        else:
-            weak.append(n)
+        (strict if comparison_at(n) == GREATER else weak).append(n)
     return KakeyaSplit(horizon, tuple(strict), tuple(weak))
 
 
@@ -300,9 +299,10 @@ class SubsumLadder:
     built on request, one term at a time, and kept; a level that would
     exceed ``cap`` raises CapacityError, nothing is stored, and asking for
     it again raises the same error.  ``ladder.bricks(n)`` keeps the
-    iteration I_n, swept from the same integers at 0 and Kakeya levels, else
-    I_{n-1} rescaled: x_n <= r_n joins [f, f + r_n] to [f + x_n, f + r_{n-1}]
-    and r_{n-1} = x_n + r_n makes the lattice of I_{n-1} divide that of I_n.
+    iteration I_n, swept from the same integers at 0 and at the Kakeya
+    levels that the stream's pattern names, else I_{n-1} rescaled: x_n <=
+    r_n joins [f, f + r_n] to [f + x_n, f + r_{n-1}] and r_{n-1} = x_n +
+    r_n makes the lattice of I_{n-1} divide that of I_n.
     ``ladder.endpoint_strs(n)`` gives I_n's endpoints as "p/q" strings; the
     ladder keeps those of the last level asked for and builds the next
     level's from them.
@@ -315,7 +315,6 @@ class SubsumLadder:
         self.cap = cap
         self._levels = [ZERO_LEVEL]
         self._bricks: dict[int, Bricks] = {}
-        self._carried: set[int] = set()
         self._strs: tuple[Optional[int], list[str], list[str]] = (None, [], [])
 
     def level(self, n: int) -> LatticeLevel:
@@ -343,8 +342,9 @@ class SubsumLadder:
         kept, stream = self._bricks, self.stream
         if n not in kept:
             self.level(n)
+            comparison_at = stream.kakeya_pattern().comparison_at
             m = n
-            while m and m not in kept and stream.term(m) <= stream.tail(m):
+            while m and m not in kept and comparison_at(m) != GREATER:
                 m -= 1
             got = kept[m] if m in kept else self._sweep(m)
             for k in range(m + 1, n + 1):
@@ -353,17 +353,17 @@ class SubsumLadder:
                 scale = partial(operator.mul, d // got.denominator)
                 starts, ends = (tuple(map(scale, v)) for v in (got.starts, got.ends))
                 got = kept[k] = Bricks(d, starts, ends, d * tail.numerator // tail.denominator)
-                self._carried.add(k)
         return kept[n]
 
     def endpoint_strs(self, n: int) -> tuple[list[str], list[str]]:
         """The "p/q" strings of I_n's part starts and ends, in order.
 
         Only the last level asked for is kept, and only it is read.  After
-        level n - 1, a carried level n is I_{n-1} rescaled, the same
-        rationals, so it returns n - 1's lists; a swept level n looks up
-        every endpoint of I_{n-1}, rescaled to its lattice, and formats
-        only the others.  Any other level is formatted whole.
+        level n - 1, a carried level n, one the stream's pattern does not
+        name a Kakeya index, is I_{n-1} rescaled, the same rationals, so it
+        returns n - 1's lists; a swept level n looks up every endpoint of
+        I_{n-1}, rescaled to its lattice, and formats only the others.  Any
+        other level is formatted whole.
         """
         last, starts, ends = self._strs
         if last != n:
@@ -371,7 +371,7 @@ class SubsumLadder:
             d = got.denominator
             if last != n - 1:
                 starts, ends = lattice_strs(got.starts, d), lattice_strs(got.ends, d)
-            elif n not in self._carried:
+            elif self.stream.kakeya_pattern().comparison_at(n) == GREATER:
                 parent = self._bricks[last]
                 scale = partial(operator.mul, d // parent.denominator)
                 known = dict(

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
 from .families.repeated import RepeatedTermSpec
-from .series import DEFAULT_CAP, CapacityError, SubsumLadder, TermStream
+from .series import DEFAULT_CAP, GREATER, CapacityError, SubsumLadder, TermStream
 
 
 @dataclass(frozen=True)
@@ -329,8 +329,9 @@ def representation_uniqueness_oracle(
 
 
 def tail_sum_unique(stream: TermStream, k: int) -> bool:
-    """True iff r_k < x_k exactly, which certifies that the tail sum r_k
-    has only one representing subset (the full tail)."""
+    """True iff r_k < x_k, which certifies that the tail sum r_k has only
+    one representing subset (the full tail).  The exact comparison is read
+    from the stream's Kakeya pattern: k is a Kakeya index."""
     if k < 1:
         raise ValueError("indices start at 1")
-    return stream.tail(k) < stream.term(k)
+    return stream.kakeya_pattern().comparison_at(k) == GREATER

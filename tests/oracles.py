@@ -55,7 +55,16 @@ from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
 from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head
 from cantorval.families.periodic import BlockGeometric
-from cantorval.series import GREATER, CapacityError, SubsumLadder, TermStream, kakeya_split
+from cantorval.series import (
+    EQUAL,
+    GREATER,
+    CapacityError,
+    KakeyaPattern,
+    SubsumLadder,
+    TermStream,
+    compare_sign,
+    kakeya_split,
+)
 from cantorval.tightness import tight_trend
 from cantorval.uniqueness import RepetitionReport, _multirep_sweep, _value_groups
 
@@ -203,10 +212,14 @@ class FiniteStream(TermStream):
 
     Lets a SubsumLadder enumerate the subsums of a finite multiset, such as
     a family block or group; indices past the last term are out of range.
+    The Kakeya pattern is built up front, so a ladder reads it without
+    touching ``term`` or ``tail``: past the last term x_n = r_n = 0.
     """
 
     def __init__(self, values: Iterable[RationalLike]) -> None:
         self._values = tuple(rat(v) for v in values)
+        prefix = tuple(compare_sign(x, self.tail(n)) for n, x in enumerate(self._values, 1))
+        self._pattern = KakeyaPattern(prefix, (EQUAL,))
 
     def term(self, n: int) -> Fraction:
         if not 1 <= n <= len(self._values):
@@ -218,8 +231,8 @@ class FiniteStream(TermStream):
             raise ValueError("tail indices start at 0")
         return sum(self._values[n:], Fraction(0))
 
-    def kakeya_pattern(self):
-        raise NotImplementedError("a finite stream has no infinite comparison pattern")
+    def kakeya_pattern(self) -> KakeyaPattern:
+        return self._pattern
 
 
 def geometric_tail_stream(

@@ -52,6 +52,7 @@ BIG_VALUES = json.dumps(
 # an exponent names a 20,001-digit denominator in eight characters
 EXPONENT_Q = '{"type":"multigeometric","k":[3,2],"q":"1e-20000"}'
 DECIMAL_Q = '{"type":"multigeometric","k":[3,2],"q":"0.5"}'
+DEEP = "[" * 5000 + "]" * 5000  # nests past the JSON decoder's recursion limit
 
 
 def run_cli(*args, env=None):
@@ -295,6 +296,8 @@ class TestBadInput:
             (("analyze", "--inline", EXPONENT_Q), None),
             (("validate", "--inline", DECIMAL_Q), None),
             (("analyze", "--inline", DECIMAL_Q), None),
+            (("validate", "--inline", DEEP), None),
+            (("analyze", "--inline", DEEP), None),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -309,6 +312,7 @@ class TestBadInput:
             "validate-takes-no-depth", "validate-takes-no-csv",
             "validate-exponent-q", "analyze-exponent-q",
             "validate-decimal-q", "analyze-decimal-q",
+            "validate-deep-nesting", "analyze-deep-nesting",
         ],
     )
     def test_usage_error_is_one_line(self, args, env):

@@ -1,0 +1,68 @@
+"""The stream's Kakeya pattern is the one source of the x_n vs r_n comparison.
+
+Every verdict that turns on whether x_n > r_n (the Kakeya split, the tail
+uniqueness rows, which ladder levels are swept) reads
+``TermStream.kakeya_pattern()``.  Only ``families/grouped.py``, which builds
+the pattern, may compare a ``term(...)`` call with a ``tail(...)`` call.
+The check is static: it walks each module's syntax tree for an
+``ast.Compare`` whose operands hold both calls, and for a ``compare_sign``
+call whose two arguments are such calls.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
+BUILDER = PACKAGE / "families" / "grouped.py"
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call node calls, ``f`` for ``f(...)`` and ``a.f(...)``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def term_tail_comparisons(path: Path) -> list[int]:
+    """Line numbers where ``path`` compares a term(...) call with a tail(...) call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif _called(node) == "compare_sign":
+            operands = node.args
+        else:
+            continue
+        names = {_called(operand) for operand in operands}
+        if {"term", "tail"} <= names:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_pattern_builder_compares_terms_with_tails():
+    offending = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != BUILDER and (lines := term_tail_comparisons(path))
+    }
+    assert offending == {}
+
+
+def test_the_check_sees_the_builder_comparisons(tmp_path):
+    # the pattern builder itself is found, and so are both spellings
+    assert term_tail_comparisons(BUILDER)
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "a = s.term(n) > s.tail(n)\n"
+        "b = 0 < stream.tail(k) <= stream.term(k)\n"
+        "c = compare_sign(term(n), self.tail(n))\n"
+        "d = s.term(n) > s.term(n + 1)\n"
+    )
+    assert term_tail_comparisons(probe) == [1, 2, 3]

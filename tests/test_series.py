@@ -16,7 +16,11 @@ from cantorval.series import (
     kakeya_split,
 )
 
+from cantorval.uniqueness import tail_sum_unique
+
 from oracles import FiniteStream, brute_subsum_levels, brute_subsums, geometric_tail_stream
+from test_families import gf_specs, kyiv_specs, mg_specs, mm_specs
+from test_uniqueness import repeated_specs
 
 
 @st.composite
@@ -266,19 +270,21 @@ class TestStreams:
         )
         assert pattern.cycle == (compare_sign(1 - ratio, ratio),)
 
-    def test_pattern_matches_split_far_beyond_cycle(self):
-        for make in (dyadic, gn, repeated_1_2):
-            stream = make()
-            pattern = stream.kakeya_pattern()
-            assert pattern is not None
-            split = kakeya_split(stream, 30)
-            for n in range(1, 31):
-                expected = ">" if n in split.kakeya else ("<", "=")
-                got = pattern.comparison_at(n)
-                if expected == ">":
-                    assert got == ">"
-                else:
-                    assert got in expected
+    @given(st.one_of(mg_specs(), gf_specs(), mm_specs(), kyiv_specs(), repeated_specs()))
+    @settings(max_examples=100, deadline=None)
+    def test_pattern_and_its_readers_match_the_definition(self, spec):
+        # the pattern is the one source of x_n vs r_n: check it against exact
+        # terms and tails two periods past its cycle, and every reader with it
+        stream = spec.stream()
+        pattern = stream.kakeya_pattern()
+        horizon = stream.boundary(stream.preperiod + 4 * stream.period)
+        indices = range(1, horizon + 1)
+        for n in indices:
+            assert pattern.comparison_at(n) == compare_sign(stream.term(n), stream.tail(n))
+        split = kakeya_split(stream, horizon)
+        assert split.kakeya == tuple(n for n in indices if stream.term(n) > stream.tail(n))
+        for n in indices:
+            assert tail_sum_unique(stream, n) == (stream.tail(n) < stream.term(n))
 
 
 class TestKakeyaPattern:
