@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from .classify import Verdict, classify, resolve_stream
-from .engine import IterationReport, iterate, measure_bounds
+from .engine import IterationRows, measure_bounds
 from .exact import rat_str
 from .families import (
     MultigeometricSpec,
@@ -68,18 +67,6 @@ def _int_at_least(low: int, text: str) -> int:
     return value
 
 
-def _default_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("CANTORVAL_CAP")
-    if env is None:
-        return DEFAULT_CAP
-    try:
-        return _int_at_least(1, env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"CANTORVAL_CAP: {exc}") from None
-
-
 def _usage_error(reason: object) -> int:
     sys.stderr.write(f"error: {reason}\n")
     return EXIT_USAGE
@@ -105,9 +92,9 @@ def _dumps(doc) -> list[str]:
 
 def _write(o, chunks: list[str], newline: str) -> None:
     """Append the encoding of ``o`` to ``chunks``, testing types in json's
-    order; ``newline`` is "\n" plus its indent.  An IterationReport or a
-    RepetitionReport (the iteration rows, the uniqueness section's witnesses
-    and ``outer``) writes its own ``json_text`` as one chunk."""
+    order; ``newline`` is "\n" plus its indent.  IterationRows adds one
+    chunk per row, and a RepetitionReport (the uniqueness section's
+    witnesses and ``outer``) writes its own ``json_text`` as one chunk."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -136,7 +123,9 @@ def _write(o, chunks: list[str], newline: str) -> None:
             _write(value, chunks, inner)
             separator = "," + inner
         chunks.append(newline + "}" if o else "{}")
-    elif isinstance(o, (IterationReport, RepetitionReport)):
+    elif isinstance(o, IterationRows):
+        chunks.extend(o.chunks(newline))
+    elif isinstance(o, RepetitionReport):
         chunks.append(o.json_text(newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -213,13 +202,13 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     when the classification proves the interior empty (Finite or Cantor,
     Proved or Certified), because then its lower bound is 0 with no
     certificate whatever the search finds.  The iteration rows are
-    IterationReports and the uniqueness section's repetition is a
+    IterationRows and the uniqueness section's repetition is a
     RepetitionReport, which ``_write`` writes from their own text.
     """
     stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
     classification = classify(spec, ladder, horizon=horizon, budget=budget)
-    iterations = [iterate(ladder, n) for n in range(depth + 1)]
+    iterations = IterationRows(ladder, depth)
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
     bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)
     trend = tight_trend(ladder, horizon)
@@ -314,13 +303,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "csv" and not args.out:
         return _usage_error("--format csv requires --out DIRECTORY")
     try:
-        cap = _default_cap(args)
         spec = _load_spec(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _usage_error(exc)
     horizon = args.depth if args.horizon is None else args.horizon
     try:
-        doc = _analysis(spec, args.depth, horizon, cap, args.budget)
+        doc = _analysis(spec, args.depth, horizon, args.cap, args.budget)
     except CapacityError as exc:
         sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
         return EXIT_CAPACITY
@@ -366,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         if handler is cmd_analyze:
             p.add_argument("--depth", type=partial(_int_at_least, 1), default=8)
             p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
-            p.add_argument("--cap", type=partial(_int_at_least, 1), default=None,
-                           help="dedup capacity (env CANTORVAL_CAP overrides the default)")
+            p.add_argument("--cap", type=partial(_int_at_least, 1), default=DEFAULT_CAP,
+                           help="dedup capacity")
             p.add_argument("--budget", type=partial(_int_at_least, 0), default=12)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
@@ -385,8 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     caller that runs many commands in one process (a benchmark, the test
     suite, a library user) pays for the argument tree once.  A one-shot
     process builds it once either way, and importing this module builds
-    nothing.  Defaults that read the environment, such as CANTORVAL_CAP,
-    are still read on every call.
+    nothing.
 
     The command runs with Python's int-to-str digit limit lifted, since a
     spec's exact values can outgrow it, and restores it on return.

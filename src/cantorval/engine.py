@@ -30,11 +30,13 @@ only for the values a report prints: the certificate and its diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain
 from math import lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from .exact import (
     EMPTY_SET,
@@ -44,6 +46,7 @@ from .exact import (
     covered_parts,
     difference_parts,
     intersect_parts,
+    lattice_strs,
     merge_parts,
     nondegenerate_parts,
     normalize,
@@ -64,15 +67,13 @@ class IterationReport:
     """I_n with its brick count, exact measure, and component geometry.
 
     The parts stay on the ladder's integer lattice; ``iteration`` builds
-    them as an IntervalSet on first read, and ``json_text`` reads their
-    strings from ``ladder``.
+    them as an IntervalSet on first read.
     """
 
     n: int
     bricks: Bricks
     brick_count: int
     tail: Fraction
-    ladder: SubsumLadder = field(compare=False, repr=False)
 
     @cached_property
     def iteration(self) -> IntervalSet:
@@ -94,17 +95,20 @@ class IterationReport:
     def to_json(self) -> dict:
         return json.loads(self.json_text("\n"))
 
-    def json_text(self, newline: str) -> str:
+    def json_text(
+        self, newline: str, starts: Optional[list[str]] = None, ends: Optional[list[str]] = None
+    ) -> str:
         """The row as ``json.dumps(self.to_json(), indent=2)`` writes it at
         the nesting whose line break and indent are ``newline``.
 
-        The endpoint strings come from ``ladder.endpoint_strs``, which
-        formats only the endpoints that the level before did not have when
-        that level was the last one asked for, so rows written in order
-        format each endpoint once.  ``parts`` and ``gaps`` are each written
-        by ``pairs_text``, so nothing is escaped.
+        ``starts`` and ``ends`` are the "p/q" strings of the parts'
+        endpoints, which IterationRows hands from row to row; a row given
+        none formats its own.  ``parts`` and ``gaps`` are each written by
+        ``pairs_text``, so nothing is escaped.
         """
-        starts, ends = self.ladder.endpoint_strs(self.n)
+        if starts is None:
+            b = self.bricks
+            starts, ends = (lattice_strs(ks, b.denominator) for ks in (b.starts, b.ends))
         longest = self._longest_index()
         i1 = newline + "  "
         i2 = i1 + "  "
@@ -126,8 +130,57 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
         bricks=ladder.bricks(n),
         brick_count=len(ladder.level(n)),
         tail=ladder.stream.tail(n),
-        ladder=ladder,
     )
+
+
+class IterationRows:
+    """The rows I_0, ..., I_depth of one ladder, written as one JSON list.
+
+    ``chunks`` writes the rows in order and hands each row's endpoint
+    strings to the next, since a "p/q" string names a rational whatever
+    lattice it was read from.  Row 0 formats its endpoints whole.  A row
+    whose Bricks is the previous row's object, a level the ladder carried,
+    reuses the previous strings as they are.  Any other row n was swept
+    and keeps every endpoint of I_{n-1}: I_n lies in I_{n-1}, and a part
+    [a, b] of I_{n-1} has a in F_{n-1}, a subset of F_n, and
+    b = f + r_{n-1} = (f + x_n) + r_n with f + x_n in F_n, so a starts a
+    part of I_n and b ends one.  The level m that swept I_{n-1} has a
+    lattice dividing I_n's, because r_m = x_{m+1} + ... + x_n + r_n, so
+    those endpoints are rescaled and looked up, and only the others are
+    formatted.  The rows of one report thus format each endpoint once.
+    """
+
+    def __init__(self, ladder: SubsumLadder, depth: int) -> None:
+        self.rows = tuple(iterate(ladder, n) for n in range(depth + 1))
+
+    def __iter__(self) -> Iterator[IterationReport]:
+        return iter(self.rows)
+
+    def __getitem__(self, i: int) -> IterationReport:
+        return self.rows[i]
+
+    def chunks(self, newline: str) -> Iterator[str]:
+        """The chunks of the rows' list at the nesting of ``newline``, one per row
+        and one per separator; joined, they are its indent-2 JSON text."""
+        inner = newline + "  "
+        separator = "[" + inner
+        last: Optional[Bricks] = None
+        for row in self.rows:
+            got = row.bricks
+            if got is not last:
+                d = got.denominator
+                known = None
+                if last is not None:
+                    scale = partial(operator.mul, d // last.denominator)
+                    endpoints = map(scale, chain(last.starts, last.ends))
+                    known = dict(zip(endpoints, chain(starts, ends)))
+                starts = lattice_strs(got.starts, d, known)
+                ends = lattice_strs(got.ends, d, known)
+                last = got
+            yield separator
+            yield row.json_text(inner, starts, ends)
+            separator = "," + inner
+        yield newline + "]" if self.rows else "[]"
 
 
 class _LatticeOperator:

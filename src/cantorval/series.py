@@ -21,17 +21,9 @@ integers; Fractions are built only where a caller reads them.
 Only level 0 and Kakeya levels (x_n > r_n) are swept; the stream's Kakeya
 pattern, the one source of that comparison, names them.  If x_n <= r_n, the
 bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
-[f, f + r_{n-1}], so I_n = I_{n-1}; r_{n-1} = x_n + r_n makes d_{n-1} =
-lcm(D_{n-1}, den r_{n-1}) divide d_n, so I_n is I_{n-1} scaled by d_n/d_{n-1}.
-
-The same divisibility holds at every level, so a report's endpoint strings
-chain from one level to the next: a "p/q" string names a rational in lowest
-terms, whatever lattice it was read from.  A carried level has I_{n-1}'s
-endpoints, so it reuses their strings as they are.  A swept level keeps them
-too: I_n lies in I_{n-1}, and a part [a, b] of I_{n-1} has a in F_{n-1},
-a subset of F_n, and b = f + r_{n-1} = (f + x_n) + r_n with f + x_n in F_n,
-so a starts a part of I_n and b ends one.  Only its other endpoints are
-formatted.
+[f, f + r_{n-1}], so I_n = I_{n-1}, and level n keeps the same Bricks, on
+the lattice of the level that swept it.  The ladder holds numbers only; the
+report writer formats them.
 """
 
 from __future__ import annotations
@@ -43,9 +35,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .exact import PointSet, lattice_strs
+from .exact import PointSet
 
 DEFAULT_CAP = 2_000_000
 
@@ -269,15 +261,15 @@ class Bricks:
     """The iteration I_n = union of [f, f + r_n] over f in F_n, on a lattice.
 
     Part i is [starts[i], ends[i]] / denominator, where the denominator is
-    lcm(D_n, den r_n) and ``reach`` is r_n on that lattice.  Parts are in
-    order and separated by gaps; each one is the brick union of an
+    lcm(D_m, den r_m) for the level m <= n that swept these parts: n if it
+    is 0 or a Kakeya index, else the last such index before it.  Parts are
+    in order and separated by gaps; each one is the brick union of an
     r_n-tight block of F_n, so it spans that block's diameter plus r_n.
     """
 
     denominator: int
     starts: tuple[int, ...]
     ends: tuple[int, ...]
-    reach: int
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -300,12 +292,9 @@ class SubsumLadder:
     exceed ``cap`` raises CapacityError, nothing is stored, and asking for
     it again raises the same error.  ``ladder.bricks(n)`` keeps the
     iteration I_n, swept from the same integers at 0 and at the Kakeya
-    levels that the stream's pattern names, else I_{n-1} rescaled: x_n <=
-    r_n joins [f, f + r_n] to [f + x_n, f + r_{n-1}] and r_{n-1} = x_n +
-    r_n makes the lattice of I_{n-1} divide that of I_n.
-    ``ladder.endpoint_strs(n)`` gives I_n's endpoints as "p/q" strings; the
-    ladder keeps those of the last level asked for and builds the next
-    level's from them.
+    levels that the stream's pattern names; every other level n is the
+    same Bricks object as level n - 1, since x_n <= r_n joins
+    [f, f + r_n] to [f + x_n, f + r_{n-1}].
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -315,7 +304,6 @@ class SubsumLadder:
         self.cap = cap
         self._levels = [ZERO_LEVEL]
         self._bricks: dict[int, Bricks] = {}
-        self._strs: tuple[Optional[int], list[str], list[str]] = (None, [], [])
 
     def level(self, n: int) -> LatticeLevel:
         if n < 0:
@@ -339,48 +327,17 @@ class SubsumLadder:
 
     def bricks(self, n: int) -> Bricks:
         """I_n: F_n's bricks merged across gaps <= r_n.  F_n is built first; no call nests."""
-        kept, stream = self._bricks, self.stream
+        kept = self._bricks
         if n not in kept:
             self.level(n)
-            comparison_at = stream.kakeya_pattern().comparison_at
+            comparison_at = self.stream.kakeya_pattern().comparison_at
             m = n
             while m and m not in kept and comparison_at(m) != GREATER:
                 m -= 1
             got = kept[m] if m in kept else self._sweep(m)
             for k in range(m + 1, n + 1):
-                tail = stream.tail(k)
-                d = lcm(self._levels[k].denominator, tail.denominator)
-                scale = partial(operator.mul, d // got.denominator)
-                starts, ends = (tuple(map(scale, v)) for v in (got.starts, got.ends))
-                got = kept[k] = Bricks(d, starts, ends, d * tail.numerator // tail.denominator)
+                kept[k] = got
         return kept[n]
-
-    def endpoint_strs(self, n: int) -> tuple[list[str], list[str]]:
-        """The "p/q" strings of I_n's part starts and ends, in order.
-
-        Only the last level asked for is kept, and only it is read.  After
-        level n - 1, a carried level n, one the stream's pattern does not
-        name a Kakeya index, is I_{n-1} rescaled, the same rationals, so it
-        returns n - 1's lists; a swept level n looks up every endpoint of
-        I_{n-1}, rescaled to its lattice, and formats only the others.  Any
-        other level is formatted whole.
-        """
-        last, starts, ends = self._strs
-        if last != n:
-            got = self.bricks(n)
-            d = got.denominator
-            if last != n - 1:
-                starts, ends = lattice_strs(got.starts, d), lattice_strs(got.ends, d)
-            elif self.stream.kakeya_pattern().comparison_at(n) == GREATER:
-                parent = self._bricks[last]
-                scale = partial(operator.mul, d // parent.denominator)
-                known = dict(
-                    zip(map(scale, chain(parent.starts, parent.ends)), chain(starts, ends))
-                )
-                starts = lattice_strs(got.starts, d, known)
-                ends = lattice_strs(got.ends, d, known)
-            self._strs = (n, starts, ends)
-        return starts, ends
 
     def _sweep(self, n: int) -> Bricks:
         """I_n swept from F_n on the tail lattice, and kept: each gap wider than r_n cuts it."""
@@ -388,7 +345,7 @@ class SubsumLadder:
         wide = list(map(partial(operator.lt, reach), map(operator.sub, values[1:], values)))
         starts = (values[0], *compress(values[1:], wide))
         ends = (*map(partial(operator.add, reach), compress(values, wide)), values[-1] + reach)
-        got = self._bricks[n] = Bricks(d, starts, ends, reach)
+        got = self._bricks[n] = Bricks(d, starts, ends)
         return got
 
 

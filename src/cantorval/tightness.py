@@ -84,7 +84,7 @@ def _max_block_diameter(ladder: SubsumLadder, n: int) -> Fraction:
     # The r_n-tight blocks of F_n are the parts of I_n, each r_n longer
     # than its block; on the lattice a gap splits when gap > r_n D exactly.
     bricks = ladder.bricks(n)
-    return Fraction(max(bricks.lengths()) - bricks.reach, bricks.denominator)
+    return Fraction(max(bricks.lengths()), bricks.denominator) - ladder.stream.tail(n)
 
 
 def tight_trend(ladder: SubsumLadder, depth: int) -> TightTrend:

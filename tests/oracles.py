@@ -23,8 +23,8 @@ report, its earlier per-rank witness decoding, which the two memoized
 halves must match rank for rank, its earlier dict-building
 ``RepetitionReport.to_json``, which the report's text must parse back to,
 and its earlier ``IterationReport.json_text``, which formatted every
-endpoint of a row anew where the ladder now hands one level's strings to
-the next.
+endpoint of a row anew where ``engine.IterationRows`` now hands one row's
+strings to the next.
 """
 
 from __future__ import annotations
@@ -909,8 +909,8 @@ def repetition_dict(report: RepetitionReport) -> dict:
 def iteration_row_text(report, newline: str) -> str:
     """An iteration row's indent-2 text with every endpoint formatted anew.
 
-    This is ``IterationReport.json_text`` from before the ladder handed one
-    level's endpoint strings to the next.
+    This is ``IterationReport.json_text`` from before endpoint strings were
+    handed from one row to the next.
     """
     b = report.bricks
     starts = lattice_strs(b.starts, b.denominator)

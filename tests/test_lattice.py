@@ -16,12 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantorval import series
-from cantorval.engine import iterate
+from cantorval.engine import IterationRows, iterate
 from cantorval.exact import Interval, PointSet, lattice_str, normalize, rat_str
 from cantorval.families import multigeometric, spec_from_json
 from cantorval.families.grouped import GroupedStream
 from cantorval.series import (
-    Bricks,
     CapacityError,
     LatticeLevel,
     SubsumLadder,
@@ -82,7 +81,8 @@ def mixed_pattern_streams(draw):
 
 
 def lattice_sweep(ladder, n):
-    """I_n swept gap by gap from F_n on the lattice lcm(D_n, den r_n)."""
+    """I_n swept gap by gap from F_n on the lattice lcm(D_n, den r_n), as
+    its parts' rational endpoint pairs."""
     d, values, reach = ladder.on_tail_lattice(n)
     starts, ends = [values[0]], []
     for a, b in zip(values, values[1:]):
@@ -90,11 +90,11 @@ def lattice_sweep(ladder, n):
             ends.append(a + reach)
             starts.append(b)
     ends.append(values[-1] + reach)
-    return Bricks(d, tuple(starts), tuple(ends), reach)
+    return [(F(a, d), F(b, d)) for a, b in zip(starts, ends)]
 
 
 class TestCarryForward:
-    """bricks(n) at x_n <= r_n rescales I_{n-1} instead of sweeping F_n."""
+    """bricks(n) at x_n <= r_n is the Bricks of I_{n-1}, not a sweep of F_n."""
 
     @given(mixed_pattern_streams())
     @settings(max_examples=80, deadline=None)
@@ -104,9 +104,12 @@ class TestCarryForward:
         for n in order:
             got = ladder.bricks(n)
             d = got.denominator
-            expected = brute_bricks(ladder.level(n).points().values, stream.tail(n))
-            assert [(F(a, d), F(b, d)) for a, b in zip(got.starts, got.ends)] == expected
-            assert got == lattice_sweep(ladder, n)
+            parts = [(F(a, d), F(b, d)) for a, b in zip(got.starts, got.ends)]
+            assert parts == brute_bricks(ladder.level(n).points().values, stream.tail(n))
+            assert parts == lattice_sweep(ladder, n)
+        for n in range(1, len(order)):
+            carried = stream.term(n) <= stream.tail(n)
+            assert (ladder.bricks(n) is ladder.bricks(n - 1)) == carried
 
     def test_deep_level_from_a_fresh_ladder_does_not_recurse(self, monkeypatch):
         # 2000 terms 1/2, then 2000 terms 1/4, ...: x_n <= r_n at every n,
@@ -138,15 +141,6 @@ def finite_ladders(draw):
     return stream, draw(st.permutations(range(len(terms) + 1)))
 
 
-@st.composite
-def row_requests(draw):
-    """A stream's rows asked for ascending, descending, then shuffled with repeats."""
-    stream, order = draw(st.one_of(mixed_pattern_streams(), finite_ladders()))
-    levels = sorted(order)
-    repeats = draw(st.lists(st.sampled_from(levels), max_size=2 * len(levels)))
-    return stream, [*levels, *reversed(levels), *order, *repeats]
-
-
 class TestRowText:
     """IterationReport.json_text is its row's indent-2 text at any nesting."""
 
@@ -171,28 +165,32 @@ class TestRowText:
             assert doc["measure"] == rat_str(report.measure)
             assert doc["tail"] == rat_str(stream.tail(n))
 
-    @given(row_requests())
+    @given(st.one_of(mixed_pattern_streams(), finite_ladders()), st.integers(0, 6))
     @settings(max_examples=80, deadline=None)
-    # one swept row out of order first, as classify's gaps witness asks for
-    # a Kakeya index before the report's rows: x_1 = 1 <= r_1 = 5/3 is
-    # carried and x_2 = 1 > r_2 = 2/3 is swept
-    @example((GroupedStream([(F(1), F(1)), (F(1, 4), F(1, 4))], 0, 1), [2, 0, 1, 2, 3, 4, 5]))
+    # x_1 = 1 <= r_1 = 5/3 is carried and x_2 = 1 > r_2 = 2/3 is swept,
+    # and level 2 is asked for first, as classify's gaps witness asks for a
+    # Kakeya index before the report's rows
+    @example((GroupedStream([(F(1), F(1)), (F(1, 4), F(1, 4))], 0, 1), [2, 0, 1, 3, 4, 5]), 1)
     # a zero tail last: level 3's parts are single points, starts == ends
-    @example((FiniteStream([F(2), F(1), F(1, 2)]), [0, 1, 2, 3, 3, 2, 1, 0, 3, 2, 3]))
-    def test_rows_in_any_order_match_fresh_formatting(self, drawn):
-        # the ladder hands one level's endpoint strings to the next; every
+    @example((FiniteStream([F(2), F(1), F(1, 2)]), [3, 2, 1, 0]), 2)
+    def test_rows_in_order_match_fresh_formatting(self, drawn, nesting):
+        # IterationRows hands one row's endpoint strings to the next; every
         # row must read as if each endpoint were formatted anew, and writing
-        # it reads no term or tail of the stream
-        stream, requests = drawn
+        # the rows reads no term or tail of the stream
+        stream, order = drawn
         ladder = SubsumLadder(stream)
-        reports = [iterate(ladder, n) for n in requests]
+        for n in order:  # a ladder already asked for its levels in any order
+            ladder.bricks(n)
+        rows = IterationRows(ladder, len(order) - 1)
+        newline = "\n" + "  " * nesting
+        inner = newline + "  "
+        expected = [iteration_row_text(iterate(ladder, n), inner) for n in range(len(order))]
         unread = AssertionError("the row text read the stream")
         with mock.patch.object(stream, "term", side_effect=unread), mock.patch.object(
             stream, "tail", side_effect=unread
         ):
-            for i, report in enumerate(reports):
-                newline = "\n" + "  " * (i % 4)
-                assert report.json_text(newline) == iteration_row_text(report, newline)
+            text = "".join(rows.chunks(newline))
+        assert text == "[" + inner + ("," + inner).join(expected) + newline + "]"
 
     @pytest.mark.parametrize("terms", [[], [F(1)], [F(2), F(1), F(1)]])
     def test_single_part_level_has_no_gaps(self, terms):

@@ -39,7 +39,7 @@ SPECS = sorted((ROOT / "scripts" / "specs").glob("*.json"))
 EXPLICIT = {
     "cantorval.cli.build_report": (
         "the report pins and library callers read the plain-JSON document;"
-        " analyze writes the same bytes from IterationReport rows"
+        " analyze writes the same bytes from IterationRows"
     ),
     "cantorval.cli.validate_report_document": "perfbench/checks.py checks every report with it",
     "cantorval.exact.difference_parts": (

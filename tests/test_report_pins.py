@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorval import classify, engine, series
+from cantorval import classify, engine
 from cantorval.engine import IterationReport
 from cantorval.cli import _analysis, _dumps, build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
@@ -288,6 +288,19 @@ def test_only_kakeya_levels_are_swept(name, monkeypatch):
     assert sorted(swept) == [0] + kakeya
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS_DEPTH_14))
+def test_carried_levels_share_their_bricks(name):
+    # row n holds ladder.bricks(n) of the report's ladder, the very Bricks
+    # of row n - 1 exactly when n is no Kakeya index; IterationRows then
+    # reuses that row's strings
+    spec = load(name)
+    rows = _analysis(spec, 14, 14, DEFAULT_CAP, 12)["iterations"]
+    stream = spec.stream()
+    for n in range(1, 15):
+        carried = not stream.term(n) > stream.tail(n)
+        assert (rows[n].bricks is rows[n - 1].bricks) == carried
+
+
 # IterationReport.to_json calls per ``analyze --depth 14``: the CLI writes
 # each iteration row from its ``json_text``, so only classify's gaps witness
 # for a certified Cantorval (ferens_5432, at its first Kakeya index) builds
@@ -320,7 +333,7 @@ def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
 
 
 # Endpoint strings the iteration rows format per ``analyze --depth 14``.
-# The ladder hands each row's strings to the next: a carried level formats
+# IterationRows hands each row's strings to the next: a carried level formats
 # none, and a swept level only the endpoints that I_{n-1} lacks, while
 # keeping every endpoint of I_{n-1}; so the rows format 2 |parts of I_14|
 # strings, where formatting each row anew cost 30, 266, 266, 8,746, 38,
@@ -341,14 +354,14 @@ ENDPOINT_STRS_DEPTH_14 = {
 def test_rows_format_each_endpoint_once(name, monkeypatch):
     doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
     formatted = []
-    lattice_strs = series.lattice_strs
+    lattice_strs = engine.lattice_strs
 
     def counting(ks, d, known=None):
         # a value found in ``known`` is looked up, every other one formatted
         formatted.append(len(ks) if known is None else sum(k not in known for k in ks))
         return lattice_strs(ks, d, known)
 
-    monkeypatch.setattr(series, "lattice_strs", counting)
+    monkeypatch.setattr(engine, "lattice_strs", counting)
     _dumps(doc)  # writes the rows, 0 to 14 in order
     assert sum(formatted) == ENDPOINT_STRS_DEPTH_14[name]
     assert sum(formatted) == 2 * len(doc["iterations"][-1].bricks)
