@@ -18,22 +18,23 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .engine import certify_interior, iterate, run_windows_verify
 from .exact import lattice_str, rat_str
 from .families.io import FamilySpec
 from .families.multigeometric import MultigeometricSpec, mg_block
+from .frozen import frozen
 from .series import (
     GREATER,
     CapacityError,
     KakeyaPattern,
+    KakeyaSplit,
     SubsumLadder,
     TermStream,
     kakeya_split,
 )
-from .tightness import tight_trend
+from .tightness import TightTrend, tight_trend
 
 Subject = Union[TermStream, FamilySpec]
 
@@ -52,14 +53,14 @@ class Tier(enum.Enum):
     HEURISTIC = "Heuristic"
 
 
-@dataclass(frozen=True)
+@frozen
 class Classification:
     """A verdict at its tier, with the witnesses that place it there."""
 
     verdict: Verdict
     tier: Tier
     horizon: int
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def interior_empty(self) -> bool:
@@ -137,6 +138,9 @@ def classify(
     ladder: SubsumLadder,
     horizon: int = 12,
     budget: int = 16,
+    *,
+    trend: Optional[TightTrend] = None,
+    split: Optional[KakeyaSplit] = None,
 ) -> Classification:
     """Decide the topological type at the strongest honest tier.
 
@@ -152,6 +156,11 @@ def classify(
     verifies exactly when run_windows_verify(spec) holds (see the engine
     module docstring), so only then does it search.  An unverified search
     changes no verdict: the heuristic tier never reads it.
+
+    The heuristic tier reads ``trend``, which is tight_trend(ladder,
+    horizon), and ``split``, which is kakeya_split(stream, horizon); a
+    caller that writes them too passes them in, and the tier computes any
+    it is not given.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -204,9 +213,11 @@ def classify(
             )
 
     # Heuristic tier: exact finite-horizon measurements, honest about reach.
-    trend = tight_trend(ladder, horizon)
+    if trend is None:
+        trend = tight_trend(ladder, horizon)
+    if split is None:
+        split = kakeya_split(stream, horizon)
     report = iterate(ladder, horizon)
-    split = kakeya_split(stream, horizon)
     witness = {
         "tight_trend": trend.to_json(),
         "gap_count": report.gap_count,

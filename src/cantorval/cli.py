@@ -92,8 +92,8 @@ def _dumps(doc) -> list[str]:
 
 def _write(o, chunks: list[str], newline: str) -> None:
     """Append the encoding of ``o`` to ``chunks``, testing types in json's
-    order; ``newline`` is "\n" plus its indent.  IterationRows adds one
-    chunk per row, and a RepetitionReport (the uniqueness section's
+    order; ``newline`` is "\n" plus its indent.  IterationRows adds its
+    own chunks, three per row, and a RepetitionReport (the uniqueness section's
     witnesses and ``outer``) writes its own ``json_text`` as one chunk."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
@@ -207,11 +207,14 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     """
     stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
-    classification = classify(spec, ladder, horizon=horizon, budget=budget)
+    trend = tight_trend(ladder, horizon)
+    split = kakeya_split(stream, horizon)
+    classification = classify(
+        spec, ladder, horizon=horizon, budget=budget, trend=trend, split=split
+    )
     iterations = IterationRows(ladder, depth)
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
     bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)
-    trend = tight_trend(ladder, horizon)
     try:
         standardness = standardness_ratio(spec, 1, stream).to_json()
     except ValueError:
@@ -220,7 +223,7 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
         "spec": spec.to_json(),
         "config": {"depth": depth, "horizon": horizon, "cap": cap, "budget": budget},
         "classification": classification.to_json(),
-        "kakeya": kakeya_split(stream, horizon).to_json(),
+        "kakeya": split.to_json(),
         "iterations": iterations,
         "measure_bounds": bounds.to_json(),
         "tight_trend": trend.to_json(),

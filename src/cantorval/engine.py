@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain
@@ -53,6 +52,7 @@ from .exact import (
     pairs_text,
     rat_str,
 )
+from .frozen import frozen
 from .series import Bricks, CapacityError, SubsumLadder
 from .families.multigeometric import MultigeometricSpec, mg_block
 
@@ -62,7 +62,7 @@ from .families.multigeometric import MultigeometricSpec, mg_block
 DEFAULT_PART_LIMIT = 512
 
 
-@dataclass(frozen=True)
+@frozen
 class IterationReport:
     """I_n with its brick count, exact measure, and component geometry.
 
@@ -95,11 +95,26 @@ class IterationReport:
     def to_json(self) -> dict:
         return json.loads(self.json_text("\n"))
 
-    def json_text(
-        self, newline: str, starts: Optional[list[str]] = None, ends: Optional[list[str]] = None
-    ) -> str:
+    def json_text(self, newline: str) -> str:
         """The row as ``json.dumps(self.to_json(), indent=2)`` writes it at
-        the nesting whose line break and indent are ``newline``.
+        the nesting whose line break and indent are ``newline``."""
+        measure, rest = self.bricks_text(newline)
+        return self.head_text(newline, measure) + rest
+
+    def head_text(self, newline: str, measure: str) -> str:
+        """The row's text before ``"gap_count"``, with ``measure`` the
+        measure string that ``bricks_text`` gives."""
+        i1 = newline + "  "
+        return (
+            f'{{{i1}"n": {self.n},{i1}"measure": "{measure}",{i1}"tail": "{rat_str(self.tail)}",'
+            f'{i1}"brick_count": {self.brick_count},'
+        )
+
+    def bricks_text(
+        self, newline: str, starts: Optional[list[str]] = None, ends: Optional[list[str]] = None
+    ) -> tuple[str, str]:
+        """The row's text that its Bricks alone decides: the measure, and
+        the row from ``"gap_count"`` to its closing brace.
 
         ``starts`` and ``ends`` are the "p/q" strings of the parts'
         endpoints, which IterationRows hands from row to row; a row given
@@ -112,9 +127,7 @@ class IterationReport:
         longest = self._longest_index()
         i1 = newline + "  "
         i2 = i1 + "  "
-        return (
-            f'{{{i1}"n": {self.n},{i1}"measure": "{rat_str(self.measure)}",'
-            f'{i1}"tail": "{rat_str(self.tail)}",{i1}"brick_count": {self.brick_count},'
+        return rat_str(self.measure), (
             f'{i1}"gap_count": {self.gap_count},{i1}"parts": {pairs_text(starts, ends, i1)},'
             f'{i1}"gaps": {pairs_text(ends, starts[1:], i1)},{i1}"longest_component": '
             f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
@@ -140,7 +153,8 @@ class IterationRows:
     strings to the next, since a "p/q" string names a rational whatever
     lattice it was read from.  Row 0 formats its endpoints whole.  A row
     whose Bricks is the previous row's object, a level the ladder carried,
-    reuses the previous strings as they are.  Any other row n was swept
+    reuses the previous row's ``bricks_text`` as it is: its measure,
+    parts, gaps and longest component.  Any other row n was swept
     and keeps every endpoint of I_{n-1}: I_n lies in I_{n-1}, and a part
     [a, b] of I_{n-1} has a in F_{n-1}, a subset of F_n, and
     b = f + r_{n-1} = (f + x_n) + r_n with f + x_n in F_n, so a starts a
@@ -160,8 +174,9 @@ class IterationRows:
         return self.rows[i]
 
     def chunks(self, newline: str) -> Iterator[str]:
-        """The chunks of the rows' list at the nesting of ``newline``, one per row
-        and one per separator; joined, they are its indent-2 JSON text."""
+        """The chunks of the rows' list at the nesting of ``newline``, a
+        separator and two per row; joined, they are its indent-2 JSON text.
+        The rows that hold one Bricks share its second chunk."""
         inner = newline + "  "
         separator = "[" + inner
         last: Optional[Bricks] = None
@@ -176,9 +191,11 @@ class IterationRows:
                     known = dict(zip(endpoints, chain(starts, ends)))
                 starts = lattice_strs(got.starts, d, known)
                 ends = lattice_strs(got.ends, d, known)
+                measure, rest = row.bricks_text(inner, starts, ends)
                 last = got
             yield separator
-            yield row.json_text(inner, starts, ends)
+            yield row.head_text(inner, measure)
+            yield rest
             separator = "," + inner
         yield newline + "]" if self.rows else "[]"
 
@@ -236,7 +253,7 @@ def hutchinson(spec: MultigeometricSpec, s: IntervalSet) -> IntervalSet:
     return normalize(Interval(Fraction(lo, bd), Fraction(hi, bd)) for lo, hi in phi(d, parts))
 
 
-@dataclass(frozen=True)
+@frozen
 class InteriorCertificate:
     """A finite interval union with an exactly rechecked self-cover.
 
@@ -412,7 +429,7 @@ def certify_interior(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureBounds:
     """Two-sided bounds: lambda(I_depth) above, certified interior below.
 

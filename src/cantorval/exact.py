@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from .frozen import frozen
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -105,7 +106,7 @@ def pairs_text(los: Sequence[str], his: Sequence[str], newline: str) -> str:
     return f'[{i1}[{i2}"{body}"{i1}]{newline}]' if body else "[]"
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed interval [lo, hi] with rational endpoints; lo == hi is allowed."""
 
@@ -133,7 +134,7 @@ def interval(lo: RationalLike, hi: RationalLike) -> Interval:
     return Interval(rat(lo), rat(hi))
 
 
-@dataclass(frozen=True)
+@frozen
 class IntervalSet:
     """Finite union of disjoint closed intervals, kept in canonical form.
 
@@ -299,7 +300,7 @@ def difference_parts(a: Parts, b: Parts) -> Parts:
     return merge_parts(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointSet:
     """Sorted distinct rationals, optionally with positive multiplicities."""
 

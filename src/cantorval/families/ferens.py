@@ -9,12 +9,12 @@ multiples of q_n, which is what lets these series achieve Cantorvals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from ..exact import PointSet, rat_str
+from ..frozen import frozen
 from .grouped import GroupedStream
 from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 
@@ -26,7 +26,7 @@ def subsum_run_total(p: int, r: int) -> int:
     return (r - 1) * p + r * (r - 1) // 2
 
 
-@dataclass(frozen=True)
+@frozen
 class GFSpec:
     """Sequences m_n >= 2, k_n > m_n (integers), and a positive scale q_n."""
 
@@ -115,7 +115,7 @@ class GFSpec:
         return "Cantorval", {"family": "gf", "validation": report.to_json()}
 
 
-@dataclass(frozen=True)
+@frozen
 class GFValidation:
     """Exact pass/fail of the two Ferens growth conditions, with witnesses."""
 

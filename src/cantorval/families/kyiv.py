@@ -16,12 +16,12 @@ what forces an interval in the achievement set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
 
 from ..exact import PointSet
+from ..frozen import frozen
 from ..series import DEFAULT_CAP, CapacityError, subsum_level
 from .grouped import GroupedStream
 from .periodic import PeriodicSeq, is_int
@@ -29,7 +29,7 @@ from .periodic import PeriodicSeq, is_int
 MAX_GROUP_ENUMERATION = 24
 
 
-@dataclass(frozen=True)
+@frozen
 class KyivSpec:
     """Eventually periodic positive integer sequences (m_k) and (s_k).
 
@@ -93,7 +93,7 @@ class KyivSpec:
         return "Cantorval", {"family": "kyiv", "validation": report.to_json()}
 
 
-@dataclass(frozen=True)
+@frozen
 class KyivValidation:
     """Admissibility report: each condition with an exact witness string."""
 
@@ -156,7 +156,7 @@ def kyiv_validate(spec: KyivSpec) -> KyivValidation:
     return KyivValidation(tuple(checks))
 
 
-@dataclass(frozen=True)
+@frozen
 class KyivValues:
     """Closed-form principal value, boundary tail, and group sum at one index."""
 

@@ -10,10 +10,10 @@ reversed Kakeya indices are sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exact import PointSet
+from ..frozen import frozen
 from .grouped import GroupedStream
 from .periodic import PeriodicSeq, is_int
 
@@ -39,7 +39,7 @@ def mm_block(n: int) -> PointSet:
     return PointSet.from_values(low + run + high)
 
 
-@dataclass(frozen=True)
+@frozen
 class MMSpec:
     """Eventually periodic gap parameters n_s >= 1 (one per block)."""
 

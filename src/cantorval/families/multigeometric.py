@@ -14,17 +14,17 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from ..exact import rat, rat_str, RationalLike
+from ..frozen import frozen
 from ..series import LatticeLevel, subsum_level
 from .grouped import GroupedStream
 from .periodic import json_array
 
 
-@dataclass(frozen=True)
+@frozen
 class MultigeometricSpec:
     """Coefficients k_1 >= ... >= k_m > 0 (rationals allowed) and ratio q in (0,1)."""
 

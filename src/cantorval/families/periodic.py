@@ -8,14 +8,14 @@ one period block over 1 - ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from ..exact import rat, rat_str, RationalLike
+from ..frozen import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicSeq:
     """Sequence with an explicit prefix followed by a repeating period.
 
@@ -61,7 +61,7 @@ class PeriodicSeq:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockGeometric:
     """Positive rationals: prefix, then one block scaled geometrically.
 

@@ -8,16 +8,16 @@ Cantor-type achievement set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from ..frozen import frozen
 from .grouped import GroupedStream
 from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 
 
-@dataclass(frozen=True)
+@frozen
 class RepeatedTermSpec:
     """Strictly decreasing base values y_i, each repeated counts[i] times.
 
@@ -105,7 +105,7 @@ class RepeatedTermSpec:
         return "Cantor", {"family": "repeated", "semifast": report.to_json()}
 
 
-@dataclass(frozen=True)
+@frozen
 class SemifastResult:
     """Exact verdict of the semi-fast inequality y_k > sum_{i>k} K_i y_i."""
 

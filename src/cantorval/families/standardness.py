@@ -10,12 +10,12 @@ is an exact maximum over one period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional
 
 from ..exact import rat_str
+from ..frozen import frozen
 from .ferens import GFSpec
 from .grouped import GroupedStream
 from .kyiv import KyivSpec
@@ -23,7 +23,7 @@ from .marchwicki import MMSpec
 from .periodic import periodic_tail
 
 
-@dataclass(frozen=True)
+@frozen
 class StandardnessResult:
     """Ratio at one index plus its exact limsup over the repeating part."""
 

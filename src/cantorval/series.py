@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import abc
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
@@ -38,6 +37,7 @@ from math import lcm
 from typing import Iterable
 
 from .exact import PointSet
+from .frozen import frozen
 
 DEFAULT_CAP = 2_000_000
 
@@ -66,7 +66,7 @@ def compare_sign(x: Fraction, r: Fraction) -> str:
     return LESS
 
 
-@dataclass(frozen=True)
+@frozen
 class KakeyaPattern:
     """Proof-carrying description of the comparisons x_n vs r_n.
 
@@ -123,7 +123,7 @@ class TermStream(abc.ABC):
         """The exact comparison pattern of x_n against r_n for all n."""
 
 
-@dataclass(frozen=True)
+@frozen
 class KakeyaSplit:
     """Indices up to a horizon split by the exact comparison x_n vs r_n."""
 
@@ -179,7 +179,7 @@ def group_convolve(a: PointSet, b: PointSet, cap: int = DEFAULT_CAP) -> PointSet
     return PointSet(values, tuple(acc[v] for v in values))
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeLevel:
     """A subsum set F_n as integers over one common denominator.
 
@@ -256,7 +256,7 @@ def subsum_level(terms: Iterable[Fraction], cap: int = DEFAULT_CAP) -> LatticeLe
     return level
 
 
-@dataclass(frozen=True)
+@frozen
 class Bricks:
     """The iteration I_n = union of [f, f + r_n] over f in F_n, on a lattice.
 

@@ -9,14 +9,14 @@ exact: a gap equal to eps stays inside a block, anything larger splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PointSet, rat, rat_str, RationalLike
+from .frozen import frozen
 from .series import SubsumLadder
 
 
-@dataclass(frozen=True)
+@frozen
 class TightDecomposition:
     """Maximal eps-tight blocks of a point set, as index ranges.
 
@@ -57,7 +57,7 @@ def max_tight_diameter(points: PointSet, eps: RationalLike) -> Fraction:
     return tight_decompose(points, eps).max_diameter
 
 
-@dataclass(frozen=True)
+@frozen
 class TightTrend:
     """Exact values of the largest r_n-tight block diameter of F_n.
 

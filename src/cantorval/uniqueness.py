@@ -24,7 +24,6 @@ stands and ``to_json`` parses, so the section has one encoder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm, prod
@@ -32,10 +31,11 @@ from typing import Callable
 
 from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
 from .families.repeated import RepeatedTermSpec
+from .frozen import frozen
 from .series import DEFAULT_CAP, GREATER, CapacityError, SubsumLadder, TermStream
 
 
-@dataclass(frozen=True)
+@frozen
 class RepetitionReport:
     """Certified multiple-representation values at depth k, with witnesses.
 

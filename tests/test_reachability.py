@@ -8,9 +8,10 @@ test hides a call: ``analyze --depth 8`` and ``validate`` on every bundled
 spec, and one ``analyze --cap 2`` that ends in CapacityError.
 
 A function is reached when its code runs.  A class is reached when code
-defined in its body runs: a method, a property or a dataclass's generated
-``__init__``.  A class whose body defines no function, such as an enum or
-an exception, is reached when code that runs reads its name.
+defined in its body runs: a method or a property.  A class whose body
+defines no function, such as an enum, an exception or a value class whose
+methods all come from ``cantorval.frozen``, is reached when code that runs
+reads its name; those shared methods belong to no one class.
 
 Run as a script, this file runs the commands and prints the reached names
 as JSON.
@@ -49,6 +50,10 @@ EXPLICIT = {
     "cantorval.exact.lattice_str": (
         "the one-value form that tests check lattice_strs against; classify's"
         " separated-block witness, which no bundled spec reaches, calls it"
+    ),
+    "cantorval.frozen.frozen": (
+        "the decorator of every value class; it runs when their modules are"
+        " imported, before any command"
     ),
     "cantorval.tightness.TightDecomposition": (
         "tight_decompose returns it, and max_tight_diameter, which"

@@ -2,7 +2,9 @@
 each interior-certificate search run at most once per report, I_n swept
 from F_n only at level 0 and the Kakeya indices, and iteration rows and the
 uniqueness section's repetition report written as text without building
-their dicts, and each endpoint string of the rows formatted once per report.
+their dicts, each endpoint string of the rows formatted once per report,
+the rows that hold one Bricks written from one text, and one tight trend
+computed per report.
 
 The digests are sha256 of ``json.dumps(build_report(...), indent=2)`` for
 every bundled spec, recorded before the analysis layers were rewired to read
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorval import classify, engine
+from cantorval import classify, cli, engine, tightness, uniqueness
 from cantorval.engine import IterationReport
 from cantorval.cli import _analysis, _dumps, build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
@@ -365,6 +367,44 @@ def test_rows_format_each_endpoint_once(name, monkeypatch):
     _dumps(doc)  # writes the rows, 0 to 14 in order
     assert sum(formatted) == ENDPOINT_STRS_DEPTH_14[name]
     assert sum(formatted) == 2 * len(doc["iterations"][-1].bricks)
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
+def test_rows_of_one_bricks_share_their_text(name, monkeypatch):
+    # writing a depth-14 report joins the parts and the gaps once per
+    # distinct Bricks among its rows, and the repetition report's outer set
+    # once; a carried row reuses the text of the row before
+    doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
+    calls = []
+    pairs_text = engine.pairs_text
+
+    def counting(*args):
+        calls.append(None)
+        return pairs_text(*args)
+
+    monkeypatch.setattr(engine, "pairs_text", counting)
+    monkeypatch.setattr(uniqueness, "pairs_text", counting)
+    _dumps(doc)
+    distinct = len({id(row.bricks) for row in doc["iterations"]})
+    assert len(calls) == 2 * distinct + 1
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
+def test_tight_trend_runs_once_per_report(name, monkeypatch, tmp_path):
+    # classify's heuristic witness (reached by gn) and the report's
+    # tight_trend section read one trend
+    calls = []
+    trend = tightness.tight_trend
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return trend(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tight_trend", counting)
+    monkeypatch.setattr(classify, "tight_trend", counting)
+    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
+    assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
