@@ -21,12 +21,13 @@ import operator
 from typing import Optional, Union
 
 from .engine import certify_interior, iterate, run_windows_verify
-from .exact import lattice_str, rat_str
+from .exact import lattice_str, lattice_strs, rat_str
 from .families.io import FamilySpec
 from .families.multigeometric import MultigeometricSpec, mg_block
 from .frozen import frozen
 from .series import (
     GREATER,
+    Bricks,
     CapacityError,
     KakeyaPattern,
     KakeyaSplit,
@@ -133,6 +134,14 @@ def _separated_blocks(spec: MultigeometricSpec) -> Optional[dict]:
     return None
 
 
+def _gaps(bricks: Bricks) -> list[list[str]]:
+    """The gaps between consecutive parts of an iteration, as "p/q" pairs."""
+    d = bricks.denominator
+    ends = lattice_strs(bricks.ends[:-1], d)
+    starts = lattice_strs(bricks.starts[1:], d)
+    return [[lo, hi] for lo, hi in zip(ends, starts)]
+
+
 def classify(
     subject: Subject,
     ladder: SubsumLadder,
@@ -208,7 +217,7 @@ def classify(
                 {
                     "certificate": certificate.to_json(),
                     "kakeya_pattern": _pattern_witness(pattern),
-                    "gaps": iterate(ladder, first_strict).to_json()["gaps"],
+                    "gaps": _gaps(ladder.bricks(first_strict)),
                 },
             )
 

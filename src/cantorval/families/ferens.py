@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..exact import PointSet, rat_str
 from ..frozen import frozen
-from .grouped import GroupedStream
+from .grouped import GroupedStream, check_head
 from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 
 
@@ -81,13 +81,21 @@ class GFSpec:
         )
 
     def stream(self) -> GroupedStream:
-        """Group n: coefficients m_n + k_n - 1 down to m_n, scaled by q_n."""
+        """Group n: coefficients m_n + k_n - 1 down to m_n, scaled by q_n.
+
+        The lattice is that of the scales q_1 .. q_(P+2p): the lcm of their
+        prefix's and block's denominators times a power of the ratio's
+        denominator (``BlockGeometric.lattice``).
+        """
         pre, period = self.group_preperiod, self.group_period
+        count = pre + 2 * period
+        check_head(sum(self.k[n] for n in range(1, count + 1)))
+        denominator, scales = self.q.lattice(count)
         groups = [
-            tuple((self.m[n] + t) * self.q[n] for t in range(self.k[n] - 1, -1, -1))
-            for n in range(1, pre + 2 * period + 1)
+            tuple((self.m[n] + t) * q for t in range(self.k[n] - 1, -1, -1))
+            for n, q in enumerate(scales, 1)
         ]
-        return GroupedStream(groups, pre, period)
+        return GroupedStream(groups, denominator, pre, period)
 
     def conditions(self) -> list[dict]:
         """``validate``'s rows: GF1, GF2 and the run totals, with witnesses."""

@@ -6,58 +6,95 @@ beyond a preperiod P the whole pattern of p groups repeats scaled by one
 exact rational factor.  So a family stream is its groups 1 .. P + 2p: the
 block ratio is read off the two given periods, and every later group is
 that ratio times the group one period earlier.  That single fact gives
-exact tails and an analytic Kakeya comparison pattern.  ``GroupedStream``
-holds a family's head, period and block ratio as data: its tails, and the
-family's standardness ratios, are summed with them.
+exact tails and an analytic Kakeya comparison pattern.
+
+The digit view: a family hands its groups over as integer numerators on one
+lattice L that its own structure fixes (each family's ``stream`` names its
+lattice), so ``GroupedStream`` checks the terms, sums the tails and
+compares every term with its tail on integers.  With block ratio a/b in
+lowest terms, the tails lie on L (b - a).  Fractions are built only when a
+caller reads a term, a tail or a group.  A family counts the terms of its
+groups from the spec's integers before it builds any, and ``check_head``
+refuses more than DEFAULT_CAP of them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import accumulate, chain, islice
+from math import gcd
 from typing import Optional, Sequence
 
-from ..series import KakeyaPattern, StreamError, TermStream, compare_sign
-from .periodic import periodic_tail
+from ..series import (
+    DEFAULT_CAP,
+    CapacityError,
+    KakeyaPattern,
+    StreamError,
+    TermStream,
+    compare_sign,
+)
+
+
+def check_head(size: int) -> None:
+    """Refuse a stream whose given groups hold ``size`` > DEFAULT_CAP terms."""
+    if size > DEFAULT_CAP:
+        raise CapacityError("stream_head", size, DEFAULT_CAP)
 
 
 class GroupedStream(TermStream):
     """A stream built from its first P + 2p groups, P the preperiod, p the period.
 
-    ``groups[k - 1]`` holds the terms of group k, in order, for k = 1 ..
-    P + 2p.  The block ratio is the first term of group P + p + 1 over the
-    first term of group P + 1, and the second given period must equal that
-    ratio times the first, term by term.  Group k > P + 2p is the ratio
-    times group k - p.  Construction checks positivity, monotonicity and
-    the period exactly, which proves them for every index.
+    ``numerators[k - 1]`` holds the terms of group k times ``denominator``,
+    the family's lattice L, in order, for k = 1 .. P + 2p.  The block ratio
+    a/b is the first term of group P + p + 1 over the first term of group
+    P + 1, and the second given period must equal that ratio times the
+    first, term by term.  Group k > P + 2p is the ratio times group k - p.
+    Construction checks positivity, monotonicity and the period exactly, on
+    the integers, which proves them for every index.
 
-    Terms and tails are kept in two flat lists, ``_terms`` by index n - 1
-    and ``_tails`` by index n: ``boundary`` extends the terms one group at
-    a time, and each tail is the one before it minus a term, from r_0.
+    The stream then keeps the integers of its first P + p groups: the head
+    x_1 .. x_H, H = N_P, and one cycle of C = N_{P+p} - H terms, times L,
+    with the tails r_0 .. r_{H+C} times L (b - a), each the one before it
+    minus a term.  Past the head x_{n+C} = (a/b) x_n and r_{n+C} = (a/b) r_n,
+    so every later term and tail is (a/b)^c times a kept one.  ``term``,
+    ``tail`` and ``group_terms`` build their Fractions on first read and
+    keep them.
 
-    A stream is for one thread.  Its lists hold only values that are
-    deterministic functions of the index, but ``_groups``, ``_boundaries``,
-    ``_terms`` and ``_tails`` grow in place, so two threads reading at once
-    could append the same group twice and shift every later term.
+    A stream is for one thread.  Its integers are fixed when it is built,
+    but the Fractions and the Kakeya pattern are kept on first read, without
+    a lock; each is a deterministic function of its index, so two threads
+    would at worst build one twice.
     """
 
     def __init__(
-        self, groups: Sequence[Sequence[Fraction]], preperiod: int, period: int
+        self,
+        numerators: Sequence[Sequence[int]],
+        denominator: int,
+        preperiod: int,
+        period: int,
     ) -> None:
         if period < 1:
             raise ValueError("period must be positive")
-        if preperiod < 0 or len(groups) != preperiod + 2 * period:
+        if preperiod < 0 or len(numerators) != preperiod + 2 * period:
             raise ValueError("need exactly the groups 1 .. preperiod + 2 * period")
         self._preperiod = preperiod
         self._period = period
+        self._denominator = denominator
+        self._a, self._b = a, b = _validated_ratio(numerators, preperiod, period)
+        kept = numerators[: preperiod + period]
+        self._boundaries = list(accumulate(map(len, kept), initial=0))  # N_0 .. N_{P+p}
+        self._head = head = self._boundaries[preperiod]
+        self._cycle = self._boundaries[-1] - head
+        self._terms = terms = list(chain.from_iterable(kept))
+        span = b - a
+        total = sum(islice(terms, head)) * span + sum(islice(terms, head, None)) * b
+        self._tails = list(accumulate(map(span.__mul__, terms), operator.sub, initial=total))
+        self._term_fractions: dict[int, Fraction] = {}
+        self._tail_fractions: dict[int, Fraction] = {}
+        self._group_fractions: dict[int, tuple[Fraction, ...]] = {}
         self._block_ratio: Optional[Fraction] = None
-        self._groups: list[tuple[Fraction, ...]] = [tuple(g) for g in groups]
-        self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
-        self._terms: list[Fraction] = []  # x_1 .. x_{N_k}, group by group
         self._pattern: Optional[KakeyaPattern] = None
-        self._validate()
-        self._tails: list[Fraction] = [  # r_0, r_1, ...
-            periodic_tail(self.group_sum, 0, preperiod, period, self._block_ratio)
-        ]
 
     # -- derived structure ------------------------------------------------
 
@@ -71,25 +108,54 @@ class GroupedStream(TermStream):
 
     @property
     def block_ratio(self) -> Fraction:
+        if self._block_ratio is None:
+            self._block_ratio = Fraction(self._a, self._b)
         return self._block_ratio
+
+    def _fraction(self, numerator: int, denominator: int, c: int) -> Fraction:
+        """(a/b)^c numerator / denominator."""
+        if c:
+            numerator *= self._a**c
+            denominator *= self._b**c
+        return Fraction(numerator, denominator)
+
+    def _kept(self, i: int) -> tuple[int, int]:
+        """(c, j): the term x_{i+1} and the tail r_i are (a/b)^c times the
+        kept ones at list index j < H + C."""
+        head = self._head
+        if i < head:
+            return 0, i
+        c, j = divmod(i - head, self._cycle)
+        return c, head + j
+
+    def _kept_group(self, k: int) -> tuple[int, int]:
+        """(c, j): group k is (a/b)^c times the kept group j <= P + p."""
+        pre = self._preperiod
+        if k <= pre:
+            return 0, k
+        c, j = divmod(k - pre - 1, self._period)
+        return c, pre + 1 + j
 
     def group_terms(self, k: int) -> tuple[Fraction, ...]:
         """Terms of group k >= 1, in order, exact."""
         if k < 1:
             raise ValueError("group indices start at 1")
-        groups = self._groups
-        while len(groups) < k:
-            groups.append(tuple(self._block_ratio * t for t in groups[-self._period]))
-        return groups[k - 1]
+        got = self._group_fractions.get(k)
+        if got is None:
+            c, j = self._kept_group(k)
+            bounds = self._boundaries
+            got = self._group_fractions[k] = tuple(
+                self._fraction(x, self._denominator, c)
+                for x in self._terms[bounds[j - 1] : bounds[j]]
+            )
+        return got
 
     def boundary(self, k: int) -> int:
         """N_k, the index of the last term of group k (N_0 = 0)."""
-        boundaries = self._boundaries
-        while len(boundaries) <= k:
-            terms = self.group_terms(len(boundaries))
-            self._terms.extend(terms)
-            boundaries.append(boundaries[-1] + len(terms))
-        return boundaries[k]
+        if k < 0:
+            raise ValueError("group index must be nonnegative")
+        c, j = self._kept_group(k)
+        return self._boundaries[j] + c * self._cycle
 
     def group_sum(self, k: int) -> Fraction:
         return sum(self.group_terms(k), Fraction(0))
@@ -105,67 +171,73 @@ class GroupedStream(TermStream):
     def term(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("term indices start at 1")
-        while len(self._terms) < n:
-            self.boundary(len(self._boundaries))
-        return self._terms[n - 1]
+        got = self._term_fractions.get(n)
+        if got is None:
+            c, j = self._kept(n - 1)
+            got = self._term_fractions[n] = self._fraction(
+                self._terms[j], self._denominator, c
+            )
+        return got
 
     def tail(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("tail indices start at 0")
-        tails = self._tails
-        while len(tails) <= n:
-            tails.append(tails[-1] - self.term(len(tails)))
-        return tails[n]
+        got = self._tail_fractions.get(n)
+        if got is None:
+            c, j = self._kept(n)
+            got = self._tail_fractions[n] = self._fraction(
+                self._tails[j], self._denominator * (self._b - self._a), c
+            )
+        return got
 
     def kakeya_pattern(self) -> KakeyaPattern:
         # Terms and tails both scale by the block ratio from one period of
         # groups to the next (beyond the preperiod), so the comparison signs
-        # over a single period of groups repeat exactly.  Computed once and
-        # kept; every other x_n vs r_n decision reads it.
-        if self._pattern is not None:
-            return self._pattern
-        head = self.boundary(self._preperiod)
-        cycle_end = self.boundary(self._preperiod + self._period)
-        prefix = tuple(
-            compare_sign(self.term(n), self.tail(n)) for n in range(1, head + 1)
-        )
-        cycle = tuple(
-            compare_sign(self.term(n), self.tail(n)) for n in range(head + 1, cycle_end + 1)
-        )
-        self._pattern = KakeyaPattern(prefix, cycle)
+        # over a single period of groups repeat exactly.  Each sign compares
+        # x_n L (b - a) with r_n L (b - a).  Computed once and kept; every
+        # other x_n vs r_n decision reads it.
+        if self._pattern is None:
+            scaled = map((self._b - self._a).__mul__, self._terms)
+            signs = tuple(map(compare_sign, scaled, islice(self._tails, 1, None)))
+            self._pattern = KakeyaPattern(signs[: self._head], signs[self._head :])
         return self._pattern
 
-    # -- construction-time validation ---------------------------------------
 
-    def _validate(self) -> None:
-        """Exact positivity, monotonicity, and periodic-scaling checks.
+def _validated_ratio(
+    groups: Sequence[Sequence[int]], preperiod: int, period: int
+) -> tuple[int, int]:
+    """Exact positivity, monotonicity and periodic-scaling checks, on the
+    lattice; returns the block ratio as a coprime pair (a, b).
 
-        Checking groups up to preperiod + 2*period + 1 proves the properties
-        for every index because later groups are exact scaled copies.
-        """
-        pre, period = self._preperiod, self._period
-        given = pre + 2 * period
-        previous_last: Optional[Fraction] = None
-        for k in range(1, given + 2):
-            if k > given:
-                # The given groups are positive, so the division is defined.
-                self._block_ratio = self._groups[pre + period][0] / self._groups[pre][0]
-                if not self._block_ratio < 1:
-                    raise ValueError("block ratio must lie in (0, 1)")
-            terms = self.group_terms(k)
-            if not terms:
-                raise ValueError(f"group {k} is empty")
-            if any(t <= 0 for t in terms):
-                raise StreamError(f"group {k} contains a nonpositive term")
-            for a, b in zip(terms, terms[1:]):
-                if b > a:
-                    raise StreamError(f"group {k} is not nonincreasing")
-            if previous_last is not None and terms[0] > previous_last:
-                raise StreamError(f"terms increase across the boundary into group {k}")
-            previous_last = terms[-1]
-        for k in range(pre + 1, pre + period + 1):
-            scaled = tuple(t * self._block_ratio for t in self.group_terms(k))
-            if self.group_terms(k + period) != scaled:
-                raise ValueError(
-                    "the second given period is not the block ratio times the first"
-                )
+    Checking groups up to preperiod + 2*period + 1 proves the properties
+    for every index because later groups are exact scaled copies.  Group
+    P + 2p + 1 is a/b times group P + p + 1, so it is positive and
+    nonincreasing when that group is, and only its first term, against the
+    last term of group P + 2p, needs a check.
+    """
+    previous_last: Optional[int] = None
+    for k, terms in enumerate(groups, 1):
+        if not terms:
+            raise ValueError(f"group {k} is empty")
+        if min(terms) <= 0:
+            raise StreamError(f"group {k} contains a nonpositive term")
+        if any(map(operator.lt, terms, islice(terms, 1, None))):
+            raise StreamError(f"group {k} is not nonincreasing")
+        if previous_last is not None and terms[0] > previous_last:
+            raise StreamError(f"terms increase across the boundary into group {k}")
+        previous_last = terms[-1]
+    top, bottom = groups[preperiod + period][0], groups[preperiod][0]
+    if not top < bottom:
+        raise ValueError("block ratio must lie in (0, 1)")
+    g = gcd(top, bottom)
+    a, b = top // g, bottom // g
+    if a * top > b * previous_last:
+        raise StreamError(f"terms increase across the boundary into group {len(groups) + 1}")
+    for first, second in zip(groups[preperiod:], groups[preperiod + period :]):
+        if len(first) != len(second) or any(
+            map(operator.ne, map(b.__mul__, second), map(a.__mul__, first))
+        ):
+            raise ValueError(
+                "the second given period is not the block ratio times the first"
+            )
+    return a, b

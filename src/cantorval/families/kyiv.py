@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 from ..exact import PointSet
 from ..frozen import frozen
 from ..series import DEFAULT_CAP, CapacityError, subsum_level
-from .grouped import GroupedStream
+from .grouped import GroupedStream, check_head
 from .periodic import PeriodicSeq, is_int
 
 MAX_GROUP_ENUMERATION = 24
@@ -73,13 +73,24 @@ class KyivSpec:
         )
 
     def stream(self) -> GroupedStream:
-        """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k."""
+        """Group k: (s_k + 1) copies of a_k then m_k copies of (m_k-1)/m_k * a_k.
+
+        The lattice is the prefix product d_1 ... d_N over the groups
+        N = P + 2p it builds, since a_k = 2^(k-1) m_k / (d_1 ... d_k): a_k
+        times it is 2^(k-1) m_k d_(k+1) ... d_N.
+        """
         pre = self.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
         period = self.group_period
-        groups = [
-            _kyiv_group(self, v.k, v.a) for v in _kyiv_run(self, pre + 2 * period)
-        ]
-        return GroupedStream(groups, pre, period)
+        count = pre + 2 * period
+        check_head(sum(self.s[k] + self.m[k] + 1 for k in range(1, count + 1)))
+        groups, suffix = [], 1
+        for k in range(count, 0, -1):
+            m, s = self.m[k], self.s[k]
+            unit = 2 ** (k - 1) * suffix
+            groups.append((unit * m,) * (s + 1) + (unit * (m - 1),) * m)
+            suffix *= self.divisor(k)
+        groups.reverse()
+        return GroupedStream(groups, suffix, pre, period)
 
     def conditions(self) -> list[dict]:
         """``validate``'s rows: the admissibility conditions of kyiv_validate."""

@@ -10,11 +10,9 @@ reversed Kakeya indices are sparse.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..exact import PointSet
 from ..frozen import frozen
-from .grouped import GroupedStream
+from .grouped import GroupedStream, check_head
 from .periodic import PeriodicSeq, is_int
 
 
@@ -67,16 +65,24 @@ class MMSpec:
         return MMSpec(PeriodicSeq.from_json(doc["gaps"], "gaps"))
 
     def stream(self) -> GroupedStream:
-        """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k."""
+        """Block k carries mm_block_coefficients(gaps[k]) scaled by q_k.
+
+        The lattice is the prefix product of 3 * 2^(n_s) over the blocks
+        s = 2 .. P + 2p, which q_k = 1 / (3 * 2^(n_2) ... 3 * 2^(n_k))
+        divides: q_k times it is the product over s = k + 1 .. P + 2p.
+        """
         # group k + L = ratio * group k needs gaps[k] and the q-recurrence
         # steps between k and k + L all periodic, hence the + 1.
         pre, period = self.group_preperiod + 1, self.group_period
-        groups, q = [], Fraction(1)
-        for k in range(1, pre + 2 * period + 1):
+        count = pre + 2 * period
+        check_head(sum(self.gaps[k] + 2 for k in range(1, count + 1)))
+        groups, scale = [], 1
+        for k in range(count, 0, -1):
+            groups.append(tuple(c * scale for c in mm_block_coefficients(self.gaps[k])))
             if k > 1:
-                q /= 3 * 2 ** self.gaps[k]
-            groups.append(tuple(b * q for b in mm_block_coefficients(self.gaps[k])))
-        return GroupedStream(groups, pre, period)
+                scale *= 3 * 2 ** self.gaps[k]
+        groups.reverse()
+        return GroupedStream(groups, scale, pre, period)
 
     def conditions(self) -> list[dict]:
         """``validate``'s one row: the constructor already enforced it."""

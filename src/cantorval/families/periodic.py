@@ -9,6 +9,7 @@ one period block over 1 - ratio.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from ..exact import rat, rat_str, RationalLike
@@ -105,6 +106,31 @@ class BlockGeometric:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.value(i)
+
+    def lattice(self, count: int) -> tuple[int, list[int]]:
+        """(L, [value(i) * L for i = 1 .. count]), all integers.
+
+        L is K b^t: K the lcm of the prefix's and the block's denominators,
+        ratio = a/b, and t the highest power of the ratio among those
+        values.  Value i = P + c*len(block) + j + 1 times L is block[j] K
+        times a^c b^(t-c), read off two power tables built by repeated
+        multiplication.
+        """
+        pre, block = self.pre[:count], self.block
+        top = max(0, (count - len(self.pre) - 1) // len(block))
+        k = lcm(*(v.denominator for v in self.pre + block))
+        scaled = [v.numerator * (k // v.denominator) for v in block]
+        a, b = self.ratio.numerator, self.ratio.denominator
+        ups, downs = [1], [1]
+        for _ in range(top):
+            ups.append(ups[-1] * a)
+            downs.append(downs[-1] * b)
+        base = downs[-1]
+        values = [v.numerator * (k // v.denominator) * base for v in pre]
+        for i in range(len(pre), count):
+            c, j = divmod(i - len(self.pre), len(block))
+            values.append(scaled[j] * ups[c] * downs[top - c])
+        return k * base, values
 
     def is_strictly_decreasing(self) -> bool:
         """Exact check over one period boundary proves it for all indices."""

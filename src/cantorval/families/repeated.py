@@ -13,7 +13,7 @@ from math import lcm
 from typing import Optional
 
 from ..frozen import frozen
-from .grouped import GroupedStream
+from .grouped import GroupedStream, check_head
 from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
 
 
@@ -75,12 +75,18 @@ class RepeatedTermSpec:
         )
 
     def stream(self) -> GroupedStream:
-        """Expanded stream: group i is counts[i] copies of y_i."""
+        """Expanded stream: group i is counts[i] copies of y_i.
+
+        The lattice is that of y_1 .. y_(P+2p): the lcm of their prefix's
+        and block's denominators times a power of the ratio's denominator
+        (``BlockGeometric.lattice``).
+        """
         pre, period = self.group_preperiod, self.group_period
-        groups = [
-            (self.y.value(i),) * self.counts[i] for i in range(1, pre + 2 * period + 1)
-        ]
-        return GroupedStream(groups, pre, period)
+        count = pre + 2 * period
+        check_head(sum(self.counts[i] for i in range(1, count + 1)))
+        denominator, values = self.y.lattice(count)
+        groups = [(y,) * self.counts[i] for i, y in enumerate(values, 1)]
+        return GroupedStream(groups, denominator, pre, period)
 
     def conditions(self) -> list[dict]:
         """``validate``'s one row: the semi-fast inequality."""

@@ -46,13 +46,14 @@ def _gf_length(spec: GFSpec, stream: GroupedStream, i: int) -> Fraction:
 
 
 def _mm_length(spec: MMSpec, stream: GroupedStream, i: int) -> Fraction:
-    q = stream.group_terms(i)[-1] / 2  # every block ends with the coefficient 2
+    q = stream.term(stream.boundary(i)) / 2  # every block ends with the coefficient 2
     return (3 * 2 ** spec.gaps[i] - 1) * q
 
 
 def _kyiv_length(spec: KyivSpec, stream: GroupedStream, i: int) -> Fraction:
     m = spec.m[i]
-    return (spec.s[i] - m + 6 - Fraction(4, m)) * stream.group_terms(i)[0]  # a_i
+    a = stream.term(stream.boundary(i - 1) + 1)  # the first term of group i
+    return (spec.s[i] - m + 6 - Fraction(4, m)) * a
 
 
 # spec type -> (family name, interval-length weight)

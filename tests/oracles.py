@@ -7,7 +7,8 @@ Expected values frozen in the tests were computed with these.
 
 Hand-made streams are the exception: ``geometric_tail_stream`` builds
 explicit terms followed by a geometric tail as the library's own
-GroupedStream, so every test on such a stream runs the production class.
+GroupedStream, so every test on such a stream runs the production class;
+``lattice_stream`` puts any explicit groups on the lattice it takes.
 
 The reference section at the end keeps the library's earlier Fraction
 implementations of the separated-block test, the certificate search and the
@@ -22,9 +23,12 @@ ones, its earlier enumeration of every multiplicity profile in
 report, its earlier per-rank witness decoding, which the two memoized
 halves must match rank for rank, its earlier dict-building
 ``RepetitionReport.to_json``, which the report's text must parse back to,
-and its earlier ``IterationReport.json_text``, which formatted every
+its earlier ``IterationReport.json_text``, which formatted every
 endpoint of a row anew where ``engine.IterationRows`` now hands one row's
-strings to the next.
+strings to the next, and its earlier stream class, ``FractionGroupedStream``,
+which validated, summed tails and compared terms with tails in Fractions
+where ``GroupedStream`` now does all three on one integer lattice, with the
+Fraction merge of the multigeometric runs that fed it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import itertools
 import operator
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from cantorval import classify as classify_module, engine
 from cantorval.engine import DEFAULT_PART_LIMIT, InteriorCertificate, MeasureBounds, iterate
@@ -53,13 +57,14 @@ from cantorval.families.ferens import GFSpec
 from cantorval.families.grouped import GroupedStream
 from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
-from cantorval.families.multigeometric import MultigeometricSpec, _sorted_head
-from cantorval.families.periodic import BlockGeometric
+from cantorval.families.multigeometric import MultigeometricSpec
+from cantorval.families.periodic import BlockGeometric, periodic_tail
 from cantorval.series import (
     EQUAL,
     GREATER,
     CapacityError,
     KakeyaPattern,
+    StreamError,
     SubsumLadder,
     TermStream,
     compare_sign,
@@ -235,6 +240,17 @@ class FiniteStream(TermStream):
         return self._pattern
 
 
+def lattice_stream(
+    groups: Iterable[Iterable[RationalLike]], preperiod: int, period: int
+) -> GroupedStream:
+    """GroupedStream of explicit rational groups, on the lcm of their
+    denominators, as a family hands its groups over."""
+    groups = [tuple(rat(t) for t in group) for group in groups]
+    d = lcm(*(t.denominator for group in groups for t in group))
+    numerators = [tuple(t.numerator * (d // t.denominator) for t in group) for group in groups]
+    return GroupedStream(numerators, d, preperiod, period)
+
+
 def geometric_tail_stream(
     prefix: Iterable[RationalLike], start: RationalLike, ratio: RationalLike
 ) -> GroupedStream:
@@ -247,7 +263,7 @@ def geometric_tail_stream(
     """
     start, ratio = rat(start), rat(ratio)
     groups = [(rat(t),) for t in prefix] + [(start,), (start * ratio,)]
-    return GroupedStream(groups, len(groups) - 2, 1)
+    return lattice_stream(groups, len(groups) - 2, 1)
 
 
 # --- Reference: the Fraction separated-block test ---------------------------
@@ -780,7 +796,7 @@ class ReferenceGroups:
         self.spec = spec
         self._groups = {}
         if isinstance(spec, MultigeometricSpec):
-            self._head = _sorted_head(spec)
+            self._head = fraction_sorted_head(spec)
 
     def _group(self, k):
         got = self._groups.get(k)
@@ -815,6 +831,200 @@ class ReferenceGroups:
             m, s = self.spec.m[k], self.spec.s[k]
             return (a,) * (s + 1) + (Fraction(m - 1, m) * a,) * m
         return (self.spec.y.value(k),) * self.spec.counts[k]
+
+
+# --- Reference: the Fraction stream ------------------------------------------
+
+
+class FractionGroupedStream(TermStream):
+    """A stream built from its first P + 2p groups, P the preperiod, p the period.
+
+    ``groups[k - 1]`` holds the terms of group k, in order, for k = 1 ..
+    P + 2p.  The block ratio is the first term of group P + p + 1 over the
+    first term of group P + 1, and the second given period must equal that
+    ratio times the first, term by term.  Group k > P + 2p is the ratio
+    times group k - p.  Construction checks positivity, monotonicity and
+    the period exactly, which proves them for every index.
+
+    Terms and tails are kept in two flat lists, ``_terms`` by index n - 1
+    and ``_tails`` by index n: ``boundary`` extends the terms one group at
+    a time, and each tail is the one before it minus a term, from r_0.
+
+    A stream is for one thread.  Its lists hold only values that are
+    deterministic functions of the index, but ``_groups``, ``_boundaries``,
+    ``_terms`` and ``_tails`` grow in place, so two threads reading at once
+    could append the same group twice and shift every later term.
+    """
+
+    def __init__(
+        self, groups: Sequence[Sequence[Fraction]], preperiod: int, period: int
+    ) -> None:
+        if period < 1:
+            raise ValueError("period must be positive")
+        if preperiod < 0 or len(groups) != preperiod + 2 * period:
+            raise ValueError("need exactly the groups 1 .. preperiod + 2 * period")
+        self._preperiod = preperiod
+        self._period = period
+        self._block_ratio: Optional[Fraction] = None
+        self._groups: list[tuple[Fraction, ...]] = [tuple(g) for g in groups]
+        self._boundaries: list[int] = [0]  # N_0, N_1, ... cumulative term counts
+        self._terms: list[Fraction] = []  # x_1 .. x_{N_k}, group by group
+        self._pattern: Optional[KakeyaPattern] = None
+        self._validate()
+        self._tails: list[Fraction] = [  # r_0, r_1, ...
+            periodic_tail(self.group_sum, 0, preperiod, period, self._block_ratio)
+        ]
+
+    # -- derived structure ------------------------------------------------
+
+    @property
+    def preperiod(self) -> int:
+        return self._preperiod
+
+    @property
+    def period(self) -> int:
+        return self._period
+
+    @property
+    def block_ratio(self) -> Fraction:
+        return self._block_ratio
+
+    def group_terms(self, k: int) -> tuple[Fraction, ...]:
+        """Terms of group k >= 1, in order, exact."""
+        if k < 1:
+            raise ValueError("group indices start at 1")
+        groups = self._groups
+        while len(groups) < k:
+            groups.append(tuple(self._block_ratio * t for t in groups[-self._period]))
+        return groups[k - 1]
+
+    def boundary(self, k: int) -> int:
+        """N_k, the index of the last term of group k (N_0 = 0)."""
+        boundaries = self._boundaries
+        while len(boundaries) <= k:
+            terms = self.group_terms(len(boundaries))
+            self._terms.extend(terms)
+            boundaries.append(boundaries[-1] + len(terms))
+        return boundaries[k]
+
+    def group_sum(self, k: int) -> Fraction:
+        return sum(self.group_terms(k), Fraction(0))
+
+    def group_tail(self, k: int) -> Fraction:
+        """r at the group boundary: sum of all terms in groups > k."""
+        if k < 0:
+            raise ValueError("group index must be nonnegative")
+        return self.tail(self.boundary(k))
+
+    # -- TermStream interface ---------------------------------------------
+
+    def term(self, n: int) -> Fraction:
+        if n < 1:
+            raise ValueError("term indices start at 1")
+        while len(self._terms) < n:
+            self.boundary(len(self._boundaries))
+        return self._terms[n - 1]
+
+    def tail(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("tail indices start at 0")
+        tails = self._tails
+        while len(tails) <= n:
+            tails.append(tails[-1] - self.term(len(tails)))
+        return tails[n]
+
+    def kakeya_pattern(self) -> KakeyaPattern:
+        # Terms and tails both scale by the block ratio from one period of
+        # groups to the next (beyond the preperiod), so the comparison signs
+        # over a single period of groups repeat exactly.  Computed once and
+        # kept; every other x_n vs r_n decision reads it.
+        if self._pattern is not None:
+            return self._pattern
+        head = self.boundary(self._preperiod)
+        cycle_end = self.boundary(self._preperiod + self._period)
+        prefix = tuple(
+            compare_sign(self.term(n), self.tail(n)) for n in range(1, head + 1)
+        )
+        cycle = tuple(
+            compare_sign(self.term(n), self.tail(n)) for n in range(head + 1, cycle_end + 1)
+        )
+        self._pattern = KakeyaPattern(prefix, cycle)
+        return self._pattern
+
+    # -- construction-time validation ---------------------------------------
+
+    def _validate(self) -> None:
+        """Exact positivity, monotonicity, and periodic-scaling checks.
+
+        Checking groups up to preperiod + 2*period + 1 proves the properties
+        for every index because later groups are exact scaled copies.
+        """
+        pre, period = self._preperiod, self._period
+        given = pre + 2 * period
+        previous_last: Optional[Fraction] = None
+        for k in range(1, given + 2):
+            if k > given:
+                # The given groups are positive, so the division is defined.
+                self._block_ratio = self._groups[pre + period][0] / self._groups[pre][0]
+                if not self._block_ratio < 1:
+                    raise ValueError("block ratio must lie in (0, 1)")
+            terms = self.group_terms(k)
+            if not terms:
+                raise ValueError(f"group {k} is empty")
+            if any(t <= 0 for t in terms):
+                raise StreamError(f"group {k} contains a nonpositive term")
+            for a, b in zip(terms, terms[1:]):
+                if b > a:
+                    raise StreamError(f"group {k} is not nonincreasing")
+            if previous_last is not None and terms[0] > previous_last:
+                raise StreamError(f"terms increase across the boundary into group {k}")
+            previous_last = terms[-1]
+        for k in range(pre + 1, pre + period + 1):
+            scaled = tuple(t * self._block_ratio for t in self.group_terms(k))
+            if self.group_terms(k + period) != scaled:
+                raise ValueError(
+                    "the second given period is not the block ratio times the first"
+                )
+
+
+def fraction_sorted_head(spec: MultigeometricSpec) -> tuple[tuple[Fraction, ...], ...]:
+    """Runs 1..P+1 of the sorted terms, P the least preperiod.
+
+    For x <= k_m q the terms >= q x are the terms >= x scaled by q plus
+    k_1 q, ..., k_m q, so a run lying wholly at or below k_m q is followed
+    by q times itself.  The first N = sum_i #{e >= 0 : k_i q^e > k_m} terms
+    exceed k_m q, which bounds P by ceil(N / m).
+    """
+    q, m, low = spec.ratio, spec.m, spec.coefficients[-1]
+    above = 0
+    for c in spec.coefficients:
+        while c > low:
+            above += 1
+            c *= q
+    # Merge the m geometric sequences k_i q^j, j >= 1, by running products.
+    current = [c * q for c in spec.coefficients]
+    terms = []
+    for _ in range((-(-above // m) + 1) * m):
+        i = max(range(m), key=current.__getitem__)
+        terms.append(current[i])
+        current[i] *= q
+    runs = [tuple(terms[s : s + m]) for s in range(0, len(terms), m)]
+    while len(runs) > 1 and runs[-1] == tuple(q * t for t in runs[-2]):
+        runs.pop()
+    return tuple(runs)
+
+
+def reference_stream(spec) -> FractionGroupedStream:
+    """The family stream of ``spec`` as FractionGroupedStream, from the
+    family's group closed forms (ReferenceGroups) and its own preperiod and
+    period; raises what that class raises for them."""
+    if isinstance(spec, MultigeometricSpec):
+        pre, period = len(fraction_sorted_head(spec)) - 1, 1
+    elif isinstance(spec, (MMSpec, KyivSpec)):
+        pre, period = spec.group_preperiod + 1, spec.group_period
+    else:
+        pre, period = spec.group_preperiod, spec.group_period
+    return FractionGroupedStream(ReferenceGroups(spec).groups(pre + 2 * period), pre, period)
 
 
 # --- Reference: repetition_report by enumerating every profile --------------

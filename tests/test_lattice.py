@@ -19,7 +19,6 @@ from cantorval import series
 from cantorval.engine import IterationRows, iterate
 from cantorval.exact import Interval, PointSet, lattice_str, normalize, rat_str
 from cantorval.families import multigeometric, spec_from_json
-from cantorval.families.grouped import GroupedStream
 from cantorval.series import (
     CapacityError,
     LatticeLevel,
@@ -37,6 +36,7 @@ from oracles import (
     brute_subsum_levels,
     geometric_tail_stream,
     iteration_row_text,
+    lattice_stream,
     longest_component,
 )
 
@@ -75,7 +75,7 @@ def mixed_pattern_streams(draw):
     count = draw(st.integers(1, 3))
     ratio = F(1, draw(st.integers(2, 6)))
     groups = [(t,) for t in prefix] + [(term,) * count, (term * ratio,) * count]
-    stream = GroupedStream(groups, len(prefix), 1)
+    stream = lattice_stream(groups, len(prefix), 1)
     depth = min(10, len(prefix) + 3 * count)
     return stream, draw(st.permutations(range(depth + 1)))
 
@@ -170,7 +170,7 @@ class TestRowText:
     # x_1 = 1 <= r_1 = 5/3 is carried and x_2 = 1 > r_2 = 2/3 is swept,
     # and level 2 is asked for first, as classify's gaps witness asks for a
     # Kakeya index before the report's rows
-    @example((GroupedStream([(F(1), F(1)), (F(1, 4), F(1, 4))], 0, 1), [2, 0, 1, 3, 4, 5]), 1)
+    @example((lattice_stream([(F(1), F(1)), (F(1, 4), F(1, 4))], 0, 1), [2, 0, 1, 3, 4, 5]), 1)
     # a zero tail last: level 3's parts are single points, starts == ends
     @example((FiniteStream([F(2), F(1), F(1, 2)]), [3, 2, 1, 0]), 2)
     def test_rows_in_order_match_fresh_formatting(self, drawn, nesting):

@@ -3,10 +3,11 @@
 Every verdict that turns on whether x_n > r_n (the Kakeya split, the tail
 uniqueness rows, which ladder levels are swept) reads
 ``TermStream.kakeya_pattern()``.  Only ``families/grouped.py``, which builds
-the pattern, may compare a ``term(...)`` call with a ``tail(...)`` call.
-The check is static: it walks each module's syntax tree for an
-``ast.Compare`` whose operands hold both calls, and for a ``compare_sign``
-call whose two arguments are such calls.
+the pattern, may compare a term with a tail.  The check is static: it walks
+each module's syntax tree for an ``ast.Compare`` whose operands hold both a
+``term(...)`` and a ``tail(...)`` call, and for any use of ``compare_sign``,
+the comparison's three-way sign: the builder maps it over the terms and
+tails of its integer lattice, which are lists, not calls.
 """
 
 from __future__ import annotations
@@ -31,19 +32,22 @@ def _called(node: ast.AST) -> str | None:
 
 
 def term_tail_comparisons(path: Path) -> list[int]:
-    """Line numbers where ``path`` compares a term(...) call with a tail(...) call."""
+    """Line numbers where ``path`` compares a term(...) call with a
+    tail(...) call, or names ``compare_sign`` (a call, or a value passed on)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-        elif _called(node) == "compare_sign":
-            operands = node.args
-        else:
-            continue
-        names = {_called(operand) for operand in operands}
-        if {"term", "tail"} <= names:
+            names = {_called(operand) for operand in [node.left, *node.comparators]}
+            if {"term", "tail"} <= names:
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Name)
+            and node.id == "compare_sign"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "compare_sign"
+        ):
             found.append(node.lineno)
-    return found
+    return sorted(found)
 
 
 def test_only_the_pattern_builder_compares_terms_with_tails():
@@ -56,7 +60,8 @@ def test_only_the_pattern_builder_compares_terms_with_tails():
 
 
 def test_the_check_sees_the_builder_comparisons(tmp_path):
-    # the pattern builder itself is found, and so are both spellings
+    # the pattern builder's integer comparison is found, and so are the
+    # other spellings
     assert term_tail_comparisons(BUILDER)
     probe = tmp_path / "probe.py"
     probe.write_text(
@@ -64,5 +69,7 @@ def test_the_check_sees_the_builder_comparisons(tmp_path):
         "b = 0 < stream.tail(k) <= stream.term(k)\n"
         "c = compare_sign(term(n), self.tail(n))\n"
         "d = s.term(n) > s.term(n + 1)\n"
+        "e = list(map(series.compare_sign, scaled, tails))\n"
+        "f = x * span > r\n"
     )
-    assert term_tail_comparisons(probe) == [1, 2, 3]
+    assert term_tail_comparisons(probe) == [1, 2, 3, 5]

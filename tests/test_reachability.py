@@ -51,6 +51,10 @@ EXPLICIT = {
         "the one-value form that tests check lattice_strs against; classify's"
         " separated-block witness, which no bundled spec reaches, calls it"
     ),
+    "cantorval.families.kyiv.KyivValues": (
+        "kyiv_values, which test_acceptance.py imports, returns it; the Kyiv"
+        " stream reads its groups off the integer lattice instead"
+    ),
     "cantorval.frozen.frozen": (
         "the decorator of every value class; it runs when their modules are"
         " imported, before any command"

@@ -31,6 +31,8 @@ Every bundled spec has an empty preperiod, so ``PREPERIOD_SHA256`` pins
 what ``validate --format json`` and ``analyze --depth 6`` print for one
 spec per family with a nonempty preperiod and a period of 2, recorded
 before ``periodic_tail`` replaced the per-family tail sums.
+``STRESS_SHA256`` pins what ``analyze`` prints for two long streams,
+recorded before the streams moved onto their integer lattices.
 """
 
 import hashlib
@@ -187,6 +189,26 @@ def test_preperiod_specs_print_the_pinned_bytes(family, command, capsys):
     assert hashlib.sha256(printed).hexdigest() == PREPERIOD_SHA256[family, command]
 
 
+# sha256 of what ``analyze --inline SPEC --depth N`` prints for the two
+# slowest known inputs, recorded while every stream was still validated,
+# summed and compared in Fractions: a multigeometric stream with a
+# preperiod of 2,067 runs of two terms, whose denominators pass 200^4000,
+# and a Kyiv stream of 100,009-term groups
+STRESS_SHA256 = {
+    ('{"type":"multigeometric","k":[1000000000,1],"q":"199/200"}', 3):
+        "0a2bf906c6ca9e39df2558bffd1841765089d260296e1cf7b7b2318923c5e266",
+    ('{"type":"kyiv","m":{"pre":[],"period":[100000]},"s":{"pre":[],"period":[8]}}', 2):
+        "1f739a3cc299cc0f34c7e7452e3eb0ee5e0663d547ac2d30787163414db10a70",
+}
+
+
+@pytest.mark.parametrize("spec,depth", sorted(STRESS_SHA256), ids=["kyiv", "multigeometric"])
+def test_long_streams_print_the_pinned_bytes(spec, depth, capsys):
+    assert main(["analyze", "--inline", spec, "--depth", str(depth)]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == STRESS_SHA256[spec, depth]
+
+
 @pytest.mark.parametrize("name", sorted(CAP_100_DEPTH_7))
 def test_capacity_outcome_unchanged(name):
     try:
@@ -304,12 +326,12 @@ def test_carried_levels_share_their_bricks(name):
 
 
 # IterationReport.to_json calls per ``analyze --depth 14``: the CLI writes
-# each iteration row from its ``json_text``, so only classify's gaps witness
-# for a certified Cantorval (ferens_5432, at its first Kakeya index) builds
-# a row dict.
+# each iteration row from its ``json_text``, and classify's gaps witness for
+# a certified Cantorval (ferens_5432, at its first Kakeya index) is written
+# from that level's Bricks, so no report builds a row dict.
 ROW_DICTS_DEPTH_14 = {
     "dyadic": 0,
-    "ferens_5432": 1,
+    "ferens_5432": 0,
     "gf_decimal": 0,
     "gn": 0,
     "kyiv48": 0,
