@@ -8,7 +8,10 @@ the verdict together with how it knows:
   exact eventually-periodic Kakeya comparison pattern feeding the classical
   term-vs-tail theorems).
 * Certified: an exact finite witness (a verified interior certificate plus
-  an infinite Kakeya pattern, or separated block bricks).
+  an infinite Kakeya pattern, or separated block bricks).  With infinitely
+  many Kakeya indices a certificate search verifies only on the spec's
+  run-window union (engine.run_windows), so it runs only when that union
+  passes its exact recheck.
 * Heuristic: finite-horizon evidence only; always carries the horizon.
 
 Unknown is an honest first-class verdict, not an error.
@@ -20,7 +23,7 @@ import enum
 import operator
 from typing import Optional, Union
 
-from .engine import certify_interior, iterate, run_windows_verify
+from .engine import certify_interior, iterate, run_windows
 from .exact import lattice_str, lattice_strs, rat_str
 from .families.io import FamilySpec
 from .families.multigeometric import MultigeometricSpec, mg_block
@@ -162,9 +165,11 @@ def classify(
 
     The certificate and heuristic tiers are reached only with infinitely
     many Kakeya indices (every stream has an exact pattern), where a search
-    verifies exactly when run_windows_verify(spec) holds (see the engine
+    verifies exactly when run_windows(spec) is not None (see the engine
     module docstring), so only then does it search.  An unverified search
-    changes no verdict: the heuristic tier never reads it.
+    changes no verdict: the heuristic tier never reads it.  A verified
+    certificate has positive measure, since its parts are nonempty and not
+    single points.
 
     The heuristic tier reads ``trend``, which is tight_trend(ladder,
     horizon), and ``split``, which is kakeya_split(stream, horizon); a
@@ -193,16 +198,12 @@ def classify(
                 Verdict.CANTOR, Tier.CERTIFIED, horizon, {"separated_blocks": separated}
             )
         certificate = None
-        if run_windows_verify(spec):
+        if run_windows(spec) is not None:
             try:
                 certificate = certify_interior(spec, ladder, seed_depth=2, budget=budget)
             except CapacityError:
                 certificate = None
-        if (
-            certificate is not None
-            and certificate.verified
-            and certificate.interior_measure > 0
-        ):
+        if certificate is not None and certificate.verified:
             # Interval inside the attractor plus infinitely many Kakeya
             # indices (each strict index splits bricks at its level, and the
             # pattern repeats forever) rules out every type but Cantorval.

@@ -15,16 +15,18 @@ in every refined S, because E lies in the seed I_n and E = Phi(E) lies in
 Phi(S), and a perfect set loses no point when degenerate parts are dropped.
 So S = E, a finite union of intervals, which by Guthrie-Nymann happens only
 with finitely many Kakeya indices.  Otherwise the search falls back on the
-run-window candidates, which depend only on the spec, so with infinitely
-many Kakeya indices every search verifies exactly when
-``run_windows_verify(spec)`` holds, whatever its seed and budget.
-Unverified certificates never reach a report, so searches that cannot
-verify are skipped without changing a byte.
+run-window union, which depends only on the spec and is kept per spec by
+``run_windows``.  So with infinitely many Kakeya indices every search
+verifies exactly when ``run_windows(spec)`` is not None, on that union,
+whatever its seed and budget.  Unverified certificates never reach a
+report, so searches that cannot verify are skipped without changing a byte,
+and a failed search reports only its rounds and whether it hit the part
+limit.
 
 The certificate search runs on integer endpoints: every set it handles is a
 sorted list of (lo, hi) integer pairs over one common denominator, and Phi
 maps a list over d to one over b * d for q = a / b.  Fractions are built
-only for the values a report prints: the certificate and its diagnostics.
+only for the values a report prints: the certificate.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .exact import (
     IntervalSet,
     Parts,
     covered_parts,
-    difference_parts,
     intersect_parts,
     lattice_strs,
     merge_parts,
@@ -309,27 +310,24 @@ def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
     return (b - a) * phi.sigma_den, candidates
 
 
-def _verified_run_windows(phi: _LatticeOperator) -> tuple[int, Parts]:
-    """The run-window candidates that cover themselves, with their denominator."""
-    d, candidates = _run_window_candidates(phi)
-    return d, [c for c in candidates if _self_covered(phi, d, [c])]
-
-
 @lru_cache(maxsize=64)
-def run_windows_verify(spec: MultigeometricSpec) -> bool:
-    """The union of the self-covered run-window candidates passes the recheck.
+def run_windows(spec: MultigeometricSpec) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The union of the self-covered run-window candidates, with its
+    denominator, when it passes the exact recheck; otherwise None.
 
-    This is exactly the verdict of certify_interior whenever its refinement
+    This is the certificate of certify_interior whenever its refinement
     does not stabilize, and it depends only on the spec, so it is kept per
-    spec as mg_block is.  A block over capacity counts as "cannot verify":
-    every search would raise CapacityError building it.
+    spec as mg_block is, its parts in a tuple that every caller shares.  A
+    block over capacity gives None: every search would raise CapacityError
+    building it.
     """
     try:
         phi = _LatticeOperator(spec)
     except CapacityError:
-        return False
-    d, verified = _verified_run_windows(phi)
-    return bool(verified) and _self_covered(phi, d, nondegenerate_parts(merge_parts(verified)))
+        return None
+    d, candidates = _run_window_candidates(phi)
+    union = nondegenerate_parts(merge_parts(c for c in candidates if _self_covered(phi, d, [c])))
+    return (d, tuple(union)) if _self_covered(phi, d, union) else None
 
 
 def certify_interior(
@@ -337,23 +335,21 @@ def certify_interior(
     ladder: SubsumLadder,
     seed_depth: int = 2,
     budget: int = 16,
-    *,
-    part_limit: int = DEFAULT_PART_LIMIT,
 ) -> InteriorCertificate:
     """Search for a finite self-covered interval union inside the attractor.
 
     ``ladder`` is the subsum ladder of spec.stream().  Seeds with
     I_{m * seed_depth} and refines S to S intersect Phi(S); a refinement
     fixed point is exactly the wanted property.  When refinement does not
-    stabilize (for many Cantorvals it cannot: the parts multiply
-    forever), analytic run-window candidates are tried one by one.
-    Whatever survives is rechecked exactly; only that recheck sets
-    ``verified``.
+    stabilize within ``budget`` rounds and DEFAULT_PART_LIMIT parts (for
+    many Cantorvals it cannot: the parts multiply forever), the certificate
+    is ``run_windows(spec)``.  Either set has passed the exact self-cover
+    recheck before ``verified`` is set.
 
     Every set is a part list of integers over one common denominator d,
     which starts as the lcm of the seed's and the block subsums'
     denominators and grows by b (q = a / b) with each refinement round.
-    Fractions are built only for the certificate and the diagnostics.
+    Fractions are built only for the certificate.
     """
     if seed_depth < 1 or budget < 0:
         raise ValueError("need seed_depth >= 1 and budget >= 0")
@@ -365,7 +361,7 @@ def certify_interior(
     s = nondegenerate_parts(
         [(lo * scale, hi * scale) for lo, hi in zip(seed.starts, seed.ends)]
     )
-    diagnostics: list[str] = []
+    diagnostics: tuple[str, ...] = ()
     rounds = 0
     stabilized = False
     for _ in range(budget):
@@ -379,53 +375,38 @@ def certify_interior(
         # Phi(S), so every round keeps the achievement set E, a perfect set
         # that no dropped single point can hold.
         s, d = refined, b * d
-        if len(s) > part_limit:
-            diagnostics.append(
-                f"refinement stopped at round {rounds}: {len(s)} parts exceed limit {part_limit}"
+        if len(s) > DEFAULT_PART_LIMIT:
+            diagnostics = (
+                f"refinement stopped at round {rounds}: {len(s)} parts exceed limit"
+                f" {DEFAULT_PART_LIMIT}",
             )
             break
 
     if stabilized:
         # nondeg(S b cap Phi(S)) == S b puts each part of S inside one part
         # of Phi(S): the self-cover the final recheck confirms.
-        verified, d_verified = s, d
+        found = (d, s) if _self_covered(phi, d, s) else None
     else:
-        d_verified, verified = _verified_run_windows(phi)
-
-    if verified:
-        union = nondegenerate_parts(merge_parts(verified))
-        if _self_covered(phi, d_verified, union):  # final exact recheck
-            los = [lo for lo, _ in union]
-            his = [hi for _, hi in union]
-            return InteriorCertificate(
-                spec=spec,
-                s=IntervalSet.from_lattice(los, his, d_verified),
-                verified=True,
-                interior_measure=Fraction(sum(his) - sum(los), d_verified),
-                rounds=rounds,
-                diagnostics=tuple(diagnostics),
-            )
-        diagnostics.append("union of verified pieces failed the exact recheck")
-
-    if s and not stabilized:
-        head = s[:32]
-        # Block subsums are >= 0, so a part starting beyond head.hi / q maps
-        # wholly above the head; leaving it out keeps the difference exact.
-        reach = b * head[-1][1]
-        near = [p for p in s if phi.a * p[0] <= reach]
-        uncovered = difference_parts(_scaled(head, b), phi(d, near))
-        bd = b * d
-        preview = ", ".join(
-            str(Interval(Fraction(lo, bd), Fraction(hi, bd))) for lo, hi in uncovered[:4]
+        found = run_windows(spec)
+    if found is None:
+        return InteriorCertificate(
+            spec=spec,
+            s=EMPTY_SET,
+            verified=False,
+            interior_measure=Fraction(0),
+            rounds=rounds,
+            diagnostics=diagnostics,
         )
-        diagnostics.append(f"uncovered remainder after {rounds} rounds: {preview}")
+    d, union = found
+    los = [lo for lo, _ in union]
+    his = [hi for _, hi in union]
     return InteriorCertificate(
         spec=spec,
-        s=EMPTY_SET,
-        verified=False,
-        interior_measure=Fraction(0),
+        s=IntervalSet.from_lattice(los, his, d),
+        verified=True,
+        interior_measure=Fraction(sum(his) - sum(los), d),
         rounds=rounds,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
 
 
@@ -471,9 +452,9 @@ def measure_bounds(
 
     Only verified certificates count, so a search that cannot verify is
     skipped.  With infinitely many Kakeya indices no refinement stabilizes
-    (see the module docstring): if ``run_windows_verify(spec)`` fails no
-    seed is searched, and if it holds every seed's certificate is the same
-    run-window union, so the first verified one is kept.  No certificate
+    (see the module docstring): if ``run_windows(spec)`` is None no seed is
+    searched, and otherwise every seed's certificate is that run-window
+    union, so the first verified one is kept.  No certificate
     exceeds lambda(I_depth) either, so the seeds stop once lower == upper.
 
     build_report passes no ``spec`` when the classification proves the
@@ -487,7 +468,7 @@ def measure_bounds(
     best: Optional[InteriorCertificate] = None
     if spec is not None:
         kakeya_infinite = not ladder.stream.kakeya_pattern().kakeya_is_finite
-        searchable = not kakeya_infinite or run_windows_verify(spec)
+        searchable = not kakeya_infinite or run_windows(spec) is not None
         max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):
             try:

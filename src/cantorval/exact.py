@@ -6,8 +6,9 @@ ever rounds.  Whether two closed intervals touch or leave a gap is decided by
 exact endpoint comparison, which is the entire point: a single rounding
 error could flip "touching" into "disjoint" and change the topology of
 every derived set.  The subsum ladder and the certificate search keep their
-sets in the integer form (the search through the part-list functions
-below) and build Fractions only for what a report prints.
+sets in the integer form and build Fractions only for what a report
+prints.  The search needs only four part-list functions below: merge,
+drop single points, intersect, and keep the parts a cover holds.
 
 Denominators are unbounded.  Worst-case bit growth: interval algebra is
 linear in the operand bit sizes; affine maps add the bit sizes of scale and
@@ -273,31 +274,6 @@ def covered_parts(parts: Parts, cover: Parts) -> Parts:
         if j < len(cover) and cover[j][0] <= lo and hi <= cover[j][1]:
             out.append((lo, hi))
     return out
-
-
-def difference_parts(a: Parts, b: Parts) -> Parts:
-    """Closures of the components of a minus b, canonical (merged sweep).
-
-    The set difference of closed unions need not be closed; taking component
-    closures keeps the result a part list.
-    """
-    out: Parts = []
-    j = 0
-    for lo, hi in a:
-        while j < len(b) and b[j][1] < lo:
-            j += 1
-        cursor = lo
-        i = j
-        while i < len(b) and b[i][0] <= hi:
-            if b[i][0] > cursor:
-                out.append((cursor, b[i][0]))
-            cursor = max(cursor, b[i][1])
-            if cursor >= hi:
-                break
-            i += 1
-        else:
-            out.append((cursor, hi))
-    return merge_parts(out)
 
 
 @frozen

@@ -89,7 +89,7 @@ class GFSpec:
         """
         pre, period = self.group_preperiod, self.group_period
         count = pre + 2 * period
-        check_head(sum(self.k[n] for n in range(1, count + 1)))
+        check_head(sum(self.k[n] for n in range(1, count + 1)), self.q.lattice_bits(count))
         denominator, scales = self.q.lattice(count)
         groups = [
             tuple((self.m[n] + t) * q for t in range(self.k[n] - 1, -1, -1))

@@ -14,8 +14,9 @@ lattice), so ``GroupedStream`` checks the terms, sums the tails and
 compares every term with its tail on integers.  With block ratio a/b in
 lowest terms, the tails lie on L (b - a).  Fractions are built only when a
 caller reads a term, a tail or a group.  A family counts the terms of its
-groups from the spec's integers before it builds any, and ``check_head``
-refuses more than DEFAULT_CAP of them.
+groups, and bounds the bit length of its lattice, from the spec's integers
+before it builds any, and ``check_head`` refuses more than DEFAULT_CAP
+terms or more than HEAD_BITS bits.
 """
 
 from __future__ import annotations
@@ -36,10 +37,19 @@ from ..series import (
 )
 
 
-def check_head(size: int) -> None:
-    """Refuse a stream whose given groups hold ``size`` > DEFAULT_CAP terms."""
-    if size > DEFAULT_CAP:
-        raise CapacityError("stream_head", size, DEFAULT_CAP)
+# The most bits a stream's given groups may take, about 244 MiB: their term
+# count times the bit length of their lattice, which sizes each numerator.
+HEAD_BITS = DEFAULT_CAP * 1024
+
+
+def check_head(terms: int, bits: int) -> None:
+    """Refuse a stream whose given groups hold more than DEFAULT_CAP terms,
+    or ``terms`` numerators of ``bits`` bits, its lattice's bit length or a
+    bound on it, that pass HEAD_BITS together."""
+    if terms > DEFAULT_CAP:
+        raise CapacityError("stream_head", terms, DEFAULT_CAP)
+    if terms * bits > HEAD_BITS:
+        raise CapacityError("stream_head", terms * bits, HEAD_BITS, "bits")
 
 
 class GroupedStream(TermStream):

@@ -77,12 +77,16 @@ class KyivSpec:
 
         The lattice is the prefix product d_1 ... d_N over the groups
         N = P + 2p it builds, since a_k = 2^(k-1) m_k / (d_1 ... d_k): a_k
-        times it is 2^(k-1) m_k d_(k+1) ... d_N.
+        times it is 2^(k-1) m_k d_(k+1) ... d_N.  Its bit length is at most
+        the sum of the d_k's bit lengths.
         """
         pre = self.group_preperiod + 1  # a-ratio needs m_{k} and m_{k+1} periodic
         period = self.group_period
         count = pre + 2 * period
-        check_head(sum(self.s[k] + self.m[k] + 1 for k in range(1, count + 1)))
+        check_head(
+            sum(self.s[k] + self.m[k] + 1 for k in range(1, count + 1)),
+            sum(self.divisor(k).bit_length() for k in range(1, count + 1)),
+        )
         groups, suffix = [], 1
         for k in range(count, 0, -1):
             m, s = self.m[k], self.s[k]

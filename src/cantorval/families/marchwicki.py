@@ -69,13 +69,15 @@ class MMSpec:
 
         The lattice is the prefix product of 3 * 2^(n_s) over the blocks
         s = 2 .. P + 2p, which q_k = 1 / (3 * 2^(n_2) ... 3 * 2^(n_k))
-        divides: q_k times it is the product over s = k + 1 .. P + 2p.
+        divides: q_k times it is the product over s = k + 1 .. P + 2p.  Its
+        bit length is at most the sum of the factors', n_s + 2 each.
         """
         # group k + L = ratio * group k needs gaps[k] and the q-recurrence
         # steps between k and k + L all periodic, hence the + 1.
         pre, period = self.group_preperiod + 1, self.group_period
         count = pre + 2 * period
-        check_head(sum(self.gaps[k] + 2 for k in range(1, count + 1)))
+        sizes = [self.gaps[k] + 2 for k in range(1, count + 1)]
+        check_head(sum(sizes), sum(sizes[1:]))
         groups, scale = [], 1
         for k in range(count, 0, -1):
             groups.append(tuple(c * scale for c in mm_block_coefficients(self.gaps[k])))

@@ -126,15 +126,17 @@ def _sorted_head(spec: MultigeometricSpec) -> tuple[list[tuple[int, ...]], int]:
     q = a/b, those lie on the lattice K b^J, J = e_1 + 3, which leaves room
     for q times the last run; each coefficient's run is one power of b and
     then a multiplication by a and an exact division by b per term, and one
-    sort of the m decreasing runs merges them.
+    sort of the m decreasing runs merges them.  Before any term is built,
+    ``check_head`` weighs the count against the bit length of K b^J, bounded
+    by K's plus J times b's.
     """
     a, b, m = spec.ratio.numerator, spec.ratio.denominator, spec.m
     lattice = lcm(*(c.denominator for c in spec.coefficients))
     coefficients = [c.numerator * (lattice // c.denominator) for c in spec.coefficients]
     exponents = _exponents_above(coefficients, a, b, m)
     count = (-(-sum(exponents) // m) + 1) * m
-    check_head(count + m)
     top = exponents[0] + 3
+    check_head(count + m, lattice.bit_length() + top * b.bit_length())
     scale = a * b ** (top - 1)
     terms = []
     for c, e in zip(coefficients, exponents):
@@ -187,7 +189,7 @@ def _exponents_above(coefficients: list[int], a: int, b: int, m: int) -> list[in
             e += step
             total += step
             if total > limit:
-                check_head((-(-total // m) + 2) * m)
+                check_head((-(-total // m) + 2) * m, 0)
         exponents.append(e)
     return exponents
 

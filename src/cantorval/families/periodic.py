@@ -117,8 +117,7 @@ class BlockGeometric:
         multiplication.
         """
         pre, block = self.pre[:count], self.block
-        top = max(0, (count - len(self.pre) - 1) // len(block))
-        k = lcm(*(v.denominator for v in self.pre + block))
+        k, top = self._lattice_base(count)
         scaled = [v.numerator * (k // v.denominator) for v in block]
         a, b = self.ratio.numerator, self.ratio.denominator
         ups, downs = [1], [1]
@@ -131,6 +130,17 @@ class BlockGeometric:
             c, j = divmod(i - len(self.pre), len(block))
             values.append(scaled[j] * ups[c] * downs[top - c])
         return k * base, values
+
+    def _lattice_base(self, count: int) -> tuple[int, int]:
+        """K and t of ``lattice(count)``'s L = K b^t."""
+        top = max(0, (count - len(self.pre) - 1) // len(self.block))
+        return lcm(*(v.denominator for v in self.pre + self.block)), top
+
+    def lattice_bits(self, count: int) -> int:
+        """A bound on the bit length of ``lattice(count)``'s L = K b^t, K's
+        plus t times b's, found without building L."""
+        k, top = self._lattice_base(count)
+        return k.bit_length() + top * self.ratio.denominator.bit_length()
 
     def is_strictly_decreasing(self) -> bool:
         """Exact check over one period boundary proves it for all indices."""

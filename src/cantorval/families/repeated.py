@@ -83,7 +83,7 @@ class RepeatedTermSpec:
         """
         pre, period = self.group_preperiod, self.group_period
         count = pre + 2 * period
-        check_head(sum(self.counts[i] for i in range(1, count + 1)))
+        check_head(sum(self.counts[i] for i in range(1, count + 1)), self.y.lattice_bits(count))
         denominator, values = self.y.lattice(count)
         groups = [(y,) * self.counts[i] for i, y in enumerate(values, 1)]
         return GroupedStream(groups, denominator, pre, period)

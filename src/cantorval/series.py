@@ -45,10 +45,11 @@ LESS, EQUAL, GREATER = "<", "=", ">"
 
 
 class CapacityError(RuntimeError):
-    """A deduplicated set would exceed its capacity; nothing was truncated."""
+    """A deduplicated set or a stream's head would exceed its capacity;
+    nothing was truncated."""
 
-    def __init__(self, stage: str, size: int, cap: int) -> None:
-        super().__init__(f"{stage}: would produce {size} values, cap is {cap}")
+    def __init__(self, stage: str, size: int, cap: int, unit: str = "values") -> None:
+        super().__init__(f"{stage}: would produce {size} {unit}, cap is {cap}")
         self.stage = stage
         self.size = size
         self.cap = cap

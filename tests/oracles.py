@@ -314,31 +314,6 @@ def set_intersect(s, other):
     return IntervalSet(tuple(out))
 
 
-def set_difference(s, other):
-    """Closures of the components of s minus other (merged sweep)."""
-    out = []
-    b = other.parts
-    j = 0
-    for p in s.parts:
-        while j < len(b) and b[j].hi < p.lo:
-            j += 1
-        cursor = p.lo
-        covered_end = False
-        i = j
-        while i < len(b) and b[i].lo <= p.hi:
-            if b[i].lo > cursor:
-                out.append(Interval(cursor, b[i].lo))
-            if b[i].hi >= cursor:
-                cursor = b[i].hi
-            if cursor >= p.hi:
-                covered_end = True
-                break
-            i += 1
-        if not covered_end and cursor <= p.hi:
-            out.append(Interval(cursor, p.hi))
-    return normalize(out)
-
-
 def fraction_hutchinson(spec, s):
     """Self-similar operator: union over block subsums sigma of q*s + q*sigma."""
     ambient = IntervalSet((Interval(Fraction(0), spec.total),))
@@ -385,9 +360,7 @@ def _run_window_candidates(spec):
     return candidates
 
 
-def fraction_certify_interior(
-    spec, ladder, seed_depth=2, budget=16, *, part_limit=DEFAULT_PART_LIMIT
-):
+def fraction_certify_interior(spec, ladder, seed_depth=2, budget=16):
     """The certificate search on Fraction IntervalSets."""
     if seed_depth < 1 or budget < 0:
         raise ValueError("need seed_depth >= 1 and budget >= 0")
@@ -406,9 +379,10 @@ def fraction_certify_interior(
         if not s:
             diagnostics.append("refinement emptied the candidate")
             break
-        if len(s) > part_limit:
+        if len(s) > DEFAULT_PART_LIMIT:
             diagnostics.append(
-                f"refinement stopped at round {rounds}: {len(s)} parts exceed limit {part_limit}"
+                f"refinement stopped at round {rounds}: {len(s)} parts exceed limit"
+                f" {DEFAULT_PART_LIMIT}"
             )
             break
 
@@ -435,15 +409,6 @@ def fraction_certify_interior(
                 rounds=rounds,
                 diagnostics=tuple(diagnostics),
             )
-        diagnostics.append("union of verified pieces failed the exact recheck")
-
-    if s and not stabilized:
-        head = IntervalSet(s.parts[:32])
-        reach = head.parts[-1].hi / spec.ratio
-        near = IntervalSet(tuple(p for p in s.parts if p.lo <= reach))
-        uncovered = set_difference(head, fraction_hutchinson(spec, near))
-        preview = ", ".join(str(p) for p in uncovered.parts[:4])
-        diagnostics.append(f"uncovered remainder after {rounds} rounds: {preview}")
     return InteriorCertificate(
         spec=spec,
         s=EMPTY_SET,

@@ -9,13 +9,14 @@ and pattern, and for a spec that the reference refuses, the same exception
 with the same message.  A guard counts the Fractions made while a long
 stream and its pattern are built, so a slide back to per-term Fraction
 arithmetic fails here without a wall-clock bound.  A family counts its head
-from the spec's integers and refuses one past DEFAULT_CAP terms before it
-builds any group.
+and bounds its lattice's bit length from the spec's integers, and refuses a
+head past DEFAULT_CAP terms or HEAD_BITS bits before it builds any group.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction as F
 from math import lcm
 
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval.cli import main
 from cantorval.families import spec_from_json
-from cantorval.families.grouped import GroupedStream
+from cantorval.families.grouped import HEAD_BITS, GroupedStream
 from cantorval.families.multigeometric import _exponents_above, multigeometric
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import DEFAULT_CAP, CapacityError
@@ -213,6 +214,58 @@ def test_an_oversized_head_is_refused_before_a_group_is_built(family, monkeypatc
 @pytest.mark.parametrize("family", ["kyiv", "multigeometric"])
 def test_analyze_exits_3_with_one_line_for_an_oversized_head(family, capsys):
     assert main(["analyze", "--inline", json.dumps(OVERSIZED[family])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity exhausted in stream_head: ")
+    assert captured.err.count("\n") == 1
+
+
+# One spec per family whose given groups hold at most DEFAULT_CAP terms but
+# more than HEAD_BITS bits: 1,151,292 multigeometric terms on a lattice of
+# about 19.6 Mbit, 1,951,755 Kyiv terms on one of about 0.85 Mbit, a block of
+# 10^6 + 2 mm coefficients over 2^(10^6), and 1.8 * 10^6 gf coefficients or
+# repetitions over 10^4000.
+_HUGE = f"1/{10**2000}"
+HEAVY = {
+    "multigeometric": {"type": "multigeometric", "k": [10**5, 1], "q": "99999/100000"},
+    "kyiv": {
+        "type": "kyiv",
+        "m": {"pre": [], "period": [4] * 277},
+        "s": {"pre": [], "period": [8] * 271},
+    },
+    "gf": {
+        "type": "gf",
+        "m": {"pre": [], "period": [2]},
+        "k": {"pre": [], "period": [900_000]},
+        "q": {"pre": [], "block": [_HUGE], "ratio": _HUGE},
+    },
+    "mm": {"type": "mm", "gaps": {"pre": [1, 10**6], "period": [1]}},
+    "repeated": {
+        "type": "repeated",
+        "y": {"pre": [], "block": [_HUGE], "ratio": _HUGE},
+        "counts": {"pre": [], "period": [900_000]},
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(HEAVY))
+def test_a_head_too_large_in_bits_is_refused_before_a_group_is_built(family, monkeypatch):
+    built = []
+    monkeypatch.setattr(GroupedStream, "__init__", lambda *args: built.append(None))
+    spec = spec_from_json(HEAVY[family])
+    with pytest.raises(CapacityError) as caught:
+        spec.stream()
+    assert caught.value.stage == "stream_head"
+    assert caught.value.size > HEAD_BITS == caught.value.cap
+    assert str(caught.value).endswith(f" bits, cap is {HEAD_BITS}")
+    assert built == []
+
+
+@pytest.mark.parametrize("family", ["kyiv", "multigeometric"])
+def test_analyze_exits_3_at_once_for_a_head_too_large_in_bits(family, capsys):
+    start = time.perf_counter()
+    assert main(["analyze", "--inline", json.dumps(HEAVY[family])]) == 3
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("capacity exhausted in stream_head: ")

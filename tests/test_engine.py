@@ -1,16 +1,18 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cantorval.classify import classify
-from cantorval.cli import build_report
+from cantorval import engine
+from cantorval.cli import build_report, main
 from cantorval.engine import (
     certify_interior,
     hutchinson,
     iterate,
     measure_bounds,
-    run_windows_verify,
+    run_windows,
 )
 from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, normalize
 from cantorval.families import (
@@ -209,7 +211,7 @@ class TestCertify:
         # soundness must hold for arbitrary specs, not just the curated ones
         spec = multigeometric(sorted(raw_coeffs, reverse=True), F(1, denom))
         ladder = mg_ladder(spec)
-        cert = certify_interior(spec, ladder, seed_depth=1, budget=3, part_limit=128)
+        cert = certify_interior(spec, ladder, seed_depth=1, budget=3)
         if cert.verified:
             assert cert.interior_measure == cert.s.measure
             for n in range(0, 9):
@@ -232,37 +234,23 @@ class TestLatticeSearchMatchesFractionSearch:
         ),
         st.integers(1, 3),
         st.integers(0, 12),
-        st.sampled_from([16, 512]),
     )
     @settings(max_examples=100, deadline=None)
-    @example(  # refinement stops at the part limit
-        raw_coeffs=[(2, 1)], ratio=(1, 3), seed_depth=3, budget=6, part_limit=16
-    )
-    @example(  # uncovered remainder diagnostic
-        raw_coeffs=[(6, 1)], ratio=(1, 3), seed_depth=1, budget=3, part_limit=512
+    @example(  # refinement stops at round 7 with 1,024 parts, past the part limit
+        raw_coeffs=[(2, 1)], ratio=(1, 3), seed_depth=3, budget=12
     )
     @example(  # ferens_5432: the run-window certificate [2/9, 4/3]
-        raw_coeffs=[(5, 1), (4, 1), (3, 1), (2, 1)],
-        ratio=(1, 10),
-        seed_depth=1,
-        budget=6,
-        part_limit=512,
+        raw_coeffs=[(5, 1), (4, 1), (3, 1), (2, 1)], ratio=(1, 10), seed_depth=1, budget=6
     )
     @example(  # q = a / b with a >= 2 and a rational coefficient
-        raw_coeffs=[(7, 2), (5, 3)], ratio=(3, 5), seed_depth=2, budget=12, part_limit=512
+        raw_coeffs=[(7, 2), (5, 3)], ratio=(3, 5), seed_depth=2, budget=12
     )
-    def test_whole_certificate_is_equal(
-        self, raw_coeffs, ratio, seed_depth, budget, part_limit
-    ):
+    def test_whole_certificate_is_equal(self, raw_coeffs, ratio, seed_depth, budget):
         spec = multigeometric(
             sorted((F(p, q) for p, q in raw_coeffs), reverse=True), F(*ratio)
         )
-        got = certify_interior(
-            spec, mg_ladder(spec), seed_depth, budget, part_limit=part_limit
-        )
-        expected = fraction_certify_interior(
-            spec, mg_ladder(spec), seed_depth, budget, part_limit=part_limit
-        )
+        got = certify_interior(spec, mg_ladder(spec), seed_depth, budget)
+        expected = fraction_certify_interior(spec, mg_ladder(spec), seed_depth, budget)
         assert got == expected  # every field, diagnostics strings included
 
 
@@ -355,7 +343,7 @@ class TestSkippedSearches:
         assert cert.rounds == budget or any("exceed limit" in d for d in cert.diagnostics)
         # and then verifies through the run-window candidates, which a
         # budget-0 search tries at once
-        assert cert.verified == run_windows_verify(spec)
+        assert cert.verified == (run_windows(spec) is not None)
         assert cert.s == certify_interior(spec, ladder, seed_depth, 0).s
 
     @given(
@@ -373,3 +361,27 @@ class TestSkippedSearches:
         expected = reference_report_sections(spec, depth, horizon, DEFAULT_CAP, 12)
         assert report["classification"] == expected["classification"]
         assert report["measure_bounds"] == expected["measure_bounds"]
+        # no report carries an unverified certificate, which is why a failed
+        # search keeps no diagnostics beyond the part limit
+        carried = (
+            report["classification"]["witnesses"].get("certificate"),
+            report["measure_bounds"]["certificate"],
+        )
+        assert all(c is None or c["verified"] for c in carried)
+
+    def test_run_window_candidates_are_built_once_per_spec(self, monkeypatch, capsys):
+        # classify's search, measure_bounds' gate and its search all read the
+        # one kept run-window union
+        built = []
+
+        def counted(phi):
+            built.append(phi)
+            return candidates(phi)
+
+        candidates = engine._run_window_candidates
+        monkeypatch.setattr(engine, "_run_window_candidates", counted)
+        engine.run_windows.cache_clear()
+        spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "ferens_5432.json"
+        assert main(["analyze", "--spec", str(spec), "--depth", "14"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1

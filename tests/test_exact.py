@@ -7,7 +7,6 @@ from cantorval.exact import (
     EMPTY_SET,
     PointSet,
     covered_parts,
-    difference_parts,
     intersect_parts,
     interval,
     lattice_str,
@@ -208,21 +207,6 @@ class TestCoveredParts:
                 assert sampled
             if not sampled:
                 assert (lo, hi) not in kept
-
-
-class TestDifference:
-    # integer parts over the denominator 4: [1/4, 1/2] is (1, 2)
-    def test_middle_removed(self):
-        assert difference_parts([(0, 4)], [(1, 2)]) == [(0, 1), (2, 4)]
-
-    def test_uncovered_degenerate_survives(self):
-        assert difference_parts([(0, 0)], [(4, 8)]) == [(0, 0)]
-
-    @given(part_lists(), part_lists(), lattice_points)
-    def test_difference_covers_uncovered_points(self, a, b, x):
-        got = difference_parts(a, b)
-        if point_in_intervals(x, a) and not point_in_intervals(x, b):
-            assert point_in_intervals(x, got)
 
 
 class TestPointSet:

@@ -43,10 +43,6 @@ EXPLICIT = {
         " analyze writes the same bytes from IterationRows"
     ),
     "cantorval.cli.validate_report_document": "perfbench/checks.py checks every report with it",
-    "cantorval.exact.difference_parts": (
-        "it only builds an unverified certificate's uncovered parts, a diagnostic"
-        " that no report carries"
-    ),
     "cantorval.exact.lattice_str": (
         "the one-value form that tests check lattice_strs against; classify's"
         " separated-block witness, which no bundled spec reaches, calls it"
