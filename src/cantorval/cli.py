@@ -81,7 +81,8 @@ def _dumps(doc) -> list[str]:
 
     ``_write`` appends to one chunk list where the standard library's
     pure-Python indenting encoder yields one small string per token, and
-    ``_emit`` writes the list as it is, so no whole-report string is built.
+    ``_emit`` writes the list as it is to a file, so no whole-report string
+    is built for ``--out``.
     A report holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
@@ -132,12 +133,17 @@ def _write(o, chunks: list[str], newline: str) -> None:
 
 
 def _emit(chunks: list[str], out: Optional[str]) -> None:
-    """Write ``chunks`` in order to the file ``out``, or to stdout without it."""
+    """Write ``chunks`` in order to the file ``out``, or to stdout without it.
+
+    The file takes the list as it is, through its own buffer.  Stdout takes
+    the joined text in one write, since an unbuffered stdout
+    (``PYTHONUNBUFFERED=1``) makes each write a system call.
+    """
     if out:
         with open(out, "w") as f:
             f.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write("".join(chunks))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

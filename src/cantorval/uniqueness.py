@@ -11,23 +11,26 @@ with their spec in ``families.repeated``.
 Collisions are tallied over multiplicity profiles (how many terms of each
 distinct value a subsum takes) in one pass over the value groups, which
 keeps per sum only its profile count and the ranks of its first two
-profiles.  The collided sums stay integers on the lattice of D_k, the lcm of
+profiles.  The pass is skipped when F_k has as many values as there are
+profiles: F_k is the set of profile sums, so then no two profiles share a
+sum.  The collided sums stay integers on the lattice of D_k, the lcm of
 the term denominators, and Fractions are built only when a caller reads
-them.  Witnesses are decoded from the ranks for collided sums alone: a rank
-splits into a lead and a trailing half of the value groups, and each half's
-picks are memoized, so a witness is two lookups and a concatenation.  The
-report writes its own indent-2 JSON text from those integers
+them.  A witness stays its two profile ranks until read: a rank splits into
+a lead and a trailing half of the value groups, and each half's picks are
+memoized, so a witness is two lookups and a concatenation.  The report
+writes its own indent-2 JSON text from those integers
 (``RepetitionReport.json_text``), which the CLI copies into a report as it
-stands and ``to_json`` parses, so the section has one encoder.
+stands and ``to_json`` parses, so the section has one encoder.  That text
+formats each half's picks once and writes a witness subset as its two
+half texts joined.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import lcm, prod
-from typing import Callable
 
 from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
 from .families.repeated import RepeatedTermSpec
@@ -48,9 +51,12 @@ class RepetitionReport:
     captures.
 
     The collided values stay on the lattice of D_k: value i is
-    collided[i] / denominator, reached by counts[i] multisets, with the
-    witness pair subsets[i].  ``collisions`` and ``witnesses`` build them as
-    a PointSet and as (Fraction, first, second) tuples on first read.  The
+    collided[i] / denominator, reached by counts[i] multisets, whose first
+    two profiles in ``itertools.product`` order have the ranks ranks[i].
+    The value groups hold sizes[0], sizes[1], ... consecutive term indices
+    from 1, which is all a rank needs to be decoded.  ``subsets`` decodes
+    the witness index pairs, and ``collisions`` and ``witnesses`` build a
+    PointSet and (Fraction, first, second) tuples, each on first read.  The
     outer approximation stays on the integer lattice of its sweep, the parts
     [outer_starts[i], outer_ends[i]] / outer_denominator; ``outer`` builds
     them as an IntervalSet when read.
@@ -60,10 +66,20 @@ class RepetitionReport:
     denominator: int
     collided: tuple[int, ...]
     counts: tuple[int, ...]
-    subsets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    ranks: tuple[tuple[int, int], ...]
+    sizes: tuple[int, ...]
     outer_denominator: int
     outer_starts: list[int]
     outer_ends: list[int]
+
+    @cached_property
+    def _decoder(self) -> _RankDecoder:
+        return _RankDecoder(self.sizes)
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        subset = self._decoder.subset
+        return tuple((subset(a), subset(b)) for a, b in self.ranks)
 
     @cached_property
     def collisions(self) -> PointSet:
@@ -95,11 +111,14 @@ class RepetitionReport:
         at the nesting whose line break and indent are ``newline``.
 
         The value strings are built once for ``collisions`` and the
-        witnesses, each list is one join, each witness one format whose
-        subsets are one join each, and ``outer`` is ``pairs_text``, whose
-        ends reuse the starts' strings when every part is a single point.
-        Values hold only digits, "-" and "/", so nothing is escaped.  A
-        collided sum is positive, so neither of its witness subsets is empty.
+        witnesses, each list is one join, and ``outer`` is ``pairs_text``,
+        whose ends reuse the starts' strings when every part is a single
+        point.  Each witness is one format whose subsets are their lead and
+        trailing half texts joined, and each half text is formatted once
+        per call, from the decoder's memoized picks.  Values hold only
+        digits, "-" and "/", so nothing is escaped.  A collided sum is
+        positive, so neither of its witness subsets is empty, though either
+        half of one may be.
         """
         values = self.value_strs()
         d = self.outer_denominator
@@ -111,10 +130,20 @@ class RepetitionReport:
             body = ("," + inner).join(items)
             return f"[{inner}{body}{close}]" if body else "[]"
 
+        decoder = self._decoder
+        radix = decoder.radix
+        lead = cache(lambda high: _half_text(decoder.lead(high), at4))
+        trail = cache(lambda low: _half_text(decoder.trail(low), at4))
+
+        def items(rank: int) -> str:
+            high, low = divmod(rank, radix)
+            a, b = lead(high), trail(low)
+            return a + at4 + b if a and b else a or b
+
         witnesses = (
-            f'{{{i3}"value": "{v}",{i3}"first": [{i4}{at4.join(map(str, a))}{i3}],'
-            f'{i3}"second": [{i4}{at4.join(map(str, b))}{i3}]{i2}}}'
-            for v, (a, b) in zip(values, self.subsets)
+            f'{{{i3}"value": "{v}",{i3}"first": [{i4}{items(a)}{i3}],'
+            f'{i3}"second": [{i4}{items(b)}{i3}]{i2}}}'
+            for v, (a, b) in zip(values, self.ranks)
         )
         quoted = map('"{}"'.format, values)
         los = lattice_strs(self.outer_starts, d)
@@ -178,46 +207,53 @@ def _profile_pass(
     return tally, first, second
 
 
-def _half_picks(
-    groups: list[tuple[Fraction, list[int]]],
-) -> Callable[[int], tuple[int, ...]]:
-    """Memoized rank -> sorted picks over ``groups`` alone, in the mixed radix
-    of ``_profile_pass`` (first group most significant, radix size + 1)."""
-
-    @cache
-    def picks(rank: int) -> tuple[int, ...]:
-        out: list[int] = []
-        for _, indices in reversed(groups):
-            rank, n = divmod(rank, len(indices) + 1)
-            out.extend(indices[:n])
-        return tuple(sorted(out))
-
-    return picks
-
-
-def _rank_decoder(
-    groups: list[tuple[Fraction, list[int]]],
-) -> Callable[[int], tuple[int, ...]]:
+class _RankDecoder:
     """Profile rank -> witness index subset, from two memoized halves.
 
-    The groups split where the radix of the trailing ones first reaches the
-    square root of the profile count, so a rank is high * radix + low with
-    high a rank over the lead groups and low one over the trailing groups.
-    Each half has about that square root of ranks, and its picks are cached;
-    lead groups hold the smaller indices, so the concatenation is sorted.
+    Value group i holds sizes[i] consecutive term indices, from 1 on, and
+    a rank is mixed-radix over the groups as in ``_profile_pass``: group 1
+    most significant, radix size + 1, digit n picking the group's first n
+    indices.  The groups split where the radix of the trailing ones first
+    reaches the square root of the profile count, so a rank is
+    high * radix + low with high a rank over the lead groups and low one
+    over the trailing groups.  ``lead`` and ``trail`` decode each half and
+    cache its picks, about that square root of ranks each; lead groups hold
+    the smaller indices, so a subset is the two halves concatenated.
     """
-    total = prod(len(indices) + 1 for _, indices in groups)
-    split, radix = len(groups), 1
-    while split and radix * radix < total:
-        split -= 1
-        radix *= len(groups[split][1]) + 1
-    lead, trail = _half_picks(groups[:split]), _half_picks(groups[split:])
 
-    def subset(rank: int) -> tuple[int, ...]:
-        high, low = divmod(rank, radix)
-        return lead(high) + trail(low)
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        groups: list[range] = []
+        start = 1
+        for size in sizes:
+            groups.append(range(start, start + size))
+            start += size
+        total = prod(size + 1 for size in sizes)
+        split, radix = len(sizes), 1
+        while split and radix * radix < total:
+            split -= 1
+            radix *= sizes[split] + 1
+        self.radix = radix
+        self.lead = cache(partial(_picks, groups[:split]))
+        self.trail = cache(partial(_picks, groups[split:]))
 
-    return subset
+    def subset(self, rank: int) -> tuple[int, ...]:
+        high, low = divmod(rank, self.radix)
+        return self.lead(high) + self.trail(low)
+
+
+def _picks(groups: list[range], rank: int) -> tuple[int, ...]:
+    """The sorted picks of ``rank`` over ``groups`` alone, in the mixed radix
+    of ``_profile_pass`` (first group most significant, radix size + 1)."""
+    out: list[int] = []
+    for indices in reversed(groups):
+        rank, n = divmod(rank, len(indices) + 1)
+        out.extend(indices[:n])
+    return tuple(sorted(out))
+
+
+def _half_text(picks: tuple[int, ...], separator: str) -> str:
+    """One half of a witness subset as the items of a JSON list."""
+    return separator.join(map(str, picks))
 
 
 def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
@@ -225,13 +261,14 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
 
     Tallies the sums of the multiplicity profiles over the distinct term
     values of the ladder's stream in one pass over the value groups (see
-    ``_profile_pass``), and decodes witness profiles only for collided
-    values: the first two profiles reaching the value, in the order of
-    ``itertools.product`` over the groups, each decoded from two memoized
-    halves (see ``_rank_decoder``).  The profile count is guarded by the
-    ladder's cap before anything is allocated.  The sums stay integers over
-    D_k, the lcm of the term denominators, which the report keeps as its
-    ``denominator``.  The reported count for each collision value is the
+    ``_profile_pass``), and keeps witnesses only for collided values: the
+    ranks of the first two profiles reaching the value, in the order of
+    ``itertools.product`` over the groups, which the report decodes from two
+    memoized halves when read (see ``_RankDecoder``).  The pass is skipped
+    when |F_k| is the profile count, since then no two profiles share a
+    sum.  The profile count is guarded by the ladder's cap before anything
+    is allocated.  The sums stay integers over D_k, the lcm of the term
+    denominators, which the report keeps as its ``denominator``.  The reported count for each collision value is the
     number of distinct multisets achieving it; when the first k terms are
     distinct, the tallies are the subset counts of the ladder's F_k.
     """
@@ -247,17 +284,23 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
             raise CapacityError("repetition_report", total, ladder.cap)
     # Profile sums on the lattice of D_k, the lcm of the term denominators.
     d = lcm(*(t.denominator for t in terms))
-    weights = [v.numerator * (d // v.denominator) for v, _ in groups]
-    tallies, first, second = _profile_pass(weights, sizes)
-    collided = tuple(sorted(v for v, c in tallies.items() if c >= 2))
-    subset = _rank_decoder(groups)
+    # F_k is the set of profile sums, and |F_k| <= total <= cap here.
+    if len(ladder.level(k)) == total:
+        collided, counts, ranks = (), (), ()
+    else:
+        weights = [v.numerator * (d // v.denominator) for v, _ in groups]
+        tallies, first, second = _profile_pass(weights, sizes)
+        collided = tuple(sorted(v for v, c in tallies.items() if c >= 2))
+        counts = tuple(tallies[v] for v in collided)
+        ranks = tuple((first[v], second[v]) for v in collided)
     outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
     return RepetitionReport(
         k=k,
         denominator=d,
         collided=collided,
-        counts=tuple(tallies[v] for v in collided),
-        subsets=tuple((subset(first[v]), subset(second[v])) for v in collided),
+        counts=counts,
+        ranks=ranks,
+        sizes=tuple(sizes),
         outer_denominator=outer_d,
         outer_starts=starts,
         outer_ends=ends,

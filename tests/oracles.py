@@ -19,9 +19,9 @@ cannot verify, its earlier per-family tail sums, which ``periodic_tail``
 replaced, its earlier per-family group closed forms, which every family
 stream must reproduce now that it derives each later group from its first
 ones, its earlier enumeration of every multiplicity profile in
-``repetition_report``, which the one-pass tally must match report for
-report, its earlier per-rank witness decoding, which the two memoized
-halves must match rank for rank, its earlier dict-building
+``repetition_report``, which the one-pass tally, and its skip when F_k
+has no collision, must match report for report, its earlier per-rank
+witness decoding, which the two memoized halves must match rank for rank, its earlier dict-building
 ``RepetitionReport.to_json``, which the report's text must parse back to,
 its earlier ``IterationReport.json_text``, which formatted every
 endpoint of a row anew where ``engine.IterationRows`` now hands one row's
@@ -996,12 +996,14 @@ def reference_stream(spec) -> FractionGroupedStream:
 
 
 def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
-    """Collisions (distinct value multisets, same sum) with witness subsets.
+    """Collisions (distinct value multisets, same sum) with witness ranks.
 
     Enumerates multiplicity profiles over the distinct term values of the
     ladder's stream; the profile count is guarded by the ladder's cap.  The
     reported count for each collision value is the number of distinct
-    multisets achieving it.
+    multisets achieving it, and its witness ranks are the positions in
+    ``itertools.product`` over the groups of the first two profiles that
+    reach it.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
@@ -1015,29 +1017,24 @@ def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionRepo
     # Profile sums on the lattice of D_k, the lcm of the term denominators.
     d = lcm(*(t.denominator for t in terms))
     weights = [v.numerator * (d // v.denominator) for v, _ in groups]
-    seen: dict[int, list[tuple[int, ...]]] = {}
+    seen: dict[int, list[int]] = {}
     tallies: dict[int, int] = {}
-    for profile in itertools.product(*(range(len(ix) + 1) for _, ix in groups)):
+    profiles = itertools.product(*(range(len(ix) + 1) for _, ix in groups))
+    for rank, profile in enumerate(profiles):
         value = sum(map(operator.mul, profile, weights))
         tallies[value] = tallies.get(value, 0) + 1
         bucket = seen.setdefault(value, [])
         if len(bucket) < 2:
-            bucket.append(profile)
+            bucket.append(rank)
     collided = tuple(sorted(v for v, c in tallies.items() if c >= 2))
-
-    def subset(profile: tuple[int, ...]) -> tuple[int, ...]:
-        picks: list[int] = []
-        for n, (_, indices) in zip(profile, groups):
-            picks.extend(indices[:n])
-        return tuple(sorted(picks))
-
     outer_d, starts, ends = _multirep_sweep(ladder, k) if k >= 1 else (1, [], [])
     return RepetitionReport(
         k=k,
         denominator=d,
         collided=collided,
         counts=tuple(tallies[v] for v in collided),
-        subsets=tuple((subset(seen[v][0]), subset(seen[v][1])) for v in collided),
+        ranks=tuple(tuple(seen[v]) for v in collided),
+        sizes=tuple(len(indices) for _, indices in groups),
         outer_denominator=outer_d,
         outer_starts=starts,
         outer_ends=ends,

@@ -217,6 +217,28 @@ class TestAnalyze:
         assert digest == "7cd7e841ad36e37dee9dc1eacbfd015082e4cfa162005050bf3691a21ac2e16c"
         assert int(peak_kb) < 135 * 1024
 
+    @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+    def test_stdout_report_is_one_write(self, path, tmp_path):
+        # an unbuffered stdout makes each write a system call
+        class CountingStream(io.TextIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def writable(self):
+                return True
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        args = ["analyze", "--spec", str(path), "--depth", "10"]
+        out = tmp_path / "report.json"
+        assert main(args + ["--out", str(out)]) == 0
+        stream = CountingStream()
+        with contextlib.redirect_stdout(stream):
+            assert main(args) == 0
+        assert stream.writes == [out.read_text()]
+
     def test_human_format(self):
         proc = run_cli(
             "analyze", "--inline", GN_JSON, "--depth", "5", "--format", "human"

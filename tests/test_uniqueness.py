@@ -2,11 +2,12 @@ import json
 from fractions import Fraction as F
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantorval import uniqueness
+from cantorval import cli, uniqueness
 from cantorval.classify import resolve_stream
 from cantorval.exact import IntervalSet, interval, normalize
 from cantorval.families import (
@@ -26,8 +27,8 @@ from cantorval.series import (
     kakeya_split,
 )
 from cantorval.uniqueness import (
+    _RankDecoder,
     _profile_pass,
-    _rank_decoder,
     multirep_outer,
     repetition_report,
     representation_uniqueness_oracle,
@@ -158,8 +159,14 @@ class TestProfilePass:
     def test_report_matches_enumeration(self, stream_and_depth):
         stream, k = stream_and_depth
         ladder = SubsumLadder(stream)
-        assert repetition_report(ladder, k).to_json() == (
-            enumerated_repetition_report(ladder, k).to_json()
+        report = repetition_report(ladder, k)
+        expected = enumerated_repetition_report(ladder, k)
+        assert report == expected
+        assert report.to_json() == expected.to_json()
+        groups = value_groups(report.sizes)
+        assert report.subsets == tuple(
+            (rank_subset(report.sizes, groups, a), rank_subset(report.sizes, groups, b))
+            for a, b in expected.ranks
         )
 
     @given(streams_with_depth(distinct=True))
@@ -203,7 +210,7 @@ class TestRankDecoder:
     @example([])  # k = 0: the one empty profile
     def test_every_rank_decodes_as_one_group_at_a_time(self, sizes):
         groups = value_groups(sizes)
-        subset = _rank_decoder(groups)
+        subset = _RankDecoder(tuple(sizes)).subset
         ranks = range(prod(size + 1 for size in sizes))
         assert [subset(r) for r in ranks] == [rank_subset(sizes, groups, r) for r in ranks]
 
@@ -252,6 +259,80 @@ def multigeometric_streams(draw):
     ks = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)), reverse=True)
     q = F(1, draw(st.integers(2, 6)))
     return multigeometric(ks, q).stream(), draw(st.integers(0, 8))
+
+
+class TestSkippedProfilePass:
+    """repetition_report runs _profile_pass only when F_k has fewer values
+    than there are profiles, and reports the same either way."""
+
+    @staticmethod
+    def counted(stream, k):
+        """(report, whether _profile_pass ran, ladder) for ``stream`` at ``k``."""
+        ladder = SubsumLadder(stream)
+        with mock.patch.object(uniqueness, "_profile_pass", wraps=_profile_pass) as tally:
+            report = repetition_report(ladder, k)
+        return report, tally.called, ladder
+
+    @given(st.one_of(repeated_term_streams(), multigeometric_streams(), streams_with_depth()))
+    @settings(max_examples=150, deadline=None)
+    @example((FiniteStream([3, 2, 2, 1, 1, 1]), 6))  # 3 = 2 + 1 = 1 + 1 + 1: the pass runs
+    @example((THIRDS, 12))  # 4,096 profiles, 4,096 sums: skipped
+    @example((SEMIFAST.stream(), 12))  # equal terms, 729 multisets, 729 sums: skipped
+    def test_skip_matches_enumeration(self, stream_and_depth):
+        stream, k = stream_and_depth
+        report, ran, ladder = self.counted(stream, k)
+        profiles = prod(size + 1 for size in report.sizes)
+        assert ran == (len(ladder.level(k)) < profiles)
+        expected = enumerated_repetition_report(ladder, k)
+        assert report == expected
+        assert report.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize(
+        "stream,k,ran",
+        [(FiniteStream([3, 2, 2, 1, 1, 1]), 6, True), (THIRDS, 12, False),
+         (SEMIFAST.stream(), 12, False)],
+        ids=["collisions", "middle-thirds", "semifast"],
+    )
+    def test_examples_fall_on_both_sides(self, stream, k, ran):
+        report, called, _ = self.counted(stream, k)
+        assert called == ran
+        assert bool(report.collided) == ran
+
+    def test_analyze_runs_the_pass_where_profiles_collide(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        ran = []
+        for path in sorted(SPECS.glob("*.json")):
+            with mock.patch.object(uniqueness, "_profile_pass", wraps=_profile_pass) as tally:
+                assert cli.main(["analyze", "--spec", str(path), "--depth", "14", "--out", out]) == 0
+            ran += [path.stem] * tally.call_count
+        assert ran == ["ferens_5432", "gf_decimal", "mm_ones"]
+
+
+class TestHalfTexts:
+    """A report's text formats each half of its witness subsets once."""
+
+    def test_ferens_formats_one_text_per_half_rank(self, tmp_path):
+        path = SPECS / "ferens_5432.json"
+        with mock.patch.object(uniqueness, "_half_text", wraps=uniqueness._half_text) as half:
+            args = ["analyze", "--spec", str(path), "--depth", "14", "--out", str(tmp_path / "r")]
+            assert cli.main(args) == 0
+        stream = resolve_stream(spec_from_json(json.loads(path.read_text())))
+        report = repetition_report(SubsumLadder(stream), 12)
+        radix = report._decoder.radix
+        ranks = [rank for pair in report.ranks for rank in pair]
+        halves = {r // radix for r in ranks}, {r % radix for r in ranks}
+        assert len(report.collided) == 1131
+        # 14,457 witness indices, from 64 lead and 64 trailing half ranks
+        assert sum(map(len, (i for pair in report.subsets for i in pair))) == 14457
+        assert half.call_count == len(halves[0]) + len(halves[1]) <= 128
+
+    def test_cap_below_the_profile_count_exits_in_its_stage(self, capsys):
+        # ferens_5432's F_12 has 1,417 values from 4,096 profiles
+        path = str(SPECS / "ferens_5432.json")
+        assert cli.main(["analyze", "--spec", path, "--depth", "12", "--cap", "2000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity exhausted in repetition_report:")
+        assert len(err.splitlines()) == 1
 
 
 class TestReportText:
