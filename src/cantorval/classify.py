@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .engine import certify_interior, iterate, run_windows
 from .exact import lattice_str, lattice_strs, rat_str
-from .families.io import FamilySpec
 from .families.multigeometric import MultigeometricSpec, mg_block
 from .frozen import frozen
 from .series import (
@@ -40,7 +39,10 @@ from .series import (
 )
 from .tightness import TightTrend, tight_trend
 
-Subject = Union[TermStream, FamilySpec]
+if TYPE_CHECKING:
+    from .families.io import FamilySpec
+
+    Subject = Union[TermStream, FamilySpec]
 
 
 class Verdict(enum.Enum):

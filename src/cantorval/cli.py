@@ -23,13 +23,7 @@ from typing import Optional
 from .classify import Verdict, classify, resolve_stream
 from .engine import IterationRows, measure_bounds
 from .exact import rat_str
-from .families import (
-    MultigeometricSpec,
-    RepeatedTermSpec,
-    semifast_check,
-    spec_from_json,
-    standardness_ratio,
-)
+from .families import MultigeometricSpec, spec_from_json, standardness_ratio
 from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder, kakeya_split
 from .tightness import tight_trend
 from .uniqueness import (
@@ -179,8 +173,9 @@ def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
         "semifast": None,
         "representation_oracle": None,
     }
-    if isinstance(spec, RepeatedTermSpec):
-        section["semifast"] = semifast_check(spec).to_json()
+    semifast = getattr(spec, "semifast", None)  # a repeated-term spec's criterion
+    if semifast is not None:
+        section["semifast"] = semifast().to_json()
         try:
             section["representation_oracle"] = representation_uniqueness_oracle(
                 spec, min(depth, 6), ladder.cap

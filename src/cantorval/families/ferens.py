@@ -15,8 +15,9 @@ from typing import Optional
 
 from ..exact import PointSet, rat_str
 from ..frozen import frozen
-from .grouped import GroupedStream, check_head
-from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
+from .grouped import GroupedStream, check_head, periodic_tail
+from .io import is_int
+from .periodic import BlockGeometric, PeriodicSeq
 
 
 def subsum_run_total(p: int, r: int) -> int:
@@ -33,6 +34,8 @@ class GFSpec:
     m: PeriodicSeq
     k: PeriodicSeq
     q: BlockGeometric
+
+    standardness_family = "gf"
 
     def __post_init__(self) -> None:
         probe = self.alignment_horizon
@@ -63,6 +66,10 @@ class GFSpec:
 
     def s(self, n: int) -> int:
         return subsum_run_total(self.m[n], self.k[n])
+
+    def interval_length(self, stream: GroupedStream, i: int) -> Fraction:
+        """(s_i - m_i) q_i, group i's weight in ``standardness_ratio``."""
+        return (self.s(i) - self.m[i]) * self.q[i]
 
     def to_json(self) -> dict:
         return {

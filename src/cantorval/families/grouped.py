@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..series import (
     DEFAULT_CAP,
@@ -50,6 +50,42 @@ def check_head(terms: int, bits: int) -> None:
         raise CapacityError("stream_head", terms, DEFAULT_CAP)
     if terms * bits > HEAD_BITS:
         raise CapacityError("stream_head", terms * bits, HEAD_BITS, "bits")
+
+
+def power_bits(k: int, b: int, n: int) -> int:
+    """A bound on the bit length of k b^n, for ``check_head``, found without
+    building b^n.
+
+    A product has at most the summed bit lengths of its factors, so b^n is
+    counted as n // 64 factors b^64 and one b^(n % 64).  Each b^64 has at
+    most 64 log2 b + 1 bits, so the bound passes the true bit length by at
+    most n // 64 + 1 bits, where counting b's bit length per factor would
+    pass it by up to n bits.
+    """
+    steps, rest = divmod(n, 64)
+    return k.bit_length() + steps * (b**64).bit_length() + (b**rest).bit_length()
+
+
+def periodic_tail(
+    weight: Callable[[int], Fraction],
+    k: int,
+    preperiod: int,
+    period: int,
+    ratio: Fraction,
+) -> Fraction:
+    """Exact sum of weight(i) over i > k.
+
+    Valid when weight(i + period) == ratio * weight(i) for every i >
+    preperiod, with 0 < ratio < 1: past max(k, preperiod) the weights are
+    one period block repeated at ratio, ratio^2, ..., so the tail is the
+    head up to there plus that block over 1 - ratio.
+    """
+    if k < 0:
+        raise ValueError("tail indices start at 0")
+    start = max(k, preperiod)
+    head = sum((weight(i) for i in range(k + 1, start + 1)), Fraction(0))
+    block = sum((weight(i) for i in range(start + 1, start + period + 1)), Fraction(0))
+    return head + block / (1 - ratio)
 
 
 class GroupedStream(TermStream):

@@ -24,7 +24,8 @@ from ..exact import PointSet
 from ..frozen import frozen
 from ..series import DEFAULT_CAP, CapacityError, subsum_level
 from .grouped import GroupedStream, check_head
-from .periodic import PeriodicSeq, is_int
+from .io import is_int
+from .periodic import PeriodicSeq
 
 MAX_GROUP_ENUMERATION = 24
 
@@ -40,6 +41,8 @@ class KyivSpec:
 
     m: PeriodicSeq
     s: PeriodicSeq
+
+    standardness_family = "kyiv"
 
     def __post_init__(self) -> None:
         probe = self.group_preperiod + self.group_period
@@ -62,6 +65,13 @@ class KyivSpec:
         """d_k = m_k^2 + s_k m_k + 2."""
         m, s = self.m[k], self.s[k]
         return m * m + s * m + 2
+
+    def interval_length(self, stream: GroupedStream, i: int) -> Fraction:
+        """(s_i - m_i + 6 - 4/m_i) a_i, group i's weight in
+        ``standardness_ratio``, with a_i the first term of group i."""
+        m = self.m[i]
+        a = stream.term(stream.boundary(i - 1) + 1)
+        return (self.s[i] - m + 6 - Fraction(4, m)) * a
 
     def to_json(self) -> dict:
         return {"type": "kyiv", "m": self.m.to_json(), "s": self.s.to_json()}

@@ -10,10 +10,13 @@ reversed Kakeya indices are sparse.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ..exact import PointSet
 from ..frozen import frozen
 from .grouped import GroupedStream, check_head
-from .periodic import PeriodicSeq, is_int
+from .io import is_int
+from .periodic import PeriodicSeq
 
 
 def mm_block_coefficients(n: int) -> tuple[int, ...]:
@@ -43,6 +46,8 @@ class MMSpec:
 
     gaps: PeriodicSeq
 
+    standardness_family = "mm"
+
     def __post_init__(self) -> None:
         for s in range(1, self.gaps.preperiod_length + self.gaps.period_length + 1):
             v = self.gaps[s]
@@ -56,6 +61,12 @@ class MMSpec:
     @property
     def group_period(self) -> int:
         return self.gaps.period_length
+
+    def interval_length(self, stream: GroupedStream, i: int) -> Fraction:
+        """(3 * 2^(n_i) - 1) q_i, group i's weight in ``standardness_ratio``,
+        with q_i read off the stream: every block ends with the coefficient 2."""
+        q = stream.term(stream.boundary(i)) / 2
+        return (3 * 2 ** self.gaps[i] - 1) * q
 
     def to_json(self) -> dict:
         return {"type": "mm", "gaps": self.gaps.to_json()}

@@ -22,8 +22,8 @@ from math import lcm
 from ..exact import rat, rat_str, RationalLike
 from ..frozen import frozen
 from ..series import DEFAULT_CAP, LatticeLevel, subsum_level
-from .grouped import GroupedStream, check_head
-from .periodic import json_array
+from .grouped import GroupedStream, check_head, power_bits
+from .io import json_array
 
 
 @frozen
@@ -127,8 +127,8 @@ def _sorted_head(spec: MultigeometricSpec) -> tuple[list[tuple[int, ...]], int]:
     for q times the last run; each coefficient's run is one power of b and
     then a multiplication by a and an exact division by b per term, and one
     sort of the m decreasing runs merges them.  Before any term is built,
-    ``check_head`` weighs the count against the bit length of K b^J, bounded
-    by K's plus J times b's.
+    ``check_head`` weighs the count against ``power_bits``' bound on the
+    bit length of K b^J.
     """
     a, b, m = spec.ratio.numerator, spec.ratio.denominator, spec.m
     lattice = lcm(*(c.denominator for c in spec.coefficients))
@@ -136,7 +136,7 @@ def _sorted_head(spec: MultigeometricSpec) -> tuple[list[tuple[int, ...]], int]:
     exponents = _exponents_above(coefficients, a, b, m)
     count = (-(-sum(exponents) // m) + 1) * m
     top = exponents[0] + 3
-    check_head(count + m, lattice.bit_length() + top * b.bit_length())
+    check_head(count + m, power_bits(lattice, b, top))
     scale = a * b ** (top - 1)
     terms = []
     for c, e in zip(coefficients, exponents):

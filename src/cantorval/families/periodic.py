@@ -2,18 +2,19 @@
 
 Family parameters are restricted to these two shapes so that every weight
 the package sums to infinity, w(i + period) = ratio * w(i) past a
-preperiod, has an exact tail: ``periodic_tail`` adds the finite head and
-one period block over 1 - ratio.
+preperiod, has an exact tail: ``grouped.periodic_tail`` adds the finite
+head and one period block over 1 - ratio.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
 from ..exact import rat, rat_str, RationalLike
 from ..frozen import frozen
+from .grouped import power_bits
+from .io import json_array
 
 
 @frozen
@@ -137,10 +138,10 @@ class BlockGeometric:
         return lcm(*(v.denominator for v in self.pre + self.block)), top
 
     def lattice_bits(self, count: int) -> int:
-        """A bound on the bit length of ``lattice(count)``'s L = K b^t, K's
-        plus t times b's, found without building L."""
+        """A bound on the bit length of ``lattice(count)``'s L = K b^t, found
+        without building L (``grouped.power_bits``)."""
         k, top = self._lattice_base(count)
-        return k.bit_length() + top * self.ratio.denominator.bit_length()
+        return power_bits(k, self.ratio.denominator, top)
 
     def is_strictly_decreasing(self) -> bool:
         """Exact check over one period boundary proves it for all indices."""
@@ -168,52 +169,3 @@ class BlockGeometric:
 def geometric(start: RationalLike, ratio: RationalLike) -> BlockGeometric:
     """Plain geometric scale start, start*ratio, start*ratio^2, ..."""
     return BlockGeometric((), (rat(start),), rat(ratio))
-
-
-_JSON_TYPES = {
-    str: "a string",
-    dict: "an object",
-    bool: "a boolean",
-    int: "a number",
-    float: "a number",
-    type(None): "null",
-}
-
-
-def json_array(value, field: str) -> list:
-    """``value``, the list-valued spec field ``field``, when it is a JSON array.
-
-    Anything else is refused, since a string or an object would otherwise be
-    iterated silently: "21" as [2, 1], and {"3": 1, "2": 2} as its keys.
-    """
-    if not isinstance(value, list):
-        kind = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ValueError(f"spec field {field!r} must be a JSON array, not {kind}")
-    return value
-
-
-def is_int(value) -> bool:
-    """An int that is not a bool: JSON ``true`` must not pass for 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def periodic_tail(
-    weight: Callable[[int], Fraction],
-    k: int,
-    preperiod: int,
-    period: int,
-    ratio: Fraction,
-) -> Fraction:
-    """Exact sum of weight(i) over i > k.
-
-    Valid when weight(i + period) == ratio * weight(i) for every i >
-    preperiod, with 0 < ratio < 1: past max(k, preperiod) the weights are
-    one period block repeated at ratio, ratio^2, ..., so the tail is the
-    head up to there plus that block over 1 - ratio.
-    """
-    if k < 0:
-        raise ValueError("tail indices start at 0")
-    start = max(k, preperiod)
-    head = sum((weight(i) for i in range(k + 1, start + 1)), Fraction(0))
-    block = sum((weight(i) for i in range(start + 1, start + period + 1)), Fraction(0))
-    return head + block / (1 - ratio)

@@ -13,8 +13,9 @@ from math import lcm
 from typing import Optional
 
 from ..frozen import frozen
-from .grouped import GroupedStream, check_head
-from .periodic import BlockGeometric, PeriodicSeq, is_int, periodic_tail
+from .grouped import GroupedStream, check_head, periodic_tail
+from .io import is_int
+from .periodic import BlockGeometric, PeriodicSeq
 
 
 @frozen
@@ -109,6 +110,11 @@ class RepeatedTermSpec:
         if not report.semifast:
             return None
         return "Cantor", {"family": "repeated", "semifast": report.to_json()}
+
+    def semifast(self) -> SemifastResult:
+        """``semifast_check`` of this spec.  A spec with this method gets the
+        report's ``semifast`` and ``representation_oracle`` fields."""
+        return semifast_check(self)
 
 
 @frozen

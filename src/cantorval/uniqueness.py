@@ -31,11 +31,14 @@ import json
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import lcm, prod
+from typing import TYPE_CHECKING
 
 from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
-from .families.repeated import RepeatedTermSpec
 from .frozen import frozen
 from .series import DEFAULT_CAP, GREATER, CapacityError, SubsumLadder, TermStream
+
+if TYPE_CHECKING:
+    from .families.repeated import RepeatedTermSpec
 
 
 @frozen

@@ -54,11 +54,11 @@ from cantorval.exact import (
     rat_str,
 )
 from cantorval.families.ferens import GFSpec
-from cantorval.families.grouped import GroupedStream
+from cantorval.families.grouped import GroupedStream, periodic_tail
 from cantorval.families.kyiv import KyivSpec, KyivValues
 from cantorval.families.marchwicki import MMSpec, mm_block_coefficients
 from cantorval.families.multigeometric import MultigeometricSpec
-from cantorval.families.periodic import BlockGeometric, periodic_tail
+from cantorval.families.periodic import BlockGeometric
 from cantorval.series import (
     EQUAL,
     GREATER,

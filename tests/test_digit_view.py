@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval.cli import main
 from cantorval.families import spec_from_json
-from cantorval.families.grouped import HEAD_BITS, GroupedStream
+from cantorval.families.grouped import HEAD_BITS, GroupedStream, power_bits
 from cantorval.families.multigeometric import _exponents_above, multigeometric
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import DEFAULT_CAP, CapacityError
@@ -172,6 +172,16 @@ def test_block_geometric_lattice_holds_every_value(pre, block, ratio, count):
     scale = BlockGeometric(tuple(pre), tuple(block), ratio)
     d, values = scale.lattice(count)
     assert [F(v, d) for v in values] == [scale.value(i) for i in range(1, count + 1)]
+    assert d.bit_length() <= scale.lattice_bits(count) <= d.bit_length() + 2
+
+
+@given(st.integers(1, 10**30), st.integers(2, 10**6), st.integers(0, 2000))
+@example(1, 2, 64 * 30)  # b = 2 is 1 bit a factor, not b.bit_length() = 2
+@example(3, 4, 1000)
+@example(1, 2**64, 129)
+def test_power_bits_bounds_the_lattice_within_a_bit_per_64_factors(k, b, n):
+    exact = (k * b**n).bit_length()
+    assert exact <= power_bits(k, b, n) <= exact + n // 64 + 2
 
 
 # One spec per family whose given groups hold more than DEFAULT_CAP terms:

@@ -33,7 +33,7 @@ from cantorval.families import (
     standardness_ratio,
     subsum_run_total,
 )
-from cantorval.families.periodic import periodic_tail
+from cantorval.families.grouped import periodic_tail
 from cantorval.series import StreamError
 from cantorval.tightness import max_tight_diameter
 
