@@ -75,8 +75,8 @@ def _dumps(doc) -> list[str]:
 
     ``_write`` appends to one chunk list where the standard library's
     pure-Python indenting encoder yields one small string per token, and
-    ``_emit`` writes the list as it is to a file, so no whole-report string
-    is built for ``--out``.
+    ``_emit`` writes a large report's list as it is to a file, so no
+    whole-report string is built for it.
     A report holds no floats and only str keys, so either raises TypeError.
     """
     chunks: list[str] = []
@@ -126,16 +126,31 @@ def _write(o, chunks: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+# A report file below this many characters (the reports are ASCII, so
+# bytes) takes the joined text in one write: each chunk written alone is one
+# TextIOWrapper.write call, and a 13 KB report took about 64 us with
+# writelines against 35 us with one write.  Larger reports keep writelines:
+# on the ladder workload's reports joining costs 1.42 ms against 0.60 ms
+# over the 8 jobs, and it would hold a second copy of middle_thirds' 4.85 MB
+# report, while that workload's peak_rss_mb sits within about 2 MB of the
+# peak perfbench/checks.py itself reaches checking that report.
+_JOIN_BELOW = 256 * 1024
+
+
 def _emit(chunks: list[str], out: Optional[str]) -> None:
     """Write ``chunks`` in order to the file ``out``, or to stdout without it.
 
-    The file takes the list as it is, through its own buffer.  Stdout takes
-    the joined text in one write, since an unbuffered stdout
-    (``PYTHONUNBUFFERED=1``) makes each write a system call.
+    A file takes a report below ``_JOIN_BELOW`` as the joined text in one
+    write, and a larger one as the list itself, through its own buffer.
+    Stdout always takes the joined text in one write, since an unbuffered
+    stdout (``PYTHONUNBUFFERED=1``) makes each write a system call.
     """
     if out:
         with open(out, "w") as f:
-            f.writelines(chunks)
+            if sum(map(len, chunks)) < _JOIN_BELOW:
+                f.write("".join(chunks))
+            else:
+                f.writelines(chunks)
     else:
         sys.stdout.write("".join(chunks))
 
@@ -314,7 +329,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         doc = _analysis(spec, args.depth, horizon, args.cap, args.budget)
     except CapacityError as exc:
-        sys.stderr.write(f"capacity exhausted in {exc.stage}: {exc}\n")
+        sys.stderr.write(f"capacity exhausted in {exc}\n")  # exc starts with its stage
         return EXIT_CAPACITY
     except StreamError as exc:
         return _usage_error(exc)
@@ -335,24 +350,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports every usage error as one stderr line and exit status 2."""
+    """Reports every usage error as one stderr line and exit status 2.
+
+    ``build_parser`` sets ``commands``, each command's name to its subparser.
+    """
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="cantorval",
         description="Exact analysis of achievement sets of convergent series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     commands = (
         ("validate", cmd_validate, ("json", "human")),
         ("analyze", cmd_analyze, ("json", "csv", "human")),
     )
     for name, handler, formats in commands:
-        p = sub.add_parser(name)
+        p = parser.commands[name] = sub.add_parser(name)
         p.add_argument("--spec", help="path to a family spec JSON file")
         p.add_argument("--inline", help="family spec JSON as a literal argument")
         if handler is cmd_analyze:
@@ -367,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None
+_parser: Optional[_Parser] = None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -379,14 +400,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     process builds it once either way, and importing this module builds
     nothing.
 
+    An argv whose first word names a command is parsed in one pass, by that
+    command's subparser; the full parser would hand it the same words after
+    parsing them once itself.  Words the subparser leaves over are reported
+    by the full parser, as ``cantorval: error: unrecognized arguments: ...``
+    the way its own ``parse_args`` reports them.  Any other argv (none,
+    ``-h``, an unknown command) takes the full parser.
+
     The command runs with Python's int-to-str digit limit lifted, since a
     spec's exact values can outgrow it, and restores it on return.
     """
     global _parser
     if _parser is None:
         _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        command = _parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = _parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     limit = sys.get_int_max_str_digits()

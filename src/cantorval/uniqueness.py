@@ -118,8 +118,9 @@ class RepetitionReport:
         whose ends reuse the starts' strings when every part is a single
         point.  Each witness is one format whose subsets are their lead and
         trailing half texts joined, and each half text is formatted once
-        per call, from the decoder's memoized picks.  Values hold only
-        digits, "-" and "/", so nothing is escaped.  A collided sum is
+        per call, from the decoder's memoized picks; a report with no
+        collisions builds neither the decoder nor those caches.  Values hold
+        only digits, "-" and "/", so nothing is escaped.  A collided sum is
         positive, so neither of its witness subsets is empty, though either
         half of one may be.
         """
@@ -127,27 +128,12 @@ class RepetitionReport:
         d = self.outer_denominator
         i1 = newline + "  "
         i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
-        at4 = "," + i4
 
         def listed(items, inner: str, close: str) -> str:
             body = ("," + inner).join(items)
             return f"[{inner}{body}{close}]" if body else "[]"
 
-        decoder = self._decoder
-        radix = decoder.radix
-        lead = cache(lambda high: _half_text(decoder.lead(high), at4))
-        trail = cache(lambda low: _half_text(decoder.trail(low), at4))
-
-        def items(rank: int) -> str:
-            high, low = divmod(rank, radix)
-            a, b = lead(high), trail(low)
-            return a + at4 + b if a and b else a or b
-
-        witnesses = (
-            f'{{{i3}"value": "{v}",{i3}"first": [{i4}{items(a)}{i3}],'
-            f'{i3}"second": [{i4}{items(b)}{i3}]{i2}}}'
-            for v, (a, b) in zip(values, self.ranks)
-        )
+        witnesses = self._witness_texts(values, i2, i3, i4) if self.ranks else ()
         quoted = map('"{}"'.format, values)
         los = lattice_strs(self.outer_starts, d)
         his = los if self.outer_ends == self.outer_starts else lattice_strs(self.outer_ends, d)
@@ -157,6 +143,25 @@ class RepetitionReport:
             f'{i2}"values": {listed(quoted, i3, i2)},'
             f'{i2}"counts": {listed(map(str, self.counts), i3, i2)}{i1}}},'
             f'{i1}"witnesses": {listed(witnesses, i2, i1)},{i1}"outer": {outer}{newline}}}'
+        )
+
+    def _witness_texts(self, values: list[str], i2: str, i3: str, i4: str):
+        """The witness objects' texts, for ``json_text``, in order."""
+        decoder = self._decoder
+        radix = decoder.radix
+        at4 = "," + i4
+        lead = cache(lambda high: _half_text(decoder.lead(high), at4))
+        trail = cache(lambda low: _half_text(decoder.trail(low), at4))
+
+        def items(rank: int) -> str:
+            high, low = divmod(rank, radix)
+            a, b = lead(high), trail(low)
+            return a + at4 + b if a and b else a or b
+
+        return (
+            f'{{{i3}"value": "{v}",{i3}"first": [{i4}{items(a)}{i3}],'
+            f'{i3}"second": [{i4}{items(b)}{i3}]{i2}}}'
+            for v, (a, b) in zip(values, self.ranks)
         )
 
 

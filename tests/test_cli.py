@@ -466,6 +466,110 @@ class TestReportBuilder:
         assert in_process.encode() == fresh.stdout
 
 
+# argvs for the one-pass parse: unknown and misplaced options, a missing
+# value, an abbreviation, help, no command, an unknown command, a bad
+# choice, an error before an unknown option, and argvs that reach a command
+PARITY_ARGVS = [
+    ["analyze", "--bogus"],
+    ["validate", "--depth", "3"],
+    ["validate", "--inline", "{}", "extra"],
+    ["analyze", "--depth"],
+    ["analyze", "--dep", "x"],
+    ["analyze", "-h"],
+    ["-h"],
+    [],
+    ["bogus"],
+    ["validate", "--format", "csv"],
+    ["analyze", "--depth", "0", "--bogus"],
+    ["validate", "--inline", DYADIC_JSON],
+    ["validate", "--inline", "{}"],
+    ["analyze", "--inline", DYADIC_JSON, "--dep", "3", "--format", "human"],
+]
+
+
+class TestParserParity:
+    """``main`` parses an argv that names a command with that command's
+    subparser alone; it must act as the full parser's ``parse_args``."""
+
+    @staticmethod
+    def _reference(argv):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return cli.EXIT_USAGE if exc.code not in (0, None) else 0
+        return args.handler(args)
+
+    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=repr)
+    def test_main_matches_parse_args(self, argv, monkeypatch, capsys):
+        parsed = []
+        for name in ("cmd_validate", "cmd_analyze"):
+            handler = getattr(cli, name)
+
+            def recording(args, handler=handler):
+                parsed.append(vars(args).copy())
+                return handler(args)
+
+            monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(cli, "_parser", None)
+        runs = []
+        for call in (main, self._reference):
+            code = call(argv)
+            runs.append((code, *capsys.readouterr(), parsed[:]))
+            parsed.clear()
+        (code, out, err, got), (want_code, want_out, want_err, want) = runs
+        assert (code, out, err) == (want_code, want_out, want_err)
+        assert len(got) == len(want) <= 1
+        for direct, full in zip(got, want):
+            if "command" not in direct:
+                full.pop("command")
+            assert direct == full
+
+
+class TestEmit:
+    @staticmethod
+    def _chunks(size):
+        unit = '"key": "1/3",\n'
+        return [unit] * (size // len(unit)) + ["x" * (size % len(unit))]
+
+    @pytest.mark.parametrize("size", [cli._JOIN_BELOW - 1, cli._JOIN_BELOW])
+    def test_file_holds_the_joined_chunks(self, size, tmp_path):
+        chunks = self._chunks(size)
+        out = tmp_path / "report.json"
+        cli._emit(chunks, str(out))
+        assert out.read_bytes() == "".join(chunks).encode()
+        assert len(out.read_bytes()) == size
+
+    def test_certify_sized_report_is_one_write(self, tmp_path, monkeypatch):
+        # a depth-6 report of (5, 3, 2; 1/7), about 14 KB and 250 chunks
+        writes = []
+
+        class CountingFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                writes.append(len(text))
+                return self.f.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        monkeypatch.setattr(cli, "open", lambda *a: CountingFile(open(*a)), raising=False)
+        out = tmp_path / "report.json"
+        spec = '{"type":"multigeometric","k":[5,3,2],"q":"1/7"}'
+        assert main(["analyze", "--inline", spec, "--depth", "6", "--out", str(out)]) == 0
+        size = len(out.read_bytes())
+        assert 10_000 < size < cli._JOIN_BELOW
+        assert writes == [size]
+
+
 # JSON trees for the report encoder: strings with escapes, non-ASCII and
 # astral characters, ints of any size, and lists of [str, str] pairs, the
 # shape of a report's parts and gaps, on their own and next to other items.

@@ -280,3 +280,11 @@ def test_analyze_exits_3_at_once_for_a_head_too_large_in_bits(family, capsys):
     assert captured.out == ""
     assert captured.err.startswith("capacity exhausted in stream_head: ")
     assert captured.err.count("\n") == 1
+
+
+def test_capacity_line_names_its_stage_once(capsys):
+    assert main(["analyze", "--inline", json.dumps(HEAVY["multigeometric"])]) == 3
+    assert capsys.readouterr().err == (
+        "capacity exhausted in stream_head: would produce 22035955684524 bits,"
+        f" cap is {HEAD_BITS}\n"
+    )

@@ -384,6 +384,15 @@ class TestReportText:
         assert report.to_json() == repetition_dict(report)
         assert calls == [len(report.collided), 4095]
 
+    @pytest.mark.parametrize(
+        "stream, k, collides", [(THIRDS, 6, False), (HALVING.stream(), 5, True)]
+    )
+    def test_decoder_is_built_only_for_witnesses(self, stream, k, collides):
+        report = repetition_report(SubsumLadder(stream), k)
+        text = report.json_text("\n")
+        assert bool(report.ranks) == ("_decoder" in vars(report)) == collides
+        assert text == json.dumps(report.to_json(), indent=2)
+
     def test_middle_thirds_has_no_collision_and_no_outer(self):
         report = repetition_report(SubsumLadder(THIRDS), 6)
         doc = repetition_dict(report)
