@@ -20,12 +20,11 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .classify import Verdict, classify, resolve_stream
+from .classify import Evidence, Verdict, classify, resolve_stream
 from .engine import IterationRows, measure_bounds
 from .exact import rat_str
 from .families import MultigeometricSpec, spec_from_json, standardness_ratio
-from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder, kakeya_split
-from .tightness import tight_trend
+from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder
 from .uniqueness import (
     RepetitionReport,
     repetition_report,
@@ -214,20 +213,19 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     """The composite analysis document; everything exact and deterministic.
 
     One subsum ladder is built for the spec's stream and every section reads
-    its F_n from it.  measure_bounds runs no interior-certificate search
-    when the classification proves the interior empty (Finite or Cantor,
-    Proved or Certified), because then its lower bound is 0 with no
+    its F_n from it; the tight_trend and kakeya sections are read off the
+    Evidence that classify reads.  measure_bounds runs no interior-certificate
+    search when the classification proves the interior empty (Finite or
+    Cantor, Proved or Certified), because then its lower bound is 0 with no
     certificate whatever the search finds.  The iteration rows are
     IterationRows and the uniqueness section's repetition is a
     RepetitionReport, which ``_write`` writes from their own text.
     """
     stream = resolve_stream(spec)
     ladder = SubsumLadder(stream, cap)
-    trend = tight_trend(ladder, horizon)
-    split = kakeya_split(stream, horizon)
-    classification = classify(
-        spec, ladder, horizon=horizon, budget=budget, trend=trend, split=split
-    )
+    evidence = Evidence(spec, ladder, horizon, budget)
+    trend, split = evidence.trend, evidence.split
+    classification = classify(spec, ladder, evidence=evidence)
     iterations = IterationRows(ladder, depth)
     searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
     bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)

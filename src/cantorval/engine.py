@@ -457,7 +457,7 @@ def measure_bounds(
     union, so the first verified one is kept.  No certificate
     exceeds lambda(I_depth) either, so the seeds stop once lower == upper.
 
-    build_report passes no ``spec`` when the classification proves the
+    cli._analysis passes no ``spec`` when the classification proves the
     interior empty: a verified certificate lies inside the set, so no search
     could raise the lower bound above zero.
     """

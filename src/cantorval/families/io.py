@@ -48,6 +48,8 @@ def spec_from_json(doc: dict) -> FamilySpec:
     if parser is None:
         if not isinstance(kind, str) or kind not in _PARSERS:
             known = sorted(_PARSERS)
+            if "type" not in doc:
+                raise ValueError(f'spec has no "type" key; expected one of {known}')
             raise ValueError(f"unknown spec type {kind!r}; expected one of {known}")
         module, name = _PARSERS[kind]
         spec_class = getattr(import_module(f".{module}", __package__), name)

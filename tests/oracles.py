@@ -458,25 +458,16 @@ def always_searching_classify(subject, ladder, horizon=12, budget=16):
     c = classify_module
     stream = ladder.stream
     spec = None if isinstance(subject, TermStream) else subject
+    evidence = c.Evidence(subject, ladder, horizon, budget)
 
-    from_family = spec.family_verdict() if spec is not None else None
-    if from_family is not None:
-        verdict, witness = from_family
-        return c.Classification(c.Verdict(verdict), c.Tier.PROVED, horizon, witness)
+    for prover in (c._from_family, c._from_pattern, c._from_separated_blocks):
+        found = prover(evidence)
+        if found is not None:
+            return found
 
     pattern = stream.kakeya_pattern()
-    if pattern is not None:
-        from_pattern = c._pattern_classification(pattern, horizon)
-        if from_pattern is not None:
-            return from_pattern
-
     certificate = None
     if isinstance(spec, MultigeometricSpec):
-        separated = c._separated_blocks(spec)
-        if separated is not None:
-            return c.Classification(
-                c.Verdict.CANTOR, c.Tier.CERTIFIED, horizon, {"separated_blocks": separated}
-            )
         try:
             certificate = engine.certify_interior(spec, ladder, seed_depth=2, budget=budget)
         except CapacityError:

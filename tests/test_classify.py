@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantorval.classify import (
+    PROVERS,
+    Evidence,
     Tier,
     Verdict,
-    _separated_blocks,
+    _from_separated_blocks,
     classify,
     resolve_stream,
 )
@@ -23,6 +25,8 @@ from cantorval.families import (
 from cantorval.series import SubsumLadder, kakeya_split
 
 from oracles import fraction_separated_blocks, geometric_tail_stream
+from test_families import gf_specs, kyiv_specs, mg_specs, mm_specs
+from test_uniqueness import repeated_specs
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -38,6 +42,12 @@ SEMIFAST = RepeatedTermSpec(geometric("1/4", "1/4"), PeriodicSeq((), (2,)))
 def fresh_classify(subject, **options):
     """classify over a fresh ladder of the subject's stream."""
     return classify(subject, SubsumLadder(resolve_stream(subject)), **options)
+
+
+def separated_witness(spec):
+    """The witness _from_separated_blocks gives for ``spec``, or None."""
+    found = _from_separated_blocks(Evidence(spec, SubsumLadder(spec.stream())))
+    return None if found is None else found.witnesses["separated_blocks"]
 
 
 class TestClassify:
@@ -161,6 +171,36 @@ class TestClassify:
         assert doc["verdict"] == "Cantorval"
 
 
+class TestProvers:
+    def test_order(self):
+        assert [prover.__name__ for prover in PROVERS] == [
+            "_from_family",
+            "_from_pattern",
+            "_from_separated_blocks",
+            "_from_certificate",
+            "_from_horizon",
+        ]
+
+    @given(
+        st.one_of(mg_specs(), gf_specs(), mm_specs(), kyiv_specs(), repeated_specs()),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(spec=FERENS, horizon=6)  # _from_certificate decides
+    @example(spec=multigeometric([5, 4, 2], "1/13"), horizon=4)  # separated blocks
+    @example(spec=GN, horizon=6)  # _from_horizon decides
+    def test_caller_evidence_and_the_last_prover(self, spec, horizon):
+        ladder = SubsumLadder(resolve_stream(spec))
+        evidence = Evidence(spec, ladder, horizon, 4)
+        got = classify(spec, ladder, evidence=evidence)
+        assert got == fresh_classify(spec, horizon=horizon, budget=4)
+        # the last prover, _from_horizon, is reached only with infinitely
+        # many Kakeya indices
+        if all(prover(evidence) is None for prover in PROVERS[:-1]):
+            assert not evidence.pattern.kakeya_is_finite
+            assert got.tier is Tier.HEURISTIC
+
+
 class TestSeparatedBlocks:
     """The lattice comparison and its witness against the Fraction test."""
 
@@ -179,11 +219,11 @@ class TestSeparatedBlocks:
     @example(coeffs=[F(7, 2), F(5, 3)], ratio=(1, 9))  # block lattice 1/6
     def test_matches_fraction_reference(self, coeffs, ratio):
         spec = multigeometric(sorted(coeffs, reverse=True), F(*ratio))
-        assert _separated_blocks(spec) == fraction_separated_blocks(spec)
+        assert separated_witness(spec) == fraction_separated_blocks(spec)
 
     def test_strict_edge(self):
-        assert _separated_blocks(multigeometric([1], "1/2")) is None
-        assert _separated_blocks(multigeometric([1], "1/3")) == {
+        assert separated_witness(multigeometric([1], "1/2")) is None
+        assert separated_witness(multigeometric([1], "1/3")) == {
             "block": ["0/1", "1/1"],
             "min_gap": "1/1",
             "r0": "1/2",

@@ -325,6 +325,25 @@ class TestBadInput:
     def test_usage_error_is_one_line(self, args):
         assert_one_line_usage_error(run_cli(*args))
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize(
+        "doc,reason",
+        [
+            ("{}", 'spec has no "type" key'),
+            ('{"k":[3,2],"q":"1/4"}', 'spec has no "type" key'),
+            ('{"type":[]}', "unknown spec type []"),
+            ('{"type":"x"}', "unknown spec type 'x'"),
+        ],
+        ids=["empty", "no-type-key", "type-array", "type-unknown"],
+    )
+    def test_spec_type_error_line(self, command, doc, reason, capsys):
+        assert main([command, "--inline", doc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {reason}; expected one of ['gf', 'kyiv', 'mm', 'multigeometric', 'repeated']\n"
+        )
+
     @pytest.mark.parametrize(
         "args,out",
         [

@@ -4,6 +4,11 @@
 endpoint strings are written by ``engine.IterationRows``.  The check is
 static: it walks the module's syntax tree for an import of, or an
 attribute named as, one of the text formatters of ``cantorval.exact``.
+
+A report computes its tight trend and Kakeya split once, in
+``classify.Evidence``, and its classification and report sections read them
+from there; a second static check keeps every other module of the package
+from calling ``tight_trend`` or ``kakeya_split``.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SERIES = Path(__file__).resolve().parents[1] / "src" / "cantorval" / "series.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
+SERIES = PACKAGE / "series.py"
 FORMATTERS = {"lattice_str", "lattice_strs", "pairs_text", "rat_str"}
+ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
 
 
 def formatter_names(path: Path) -> list[tuple[int, str]]:
@@ -42,3 +49,39 @@ def test_the_check_sees_both_spellings(tmp_path):
         "t = str(x)\n"
     )
     assert formatter_names(probe) == [(1, "lattice_strs"), (3, "rat_str")]
+
+
+def called_names(path: Path, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) for each call in ``path`` of one of ``names``, spelled
+    ``f(...)`` or ``mod.f(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_classify_computes_the_trend_and_split():
+    callers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        calls = called_names(path, ONCE_PER_REPORT)
+        if calls and path != PACKAGE / "classify.py":
+            callers[str(path.relative_to(PACKAGE))] = calls
+    assert callers == {}
+    in_classify = called_names(PACKAGE / "classify.py", ONCE_PER_REPORT)
+    assert {name for _, name in in_classify} == ONCE_PER_REPORT
+
+
+def test_the_call_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .tightness import tight_trend\n"
+        "from . import series\n"
+        "t = tight_trend(ladder, 4)\n"
+        "s = series.kakeya_split(stream, 4)\n"
+        "f = tight_trend\n"
+    )
+    assert called_names(probe, ONCE_PER_REPORT) == [(3, "tight_trend"), (4, "kakeya_split")]

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorval import classify, cli, engine, tightness, uniqueness
+from cantorval import classify, engine, series, tightness, uniqueness
 from cantorval.engine import IterationReport
 from cantorval.cli import _analysis, _dumps, build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
@@ -414,19 +414,22 @@ def test_rows_of_one_bricks_share_their_text(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
 def test_tight_trend_runs_once_per_report(name, monkeypatch, tmp_path):
     # classify's heuristic witness (reached by gn) and the report's
-    # tight_trend section read one trend
+    # tight_trend and kakeya sections read one trend and one split, which
+    # classify.Evidence computes
     calls = []
-    trend = tightness.tight_trend
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return trend(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "tight_trend", counting)
-    monkeypatch.setattr(classify, "tight_trend", counting)
+        return counted
+
+    monkeypatch.setattr(classify, "tight_trend", counting(tightness.tight_trend))
+    monkeypatch.setattr(classify, "kakeya_split", counting(series.kakeya_split))
     args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
     assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
-    assert len(calls) == 1
+    assert sorted(calls) == ["kakeya_split", "tight_trend"]
 
 
 @pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
