@@ -1,8 +1,10 @@
 """Topological classification of achievement sets with explicit proof tiers.
 
 Every achievement set of a convergent positive series is a finite set, a
-multi-interval set, a Cantor set, or a Cantorval.  ``classify`` tries
-PROVERS in this order and returns the first verdict, with its tier:
+multi-interval set, a Cantor set, or a Cantorval.  A term stream has
+infinitely many positive terms, so its set is never finite and no verdict
+says Finite.  ``classify`` tries PROVERS in this order and returns the
+first verdict, with its tier:
 
 * _from_family and _from_pattern: Proved;
 * _from_separated_blocks and _from_certificate: Certified;
@@ -40,7 +42,6 @@ if TYPE_CHECKING:
 
 
 class Verdict(enum.Enum):
-    FINITE = "Finite"
     MULTI_INTERVAL = "MultiInterval"
     CANTOR = "Cantor"
     CANTORVAL = "Cantorval"
@@ -64,15 +65,10 @@ class Classification:
 
     @property
     def interior_empty(self) -> bool:
-        """True when the verdict proves the set has empty interior.
-
-        A Finite or Cantor verdict above the heuristic tier; a heuristic
-        Cantor verdict is finite-horizon evidence, not a proof.
-        """
-        return (
-            self.verdict in (Verdict.FINITE, Verdict.CANTOR)
-            and self.tier is not Tier.HEURISTIC
-        )
+        """True when the verdict proves the set has empty interior: a Cantor
+        verdict above the heuristic tier, where it is finite-horizon
+        evidence, not a proof."""
+        return self.verdict is Verdict.CANTOR and self.tier is not Tier.HEURISTIC
 
     def to_json(self) -> dict:
         return {
@@ -152,11 +148,15 @@ def _from_separated_blocks(evidence: Evidence) -> Optional[Classification]:
     """Certified Cantor: block subsums more than r_0 apart make a
     multigeometric spec's group bricks pairwise disjoint, and by
     self-similarity the separation recurs in every brick.  The gaps are
-    compared on the block's lattice; a block has at least two subsums."""
+    compared on the block's lattice; a block has at least two subsums.  A
+    block over capacity certifies nothing, as in _from_certificate."""
     spec = evidence.subject
     if not isinstance(spec, MultigeometricSpec):
         return None
-    block = mg_block(spec)
+    try:
+        block = mg_block(spec)
+    except CapacityError:
+        return None
     d, values = block.denominator, block.values
     min_gap = min(map(operator.sub, values[1:], values))
     r0 = spec.total

@@ -200,13 +200,9 @@ def _uniqueness_section(spec, ladder: SubsumLadder, depth: int) -> dict:
 
 
 def build_report(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
-    """The composite analysis document as plain JSON: ``_analysis`` builds it
-    with report objects, which this replaces by their ``to_json``."""
-    doc = _analysis(spec, depth, horizon, cap, budget)
-    doc["iterations"] = [row.to_json() for row in doc["iterations"]]
-    uniqueness = doc["uniqueness"]
-    uniqueness["repetition"] = uniqueness["repetition"].to_json()
-    return doc
+    """The composite analysis document as plain JSON: the text ``analyze``
+    writes, parsed."""
+    return json.loads("".join(_dumps(_analysis(spec, depth, horizon, cap, budget))))
 
 
 def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
@@ -215,8 +211,8 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     One subsum ladder is built for the spec's stream and every section reads
     its F_n from it; the tight_trend and kakeya sections are read off the
     Evidence that classify reads.  measure_bounds runs no interior-certificate
-    search when the classification proves the interior empty (Finite or
-    Cantor, Proved or Certified), because then its lower bound is 0 with no
+    search when the classification proves the interior empty (Cantor,
+    Proved or Certified), because then its lower bound is 0 with no
     certificate whatever the search finds.  The iteration rows are
     IterationRows and the uniqueness section's repetition is a
     RepetitionReport, which ``_write`` writes from their own text.

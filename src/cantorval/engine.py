@@ -31,7 +31,6 @@ only for the values a report prints: the certificate.
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -93,15 +92,6 @@ class IterationReport:
         lengths = self.bricks.lengths()
         return lengths.index(max(lengths))
 
-    def to_json(self) -> dict:
-        return json.loads(self.json_text("\n"))
-
-    def json_text(self, newline: str) -> str:
-        """The row as ``json.dumps(self.to_json(), indent=2)`` writes it at
-        the nesting whose line break and indent are ``newline``."""
-        measure, rest = self.bricks_text(newline)
-        return self.head_text(newline, measure) + rest
-
     def head_text(self, newline: str, measure: str) -> str:
         """The row's text before ``"gap_count"``, with ``measure`` the
         measure string that ``bricks_text`` gives."""
@@ -111,20 +101,15 @@ class IterationReport:
             f'{i1}"brick_count": {self.brick_count},'
         )
 
-    def bricks_text(
-        self, newline: str, starts: Optional[list[str]] = None, ends: Optional[list[str]] = None
-    ) -> tuple[str, str]:
+    def bricks_text(self, newline: str, starts: list[str], ends: list[str]) -> tuple[str, str]:
         """The row's text that its Bricks alone decides: the measure, and
         the row from ``"gap_count"`` to its closing brace.
 
         ``starts`` and ``ends`` are the "p/q" strings of the parts'
-        endpoints, which IterationRows hands from row to row; a row given
-        none formats its own.  ``parts`` and ``gaps`` are each written by
-        ``pairs_text``, so nothing is escaped.
+        endpoints, which IterationRows hands from row to row.  ``parts``
+        and ``gaps`` are each written by ``pairs_text``, so nothing is
+        escaped.
         """
-        if starts is None:
-            b = self.bricks
-            starts, ends = (lattice_strs(ks, b.denominator) for ks in (b.starts, b.ends))
         longest = self._longest_index()
         i1 = newline + "  "
         i2 = i1 + "  "

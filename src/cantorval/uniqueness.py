@@ -15,19 +15,16 @@ profiles.  The pass is skipped when F_k has as many values as there are
 profiles: F_k is the set of profile sums, so then no two profiles share a
 sum.  The collided sums stay integers on the lattice of D_k, the lcm of
 the term denominators, and Fractions are built only when a caller reads
-them.  A witness stays its two profile ranks until read: a rank splits into
-a lead and a trailing half of the value groups, and each half's picks are
-memoized, so a witness is two lookups and a concatenation.  The report
-writes its own indent-2 JSON text from those integers
+them.  A witness stays its two profile ranks until written: a rank splits
+into a lead and a trailing half of the value groups.  The report's one
+form is the indent-2 JSON text it writes from those integers
 (``RepetitionReport.json_text``), which the CLI copies into a report as it
-stands and ``to_json`` parses, so the section has one encoder.  That text
-formats each half's picks once and writes a witness subset as its two
-half texts joined.
+stands.  That text formats each half once per half rank, memoized, and
+writes a witness subset as its two half texts joined.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import lcm, prod
@@ -57,12 +54,11 @@ class RepetitionReport:
     collided[i] / denominator, reached by counts[i] multisets, whose first
     two profiles in ``itertools.product`` order have the ranks ranks[i].
     The value groups hold sizes[0], sizes[1], ... consecutive term indices
-    from 1, which is all a rank needs to be decoded.  ``subsets`` decodes
-    the witness index pairs, and ``collisions`` and ``witnesses`` build a
-    PointSet and (Fraction, first, second) tuples, each on first read.  The
-    outer approximation stays on the integer lattice of its sweep, the parts
-    [outer_starts[i], outer_ends[i]] / outer_denominator; ``outer`` builds
-    them as an IntervalSet when read.
+    from 1, which is all a rank needs to be decoded; ``json_text`` decodes
+    the witness index pairs as it writes them, and ``collisions`` builds a
+    PointSet on first read.  The outer approximation stays on the integer
+    lattice of its sweep, the parts [outer_starts[i], outer_ends[i]] /
+    outer_denominator.
     """
 
     k: int
@@ -80,49 +76,28 @@ class RepetitionReport:
         return _RankDecoder(self.sizes)
 
     @cached_property
-    def subsets(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        subset = self._decoder.subset
-        return tuple((subset(a), subset(b)) for a, b in self.ranks)
-
-    @cached_property
     def collisions(self) -> PointSet:
         d = self.denominator
         return PointSet(tuple(Fraction(v, d) for v in self.collided), self.counts)
-
-    @cached_property
-    def witnesses(self) -> tuple[tuple[Fraction, tuple[int, ...], tuple[int, ...]], ...]:
-        return tuple(
-            (f, first, second)
-            for f, (first, second) in zip(self.collisions.values, self.subsets)
-        )
-
-    @property
-    def outer(self) -> IntervalSet:
-        return IntervalSet.from_lattice(
-            self.outer_starts, self.outer_ends, self.outer_denominator
-        )
 
     def value_strs(self) -> list[str]:
         """The collided values as canonical "p/q" strings, in order."""
         return lattice_strs(self.collided, self.denominator)
 
-    def to_json(self) -> dict:
-        return json.loads(self.json_text("\n"))
-
     def json_text(self, newline: str) -> str:
-        """The report as ``json.dumps(self.to_json(), indent=2)`` writes it
-        at the nesting whose line break and indent are ``newline``.
+        """The report's indent-2 JSON text at the nesting whose line break
+        and indent are ``newline``.
 
         The value strings are built once for ``collisions`` and the
         witnesses, each list is one join, and ``outer`` is ``pairs_text``,
         whose ends reuse the starts' strings when every part is a single
         point.  Each witness is one format whose subsets are their lead and
         trailing half texts joined, and each half text is formatted once
-        per call, from the decoder's memoized picks; a report with no
-        collisions builds neither the decoder nor those caches.  Values hold
-        only digits, "-" and "/", so nothing is escaped.  A collided sum is
-        positive, so neither of its witness subsets is empty, though either
-        half of one may be.
+        per call, from the decoder's picks, and then looked up; a report
+        with no collisions builds neither the decoder nor a half text.
+        Values hold only digits, "-" and "/", so nothing is escaped.  A
+        collided sum is positive, so neither of its witness subsets is
+        empty, though either half of one may be.
         """
         values = self.value_strs()
         d = self.outer_denominator
@@ -216,7 +191,7 @@ def _profile_pass(
 
 
 class _RankDecoder:
-    """Profile rank -> witness index subset, from two memoized halves.
+    """Profile rank -> witness index subset, from two halves.
 
     Value group i holds sizes[i] consecutive term indices, from 1 on, and
     a rank is mixed-radix over the groups as in ``_profile_pass``: group 1
@@ -224,9 +199,9 @@ class _RankDecoder:
     indices.  The groups split where the radix of the trailing ones first
     reaches the square root of the profile count, so a rank is
     high * radix + low with high a rank over the lead groups and low one
-    over the trailing groups.  ``lead`` and ``trail`` decode each half and
-    cache its picks, about that square root of ranks each; lead groups hold
-    the smaller indices, so a subset is the two halves concatenated.
+    over the trailing groups.  ``lead`` and ``trail`` decode each half,
+    which has about that square root of ranks; lead groups hold the smaller
+    indices, so a subset is the two halves concatenated.
     """
 
     def __init__(self, sizes: tuple[int, ...]) -> None:
@@ -241,12 +216,8 @@ class _RankDecoder:
             split -= 1
             radix *= sizes[split] + 1
         self.radix = radix
-        self.lead = cache(partial(_picks, groups[:split]))
-        self.trail = cache(partial(_picks, groups[split:]))
-
-    def subset(self, rank: int) -> tuple[int, ...]:
-        high, low = divmod(rank, self.radix)
-        return self.lead(high) + self.trail(low)
+        self.lead = partial(_picks, groups[:split])
+        self.trail = partial(_picks, groups[split:])
 
 
 def _picks(groups: list[range], rank: int) -> tuple[int, ...]:
@@ -272,7 +243,7 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
     ``_profile_pass``), and keeps witnesses only for collided values: the
     ranks of the first two profiles reaching the value, in the order of
     ``itertools.product`` over the groups, which the report decodes from two
-    memoized halves when read (see ``_RankDecoder``).  The pass is skipped
+    halves when written (see ``_RankDecoder``).  The pass is skipped
     when |F_k| is the profile count, since then no two profiles share a
     sum.  The profile count is guarded by the ladder's cap before anything
     is allocated.  The sums stay integers over D_k, the lcm of the term

@@ -21,9 +21,9 @@ stream must reproduce now that it derives each later group from its first
 ones, its earlier enumeration of every multiplicity profile in
 ``repetition_report``, which the one-pass tally, and its skip when F_k
 has no collision, must match report for report, its earlier per-rank
-witness decoding, which the two memoized halves must match rank for rank, its earlier dict-building
-``RepetitionReport.to_json``, which the report's text must parse back to,
-its earlier ``IterationReport.json_text``, which formatted every
+witness decoding, which the two halves must match rank for rank, its
+earlier dict-building ``RepetitionReport.to_json``, which the report's text
+must parse back to, its earlier single-row writer, which formatted every
 endpoint of a row anew where ``engine.IterationRows`` now hands one row's
 strings to the next, and its earlier stream class, ``FractionGroupedStream``,
 which validated, summed tails and compared terms with tails in Fractions
@@ -1032,15 +1032,25 @@ def enumerated_repetition_report(ladder: SubsumLadder, k: int) -> RepetitionRepo
     )
 
 
+def value_groups(sizes: Sequence[int]) -> list[tuple[Fraction, list[int]]]:
+    """Value groups of the given sizes over consecutive indices 1, 2, ...,
+    in the shape ``uniqueness._value_groups`` returns."""
+    groups, start = [], 1
+    for i, size in enumerate(sizes, start=1):
+        groups.append((Fraction(1, i), list(range(start, start + size))))
+        start += size
+    return groups
+
+
 def rank_subset(
-    sizes: list[int], groups: list[tuple[Fraction, list[int]]], rank: int
+    sizes: Sequence[int], groups: list[tuple[Fraction, list[int]]], rank: int
 ) -> tuple[int, ...]:
     """Witness index subset of one profile rank, one group at a time.
 
     The rank is mixed-radix over the value groups, group 1 most significant
     and radix sizes[i] + 1; digit n picks the first n indices of its group.
     This is the per-rank decoding ``repetition_report`` used before it split
-    the groups into two memoized halves.
+    the groups into two halves.
     """
     picks: list[int] = []
     for size, (_, indices) in zip(reversed(sizes), reversed(groups)):
@@ -1050,20 +1060,26 @@ def rank_subset(
 
 
 def repetition_dict(report: RepetitionReport) -> dict:
-    """The plain-JSON repetition report, built as a dict.
+    """The plain-JSON repetition report, built as a dict, with each witness
+    subset decoded one rank at a time by ``rank_subset``.
 
     This is ``RepetitionReport.to_json`` from before the report wrote its
-    own text, which ``to_json`` now parses.
+    own text, which the text must parse back to.
     """
     values = lattice_strs(report.collided, report.denominator)
     d = report.outer_denominator
     outer = zip(lattice_strs(report.outer_starts, d), lattice_strs(report.outer_ends, d))
+    groups = value_groups(report.sizes)
+
+    def subset(rank: int) -> list[int]:
+        return list(rank_subset(report.sizes, groups, rank))
+
     return {
         "k": report.k,
         "collisions": {"values": values, "counts": list(report.counts)},
         "witnesses": [
-            {"value": v, "first": list(a), "second": list(b)}
-            for v, (a, b) in zip(values, report.subsets)
+            {"value": v, "first": subset(a), "second": subset(b)}
+            for v, (a, b) in zip(values, report.ranks)
         ],
         "outer": list(map(list, outer)),
     }

@@ -53,6 +53,11 @@ BIG_VALUES = json.dumps(
 # an exponent names a 20,001-digit denominator in eight characters
 EXPONENT_Q = '{"type":"multigeometric","k":[3,2],"q":"1e-20000"}'
 DECIMAL_Q = '{"type":"multigeometric","k":[3,2],"q":"0.5"}'
+# a block of 2,097,152 subsums, past the default cap, with a 2-value F_1
+BIG_BLOCK = json.dumps(
+    {"type": "multigeometric", "k": [2**40] + [2**25 + 2**e for e in range(21, -1, -1)],
+     "q": "1/65536"}
+)
 DEEP = "[" * 5000 + "]" * 5000  # nests past the JSON decoder's recursion limit
 
 
@@ -216,6 +221,15 @@ class TestAnalyze:
         assert code == "0"
         assert digest == "7cd7e841ad36e37dee9dc1eacbfd015082e4cfa162005050bf3691a21ac2e16c"
         assert int(peak_kb) < 135 * 1024
+
+    def test_over_capacity_block_certifies_nothing(self):
+        # no family or pattern proof decides this spec, and its block is over
+        # the cap: the separated-block test, like the certificate search and
+        # measure_bounds, takes that as no certificate, so the report is
+        # written (the verdict is not pinned)
+        proc = run_cli("analyze", "--depth", "1", "--inline", BIG_BLOCK)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["measure_bounds"]["certificate"] is None
 
     @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
     def test_stdout_report_is_one_write(self, path, tmp_path):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from cantorval.classify import classify
 from cantorval import engine
 from cantorval.cli import build_report, main
 from cantorval.engine import (
+    IterationRows,
     certify_interior,
     hutchinson,
     iterate,
@@ -61,7 +63,8 @@ class TestIterate:
         assert rep.measure == F(3, 2)
         assert rep.gap_count == 2
         assert longest_component(rep) == interval("1/2", "7/6")
-        assert rep.to_json()["gaps"] == [["5/12", "1/2"], ["7/6", "5/4"]]
+        row = json.loads("".join(IterationRows(mg_ladder(GN), 2).chunks("\n")))[2]
+        assert row["gaps"] == [["5/12", "1/2"], ["7/6", "5/4"]]
 
     def test_middle_thirds_first_step(self):
         rep = iterate(mg_ladder(THIRDS), 1)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval import series
 from cantorval.engine import IterationRows, iterate
-from cantorval.exact import Interval, PointSet, lattice_str, normalize, rat_str
+from cantorval.exact import Interval, IntervalSet, PointSet, lattice_str, normalize, rat_str
 from cantorval.families import multigeometric, spec_from_json
 from cantorval.series import (
     CapacityError,
@@ -57,7 +57,6 @@ def mixed_streams(draw):
     start = prefix[-1] * draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
     ratio = F(1, draw(st.integers(2, 5)))
     return geometric_tail_stream(prefix, start, ratio), len(prefix) + 2
-
 
 @st.composite
 def mixed_pattern_streams(draw):
@@ -142,20 +141,21 @@ def finite_ladders(draw):
 
 
 class TestRowText:
-    """IterationReport.json_text is its row's indent-2 text at any nesting."""
+    """IterationRows.chunks is the rows' indent-2 text at any nesting."""
 
-    @given(st.one_of(mixed_pattern_streams(), finite_ladders()), st.data())
+    @given(st.one_of(mixed_pattern_streams(), finite_ladders()), st.integers(0, 6))
     @settings(max_examples=80, deadline=None)
-    def test_row_text_is_indent_2_json(self, drawn, data):
+    def test_row_text_is_indent_2_json(self, drawn, nesting):
         stream, order = drawn
         ladder = SubsumLadder(stream)
-        for n in order:
+        for n in order:  # a ladder already asked for its levels in any order
+            ladder.bricks(n)
+        newline = "\n" + "  " * nesting
+        text = "".join(IterationRows(ladder, len(order) - 1).chunks(newline))
+        docs = json.loads(text)
+        assert json.dumps(docs, indent=2).replace("\n", newline) == text
+        for n, doc in enumerate(docs):
             report = iterate(ladder, n)
-            newline = "\n" + "  " * data.draw(st.integers(0, 6))
-            text = report.json_text(newline)
-            doc = json.loads(text)
-            assert json.dumps(doc, indent=2).replace("\n", newline) == text
-            assert report.to_json() == doc
             b = report.bricks
             starts = [lattice_str(k, b.denominator) for k in b.starts]
             ends = [lattice_str(k, b.denominator) for k in b.ends]
@@ -194,10 +194,9 @@ class TestRowText:
 
     @pytest.mark.parametrize("terms", [[], [F(1)], [F(2), F(1), F(1)]])
     def test_single_part_level_has_no_gaps(self, terms):
-        report = iterate(SubsumLadder(FiniteStream(terms)), 0)
-        text = report.json_text("\n  ")
+        text = "".join(IterationRows(SubsumLadder(FiniteStream(terms)), 0).chunks("\n  "))
         assert '"gaps": [],' in text
-        doc = json.loads(text)
+        (doc,) = json.loads(text)
         assert doc["parts"] == [["0/1", rat_str(sum(terms, F(0)))]]
         assert doc["gaps"] == [] and doc["gap_count"] == 0
 
@@ -298,6 +297,7 @@ class TestReaders:
     def test_iteration_parts_match_merged_bricks(self, drawn):
         stream, depth = drawn
         ladder = SubsumLadder(stream)
+        docs = json.loads("".join(IterationRows(ladder, depth).chunks("\n")))
         for n in range(depth + 1):
             tail = stream.tail(n)
             report = iterate(ladder, n)
@@ -307,7 +307,7 @@ class TestReaders:
             assert report.measure == sum((hi - lo for lo, hi in expected), F(0))
             assert report.gap_count == len(expected) - 1
             assert longest_component(report) == max(parts, key=lambda p: p.length)
-            doc = report.to_json()
+            doc = docs[n]
             assert doc["parts"] == report.iteration.to_pairs()
             assert doc["gaps"] == [
                 [rat_str(a.hi), rat_str(b.lo)] for a, b in zip(parts, parts[1:])
@@ -336,6 +336,7 @@ class TestReaders:
             )
             assert multirep_outer(ladder, k) == expected
             report = repetition_report(ladder, k)
-            assert report.outer == expected
-            assert report.to_json()["outer"] == expected.to_pairs()
-        assert not repetition_report(ladder, 0).outer
+            d = report.outer_denominator
+            assert IntervalSet.from_lattice(report.outer_starts, report.outer_ends, d) == expected
+            assert json.loads(report.json_text("\n"))["outer"] == expected.to_pairs()
+        assert not repetition_report(ladder, 0).outer_starts

@@ -9,6 +9,10 @@ A report computes its tight trend and Kakeya split once, in
 ``classify.Evidence``, and its classification and report sections read them
 from there; a second static check keeps every other module of the package
 from calling ``tight_trend`` or ``kakeya_split``.
+
+Each report section has one form in the package, the text that ``analyze``
+writes; a third static check keeps every module but ``cli.py``, which reads
+specs and parses a report for ``build_report``, from parsing JSON text.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
 SERIES = PACKAGE / "series.py"
 FORMATTERS = {"lattice_str", "lattice_strs", "pairs_text", "rat_str"}
 ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
+JSON_PARSERS = {"load", "loads"}
 
 
 def formatter_names(path: Path) -> list[tuple[int, str]]:
@@ -85,3 +90,38 @@ def test_the_call_check_sees_both_spellings(tmp_path):
         "f = tight_trend\n"
     )
     assert called_names(probe, ONCE_PER_REPORT) == [(3, "tight_trend"), (4, "kakeya_split")]
+
+
+def json_parses(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each ``json.load`` or ``json.loads`` that ``path``
+    calls, or imports from ``json`` by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((node.lineno, a.name) for a in node.names if a.name in JSON_PARSERS)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in JSON_PARSERS and getattr(func.value, "id", None) == "json":
+                found.append((node.lineno, func.attr))
+    return sorted(found)
+
+
+def test_only_cli_parses_json():
+    parsers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        calls = json_parses(path)
+        if calls and path != PACKAGE / "cli.py":
+            parsers[str(path.relative_to(PACKAGE))] = calls
+    assert parsers == {}
+
+
+def test_the_parse_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "from json import loads\n"
+        "doc = json.loads(text)\n"
+        "spec = json.load(f)\n"
+        "rows = self.load(f)\n"
+    )
+    assert json_parses(probe) == [(2, "loads"), (3, "loads"), (4, "load")]

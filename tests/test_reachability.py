@@ -42,8 +42,8 @@ SPECS = sorted((ROOT / "scripts" / "specs").glob("*.json"))
 # Kept without a command reaching them, each for the reason given.
 EXPLICIT = {
     "cantorval.cli.build_report": (
-        "the report pins and library callers read the plain-JSON document;"
-        " analyze writes the same bytes from IterationRows"
+        "the report pins and library callers read the plain-JSON document,"
+        " which is the text analyze writes, parsed"
     ),
     "cantorval.cli.validate_report_document": "perfbench/checks.py checks every report with it",
     "cantorval.exact.lattice_str": (

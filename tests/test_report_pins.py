@@ -42,7 +42,7 @@ from pathlib import Path
 import pytest
 
 from cantorval import classify, engine, series, tightness, uniqueness
-from cantorval.engine import IterationReport
+from cantorval.engine import IterationRows
 from cantorval.cli import _analysis, _dumps, build_report, main
 from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
@@ -325,35 +325,31 @@ def test_carried_levels_share_their_bricks(name):
         assert (rows[n].bricks is rows[n - 1].bricks) == carried
 
 
-# IterationReport.to_json calls per ``analyze --depth 14``: the CLI writes
-# each iteration row from its ``json_text``, and classify's gaps witness for
-# a certified Cantorval (ferens_5432, at its first Kakeya index) is written
-# from that level's Bricks, so no report builds a row dict.
-ROW_DICTS_DEPTH_14 = {
-    "dyadic": 0,
-    "ferens_5432": 0,
-    "gf_decimal": 0,
-    "gn": 0,
-    "kyiv48": 0,
-    "middle_thirds": 0,
-    "mm_ones": 0,
-    "semifast": 0,
-}
+def written_text(name, tmp_path, owner, method, monkeypatch):
+    """(report text of ``analyze --depth 14``, each text ``owner.method``
+    gave while it was written, joined per call)."""
+    texts = []
+    original = getattr(owner, method)
 
+    def recording(obj, newline):
+        texts.append("".join(original(obj, newline)))
+        return texts[-1]
 
-@pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
-def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
-    calls = []
-    to_json = IterationReport.to_json
-
-    def counting(report):
-        calls.append(report.n)
-        return to_json(report)
-
-    monkeypatch.setattr(IterationReport, "to_json", counting)
+    monkeypatch.setattr(owner, method, recording)
+    out = tmp_path / "report.json"
     args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
-    assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
-    assert len(calls) == ROW_DICTS_DEPTH_14[name]
+    assert main(args + ["--out", str(out)]) == 0
+    return out.read_text(), texts
+
+
+# The iteration rows and the uniqueness section's repetition report each
+# have one form, the text that ``analyze`` copies into the report as it
+# stands: no report builds a row or repetition dict.
+@pytest.mark.parametrize("name", sorted(SWEEPS_DEPTH_14))
+def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
+    report, texts = written_text(name, tmp_path, IterationRows, "chunks", monkeypatch)
+    assert len(texts) == 1
+    assert f'\n  "iterations": {texts[0]},\n' in report
 
 
 # Endpoint strings the iteration rows format per ``analyze --depth 14``.
@@ -432,21 +428,11 @@ def test_tight_trend_runs_once_per_report(name, monkeypatch, tmp_path):
     assert sorted(calls) == ["kakeya_split", "tight_trend"]
 
 
-@pytest.mark.parametrize("name", sorted(ROW_DICTS_DEPTH_14))
+@pytest.mark.parametrize("name", sorted(SWEEPS_DEPTH_14))
 def test_cli_writes_repetition_from_text(name, monkeypatch, tmp_path):
-    # the CLI writes the uniqueness section's repetition report from its
-    # ``json_text``, so no report builds its dict
-    calls = []
-    to_json = RepetitionReport.to_json
-
-    def counting(report):
-        calls.append(report.k)
-        return to_json(report)
-
-    monkeypatch.setattr(RepetitionReport, "to_json", counting)
-    args = ["analyze", "--spec", str(SPECS / f"{name}.json"), "--depth", "14"]
-    assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
-    assert calls == []
+    report, texts = written_text(name, tmp_path, RepetitionReport, "json_text", monkeypatch)
+    assert len(texts) == 1
+    assert f'\n    "repetition": {texts[0]},\n' in report
 
 
 # sha256 of the file ``analyze --spec <name>.json --depth 6 --format human

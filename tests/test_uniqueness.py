@@ -45,6 +45,7 @@ from oracles import (
     reference_semifast_violation,
     repetition_dict,
     reference_weighted_tail,
+    value_groups,
 )
 
 GN = multigeometric([3, 2], "1/4").stream()
@@ -65,6 +66,19 @@ def planted_stream():
 
 def iset(*pairs):
     return normalize(interval(lo, hi) for lo, hi in pairs)
+
+
+def parsed(report):
+    """The repetition report as the text ``analyze`` writes, parsed."""
+    return json.loads(report.json_text("\n"))
+
+
+def witnesses(report):
+    """(value, first, second) of each witness the report writes."""
+    return [
+        (F(w["value"]), tuple(w["first"]), tuple(w["second"]))
+        for w in parsed(report)["witnesses"]
+    ]
 
 
 @st.composite
@@ -93,7 +107,7 @@ class TestCollisions:
         report = repetition_report(SubsumLadder(HALVING.stream()), 3)
         assert report.collisions.values == (F(1),)
         assert report.collisions.counts == (2,)
-        (value, first, second) = report.witnesses[0]
+        (value, first, second) = witnesses(report)[0]
         assert value == 1
         assert {first, second} == {(1,), (2, 3)}
 
@@ -112,7 +126,7 @@ class TestCollisions:
         report = repetition_report(SubsumLadder(stream), 4)
         # the planted identity x_2 = x_3 + x_4 propagates into 1 and 3/2
         assert report.collisions.values == (F(1, 2), F(1), F(3, 2))
-        for value, first, second in report.witnesses:
+        for value, first, second in witnesses(report):
             assert sum((stream.term(i) for i in first), F(0)) == value
             assert sum((stream.term(i) for i in second), F(0)) == value
             assert first != second
@@ -162,12 +176,12 @@ class TestProfilePass:
         report = repetition_report(ladder, k)
         expected = enumerated_repetition_report(ladder, k)
         assert report == expected
-        assert report.to_json() == expected.to_json()
+        assert report.json_text("\n") == expected.json_text("\n")
         groups = value_groups(report.sizes)
-        assert report.subsets == tuple(
+        assert [(first, second) for _, first, second in witnesses(report)] == [
             (rank_subset(report.sizes, groups, a), rank_subset(report.sizes, groups, b))
             for a, b in expected.ranks
-        )
+        ]
 
     @given(streams_with_depth(distinct=True))
     @settings(max_examples=100, deadline=None)
@@ -185,23 +199,13 @@ class TestProfilePass:
         report = repetition_report(SubsumLadder(FiniteStream([3, 2, 2, 1, 1, 1])), 6)
         at = report.collisions.values.index(3)
         assert report.collisions.counts[at] == 3  # {3}, {2, 1} and {1, 1, 1}
-        value, first, second = next(w for w in report.witnesses if w[0] == 3)
+        value, first, second = next(w for w in witnesses(report) if w[0] == 3)
         # in product order the profile with fewest 3s and 2s comes first
         assert (first, second) == ((4, 5, 6), (2, 4))
 
 
-def value_groups(sizes):
-    """Value groups of the given sizes over consecutive indices 1, 2, ...,
-    in the shape ``_value_groups`` returns."""
-    groups, start = [], 1
-    for i, size in enumerate(sizes, start=1):
-        groups.append((F(1, i), list(range(start, start + size))))
-        start += size
-    return groups
-
-
 class TestRankDecoder:
-    """Witnesses from two memoized halves against the per-rank decoding."""
+    """Ranks decoded from two halves against the per-rank decoding."""
 
     @given(st.lists(st.integers(1, 4), max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -210,7 +214,12 @@ class TestRankDecoder:
     @example([])  # k = 0: the one empty profile
     def test_every_rank_decodes_as_one_group_at_a_time(self, sizes):
         groups = value_groups(sizes)
-        subset = _RankDecoder(tuple(sizes)).subset
+        decoder = _RankDecoder(tuple(sizes))
+
+        def subset(rank):
+            high, low = divmod(rank, decoder.radix)
+            return decoder.lead(high) + decoder.trail(low)
+
         ranks = range(prod(size + 1 for size in sizes))
         assert [subset(r) for r in ranks] == [rank_subset(sizes, groups, r) for r in ranks]
 
@@ -227,14 +236,14 @@ class TestLatticeReport:
 
         monkeypatch.setattr(uniqueness, "Fraction", counting)
         report = repetition_report(ladder, 12)
-        doc = report.to_json()
+        doc = parsed(report)
         assert made == []
         monkeypatch.undo()
         values = tuple(F(v) for v in doc["collisions"]["values"])
         assert len(values) == 1131
         assert report.collisions.values == values
         assert report.collisions.counts == tuple(doc["collisions"]["counts"])
-        assert [w[0] for w in report.witnesses] == [F(w["value"]) for w in doc["witnesses"]]
+        assert [w["value"] for w in doc["witnesses"]] == doc["collisions"]["values"]
 
 
 @st.composite
@@ -285,7 +294,7 @@ class TestSkippedProfilePass:
         assert ran == (len(ladder.level(k)) < profiles)
         expected = enumerated_repetition_report(ladder, k)
         assert report == expected
-        assert report.to_json() == expected.to_json()
+        assert report.json_text("\n") == expected.json_text("\n")
 
     @pytest.mark.parametrize(
         "stream,k,ran",
@@ -323,7 +332,7 @@ class TestHalfTexts:
         halves = {r // radix for r in ranks}, {r % radix for r in ranks}
         assert len(report.collided) == 1131
         # 14,457 witness indices, from 64 lead and 64 trailing half ranks
-        assert sum(map(len, (i for pair in report.subsets for i in pair))) == 14457
+        assert sum(len(w[1]) + len(w[2]) for w in witnesses(report)) == 14457
         assert half.call_count == len(halves[0]) + len(halves[1]) <= 128
 
     def test_cap_below_the_profile_count_exits_in_its_stage(self, capsys):
@@ -337,7 +346,8 @@ class TestHalfTexts:
 
 class TestReportText:
     """RepetitionReport.json_text is the report's indent-2 text at any
-    nesting, and it parses back to the dict the report once built."""
+    nesting, and it parses back to the dict the report once built, with
+    each witness decoded one rank at a time."""
 
     @given(
         st.one_of(repeated_term_streams(), multigeometric_streams(), streams_with_depth()),
@@ -353,12 +363,12 @@ class TestReportText:
         newline = "\n" + "  " * indent
         text = report.json_text(newline)
         assert json.dumps(json.loads(text), indent=2).replace("\n", newline) == text
-        assert report.to_json() == repetition_dict(report)
+        assert json.loads(text) == repetition_dict(report)
 
     def test_three_multisets_reach_one_sum(self):
         report = repetition_report(SubsumLadder(HALVING.stream()), 5)
         assert max(report.counts) >= 3
-        assert json.loads(report.json_text("\n")) == repetition_dict(report)
+        assert parsed(report) == repetition_dict(report)
 
     def test_depth_zero_has_no_collision_and_no_outer(self):
         report = repetition_report(SubsumLadder(DYADIC), 0)
@@ -381,7 +391,7 @@ class TestReportText:
             return lattice_strs(ks, d, known)
 
         monkeypatch.setattr(uniqueness, "lattice_strs", counting)
-        assert report.to_json() == repetition_dict(report)
+        assert parsed(report) == repetition_dict(report)
         assert calls == [len(report.collided), 4095]
 
     @pytest.mark.parametrize(
@@ -391,14 +401,13 @@ class TestReportText:
         report = repetition_report(SubsumLadder(stream), k)
         text = report.json_text("\n")
         assert bool(report.ranks) == ("_decoder" in vars(report)) == collides
-        assert text == json.dumps(report.to_json(), indent=2)
+        assert text == json.dumps(repetition_dict(report), indent=2)
 
     def test_middle_thirds_has_no_collision_and_no_outer(self):
         report = repetition_report(SubsumLadder(THIRDS), 6)
         doc = repetition_dict(report)
         assert doc["collisions"] == {"values": [], "counts": []}
         assert doc["witnesses"] == [] and doc["outer"] == []
-        assert report.to_json() == doc
         assert report.json_text("\n") == json.dumps(doc, indent=2)
 
 
