@@ -88,7 +88,14 @@ class IterationReport:
     def gap_count(self) -> int:
         return len(self.bricks) - 1
 
+    @property
+    def separated(self) -> bool:
+        """Every part is one brick, of length r_n (see ``series``)."""
+        return len(self.bricks) == self.brick_count
+
     def _longest_index(self) -> int:
+        if self.separated:  # every part has length r_n
+            return 0
         lengths = self.bricks.lengths()
         return lengths.index(max(lengths))
 
@@ -147,7 +154,12 @@ class IterationRows:
     part of I_n and b ends one.  The level m that swept I_{n-1} has a
     lattice dividing I_n's, because r_m = x_{m+1} + ... + x_n + r_n, so
     those endpoints are rescaled and looked up, and only the others are
-    formatted.  The rows of one report thus format each endpoint once.
+    formatted.  After a separated row n - 1, one whose every part is a
+    brick, a swept row with twice its parts has split each part of I_{n-1}
+    in two, by fact (B) of the ``series`` docstring: its starts alternate
+    old, new and its ends new, old.  So the previous row's strings are
+    sliced into place, only the new half is formatted, and no endpoint is
+    looked up.  The rows of one report thus format each endpoint once.
     """
 
     def __init__(self, ladder: SubsumLadder, depth: int) -> None:
@@ -166,24 +178,38 @@ class IterationRows:
         inner = newline + "  "
         separator = "[" + inner
         last: Optional[Bricks] = None
+        was_separated = False
         for row in self.rows:
             got = row.bricks
             if got is not last:
                 d = got.denominator
-                known = None
-                if last is not None:
-                    scale = partial(operator.mul, d // last.denominator)
-                    endpoints = map(scale, chain(last.starts, last.ends))
-                    known = dict(zip(endpoints, chain(starts, ends)))
-                starts = lattice_strs(got.starts, d, known)
-                ends = lattice_strs(got.ends, d, known)
+                if was_separated and len(got) == 2 * len(last):
+                    starts = _interleaved(starts, lattice_strs(got.starts[1::2], d))
+                    ends = _interleaved(lattice_strs(got.ends[::2], d), ends)
+                else:
+                    known = None
+                    if last is not None:
+                        scale = partial(operator.mul, d // last.denominator)
+                        endpoints = map(scale, chain(last.starts, last.ends))
+                        known = dict(zip(endpoints, chain(starts, ends)))
+                    starts = lattice_strs(got.starts, d, known)
+                    ends = lattice_strs(got.ends, d, known)
                 measure, rest = row.bricks_text(inner, starts, ends)
                 last = got
+            was_separated = row.separated
             yield separator
             yield row.head_text(inner, measure)
             yield rest
             separator = "," + inner
         yield newline + "]" if self.rows else "[]"
+
+
+def _interleaved(evens: list[str], odds: list[str]) -> list[str]:
+    """evens[0], odds[0], evens[1], odds[1], ... for lists of one length."""
+    out = [""] * (2 * len(evens))
+    out[::2] = evens
+    out[1::2] = odds
+    return out
 
 
 class _LatticeOperator:

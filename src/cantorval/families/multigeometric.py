@@ -18,10 +18,11 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import Union
 
 from ..exact import rat, rat_str, RationalLike
 from ..frozen import frozen
-from ..series import DEFAULT_CAP, LatticeLevel, subsum_level
+from ..series import DEFAULT_CAP, CapacityError, LatticeLevel, subsum_level
 from .grouped import GroupedStream, check_head, power_bits
 from .io import json_array
 
@@ -194,7 +195,6 @@ def _exponents_above(coefficients: list[int], a: int, b: int, m: int) -> list[in
     return exponents
 
 
-@lru_cache(maxsize=64)
 def mg_block(spec: MultigeometricSpec) -> LatticeLevel:
     """Subsum set of the unscaled coefficients {k_1, ..., k_m}, on its lattice.
 
@@ -203,6 +203,24 @@ def mg_block(spec: MultigeometricSpec) -> LatticeLevel:
     coefficients' denominators, which every block subsum's denominator
     divides.  It is built once per spec and kept, since the operator, its
     certificate candidates and the separated-block test all read it; a block
-    over DEFAULT_CAP raises CapacityError.
+    over DEFAULT_CAP raises CapacityError.  A refusal is kept too, as its
+    stage, size and cap, and each call raises a fresh error from them, so
+    an over-capacity block is folded once per spec.
     """
-    return subsum_level(spec.coefficients)
+    got = _folded_block(spec)
+    if isinstance(got, LatticeLevel):
+        return got
+    raise CapacityError(*got)
+
+
+@lru_cache(maxsize=64)
+def _folded_block(spec: MultigeometricSpec) -> Union[LatticeLevel, tuple[str, int, int]]:
+    """``mg_block``'s fold, or its refusal as data: an exception kept in
+    the cache would keep the fold's frames alive through its traceback."""
+    try:
+        return subsum_level(spec.coefficients)
+    except CapacityError as exc:
+        return exc.stage, exc.size, exc.cap
+
+
+mg_block.cache_clear = _folded_block.cache_clear  # type: ignore[attr-defined]

@@ -24,6 +24,29 @@ bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
 [f, f + r_{n-1}], so I_n = I_{n-1}, and level n keeps the same Bricks, on
 the lattice of the level that swept it.  The ladder holds numbers only; the
 report writer formats them.
+
+Level n is *separated* when every gap of F_n exceeds r_n.  Two facts follow.
+
+(A) A separated I_n has starts F_n and ends F_n + r_n: each brick is a part
+of its own, of length r_n, since a gap wider than r_n cuts between every two
+neighbours.  Conversely a gap g <= r_n joins two bricks into one part, so
+level n is separated exactly when I_n has |F_n| parts.
+
+(B) If level n - 1 is separated and x_n > r_n, then F_n is F_{n-1}
+interleaved with F_{n-1} + x_n, and level n is separated.  For f < f' in
+F_{n-1}, f' - f > r_{n-1} = x_n + r_n, so f < f + x_n < f' and the two runs
+alternate with no value in both.  The gaps of F_n are x_n > r_n and
+f' - (f + x_n) > r_{n-1} - x_n = r_n.  So each part [f, f + r_{n-1}] of
+I_{n-1} splits into [f, f + r_n] and [f + x_n, f + r_{n-1}]: I_n's starts
+alternate old, new and its ends new, old.
+
+F_0 = {0} has no gap, so by induction every level in the pattern's leading
+run of Kakeya indices (n = 1, 2, ... while x_n > r_n) is separated.  The
+ladder reads that run once from the pattern, builds each of its levels by
+interleaving, with no sort and no duplicate scan, and sweeps it by (A) with
+no gap scan.  The run is sufficient, not necessary: level 3 of (5, 5, 5; 1/5)
+is separated, though x_1 = 1 < r_1 = 11/4.  ``SubsumLadder.separated`` is the
+exact test, read off I_n once it is built.
 """
 
 from __future__ import annotations
@@ -31,9 +54,9 @@ from __future__ import annotations
 import abc
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, islice
-from math import lcm
+from math import inf, lcm
 from typing import Iterable
 
 from .exact import PointSet
@@ -220,6 +243,25 @@ class LatticeLevel:
             merged = [*compress(merged, distinct), merged[-1]]
         return LatticeLevel(d, tuple(merged))
 
+    def interleave(self, term: Fraction, cap: int) -> "LatticeLevel":
+        """The next level when consecutive values are more than ``term``
+        apart: each value followed by itself plus ``term``, by fact (B) of
+        the module docstring, with no sort and no duplicate scan.  Raises
+        CapacityError, as ``extend`` would, before the level is allocated
+        when its 2n values would pass ``cap``.
+        """
+        n = len(self.values)
+        if 2 * n > cap:
+            raise CapacityError("subsum_ladder", 2 * n, cap)
+        d = lcm(self.denominator, term.denominator)
+        values = self.values
+        if d != self.denominator:
+            values = tuple(map(partial(operator.mul, d // self.denominator), values))
+        merged = [0] * (2 * n)
+        merged[::2] = values
+        merged[1::2] = map(partial(operator.add, term.numerator * (d // term.denominator)), values)
+        return LatticeLevel(d, tuple(merged))
+
     def points(self) -> PointSet:
         d = self.denominator
         return PointSet(tuple(Fraction(v, d) for v in self.values))
@@ -295,7 +337,9 @@ class SubsumLadder:
     iteration I_n, swept from the same integers at 0 and at the Kakeya
     levels that the stream's pattern names; every other level n is the
     same Bricks object as level n - 1, since x_n <= r_n joins
-    [f, f + r_n] to [f + x_n, f + r_{n-1}].
+    [f, f + r_n] to [f + x_n, f + r_{n-1}].  A level in the pattern's
+    leading run of Kakeya indices is separated (see the module docstring),
+    so it is interleaved instead of merged and swept with no gap scan.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -306,13 +350,22 @@ class SubsumLadder:
         self._levels = [ZERO_LEVEL]
         self._bricks: dict[int, Bricks] = {}
 
+    @cached_property
+    def _run(self) -> float:
+        """The last level of the pattern's leading run of Kakeya indices,
+        infinite when every index is one: levels 0 to it are separated."""
+        pattern = self.stream.kakeya_pattern()
+        signs = pattern.prefix + pattern.cycle
+        return next((n for n, sign in enumerate(signs) if sign != GREATER), inf)
+
     def level(self, n: int) -> LatticeLevel:
         if n < 0:
             raise ValueError("depth must be nonnegative")
         levels = self._levels
         while len(levels) <= n:
-            term = self.stream.term(len(levels))
-            levels.append(levels[-1].extend(term, self.cap))
+            k = len(levels)
+            step = LatticeLevel.interleave if k <= self._run else LatticeLevel.extend
+            levels.append(step(levels[-1], self.stream.term(k), self.cap))
         return levels[n]
 
     def on_tail_lattice(self, n: int) -> tuple[int, tuple[int, ...], int]:
@@ -340,12 +393,22 @@ class SubsumLadder:
                 kept[k] = got
         return kept[n]
 
+    def separated(self, n: int) -> bool:
+        """Whether every gap of F_n exceeds r_n: exactly when I_n has a
+        part for each value of F_n."""
+        return len(self.bricks(n)) == len(self.level(n))
+
     def _sweep(self, n: int) -> Bricks:
-        """I_n swept from F_n on the tail lattice, and kept: each gap wider than r_n cuts it."""
+        """I_n swept from F_n on the tail lattice, and kept: each gap wider
+        than r_n cuts it, and a level in the leading Kakeya run is cut at
+        every gap, by fact (A)."""
         d, values, reach = self.on_tail_lattice(n)
-        wide = list(map(partial(operator.lt, reach), map(operator.sub, values[1:], values)))
-        starts = (values[0], *compress(values[1:], wide))
-        ends = (*map(partial(operator.add, reach), compress(values, wide)), values[-1] + reach)
+        if n <= self._run:
+            starts, ends = values, tuple(map(partial(operator.add, reach), values))
+        else:
+            wide = list(map(partial(operator.lt, reach), map(operator.sub, values[1:], values)))
+            starts = (values[0], *compress(values[1:], wide))
+            ends = (*map(partial(operator.add, reach), compress(values, wide)), values[-1] + reach)
         got = self._bricks[n] = Bricks(d, starts, ends)
         return got
 

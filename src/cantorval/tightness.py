@@ -83,6 +83,9 @@ class TightTrend:
 def _max_block_diameter(ladder: SubsumLadder, n: int) -> Fraction:
     # The r_n-tight blocks of F_n are the parts of I_n, each r_n longer
     # than its block; on the lattice a gap splits when gap > r_n D exactly.
+    # A separated level's blocks are single points.
+    if ladder.separated(n):
+        return Fraction(0)
     bricks = ladder.bricks(n)
     return Fraction(max(bricks.lengths()), bricks.denominator) - ladder.stream.tail(n)
 

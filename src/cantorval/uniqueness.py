@@ -302,7 +302,12 @@ def multirep_outer(ladder: SubsumLadder, k: int) -> IntervalSet:
 
 
 def _multirep_sweep(ladder: SubsumLadder, k: int) -> tuple[int, list[int], list[int]]:
-    """``multirep_outer(ladder, k)`` as (d, starts, ends): parts [start, end] / d."""
+    """``multirep_outer(ladder, k)`` as (d, starts, ends): parts [start, end] / d.
+
+    A separated level has no gap of at most r_k, so its set is empty, on
+    the lattice that swept I_k, which is the tail lattice of level k."""
+    if ladder.separated(k):
+        return ladder.bricks(k).denominator, [], []
     d, values, reach = ladder.on_tail_lattice(k)
     # Pieces [b, a + r_k] rise in both endpoints, so one sweep merges them.
     starts: list[int] = []

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -11,12 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantorval import cli
+from cantorval import cli, engine
 from cantorval.cli import _dumps, build_report, main, validate_report_document
-from cantorval.families import MultigeometricSpec, io as family_io, spec_from_json
+from cantorval.families import MultigeometricSpec, io as family_io, mg_block, spec_from_json
+from cantorval.series import CapacityError
 
 from test_families import kyiv_specs, mg_specs, mm_specs
 from test_uniqueness import repeated_specs
+
+# the module, which the package's multigeometric() constructor shadows
+multigeometric_module = importlib.import_module("cantorval.families.multigeometric")
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 GN_JSON = '{"type":"multigeometric","k":[3,2],"q":"1/4"}'
@@ -230,6 +235,36 @@ class TestAnalyze:
         proc = run_cli("analyze", "--depth", "1", "--inline", BIG_BLOCK)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["measure_bounds"]["certificate"] is None
+
+    def test_refused_block_is_folded_once(self, monkeypatch):
+        # mg_block keeps its refusal as data, so the separated-block test and
+        # run_windows fold the over-capacity block once between them, and a
+        # second run, which raises afresh from the kept refusal, prints the
+        # same report
+        folds = []
+        fold = multigeometric_module.subsum_level
+
+        def counting(terms, *args):
+            folds.append(None)
+            return fold(terms, *args)
+
+        mg_block.cache_clear()
+        engine.run_windows.cache_clear()
+        monkeypatch.setattr(multigeometric_module, "subsum_level", counting)
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--depth", "1", "--inline", BIG_BLOCK])
+            runs.append((code, out.getvalue(), err.getvalue()))
+        assert len(folds) == 1
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[1] == runs[0]
+        with pytest.raises(CapacityError) as info:
+            mg_block(spec_from_json(json.loads(BIG_BLOCK)))
+        assert str(info.value) == "subsum_ladder: would produce 2097152 values, cap is 2000000"
+        # raised afresh in mg_block, with no frame of the fold behind it
+        assert info.traceback[-1].name == "mg_block"
 
     @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
     def test_stdout_report_is_one_write(self, path, tmp_path):

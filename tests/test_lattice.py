@@ -235,18 +235,16 @@ class TestExtend:
         assert shift.denominator == 1
         expected = tuple(sorted(scaled | {v + shift.numerator for v in scaled}))
         cap = max(1, len(expected) + offset)
-        ladder = SubsumLadder(FiniteStream([term]), cap)
-        ladder._levels[0] = level  # start the ladder from the drawn level
         # extend allocates the merged level with one sorted call
         with mock.patch.object(series, "sorted", create=True, wraps=sorted) as merges:
             if len(expected) <= cap:
-                got = ladder.level(1)
+                got = level.extend(term, cap)
                 assert (got.denominator, got.values) == (d, expected)
                 assert merges.call_count == 1
             else:
                 for _ in range(2):  # asking again fails the same way
                     with pytest.raises(CapacityError) as info:
-                        ladder.level(1)
+                        level.extend(term, cap)
                     error = info.value
                     assert (error.stage, error.size, error.cap) == (
                         "subsum_ladder",
@@ -254,7 +252,6 @@ class TestExtend:
                         cap,
                     )
                 assert merges.call_count == 0
-                assert ladder._levels == [level]
 
 
 class TestLevels:
