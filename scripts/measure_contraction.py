@@ -16,7 +16,7 @@ from pathlib import Path
 
 from cantorval.engine import iterate, measure_bounds
 from cantorval.exact import rat_str
-from cantorval.families import MultigeometricSpec, spec_from_json
+from cantorval.families import spec_from_json
 from cantorval.series import SubsumLadder
 
 HERE = Path(__file__).resolve().parent
@@ -27,10 +27,9 @@ def main() -> int:
     max_depth = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     spec = spec_from_json(json.loads(spec_path.read_text()))
     ladder = SubsumLadder(spec.stream())
-    mg_spec = spec if isinstance(spec, MultigeometricSpec) else None
     print("n,upper,lower,boundary_gap,gap_count")
     for n in range(1, max_depth + 1):
-        bounds = measure_bounds(ladder, n, spec=mg_spec)
+        bounds = measure_bounds(ladder, n, spec=spec)
         gaps = iterate(ladder, n).gap_count
         print(
             f"{n},{rat_str(bounds.upper_lambda_e)},{rat_str(bounds.lower_interior)},"

@@ -20,7 +20,7 @@ import operator
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
-from .engine import certify_interior, iterate, run_windows
+from .engine import DEFAULT_BUDGET, certify_interior, iterate, run_windows
 from .exact import lattice_str, lattice_strs, rat_str
 from .families.multigeometric import MultigeometricSpec, mg_block
 from .frozen import frozen
@@ -94,7 +94,7 @@ class Evidence:
     subject: Subject
     ladder: SubsumLadder
     horizon: int = 12
-    budget: int = 16
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -231,7 +231,7 @@ def classify(
     subject: Subject,
     ladder: SubsumLadder,
     horizon: int = 12,
-    budget: int = 16,
+    budget: int = DEFAULT_BUDGET,
     *,
     evidence: Optional[Evidence] = None,
 ) -> Classification:

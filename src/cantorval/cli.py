@@ -21,9 +21,9 @@ from pathlib import Path
 from typing import Optional
 
 from .classify import Evidence, Verdict, classify, resolve_stream
-from .engine import IterationRows, measure_bounds
+from .engine import DEFAULT_BUDGET, IterationRows, measure_bounds
 from .exact import rat_str
-from .families import MultigeometricSpec, spec_from_json, standardness_ratio
+from .families import spec_from_json, standardness_ratio
 from .series import DEFAULT_CAP, CapacityError, StreamError, SubsumLadder
 from .uniqueness import (
     RepetitionReport,
@@ -210,10 +210,11 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
 
     One subsum ladder is built for the spec's stream and every section reads
     its F_n from it; the tight_trend and kakeya sections are read off the
-    Evidence that classify reads.  measure_bounds runs no interior-certificate
-    search when the classification proves the interior empty (Cantor,
-    Proved or Certified), because then its lower bound is 0 with no
-    certificate whatever the search finds.  The iteration rows are
+    Evidence that classify reads.  measure_bounds is handed the spec, and
+    searches for an interior certificate when it is multigeometric, unless
+    the classification proves the interior empty (Cantor, Proved or
+    Certified): then its lower bound is 0 with no certificate whatever the
+    search finds, so it is handed no spec.  The iteration rows are
     IterationRows and the uniqueness section's repetition is a
     RepetitionReport, which ``_write`` writes from their own text.
     """
@@ -223,8 +224,7 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     trend, split = evidence.trend, evidence.split
     classification = classify(spec, ladder, evidence=evidence)
     iterations = IterationRows(ladder, depth)
-    searchable = isinstance(spec, MultigeometricSpec) and not classification.interior_empty
-    bounds = measure_bounds(ladder, depth, budget, spec if searchable else None)
+    bounds = measure_bounds(ladder, depth, budget, None if classification.interior_empty else spec)
     try:
         standardness = standardness_ratio(spec, 1, stream).to_json()
     except ValueError:
@@ -375,7 +375,7 @@ def build_parser() -> _Parser:
             p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
             p.add_argument("--cap", type=partial(_int_at_least, 1), default=DEFAULT_CAP,
                            help="dedup capacity")
-            p.add_argument("--budget", type=partial(_int_at_least, 0), default=12)
+            p.add_argument("--budget", type=partial(_int_at_least, 0), default=DEFAULT_BUDGET)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(handler=handler)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import lcm
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .exact import (
     EMPTY_SET,
@@ -55,6 +55,13 @@ from .exact import (
 from .frozen import frozen
 from .series import Bricks, CapacityError, SubsumLadder
 from .families.multigeometric import MultigeometricSpec, mg_block
+
+if TYPE_CHECKING:
+    from .families.io import FamilySpec
+
+# Refinement rounds per certificate search when the caller names no budget;
+# ``analyze --budget`` defaults to it too.
+DEFAULT_BUDGET = 12
 
 # Refinement that has not stabilized by this many parts will not stabilize:
 # successful certificates have few parts, while Cantorval refinements split
@@ -345,7 +352,7 @@ def certify_interior(
     spec: MultigeometricSpec,
     ladder: SubsumLadder,
     seed_depth: int = 2,
-    budget: int = 16,
+    budget: int = DEFAULT_BUDGET,
 ) -> InteriorCertificate:
     """Search for a finite self-covered interval union inside the attractor.
 
@@ -448,14 +455,15 @@ class MeasureBounds:
 def measure_bounds(
     ladder: SubsumLadder,
     depth: int,
-    budget: int = 12,
-    spec: Optional[MultigeometricSpec] = None,
+    budget: int = DEFAULT_BUDGET,
+    spec: Optional[FamilySpec] = None,
 ) -> MeasureBounds:
     """Upper bound lambda(I_depth); certified interior lower bound when possible.
 
-    Only multigeometric specs have the exact self-similar operator, so a
-    lower bound is certified only when ``spec`` is given (``ladder`` is then
-    the ladder of spec.stream()); other streams get a lower bound of zero
+    ``spec`` is the family spec whose stream ``ladder`` is built from, or
+    None.  Only multigeometric specs have the exact self-similar operator,
+    so a lower bound is certified only when ``spec`` is a
+    MultigeometricSpec; any other spec, or none, gets a lower bound of zero
     here (their interior content is covered by the family closed forms
     instead).  The first certificate of largest measure over seed depths up
     to depth is used, which keeps the boundary gap nonincreasing as depth
@@ -477,7 +485,7 @@ def measure_bounds(
     upper = iterate(ladder, depth).measure
     lower = Fraction(0)
     best: Optional[InteriorCertificate] = None
-    if spec is not None:
+    if isinstance(spec, MultigeometricSpec):
         kakeya_infinite = not ladder.stream.kakeya_pattern().kakeya_is_finite
         searchable = not kakeya_infinite or run_windows(spec) is not None
         max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0

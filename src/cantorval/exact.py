@@ -120,10 +120,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def as_pair(self) -> list[str]:
         return [rat_str(self.lo), rat_str(self.hi)]
 
@@ -163,11 +159,6 @@ class IntervalSet:
 
     def __bool__(self) -> bool:
         return bool(self.parts)
-
-    @property
-    def measure(self) -> Fraction:
-        """Exact total length (Lebesgue measure of the union)."""
-        return sum((p.length for p in self.parts), Fraction(0))
 
     def to_pairs(self) -> list[list[str]]:
         return [p.as_pair() for p in self.parts]
@@ -300,16 +291,6 @@ class PointSet:
         """Deduplicated point set without multiplicity information."""
         return PointSet(tuple(sorted(set(rat(v) for v in values))))
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[RationalLike, int]]) -> "PointSet":
-        """Point set from (value, count) pairs; duplicate values merge counts."""
-        acc: dict[Fraction, int] = {}
-        for v, c in pairs:
-            key = rat(v)
-            acc[key] = acc.get(key, 0) + int(c)
-        values = tuple(sorted(acc))
-        return PointSet(values, tuple(acc[v] for v in values))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -327,34 +308,6 @@ class PointSet:
         except TypeError:
             return False
         return self._index(v) is not None
-
-    @property
-    def min(self) -> Fraction:
-        if not self.values:
-            raise ValueError("empty point set has no minimum")
-        return self.values[0]
-
-    @property
-    def max(self) -> Fraction:
-        if not self.values:
-            raise ValueError("empty point set has no maximum")
-        return self.values[-1]
-
-    @property
-    def total_count(self) -> int:
-        if self.counts is None:
-            return len(self.values)
-        return sum(self.counts)
-
-    def gaps(self) -> tuple[Fraction, ...]:
-        """Consecutive differences, in order."""
-        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
-    def count_of(self, x: RationalLike) -> int:
-        i = self._index(rat(x))
-        if i is None:
-            return 0
-        return 1 if self.counts is None else self.counts[i]
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.values)!r})"

@@ -103,9 +103,8 @@ class GroupedStream(TermStream):
     x_1 .. x_H, H = N_P, and one cycle of C = N_{P+p} - H terms, times L,
     with the tails r_0 .. r_{H+C} times L (b - a), each the one before it
     minus a term.  Past the head x_{n+C} = (a/b) x_n and r_{n+C} = (a/b) r_n,
-    so every later term and tail is (a/b)^c times a kept one.  ``term``,
-    ``tail`` and ``group_terms`` build their Fractions on first read and
-    keep them.
+    so every later term and tail is (a/b)^c times a kept one.  ``term``
+    and ``tail`` build their Fractions on first read and keep them.
 
     A stream is for one thread.  Its integers are fixed when it is built,
     but the Fractions and the Kakeya pattern are kept on first read, without
@@ -138,7 +137,6 @@ class GroupedStream(TermStream):
         self._tails = list(accumulate(map(span.__mul__, terms), operator.sub, initial=total))
         self._term_fractions: dict[int, Fraction] = {}
         self._tail_fractions: dict[int, Fraction] = {}
-        self._group_fractions: dict[int, tuple[Fraction, ...]] = {}
         self._block_ratio: Optional[Fraction] = None
         self._pattern: Optional[KakeyaPattern] = None
 
@@ -182,29 +180,12 @@ class GroupedStream(TermStream):
         c, j = divmod(k - pre - 1, self._period)
         return c, pre + 1 + j
 
-    def group_terms(self, k: int) -> tuple[Fraction, ...]:
-        """Terms of group k >= 1, in order, exact."""
-        if k < 1:
-            raise ValueError("group indices start at 1")
-        got = self._group_fractions.get(k)
-        if got is None:
-            c, j = self._kept_group(k)
-            bounds = self._boundaries
-            got = self._group_fractions[k] = tuple(
-                self._fraction(x, self._denominator, c)
-                for x in self._terms[bounds[j - 1] : bounds[j]]
-            )
-        return got
-
     def boundary(self, k: int) -> int:
         """N_k, the index of the last term of group k (N_0 = 0)."""
         if k < 0:
             raise ValueError("group index must be nonnegative")
         c, j = self._kept_group(k)
         return self._boundaries[j] + c * self._cycle
-
-    def group_sum(self, k: int) -> Fraction:
-        return sum(self.group_terms(k), Fraction(0))
 
     def group_tail(self, k: int) -> Fraction:
         """r at the group boundary: sum of all terms in groups > k."""

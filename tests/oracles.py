@@ -181,7 +181,7 @@ def interior_measure(s) -> Fraction:
     For a finite union of closed intervals this equals the measure of the
     nondegenerate parts, so it is the same exact sum with points dropped.
     """
-    return sum((p.length for p in s.parts if not is_degenerate(p)), Fraction(0))
+    return sum((p.hi - p.lo for p in s.parts if not is_degenerate(p)), Fraction(0))
 
 
 def is_subset_of(s, other) -> bool:
@@ -208,7 +208,7 @@ def interval_set_from_pairs(pairs) -> IntervalSet:
 def longest_component(report) -> Interval:
     """The first longest part of an IterationReport's I_n."""
     parts = report.iteration.parts
-    lengths = [p.length for p in parts]
+    lengths = [p.hi - p.lo for p in parts]
     return parts[lengths.index(max(lengths))]
 
 
@@ -272,7 +272,7 @@ def geometric_tail_stream(
 def fraction_separated_blocks(spec):
     """classify._separated_blocks as it compared Fraction gaps with r_0."""
     block = fraction_block(spec)
-    gaps = block.gaps()
+    gaps = [b - a for a, b in zip(block.values, block.values[1:])]
     if gaps and min(gaps) > spec.total:
         return {
             "block": [rat_str(v) for v in block.values],

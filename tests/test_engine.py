@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -5,9 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cantorval.classify import classify
+from cantorval.classify import Evidence, classify
 from cantorval import engine
-from cantorval.cli import build_report, main
+from cantorval.cli import build_parser, build_report, main
 from cantorval.engine import (
     IterationRows,
     certify_interior,
@@ -92,7 +93,7 @@ class TestIterate:
         for prev, cur in zip(reports, reports[1:]):
             assert is_subset_of(cur.iteration, prev.iteration)
             assert cur.measure <= prev.measure
-            assert min(p.length for p in cur.iteration.parts) >= stream.tail(cur.n)
+            assert min(p.hi - p.lo for p in cur.iteration.parts) >= stream.tail(cur.n)
 
     @pytest.mark.parametrize(
         "stream_maker",
@@ -216,7 +217,7 @@ class TestCertify:
         ladder = mg_ladder(spec)
         cert = certify_interior(spec, ladder, seed_depth=1, budget=3)
         if cert.verified:
-            assert cert.interior_measure == cert.s.measure
+            assert cert.interior_measure == sum((p.hi - p.lo for p in cert.s.parts), F(0))
             for n in range(0, 9):
                 assert is_subset_of(cert.s, iterate(ladder, n).iteration)
         else:
@@ -291,6 +292,21 @@ class TestMeasureBounds:
         got = measure_bounds(SubsumLadder(KYIV_48.stream()), 13)
         assert got.upper_lambda_e < 1
         assert got.lower_interior == 0
+
+    def test_a_spec_that_is_not_multigeometric_gets_no_search(self):
+        ladder = SubsumLadder(KYIV_48.stream())
+        assert measure_bounds(ladder, 13, spec=KYIV_48) == measure_bounds(ladder, 13)
+
+    def test_one_budget_default(self):
+        # a library classify or certificate search at its defaults writes
+        # the certificate rounds that analyze writes at its own
+        defaults = [
+            inspect.signature(f).parameters["budget"].default
+            for f in (classify, certify_interior, measure_bounds)
+        ]
+        defaults.append(Evidence(GN, mg_ladder(GN)).budget)
+        defaults.append(build_parser().commands["analyze"].get_default("budget"))
+        assert defaults == [engine.DEFAULT_BUDGET] * 5
 
     @pytest.mark.parametrize("spec", [DYADIC, FERENS], ids=["dyadic", "ferens"])
     def test_gap_nonincreasing_in_budget(self, spec):

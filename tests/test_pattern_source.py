@@ -8,12 +8,29 @@ each module's syntax tree for an ``ast.Compare`` whose operands hold both a
 ``term(...)`` and a ``tail(...)`` call, and for any use of ``compare_sign``,
 the comparison's three-way sign: the builder maps it over the terms and
 tails of its integer lattice, which are lists, not calls.
+
+Two family validators make the same comparison on the spec's own
+parameters, where the check cannot see it: ``gf_validate``'s GF2 compares
+m_n q_n, the last term of group n, with the sum of the groups after it, and
+``semifast_check`` compares y_k with the weighted tail after group k.  Each
+is x_n vs r_n at the group boundary N_n.  They stay where they are, because
+``validate`` reports them for specs that have no stream (terms that
+increase across a group boundary raise StreamError).  A property holds
+them to the pattern wherever the stream builds.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from cantorval.families import GFSpec, gf_validate, semifast_check, spec_from_json
+from cantorval.series import StreamError
+
+from test_cli import gf_json
+from test_uniqueness import repeated_specs
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
 BUILDER = PACKAGE / "families" / "grouped.py"
@@ -73,3 +90,27 @@ def test_the_check_sees_the_builder_comparisons(tmp_path):
         "f = x * span > r\n"
     )
     assert term_tail_comparisons(probe) == [1, 2, 3, 5]
+
+
+@given(st.one_of(gf_json().map(spec_from_json), repeated_specs()))
+@settings(max_examples=200, deadline=None)
+def test_family_validators_agree_with_the_pattern_at_group_boundaries(spec):
+    try:
+        stream = spec.stream()
+    except StreamError:
+        return
+    if isinstance(spec, GFSpec):
+        failure = gf_validate(spec).first_gf2_failure
+        got = failure and failure[0]
+    else:
+        got = semifast_check(spec).first_violation
+    pattern = stream.kakeya_pattern()
+    expected = next(
+        (
+            n
+            for n in range(1, stream.preperiod + stream.period + 1)
+            if pattern.comparison_at(stream.boundary(n)) != ">"
+        ),
+        None,
+    )
+    assert got == expected

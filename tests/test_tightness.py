@@ -67,8 +67,8 @@ class TestMaxDiameter:
         eps_grid = [F(i, 12) for i in range(0, 10)]
         values = [max_tight_diameter(ps, e) for e in eps_grid]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        max_gap = max(ps.gaps())
-        assert max_tight_diameter(ps, max_gap) == ps.max - ps.min
+        max_gap = max(b - a for a, b in zip(ps.values, ps.values[1:]))
+        assert max_tight_diameter(ps, max_gap) == ps.values[-1] - ps.values[0]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=11),
