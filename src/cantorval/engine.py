@@ -162,11 +162,12 @@ class IterationRows:
     lattice dividing I_n's, because r_m = x_{m+1} + ... + x_n + r_n, so
     those endpoints are rescaled and looked up, and only the others are
     formatted.  After a separated row n - 1, one whose every part is a
-    brick, a swept row with twice its parts has split each part of I_{n-1}
-    in two, by fact (B) of the ``series`` docstring: its starts alternate
-    old, new and its ends new, old.  So the previous row's strings are
-    sliced into place, only the new half is formatted, and no endpoint is
-    looked up.  The rows of one report thus format each endpoint once.
+    brick, a swept row n is a Kakeya level, so it has split each part of
+    I_{n-1} in two, by fact (B) of the ``series`` docstring: its starts
+    alternate old, new and its ends new, old.  So the previous row's
+    strings are sliced into place, only the new half is formatted, and no
+    endpoint is looked up.  The rows of one report thus format each
+    endpoint once.
     """
 
     def __init__(self, ladder: SubsumLadder, depth: int) -> None:
@@ -190,7 +191,7 @@ class IterationRows:
             got = row.bricks
             if got is not last:
                 d = got.denominator
-                if was_separated and len(got) == 2 * len(last):
+                if was_separated:
                     starts = _interleaved(starts, lattice_strs(got.starts[1::2], d))
                     ends = _interleaved(lattice_strs(got.ends[::2], d), ends)
                 else:

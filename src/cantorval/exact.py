@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .frozen import frozen
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

@@ -22,8 +22,9 @@ Only level 0 and Kakeya levels (x_n > r_n) are swept; the stream's Kakeya
 pattern, the one source of that comparison, names them.  If x_n <= r_n, the
 bricks [f, f + r_n] and [f + x_n, f + r_{n-1}] overlap and join to
 [f, f + r_{n-1}], so I_n = I_{n-1}, and level n keeps the same Bricks, on
-the lattice of the level that swept it.  The ladder holds numbers only; the
-report writer formats them.
+the lattice of the level that swept it.  The ladder builds each level
+together with its I_n, and holds numbers only; the report writer formats
+them.
 
 Level n is *separated* when every gap of F_n exceeds r_n.  Two facts follow.
 
@@ -40,13 +41,14 @@ f' - (f + x_n) > r_{n-1} - x_n = r_n.  So each part [f, f + r_{n-1}] of
 I_{n-1} splits into [f, f + r_n] and [f + x_n, f + r_{n-1}]: I_n's starts
 alternate old, new and its ends new, old.
 
-F_0 = {0} has no gap, so by induction every level in the pattern's leading
-run of Kakeya indices (n = 1, 2, ... while x_n > r_n) is separated.  The
-ladder reads that run once from the pattern, builds each of its levels by
-interleaving, with no sort and no duplicate scan, and sweeps it by (A) with
-no gap scan.  The run is sufficient, not necessary: level 3 of (5, 5, 5; 1/5)
-is separated, though x_1 = 1 < r_1 = 11/4.  ``SubsumLadder.separated`` is the
-exact test, read off I_n once it is built.
+(B) is applied wherever it holds.  I_{n-1} is built before level n, so
+(A) tells whether level n - 1 is separated by one comparison,
+|I_{n-1}| = |F_{n-1}|; at a Kakeya index n after a separated level, the
+ladder builds F_n by interleaving, with no sort and no duplicate scan, and
+sweeps I_n by (A) with no gap scan.  F_0 = {0} has no gap, so every level of
+the pattern's leading run of Kakeya indices is built this way, and so are
+others: level 3 of (9, 9, 6; 1/10) follows the separated level 2, though
+x_1 = 9/10 < r_1.  ``SubsumLadder.separated`` is the same exact test.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ from __future__ import annotations
 import abc
 import operator
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, compress, islice
-from math import inf, lcm
+from math import lcm
 from typing import Iterable
 
 from .exact import PointSet
@@ -330,16 +332,16 @@ class SubsumLadder:
 
     ``ladder.level(n)`` is F_n on its integer lattice, values only;
     ``ladder.level(n).points()`` builds it as a PointSet, and finite_subsums
-    counts the subsets of {1..n} that achieve each value.  Levels are
-    built on request, one term at a time, and kept; a level that would
-    exceed ``cap`` raises CapacityError, nothing is stored, and asking for
-    it again raises the same error.  ``ladder.bricks(n)`` keeps the
-    iteration I_n, swept from the same integers at 0 and at the Kakeya
-    levels that the stream's pattern names; every other level n is the
-    same Bricks object as level n - 1, since x_n <= r_n joins
-    [f, f + r_n] to [f + x_n, f + r_{n-1}].  A level in the pattern's
-    leading run of Kakeya indices is separated (see the module docstring),
-    so it is interleaved instead of merged and swept with no gap scan.
+    counts the subsets of {1..n} that achieve each value.  ``ladder.bricks(n)``
+    is the iteration I_n.  Levels are built on request, one term at a time,
+    each together with its I_n, and kept in two parallel lists; a level that
+    would exceed ``cap`` raises CapacityError, nothing is stored, and asking
+    for it again raises the same error.  I_n is swept from F_n's integers at
+    level 0 and at the Kakeya levels that the stream's pattern names; every
+    other level n keeps the Bricks object of level n - 1, since x_n <= r_n
+    joins [f, f + r_n] to [f + x_n, f + r_{n-1}].  A Kakeya level after a
+    separated level is separated by fact (B) of the module docstring, so it
+    is interleaved instead of merged and swept with no gap scan.
     """
 
     def __init__(self, stream: TermStream, cap: int = DEFAULT_CAP) -> None:
@@ -348,69 +350,60 @@ class SubsumLadder:
         self.stream = stream
         self.cap = cap
         self._levels = [ZERO_LEVEL]
-        self._bricks: dict[int, Bricks] = {}
-
-    @cached_property
-    def _run(self) -> float:
-        """The last level of the pattern's leading run of Kakeya indices,
-        infinite when every index is one: levels 0 to it are separated."""
-        pattern = self.stream.kakeya_pattern()
-        signs = pattern.prefix + pattern.cycle
-        return next((n for n, sign in enumerate(signs) if sign != GREATER), inf)
+        self._bricks = [self._sweep(0, ZERO_LEVEL, True)]
 
     def level(self, n: int) -> LatticeLevel:
         if n < 0:
             raise ValueError("depth must be nonnegative")
-        levels = self._levels
+        levels, bricks = self._levels, self._bricks
         while len(levels) <= n:
             k = len(levels)
-            step = LatticeLevel.interleave if k <= self._run else LatticeLevel.extend
-            levels.append(step(levels[-1], self.stream.term(k), self.cap))
+            last, term = levels[-1], self.stream.term(k)
+            # by (A), level k - 1 is separated exactly when |I_{k-1}| = |F_{k-1}|
+            kakeya = self.stream.kakeya_pattern().comparison_at(k) == GREATER
+            separated = kakeya and len(bricks[-1]) == len(last)
+            level = last.interleave(term, self.cap) if separated else last.extend(term, self.cap)
+            got = self._sweep(k, level, separated) if kakeya else bricks[-1]
+            levels.append(level)
+            bricks.append(got)
         return levels[n]
 
     def on_tail_lattice(self, n: int) -> tuple[int, tuple[int, ...], int]:
         """(D, F_n * D, r_n * D) with D = lcm(D_n, den r_n), all integers."""
-        level = self.level(n)
-        tail = self.stream.tail(n)
-        d = lcm(level.denominator, tail.denominator)
-        scale = d // level.denominator
-        values = level.values
-        if scale != 1:
-            values = tuple(map(partial(operator.mul, scale), values))
-        return d, values, tail.numerator * (d // tail.denominator)
+        return _on_tail_lattice(self.level(n), self.stream.tail(n))
 
     def bricks(self, n: int) -> Bricks:
-        """I_n: F_n's bricks merged across gaps <= r_n.  F_n is built first; no call nests."""
-        kept = self._bricks
-        if n not in kept:
-            self.level(n)
-            comparison_at = self.stream.kakeya_pattern().comparison_at
-            m = n
-            while m and m not in kept and comparison_at(m) != GREATER:
-                m -= 1
-            got = kept[m] if m in kept else self._sweep(m)
-            for k in range(m + 1, n + 1):
-                kept[k] = got
-        return kept[n]
+        """I_n: F_n's bricks merged across gaps <= r_n."""
+        self.level(n)
+        return self._bricks[n]
 
     def separated(self, n: int) -> bool:
         """Whether every gap of F_n exceeds r_n: exactly when I_n has a
         part for each value of F_n."""
         return len(self.bricks(n)) == len(self.level(n))
 
-    def _sweep(self, n: int) -> Bricks:
-        """I_n swept from F_n on the tail lattice, and kept: each gap wider
-        than r_n cuts it, and a level in the leading Kakeya run is cut at
-        every gap, by fact (A)."""
-        d, values, reach = self.on_tail_lattice(n)
-        if n <= self._run:
+    def _sweep(self, n: int, level: LatticeLevel, separated: bool) -> Bricks:
+        """I_n swept from ``level``, F_n, on the tail lattice: each gap
+        wider than r_n cuts it, and a separated level is cut at every gap,
+        by fact (A)."""
+        d, values, reach = _on_tail_lattice(level, self.stream.tail(n))
+        if separated:
             starts, ends = values, tuple(map(partial(operator.add, reach), values))
         else:
             wide = list(map(partial(operator.lt, reach), map(operator.sub, values[1:], values)))
             starts = (values[0], *compress(values[1:], wide))
             ends = (*map(partial(operator.add, reach), compress(values, wide)), values[-1] + reach)
-        got = self._bricks[n] = Bricks(d, starts, ends)
-        return got
+        return Bricks(d, starts, ends)
+
+
+def _on_tail_lattice(level: LatticeLevel, tail: Fraction) -> tuple[int, tuple[int, ...], int]:
+    """(D, level * D, tail * D) with D = lcm(level's denominator, den tail)."""
+    d = lcm(level.denominator, tail.denominator)
+    scale = d // level.denominator
+    values = level.values
+    if scale != 1:
+        values = tuple(map(partial(operator.mul, scale), values))
+    return d, values, tail.numerator * (d // tail.denominator)
 
 
 def finite_subsums(stream: TermStream, k: int, cap: int = DEFAULT_CAP) -> PointSet:

@@ -261,10 +261,11 @@ def repetition_report(ladder: SubsumLadder, k: int) -> RepetitionReport:
         total *= size + 1
         if total > ladder.cap:
             raise CapacityError("repetition_report", total, ladder.cap)
-    # Profile sums on the lattice of D_k, the lcm of the term denominators.
-    d = lcm(*(t.denominator for t in terms))
-    # F_k is the set of profile sums, and |F_k| <= total <= cap here.
-    if len(ladder.level(k)) == total:
+    # F_k is the set of profile sums, and |F_k| <= total <= cap here; its
+    # lattice is D_k, the lcm of the term denominators.
+    level = ladder.level(k)
+    d = level.denominator
+    if len(level) == total:
         collided, counts, ranks = (), (), ()
     else:
         weights = [v.numerator * (d // v.denominator) for v, _ in groups]

@@ -111,10 +111,6 @@ def brute_merge(intervals) -> list[tuple[Fraction, Fraction]]:
     return [(a, b) for a, b in merged]
 
 
-def brute_measure(intervals) -> Fraction:
-    return sum((b - a for a, b in brute_merge(intervals)), Fraction(0))
-
-
 def brute_bricks(subsum_values, tail) -> list[tuple[Fraction, Fraction]]:
     """Iteration I_n as merged bricks [f, f + tail]."""
     return brute_merge((Fraction(f), Fraction(f) + Fraction(tail)) for f in subsum_values)

@@ -121,7 +121,9 @@ class TestCarryForward:
         swept = []
         sweep = SubsumLadder._sweep
         monkeypatch.setattr(
-            SubsumLadder, "_sweep", lambda ladder, n: swept.append(n) or sweep(ladder, n)
+            SubsumLadder,
+            "_sweep",
+            lambda ladder, n, *built: swept.append(n) or sweep(ladder, n, *built),
         )
         ladder = SubsumLadder(spec.stream())
         got = ladder.bricks(1500)

@@ -8,10 +8,13 @@ attribute named as, one of the text formatters of ``cantorval.exact``.
 A report computes its tight trend and Kakeya split once, in
 ``classify.Evidence``, and its classification and report sections read them
 from there; a second static check keeps every other module of the package
-from calling ``tight_trend`` or ``kakeya_split``.
+from calling ``tight_trend`` or ``kakeya_split``.  The ladder alone decides
+which levels are separated: a third keeps every module but ``series.py``
+from calling ``interleave``, which builds a level as if its predecessor were
+separated, or ``_sweep``, which sweeps it.
 
 Each report section has one form in the package, the text that ``analyze``
-writes; a third static check keeps every module but ``cli.py``, which reads
+writes; a fourth static check keeps every module but ``cli.py``, which reads
 specs and parses a report for ``build_report``, from parsing JSON text.
 """
 
@@ -24,6 +27,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
 SERIES = PACKAGE / "series.py"
 FORMATTERS = {"lattice_str", "lattice_strs", "pairs_text", "rat_str"}
 ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
+LADDER_ONLY = {"interleave", "_sweep"}
 JSON_PARSERS = {"load", "loads"}
 
 
@@ -90,6 +94,28 @@ def test_the_call_check_sees_both_spellings(tmp_path):
         "f = tight_trend\n"
     )
     assert called_names(probe, ONCE_PER_REPORT) == [(3, "tight_trend"), (4, "kakeya_split")]
+
+
+def test_only_the_ladder_builds_separated_levels():
+    callers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        calls = called_names(path, LADDER_ONLY)
+        if calls and path != SERIES:
+            callers[str(path.relative_to(PACKAGE))] = calls
+    assert callers == {}
+    assert {name for _, name in called_names(SERIES, LADDER_ONLY)} == LADDER_ONLY
+
+
+def test_the_ladder_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .series import LatticeLevel, _sweep\n"
+        "a = level.interleave(term, cap)\n"
+        "b = _sweep(ladder, n, a, True)\n"
+        "c = LatticeLevel.extend(level, term, cap)\n"
+        "d = ladder._sweep\n"
+    )
+    assert called_names(probe, LADDER_ONLY) == [(2, "interleave"), (3, "_sweep")]
 
 
 def json_parses(path: Path) -> list[tuple[int, str]]:

@@ -299,9 +299,9 @@ def test_only_kakeya_levels_are_swept(name, monkeypatch):
     swept = []
     sweep = SubsumLadder._sweep
 
-    def counting(ladder, n):
+    def counting(ladder, n, level, separated):
         swept.append(n)
-        return sweep(ladder, n)
+        return sweep(ladder, n, level, separated)
 
     monkeypatch.setattr(SubsumLadder, "_sweep", counting)
     spec = load(name)

@@ -1,13 +1,14 @@
 """Separated levels: the shortcuts that facts (A) and (B) allow, against the
 generic paths they skip.
 
-Level n is separated when every gap of F_n exceeds r_n.  Every level in a
-pattern's leading run of Kakeya indices is one (see the ``series``
-docstring), and there the ladder interleaves instead of merging, sweeps
-with no gap scan, the tight trend reads 0, the row writer slices the
-previous row's strings into place and the outer multiple-representation
-set is empty.  Over random specs of every family, each shortcut must give
-what the generic path gives, at every level up to depth 12.
+Level n is separated when every gap of F_n exceeds r_n.  A Kakeya level
+after a separated level is one (fact (B) of the ``series`` docstring), and
+there the ladder interleaves instead of merging and sweeps with no gap
+scan; at any separated level the tight trend reads 0, the row writer
+slices the previous row's strings into place and the outer
+multiple-representation set is empty.  Over random specs of every family,
+each shortcut must give what the generic path gives, at every level up to
+depth 12.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from cantorval.classify import resolve_stream
 from cantorval.engine import IterationRows
 from cantorval.families import multigeometric, spec_from_json
+from cantorval import series
 from cantorval.series import (
     GREATER,
     ZERO_LEVEL,
@@ -37,15 +39,6 @@ from test_families import mg_specs, mm_specs
 from test_uniqueness import repeated_specs
 
 DEPTH = 12
-
-
-def leading_run(stream) -> int:
-    """The last level, up to DEPTH, of the pattern's leading run of Kakeya indices."""
-    comparison_at = stream.kakeya_pattern().comparison_at
-    n = 0
-    while n < DEPTH and comparison_at(n + 1) == GREATER:
-        n += 1
-    return n
 
 
 def gap_scan(ladder: SubsumLadder, n: int) -> Bricks:
@@ -106,8 +99,11 @@ def _spec(drawn):
 @example(multigeometric([2], "1/3"))
 # a preperiod (k_m < k_1 q) whose first index is a Kakeya one
 @example(multigeometric([6, 1], "1/4"))
-# level 3 is separated outside the leading run, which is empty
+# level 3 is separated, though level 2 is not: it is merged and gap-swept
 @example(multigeometric([5, 5, 5], "1/5"))
+# the pattern starts <, >, >: level 2 is separated, so levels 3 and 6
+# follow a separated level
+@example(multigeometric([9, 9, 6], "1/10"))
 # I_7 has twice the parts of I_6, which is not separated, and they do not
 # alternate: the row writer must not slice row 6's strings into place
 @example(multigeometric([9, 9, 8, 2], "1/6"))
@@ -118,15 +114,20 @@ def test_shortcuts_match_the_generic_paths(drawn):
     except (ValueError, CapacityError):
         return  # a spec the family refuses has no levels
     ladder = SubsumLadder(stream)
-    run = leading_run(stream)
+    comparison_at = stream.kakeya_pattern().comparison_at
     level = ZERO_LEVEL
     for n in range(DEPTH + 1):
+        after_separated = n > 0 and comparison_at(n) == GREATER and ladder.separated(n - 1)
         if n:
-            level = level.extend(stream.term(n), ladder.cap)
+            term = stream.term(n)
+            if after_separated:
+                # fact (B): F_n interleaves F_{n-1} with F_{n-1} + x_n
+                assert ladder.level(n) == level.interleave(term, ladder.cap)
+            level = level.extend(term, ladder.cap)
         # the interleaved levels are the merge's fold
         assert ladder.level(n) == level
         separated = ladder.separated(n)
-        if n <= run:
+        if after_separated:
             # fact (A): starts F_n, ends F_n + r_n, every gap wider than r_n
             assert separated
             d, values, reach = ladder.on_tail_lattice(n)
@@ -149,17 +150,23 @@ def test_shortcuts_match_the_generic_paths(drawn):
     assert "".join(rows.chunks("\n  ")) == expected + "\n  ]"
 
 
-def test_leading_run_is_sufficient_not_necessary():
-    # (5, 5, 5; 1/5): x_n = 1 for n = 1, 2, 3, against r_1 = 11/4,
-    # r_2 = 7/4 and r_3 = 3/4, so the leading run is empty, yet
-    # F_3 = {0, 1, 2, 3} has gaps 1 > r_3
-    stream = resolve_stream(multigeometric([5, 5, 5], "1/5"))
+def test_levels_after_a_separated_level_are_built_without_sorting(monkeypatch):
+    # (9, 9, 6; 1/10): the pattern repeats <, >, >.  F_1 = {0, 9/10} has a
+    # gap below r_1 = 53/30, so level 1 is not separated and level 2 is
+    # merged, but its gaps 9/10 exceed r_2 = 13/15: levels 3 and 6 each
+    # follow a separated level, and are interleaved instead of sorted
+    stream = resolve_stream(multigeometric([9, 9, 6], "1/10"))
     ladder = SubsumLadder(stream)
-    assert [stream.tail(n) for n in (1, 2, 3)] == [F(11, 4), F(7, 4), F(3, 4)]
-    assert leading_run(stream) == 0
-    assert [ladder.separated(n) for n in range(4)] == [True, False, False, True]
-    assert ladder.level(3).values == (0, 1, 2, 3)
-    assert len(ladder.bricks(3)) == 4
+    assert [stream.kakeya_pattern().comparison_at(n) for n in range(1, 7)] == list("<>><>>")
+    assert (stream.tail(1), stream.tail(2)) == (F(53, 30), F(13, 15))
+    built = []
+    monkeypatch.setattr(
+        series, "sorted", lambda runs: built.append(len(ladder._levels)) or sorted(runs),
+        raising=False,
+    )
+    ladder.level(6)
+    assert built == [1, 2, 4, 5]
+    assert [ladder.separated(n) for n in range(7)] == [True, False, True, True, False, True, True]
 
 
 @pytest.mark.parametrize("cap", [1, 15, 16])
