@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -126,32 +127,44 @@ def _write(o, chunks: list[str], newline: str) -> None:
 
 
 # A report file below this many characters (the reports are ASCII, so
-# bytes) takes the joined text in one write: each chunk written alone is one
-# TextIOWrapper.write call, and a 13 KB report took about 64 us with
-# writelines against 35 us with one write.  Larger reports keep writelines:
-# on the ladder workload's reports joining costs 1.42 ms against 0.60 ms
-# over the 8 jobs, and it would hold a second copy of middle_thirds' 4.85 MB
-# report, while that workload's peak_rss_mb sits within about 2 MB of the
-# peak perfbench/checks.py itself reaches checking that report.
+# bytes) is joined, encoded and written to a bare descriptor: a 13.9 KB
+# report took a median 115-159 us with writelines on a text file against
+# 90-112 us through the descriptor, and 208-268 us against 130-170 us right
+# after gc.collect() (Python 3.11 on a 2-CPU Linux VM, ranges over runs).
+# Larger reports keep writelines: right after gc.collect() the ladder
+# workload's 7 reports of 256 KiB or more took 5.8-7.0 ms that way against
+# 10.5-14.3 ms joined, encoded and written to a descriptor (middle_thirds'
+# 4.85 MB alone 2.7-3.3 ms against 8.7-10.9 ms), and joining would hold a
+# second copy of that report, while that workload's peak_rss_mb sits within
+# about 2 MB of the peak perfbench/checks.py itself reaches checking it.
 _JOIN_BELOW = 256 * 1024
+
+# O_BINARY (Windows only) keeps the C runtime from writing "\r\n" for "\n"
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def _emit(chunks: list[str], out: Optional[str]) -> None:
     """Write ``chunks`` in order to the file ``out``, or to stdout without it.
 
-    A file takes a report below ``_JOIN_BELOW`` as the joined text in one
-    write, and a larger one as the list itself, through its own buffer.
-    Stdout always takes the joined text in one write, since an unbuffered
-    stdout (``PYTHONUNBUFFERED=1``) makes each write a system call.
+    A file takes a report below ``_JOIN_BELOW`` as its UTF-8 bytes, written
+    through one descriptor with no file object around it, and a larger one
+    as the list itself, through a text file's buffer; both write "\n" as it
+    is.  Stdout always takes the joined text in one write, since an
+    unbuffered stdout (``PYTHONUNBUFFERED=1``) makes each write a system call.
     """
-    if out:
-        with open(out, "w") as f:
-            if sum(map(len, chunks)) < _JOIN_BELOW:
-                f.write("".join(chunks))
-            else:
-                f.writelines(chunks)
-    else:
+    if not out:
         sys.stdout.write("".join(chunks))
+    elif sum(map(len, chunks)) < _JOIN_BELOW:
+        data = memoryview("".join(chunks).encode())
+        fd = os.open(out, _WRITE_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -334,13 +347,62 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
             for name, text in _csv_tables(doc).items():
-                (outdir / name).write_text(text)
+                _emit([text], str(outdir / name))
             _emit(_dumps(doc), str(outdir / "report.json"))
         else:
             _emit([_human_summary(doc)], args.out)
     except OSError as exc:
         return _usage_error(exc)
     return EXIT_OK
+
+
+# Each command's handler and options, in the order ``-h`` lists them: flag
+# to type (None for a string), default, choices and help.  build_parser adds
+# them to argparse, and _plain_args reads a plain argv by them alone.
+_SPEC_OPTIONS = {
+    "--spec": (None, None, None, "path to a family spec JSON file"),
+    "--inline": (None, None, None, "family spec JSON as a literal argument"),
+}
+_COMMANDS = {
+    "validate": (cmd_validate, {
+        **_SPEC_OPTIONS,
+        "--format": (None, "json", ("json", "human"), None),
+        "--out": (None, None, None, None),
+    }),
+    "analyze": (cmd_analyze, {
+        **_SPEC_OPTIONS,
+        "--depth": (partial(_int_at_least, 1), 8, None, None),
+        "--horizon": (partial(_int_at_least, 1), None, None, None),
+        "--cap": (partial(_int_at_least, 1), DEFAULT_CAP, None, "dedup capacity"),
+        "--budget": (partial(_int_at_least, 0), DEFAULT_BUDGET, None, None),
+        "--format": (None, "json", ("json", "csv", "human"), None),
+        "--out": (None, None, None, None),
+    }),
+}
+
+
+def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace the full parser's ``parse_args`` gives a plain ``argv``:
+    a command's name, then exact ``--option value`` pairs, each value not
+    starting with "-" and passing its option's type and choices.  None for
+    any other argv, which argparse then reads and reports on."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    handler, options = _COMMANDS[argv[0]]
+    values = {flag[2:]: option[1] for flag, option in options.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        kind, _, choices, _ = option
+        try:
+            value = text if kind is None else kind(text)
+        except argparse.ArgumentTypeError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[flag[2:]] = value
+    return argparse.Namespace(command=argv[0], handler=handler, **values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,22 +424,10 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
-    commands = (
-        ("validate", cmd_validate, ("json", "human")),
-        ("analyze", cmd_analyze, ("json", "csv", "human")),
-    )
-    for name, handler, formats in commands:
+    for name, (handler, options) in _COMMANDS.items():
         p = parser.commands[name] = sub.add_parser(name)
-        p.add_argument("--spec", help="path to a family spec JSON file")
-        p.add_argument("--inline", help="family spec JSON as a literal argument")
-        if handler is cmd_analyze:
-            p.add_argument("--depth", type=partial(_int_at_least, 1), default=8)
-            p.add_argument("--horizon", type=partial(_int_at_least, 1), default=None)
-            p.add_argument("--cap", type=partial(_int_at_least, 1), default=DEFAULT_CAP,
-                           help="dedup capacity")
-            p.add_argument("--budget", type=partial(_int_at_least, 0), default=DEFAULT_BUDGET)
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--out", default=None)
+        for flag, (kind, default, choices, text) in options.items():
+            p.add_argument(flag, type=kind, default=default, choices=choices, help=text)
         p.set_defaults(handler=handler)
     return parser
 
@@ -388,15 +438,11 @@ _parser: Optional[_Parser] = None
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns its exit code.
 
-    The parser is built on the first call and kept for later ones, so a
-    caller that runs many commands in one process (a benchmark, the test
-    suite, a library user) pays for the argument tree once.  A one-shot
-    process builds it once either way, and importing this module builds
-    nothing.
-
-    An argv whose first word names a command is parsed in one pass, by that
-    command's subparser; the full parser would hand it the same words after
-    parsing them once itself.  Words the subparser leaves over are reported
+    A plain argv (see ``_plain_args``) is read from the option table with no
+    parser.  Any other argv takes argparse, whose parser is built on the
+    first such call and kept for later ones; importing this module builds
+    nothing.  An argv whose first word names a command is parsed in one
+    pass, by that command's subparser, and words it leaves over are reported
     by the full parser, as ``cantorval: error: unrecognized arguments: ...``
     the way its own ``parse_args`` reports them.  Any other argv (none,
     ``-h``, an unknown command) takes the full parser.
@@ -405,20 +451,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     spec's exact values can outgrow it, and restores it on return.
     """
     global _parser
-    if _parser is None:
-        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        command = _parser.commands.get(argv[0]) if argv else None
-        if command is None:
-            args = _parser.parse_args(argv)
-        else:
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    args = _plain_args(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            command = _parser.commands.get(argv[0]) if argv else None
+            if command is None:
+                args = _parser.parse_args(argv)
+            else:
+                args, extra = command.parse_known_args(argv[1:])
+                if extra:
+                    _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -2,6 +2,8 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cantorval import cli, engine
 from cantorval.cli import _dumps, build_report, main, validate_report_document
@@ -536,7 +538,10 @@ class TestReportBuilder:
 
 # argvs for the one-pass parse: unknown and misplaced options, a missing
 # value, an abbreviation, help, no command, an unknown command, a bad
-# choice, an error before an unknown option, and argvs that reach a command
+# choice, an error before an unknown option, and argvs that reach a command;
+# then argvs the plain reader must read as argparse does or leave to it: a
+# repeated option (the last one wins), values starting with "-" (one of them
+# a flag), "--opt=value" and an empty value
 PARITY_ARGVS = [
     ["analyze", "--bogus"],
     ["validate", "--depth", "3"],
@@ -552,12 +557,45 @@ PARITY_ARGVS = [
     ["validate", "--inline", DYADIC_JSON],
     ["validate", "--inline", "{}"],
     ["analyze", "--inline", DYADIC_JSON, "--dep", "3", "--format", "human"],
+    ["validate", "--inline", "{}", "--format", "human", "--inline", DYADIC_JSON],
+    ["validate", "--inline", DYADIC_JSON, "--out", "-"],
+    ["validate", "--inline", DYADIC_JSON, "--out", "--format"],
+    ["analyze", "--inline", DYADIC_JSON, "--depth", "-3"],
+    ["analyze", "--inline", DYADIC_JSON, "--depth=3"],
+    ["validate", "--inline", DYADIC_JSON, "--out", ""],
 ]
+
+# words for drawn argvs: exact, abbreviated and unknown flags, help, and
+# values that are digits, negative, empty, a flag name or a spec
+parity_flags = st.sampled_from(
+    ["--spec", "--inline", "--depth", "--horizon", "--cap", "--budget", "--format",
+     "--out", "--dep", "--in", "--f", "--bogus", "-h"]
+)
+parity_values = st.one_of(
+    st.integers(0, 3).map(str),
+    st.sampled_from(["-3", "-", "", "--depth", "json", "human", "csv", DYADIC_JSON, "{}"]),
+)
+parity_words = st.one_of(
+    parity_flags,
+    parity_values,
+    st.tuples(parity_flags, parity_values).map(lambda p: f"{p[0]}={p[1]}"),
+    st.tuples(parity_flags, parity_values).map(list),
+)
+
+
+@st.composite
+def parity_argvs(draw):
+    words = draw(st.lists(parity_words, max_size=6))
+    argv = [draw(st.sampled_from(["validate", "analyze", "bogus", "-h"]))]
+    for word in words:
+        argv.extend(word if isinstance(word, list) else [word])
+    return argv
 
 
 class TestParserParity:
-    """``main`` parses an argv that names a command with that command's
-    subparser alone; it must act as the full parser's ``parse_args``."""
+    """``main`` reads a plain argv from the option table and parses any
+    other one that names a command with that command's subparser alone; it
+    must act as the full parser's ``parse_args``."""
 
     @staticmethod
     def _reference(argv):
@@ -567,23 +605,27 @@ class TestParserParity:
             return cli.EXIT_USAGE if exc.code not in (0, None) else 0
         return args.handler(args)
 
-    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=repr)
-    def test_main_matches_parse_args(self, argv, monkeypatch, capsys):
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The namespace each command handler is called with, in order."""
         parsed = []
-        for name in ("cmd_validate", "cmd_analyze"):
-            handler = getattr(cli, name)
+        for name, (handler, options) in cli._COMMANDS.items():
 
             def recording(args, handler=handler):
                 parsed.append(vars(args).copy())
                 return handler(args)
 
-            monkeypatch.setattr(cli, name, recording)
+            monkeypatch.setitem(cli._COMMANDS, name, (recording, options))
         monkeypatch.setattr(cli, "_parser", None)
+        return parsed
+
+    def _assert_parity(self, argv, parsed, capsys):
         runs = []
-        for call in (main, self._reference):
-            code = call(argv)
-            runs.append((code, *capsys.readouterr(), parsed[:]))
-            parsed.clear()
+        with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+            for call in (main, self._reference):
+                code = call(argv)
+                runs.append((code, *capsys.readouterr(), parsed[:]))
+                parsed.clear()
         (code, out, err, got), (want_code, want_out, want_err, want) = runs
         assert (code, out, err) == (want_code, want_out, want_err)
         assert len(got) == len(want) <= 1
@@ -591,6 +633,34 @@ class TestParserParity:
             if "command" not in direct:
                 full.pop("command")
             assert direct == full
+
+    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=repr)
+    def test_main_matches_parse_args(self, argv, parsed, capsys):
+        self._assert_parity(argv, parsed, capsys)
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parity_argvs())
+    def test_drawn_argvs_match_parse_args(self, parsed, capsys, argv):
+        self._assert_parity(argv, parsed, capsys)
+
+    def test_plain_argv_builds_no_parser(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from cantorval import cli\n"
+            "argv = ['analyze', '--spec', sys.argv[1], '--out', sys.argv[2]]\n"
+            "code = cli.main(argv)\n"
+            "unbuilt = cli._parser is None\n"
+            "cli.main(['analyze', '-h'])\n"
+            "print(code, unbuilt, cli._parser is None, file=sys.stderr)\n"
+        )
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SPECS / "gn.json"), str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.stderr == "0 True False\n"
+        assert proc.stdout.startswith("usage: cantorval analyze")
+        assert out.stat().st_size > 0
 
 
 class TestEmit:
@@ -607,32 +677,45 @@ class TestEmit:
         assert out.read_bytes() == "".join(chunks).encode()
         assert len(out.read_bytes()) == size
 
+    @pytest.mark.parametrize("size", [cli._JOIN_BELOW - 1, cli._JOIN_BELOW])
+    def test_new_file_mode_follows_the_umask(self, size, tmp_path):
+        out = tmp_path / "report.json"
+        umask = os.umask(0o027)
+        try:
+            cli._emit(self._chunks(size), str(out))
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("size", [100, cli._JOIN_BELOW])
+    def test_rewrite_leaves_no_tail(self, size, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"x" * (size + 1000))
+        chunks = self._chunks(size)
+        cli._emit(chunks, str(out))
+        assert out.read_bytes() == "".join(chunks).encode()
+
+    def test_out_in_missing_directory_is_the_os_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["validate", "--inline", GN_JSON, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
     def test_certify_sized_report_is_one_write(self, tmp_path, monkeypatch):
         # a depth-6 report of (5, 3, 2; 1/7), about 14 KB and 250 chunks
         writes = []
+        write = os.write
 
-        class CountingFile:
-            def __init__(self, f):
-                self.f = f
+        def counting(fd, data):
+            writes.append(len(data))
+            return write(fd, data)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, text):
-                writes.append(len(text))
-                return self.f.write(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
-        monkeypatch.setattr(cli, "open", lambda *a: CountingFile(open(*a)), raising=False)
+        monkeypatch.setattr(os, "write", counting)
         out = tmp_path / "report.json"
         spec = '{"type":"multigeometric","k":[5,3,2],"q":"1/7"}'
         assert main(["analyze", "--inline", spec, "--depth", "6", "--out", str(out)]) == 0
+        monkeypatch.undo()
         size = len(out.read_bytes())
         assert 10_000 < size < cli._JOIN_BELOW
         assert writes == [size]
