@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .engine import DEFAULT_BUDGET, certify_interior, iterate, run_windows
 from .exact import lattice_str, lattice_strs, rat_str
-from .families.multigeometric import MultigeometricSpec, mg_block
+from .families import self_similar
 from .frozen import frozen
 from .series import (
     GREATER,
@@ -145,21 +145,17 @@ def _from_pattern(evidence: Evidence) -> Optional[Classification]:
 
 
 def _from_separated_blocks(evidence: Evidence) -> Optional[Classification]:
-    """Certified Cantor: block subsums more than r_0 apart make a
-    multigeometric spec's group bricks pairwise disjoint, and by
+    """Certified Cantor: subsums of the block K of E = q * (K + E) more
+    than r_0 apart make the group bricks pairwise disjoint, and by
     self-similarity the separation recurs in every brick.  The gaps are
-    compared on the block's lattice; a block has at least two subsums.  A
-    block over capacity certifies nothing, as in _from_certificate."""
-    spec = evidence.subject
-    if not isinstance(spec, MultigeometricSpec):
+    compared on K's lattice; K has at least two subsums.  A subject that
+    ``self_similar`` gives no block certifies nothing."""
+    similar = self_similar(evidence.subject)
+    if similar is None:
         return None
-    try:
-        block = mg_block(spec)
-    except CapacityError:
-        return None
-    d, values = block.denominator, block.values
+    d, values = similar.block.denominator, similar.block.values
     min_gap = min(map(operator.sub, values[1:], values))
-    r0 = spec.total
+    r0 = similar.total
     if min_gap * r0.denominator <= r0.numerator * d:
         return None
     witness = {
@@ -175,11 +171,12 @@ def _from_separated_blocks(evidence: Evidence) -> Optional[Classification]:
 def _from_certificate(evidence: Evidence) -> Optional[Classification]:
     """Certified Cantorval: a verified interior certificate has positive
     measure (its parts are nonempty and not single points), and infinitely
-    many Kakeya indices split bricks forever.  A search verifies exactly
-    when run_windows(spec) is not None (see the engine module docstring),
-    so only then does it search; an unverified one changes no verdict."""
+    many Kakeya indices split bricks forever.  A search needs a block from
+    ``self_similar`` and verifies exactly when run_windows(spec) is not
+    None (see the engine module docstring), so only then does it search; an
+    unverified one, or a seed I_{2m} over the cap, changes no verdict."""
     spec = evidence.subject
-    if not isinstance(spec, MultigeometricSpec) or run_windows(spec) is None:
+    if self_similar(spec) is None or run_windows(spec) is None:
         return None
     try:
         certificate = certify_interior(spec, evidence.ladder, seed_depth=2, budget=evidence.budget)

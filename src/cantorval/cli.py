@@ -224,10 +224,10 @@ def _analysis(spec, depth: int, horizon: int, cap: int, budget: int) -> dict:
     One subsum ladder is built for the spec's stream and every section reads
     its F_n from it; the tight_trend and kakeya sections are read off the
     Evidence that classify reads.  measure_bounds is handed the spec, and
-    searches for an interior certificate when it is multigeometric, unless
-    the classification proves the interior empty (Cantor, Proved or
-    Certified): then its lower bound is 0 with no certificate whatever the
-    search finds, so it is handed no spec.  The iteration rows are
+    searches for an interior certificate when ``families.self_similar``
+    gives the spec a block, unless the classification proves the interior
+    empty (Cantor, Proved or Certified): then its lower bound is 0 with no
+    certificate whatever the search finds, so it is handed no spec.  The iteration rows are
     IterationRows and the uniqueness section's repetition is a
     RepetitionReport, which ``_write`` writes from their own text.
     """

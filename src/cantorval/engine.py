@@ -2,12 +2,13 @@
 
 The n-th iteration I_n is the union of bricks [f, f + r_n] over the subsums
 f of the first n terms; the achievement set is the intersection of all I_n,
-so lambda(I_n) is an upper bound for its measure.  For multigeometric specs
-the Hutchinson operator Phi(S) = union over block subsums sigma of
-q*(sigma + S) satisfies Phi(I_{mn}) = I_{m(n+1)}, and any finite interval
-union S with S contained in Phi(S) is contained in the achievement set
-(coinduction: S in Phi^j(I_0) for every j).  Verified such sets give exact
-lower bounds on the interior measure.
+so lambda(I_n) is an upper bound for its measure.  For a set E = q(K + E),
+K the block that ``families.self_similar(spec)`` gives, the Hutchinson
+operator Phi(S) = union over block subsums sigma of q*(sigma + S)
+satisfies Phi(I_{mn}) = I_{m(n+1)}, and any finite interval union S with S
+contained in Phi(S) is contained in the achievement set (coinduction: S in
+Phi^j(I_0) for every j).  Verified such sets give exact lower bounds on the
+interior measure.
 
 A search can verify only in two ways.  When its refinement S -> S cap Phi(S)
 stabilizes, S lies in Phi(S), so S lies in the achievement set E; and E lies
@@ -53,8 +54,8 @@ from .exact import (
     rat_str,
 )
 from .frozen import frozen
-from .series import Bricks, CapacityError, SubsumLadder
-from .families.multigeometric import MultigeometricSpec, mg_block
+from .series import Bricks, SubsumLadder
+from .families import self_similar
 
 if TYPE_CHECKING:
     from .families.io import FamilySpec
@@ -226,16 +227,21 @@ class _LatticeOperator:
     With q = a / b and each block subsum sigma = sigmas[i] / sigma_den, read
     off the block's lattice, the part [lo, hi] / d of S maps to
     [a (sigma d + lo), a (sigma d + hi)] / (b d).  ``d`` must be a multiple
-    of sigma_den.
+    of sigma_den.  ``m``, the terms per group, sets the seed depths.  A
+    spec that ``self_similar`` gives no block raises ValueError.
     """
 
-    def __init__(self, spec: MultigeometricSpec) -> None:
-        block = mg_block(spec)
+    def __init__(self, spec: FamilySpec) -> None:
+        similar = self_similar(spec)
+        if similar is None:
+            raise ValueError(f"{type(spec).__name__}: no self-similar block within the cap")
+        block = similar.block
         self.sigma_den = block.denominator
         self.sigmas = block.values
-        self.a = spec.ratio.numerator
-        self.b = spec.ratio.denominator
-        self.total = spec.total
+        self.a = similar.ratio.numerator
+        self.b = similar.ratio.denominator
+        self.total = similar.total
+        self.m = similar.m
 
     def __call__(self, d: int, parts: Parts) -> Parts:
         """Phi(S) over b * d for a canonical part list S over d in [0, r_0]."""
@@ -255,10 +261,11 @@ def _scaled(parts: Parts, factor: int) -> Parts:
     return [(lo * factor, hi * factor) for lo, hi in parts]
 
 
-def hutchinson(spec: MultigeometricSpec, s: IntervalSet) -> IntervalSet:
+def hutchinson(spec: FamilySpec, s: IntervalSet) -> IntervalSet:
     """Self-similar operator: union over block subsums sigma of q*s + q*sigma.
 
-    Requires s inside [0, r_0].  Applying it to I_{mn} yields I_{m(n+1)}
+    Requires s inside [0, r_0] and a spec with a self-similar block, else
+    ValueError.  Applying it to I_{mn} yields I_{m(n+1)}
     exactly; its unique compact fixed point is the achievement set.  The
     endpoints of s go onto their common denominator and through the same
     integer operator that the certificate search runs.
@@ -283,7 +290,7 @@ class InteriorCertificate:
     not complete: failure only means no certificate was found within budget.
     """
 
-    spec: MultigeometricSpec
+    spec: FamilySpec
     s: IntervalSet
     verified: bool
     interior_measure: Fraction
@@ -330,27 +337,25 @@ def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
 
 
 @lru_cache(maxsize=64)
-def run_windows(spec: MultigeometricSpec) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+def run_windows(spec: FamilySpec) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
     """The union of the self-covered run-window candidates, with its
-    denominator, when it passes the exact recheck; otherwise None.
+    denominator, when it passes the exact recheck; otherwise None, as for
+    a spec that ``self_similar`` gives no block.
 
     This is the certificate of certify_interior whenever its refinement
     does not stabilize, and it depends only on the spec, so it is kept per
-    spec as mg_block is, its parts in a tuple that every caller shares.  A
-    block over capacity gives None: every search would raise CapacityError
-    building it.
+    spec as its block is, its parts in a tuple that every caller shares.
     """
-    try:
-        phi = _LatticeOperator(spec)
-    except CapacityError:
+    if self_similar(spec) is None:
         return None
+    phi = _LatticeOperator(spec)
     d, candidates = _run_window_candidates(phi)
     union = nondegenerate_parts(merge_parts(c for c in candidates if _self_covered(phi, d, [c])))
     return (d, tuple(union)) if _self_covered(phi, d, union) else None
 
 
 def certify_interior(
-    spec: MultigeometricSpec,
+    spec: FamilySpec,
     ladder: SubsumLadder,
     seed_depth: int = 2,
     budget: int = DEFAULT_BUDGET,
@@ -363,7 +368,8 @@ def certify_interior(
     stabilize within ``budget`` rounds and DEFAULT_PART_LIMIT parts (for
     many Cantorvals it cannot: the parts multiply forever), the certificate
     is ``run_windows(spec)``.  Either set has passed the exact self-cover
-    recheck before ``verified`` is set.
+    recheck before ``verified`` is set.  A spec with no self-similar
+    block raises ValueError.
 
     Every set is a part list of integers over one common denominator d,
     which starts as the lcm of the seed's and the block subsums'
@@ -374,7 +380,7 @@ def certify_interior(
         raise ValueError("need seed_depth >= 1 and budget >= 0")
     phi = _LatticeOperator(spec)
     b = phi.b
-    seed = ladder.bricks(spec.m * seed_depth)
+    seed = ladder.bricks(phi.m * seed_depth)
     d = lcm(seed.denominator, phi.sigma_den)
     scale = d // seed.denominator
     s = nondegenerate_parts(
@@ -462,13 +468,12 @@ def measure_bounds(
     """Upper bound lambda(I_depth); certified interior lower bound when possible.
 
     ``spec`` is the family spec whose stream ``ladder`` is built from, or
-    None.  Only multigeometric specs have the exact self-similar operator,
-    so a lower bound is certified only when ``spec`` is a
-    MultigeometricSpec; any other spec, or none, gets a lower bound of zero
-    here (their interior content is covered by the family closed forms
-    instead).  The first certificate of largest measure over seed depths up
-    to depth is used, which keeps the boundary gap nonincreasing as depth
-    and budget grow.
+    None.  A lower bound is certified only when ``self_similar(spec)``
+    gives the block of the exact self-similar operator; any other spec, or
+    none, gets a lower bound of zero here (their interior content is
+    covered by the family closed forms instead).  The first certificate of
+    largest measure over seed depths up to depth is used, which keeps the
+    boundary gap nonincreasing as depth and budget grow.
 
     Only verified certificates count, so a search that cannot verify is
     skipped.  With infinitely many Kakeya indices no refinement stabilizes
@@ -486,15 +491,13 @@ def measure_bounds(
     upper = iterate(ladder, depth).measure
     lower = Fraction(0)
     best: Optional[InteriorCertificate] = None
-    if isinstance(spec, MultigeometricSpec):
+    similar = self_similar(spec)
+    if similar is not None:
         kakeya_infinite = not ladder.stream.kakeya_pattern().kakeya_is_finite
         searchable = not kakeya_infinite or run_windows(spec) is not None
-        max_seed = max(1, min(depth // spec.m, 4)) if searchable else 0
+        max_seed = max(1, min(depth // similar.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):
-            try:
-                cert = certify_interior(spec, ladder, seed, budget)
-            except CapacityError:
-                continue
+            cert = certify_interior(spec, ladder, seed, budget)
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert

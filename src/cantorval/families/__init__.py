@@ -7,16 +7,16 @@ rows, and ``family_verdict()`` gives the type its closed form proves, as
 
 A family's module is imported the first time a spec of its type is read
 (``spec_from_json``), or one of its names is read from this package.  Every
-run needs the multigeometric names, the standardness ratio and the parser,
-so they are bound when the package is imported; the rest are resolved on
-first access and then kept here.
+run needs the parser, the standardness ratio and ``self_similar``, which
+lives with the multigeometric family, so these are bound when the package
+is imported; the rest are resolved on first access and then kept here.
 """
 
 from importlib import import_module
 
 # The function is bound after its submodule has been imported, so the name
 # ``multigeometric`` is the function, not the module.
-from .multigeometric import MultigeometricSpec, mg_block, multigeometric
+from .multigeometric import MultigeometricSpec, multigeometric, self_similar
 from .standardness import standardness_ratio
 from .io import spec_from_json
 

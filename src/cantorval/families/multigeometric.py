@@ -18,11 +18,11 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Union
+from typing import Optional
 
 from ..exact import rat, rat_str, RationalLike
 from ..frozen import frozen
-from ..series import DEFAULT_CAP, CapacityError, LatticeLevel, subsum_level
+from ..series import DEFAULT_CAP, CapacityError, SelfSimilar, subsum_level
 from .grouped import GroupedStream, check_head, power_bits
 from .io import json_array
 
@@ -195,32 +195,20 @@ def _exponents_above(coefficients: list[int], a: int, b: int, m: int) -> list[in
     return exponents
 
 
-def mg_block(spec: MultigeometricSpec) -> LatticeLevel:
-    """Subsum set of the unscaled coefficients {k_1, ..., k_m}, on its lattice.
-
-    This is the translation set of the self-similar operator: the achievement
-    set satisfies E = q * (block + E).  Its denominator is the lcm of the
-    coefficients' denominators, which every block subsum's denominator
-    divides.  It is built once per spec and kept, since the operator, its
-    certificate candidates and the separated-block test all read it; a block
-    over DEFAULT_CAP raises CapacityError.  A refusal is kept too, as its
-    stage, size and cap, and each call raises a fresh error from them, so
-    an over-capacity block is folded once per spec.
-    """
-    got = _folded_block(spec)
-    if isinstance(got, LatticeLevel):
-        return got
-    raise CapacityError(*got)
-
-
 @lru_cache(maxsize=64)
-def _folded_block(spec: MultigeometricSpec) -> Union[LatticeLevel, tuple[str, int, int]]:
-    """``mg_block``'s fold, or its refusal as data: an exception kept in
-    the cache would keep the fold's frames alive through its traceback."""
+def self_similar(subject) -> Optional[SelfSimilar]:
+    """E = q * (K + E) for a multigeometric spec, K the subsum set of the
+    coefficients on the lattice of their denominators' lcm; None for any
+    other subject, a TermStream too, and for a block over DEFAULT_CAP.
+
+    The operator, its certificate candidates and the separated-block test
+    all read it, so it is kept per spec, a refusal too: an over-capacity
+    block is folded once per spec.
+    """
+    if not isinstance(subject, MultigeometricSpec):
+        return None
     try:
-        return subsum_level(spec.coefficients)
-    except CapacityError as exc:
-        return exc.stage, exc.size, exc.cap
-
-
-mg_block.cache_clear = _folded_block.cache_clear  # type: ignore[attr-defined]
+        block = subsum_level(subject.coefficients)
+    except CapacityError:
+        return None
+    return SelfSimilar(block, subject.ratio, subject.total, subject.m)

@@ -302,6 +302,17 @@ def subsum_level(terms: Iterable[Fraction], cap: int = DEFAULT_CAP) -> LatticeLe
 
 
 @frozen
+class SelfSimilar:
+    """E = q * (block + E), with the block's subsums on their lattice, r_0 =
+    max E and m terms per group, as ``families.self_similar`` gives it."""
+
+    block: LatticeLevel
+    ratio: Fraction
+    total: Fraction
+    m: int
+
+
+@frozen
 class Bricks:
     """The iteration I_n = union of [f, f + r_n] over f in F_n, on a lattice.
 

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cantorval import cli, engine
 from cantorval.cli import _dumps, build_report, main, validate_report_document
-from cantorval.families import MultigeometricSpec, io as family_io, mg_block, spec_from_json
-from cantorval.series import CapacityError
+from cantorval.families import MultigeometricSpec, io as family_io, self_similar, spec_from_json
+from cantorval.series import SelfSimilar, subsum_level
 
 from test_families import kyiv_specs, mg_specs, mm_specs
 from test_uniqueness import repeated_specs
@@ -239,10 +239,9 @@ class TestAnalyze:
         assert json.loads(proc.stdout)["measure_bounds"]["certificate"] is None
 
     def test_refused_block_is_folded_once(self, monkeypatch):
-        # mg_block keeps its refusal as data, so the separated-block test and
-        # run_windows fold the over-capacity block once between them, and a
-        # second run, which raises afresh from the kept refusal, prints the
-        # same report
+        # self_similar keeps its refusal as None, so the separated-block test
+        # and run_windows fold the over-capacity block once between them, and
+        # a second run, which reads the kept None, prints the same report
         folds = []
         fold = multigeometric_module.subsum_level
 
@@ -250,7 +249,7 @@ class TestAnalyze:
             folds.append(None)
             return fold(terms, *args)
 
-        mg_block.cache_clear()
+        self_similar.cache_clear()
         engine.run_windows.cache_clear()
         monkeypatch.setattr(multigeometric_module, "subsum_level", counting)
         runs = []
@@ -262,11 +261,7 @@ class TestAnalyze:
         assert len(folds) == 1
         assert runs[0][0] == 0 and runs[0][2] == ""
         assert runs[1] == runs[0]
-        with pytest.raises(CapacityError) as info:
-            mg_block(spec_from_json(json.loads(BIG_BLOCK)))
-        assert str(info.value) == "subsum_ladder: would produce 2097152 values, cap is 2000000"
-        # raised afresh in mg_block, with no frame of the fold behind it
-        assert info.traceback[-1].name == "mg_block"
+        assert self_similar(spec_from_json(json.loads(BIG_BLOCK))) is None
 
     @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
     def test_stdout_report_is_one_write(self, path, tmp_path):
@@ -1038,3 +1033,25 @@ class TestValidateAgreesWithFamilyTier:
             assert len(rows) == 1 and rows[0]["passed"]
         else:
             assert (spec.family_verdict() is not None) == all(r["passed"] for r in rows)
+
+
+class TestSelfSimilar:
+    """``families.self_similar`` gives a multigeometric spec's block, ratio,
+    r_0 and m, kept once per spec, and None for every other subject."""
+
+    @given(st.one_of(mg_specs(), multigeometric_json().map(spec_from_json)))
+    @example(spec_from_json(json.loads(GN_JSON)))
+    @settings(max_examples=100, deadline=None)
+    def test_multigeometric_block(self, spec):
+        k, q = spec.coefficients, spec.ratio
+        r0 = sum(k) * q / (1 - q)
+        got = self_similar(spec)
+        assert got == SelfSimilar(subsum_level(k), q, r0, len(k))
+        # an equal spec reads the kept value
+        assert self_similar(spec_from_json(spec.to_json())) is got
+        assert self_similar(spec.stream()) is None
+
+    @given(st.one_of(gf_json().map(spec_from_json), kyiv_specs(), mm_specs(), repeated_specs()))
+    @settings(max_examples=100, deadline=None)
+    def test_other_families_have_none(self, spec):
+        assert self_similar(spec) is None

@@ -22,6 +22,7 @@ from cantorval.families import (
     KyivSpec,
     PeriodicSeq,
     multigeometric,
+    spec_from_json,
 )
 from cantorval.series import DEFAULT_CAP, SubsumLadder, kakeya_split
 
@@ -34,6 +35,7 @@ from oracles import (
     longest_component,
     reference_report_sections,
 )
+from test_cli import BIG_BLOCK
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -156,6 +158,22 @@ class TestHutchinson:
         for n in range(0, steps + 1):
             stepped = hutchinson(spec, iterate(ladder, m * n).iteration)
             assert stepped == iterate(ladder, m * (n + 1)).iteration
+
+
+class TestNoBlock:
+    """A spec that ``self_similar`` gives no block: a family with no
+    self-similar block, or a multigeometric block over the cap."""
+
+    @pytest.mark.parametrize(
+        "spec", [KYIV_48, spec_from_json(json.loads(BIG_BLOCK))], ids=["kyiv48", "big_block"]
+    )
+    def test_operator_refuses_and_run_windows_is_none(self, spec):
+        with pytest.raises(ValueError, match="no self-similar block within the cap") as info:
+            hutchinson(spec, iset((0, 1)))
+        assert len(str(info.value).splitlines()) == 1
+        with pytest.raises(ValueError, match="no self-similar block within the cap"):
+            certify_interior(spec, SubsumLadder(spec.stream()))
+        assert run_windows(spec) is None
 
 
 class TestCertify:

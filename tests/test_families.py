@@ -25,10 +25,10 @@ from cantorval.families import (
     kyiv_progression,
     kyiv_validate,
     kyiv_values,
-    mg_block,
     mm_block,
     mm_block_coefficients,
     multigeometric,
+    self_similar,
     spec_from_json,
     standardness_ratio,
     subsum_run_total,
@@ -127,12 +127,12 @@ class TestMultigeometric:
             assert st.tail(n) == F(1, 2) ** n
 
     def test_blocks(self):
-        assert mg_block(GN).points().values == (F(0), F(2), F(3), F(5))
-        assert mg_block(multigeometric([1], "1/2")).points().values == (F(0), F(1))
-        got = mg_block(multigeometric([4, 3, 2], "1/10"))
+        assert self_similar(GN).block.points().values == (F(0), F(2), F(3), F(5))
+        assert self_similar(multigeometric([1], "1/2")).block.points().values == (F(0), F(1))
+        got = self_similar(multigeometric([4, 3, 2], "1/10")).block
         assert got.points().values == tuple(map(F, (0, 2, 3, 4, 5, 6, 7, 9)))
         # the lattice is the lcm of the coefficients' denominators
-        rational = mg_block(multigeometric(["7/2", "5/3"], "3/5"))
+        rational = self_similar(multigeometric(["7/2", "5/3"], "3/5")).block
         assert (rational.denominator, rational.values) == (6, (0, 10, 21, 31))
 
     def test_spec_validation(self):

@@ -43,7 +43,7 @@ EXPORTS = {
     "PeriodicSeq": "periodic",
     "geometric": "periodic",
     "MultigeometricSpec": "multigeometric",
-    "mg_block": "multigeometric",
+    "self_similar": "multigeometric",
     "multigeometric": "multigeometric",
     "GFSpec": "ferens",
     "gf_group_set": "ferens",

@@ -23,7 +23,7 @@ import pytest
 
 from cantorval.engine import iterate
 from cantorval.exact import Interval
-from cantorval.families import MultigeometricSpec, mg_block
+from cantorval.families import MultigeometricSpec, self_similar
 from cantorval.frozen import frozen
 from cantorval.series import SubsumLadder
 
@@ -139,7 +139,7 @@ def test_equal_specs_share_one_cached_block():
     a = MultigeometricSpec((3, 2, 2, 2), Fraction(1, 4))
     b = MultigeometricSpec(("3", "2", "2", "2"), "1/4")
     assert a == b and hash(a) == hash(b)
-    assert mg_block(a) is mg_block(b)
+    assert self_similar(a) is self_similar(b)
 
 
 PROBE = """

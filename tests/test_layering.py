@@ -16,6 +16,12 @@ separated, or ``_sweep``, which sweeps it.
 Each report section has one form in the package, the text that ``analyze``
 writes; a fourth static check keeps every module but ``cli.py``, which reads
 specs and parses a report for ``build_report``, from parsing JSON text.
+
+The self-similar block is read through ``families.self_similar``, which
+gives None for every subject it has no block for; a fifth static check keeps
+every module outside ``families/`` from naming ``MultigeometricSpec`` or
+``mg_block`` or importing ``families.multigeometric``, so the operator,
+its certificates and the classifier name no one family.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ FORMATTERS = {"lattice_str", "lattice_strs", "pairs_text", "rat_str"}
 ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
 LADDER_ONLY = {"interleave", "_sweep"}
 JSON_PARSERS = {"load", "loads"}
+FAMILIES = PACKAGE / "families"
+MULTIGEOMETRIC_NAMES = {"MultigeometricSpec", "mg_block"}
+MULTIGEOMETRIC_MODULE = "families.multigeometric"
 
 
 def formatter_names(path: Path) -> list[tuple[int, str]]:
@@ -151,3 +160,55 @@ def test_the_parse_check_sees_both_spellings(tmp_path):
         "rows = self.load(f)\n"
     )
     assert json_parses(probe) == [(2, "loads"), (3, "loads"), (4, "load")]
+
+
+def multigeometric_reads(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each of MULTIGEOMETRIC_NAMES that ``path`` imports
+    or reads as a name or an attribute, and for each import of a module
+    named ``...families.multigeometric``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name)
+            for name in names
+            if name in MULTIGEOMETRIC_NAMES or name.endswith(MULTIGEOMETRIC_MODULE)
+        )
+    return sorted(found)
+
+
+def test_only_families_name_the_multigeometric_spec():
+    readers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        reads = multigeometric_reads(path)
+        if reads and FAMILIES not in path.parents:
+            readers[str(path.relative_to(PACKAGE))] = reads
+    assert readers == {}
+
+
+def test_the_family_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .families.multigeometric import MultigeometricSpec\n"
+        "from . import families\n"
+        "import cantorval.families.multigeometric\n"
+        "block = families.mg_block(spec)\n"
+        "ok = isinstance(spec, MultigeometricSpec)\n"
+        "similar = families.self_similar(spec)\n"
+    )
+    assert multigeometric_reads(probe) == [
+        (1, "MultigeometricSpec"),
+        (1, "families.multigeometric"),
+        (3, "cantorval.families.multigeometric"),
+        (4, "mg_block"),
+        (5, "MultigeometricSpec"),
+    ]

@@ -44,7 +44,7 @@ import pytest
 from cantorval import classify, engine, series, tightness, uniqueness
 from cantorval.engine import IterationRows
 from cantorval.cli import _analysis, _dumps, build_report, main
-from cantorval.families import MultigeometricSpec, mg_block, spec_from_json
+from cantorval.families import MultigeometricSpec, self_similar, spec_from_json
 from cantorval.series import DEFAULT_CAP, CapacityError, LatticeLevel, SubsumLadder
 from cantorval.uniqueness import RepetitionReport
 
@@ -238,7 +238,7 @@ def test_one_report_builds_one_ladder(name, monkeypatch):
 
     monkeypatch.setattr(SubsumLadder, "__init__", counting_init)
     monkeypatch.setattr(LatticeLevel, "extend", counting_extend)
-    mg_block.cache_clear()
+    self_similar.cache_clear()
     build_report(spec, 8, 8, DEFAULT_CAP, 12)
     assert len(ladders) == 1
     if not isinstance(spec, MultigeometricSpec):
