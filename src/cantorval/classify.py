@@ -20,7 +20,7 @@ import operator
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
-from .engine import DEFAULT_BUDGET, certify_interior, iterate, run_windows
+from .engine import DEFAULT_BUDGET, certify_interior, iterate
 from .exact import lattice_str, lattice_strs, rat_str
 from .families import self_similar
 from .frozen import frozen
@@ -171,12 +171,14 @@ def _from_separated_blocks(evidence: Evidence) -> Optional[Classification]:
 def _from_certificate(evidence: Evidence) -> Optional[Classification]:
     """Certified Cantorval: a verified interior certificate has positive
     measure (its parts are nonempty and not single points), and infinitely
-    many Kakeya indices split bricks forever.  A search needs a block from
-    ``self_similar`` and verifies exactly when run_windows(spec) is not
-    None (see the engine module docstring), so only then does it search; an
-    unverified one, or a seed I_{2m} over the cap, changes no verdict."""
+    many Kakeya indices split bricks forever.  A search needs a value from
+    ``self_similar`` and verifies exactly when its run-window union,
+    ``windows``, is not None (see the engine module docstring), so only
+    then does it search; an unverified one, or a seed I_{2m} over the cap,
+    changes no verdict."""
     spec = evidence.subject
-    if self_similar(spec) is None or run_windows(spec) is None:
+    similar = self_similar(spec)
+    if similar is None or similar.windows is None:
         return None
     try:
         certificate = certify_interior(spec, evidence.ladder, seed_depth=2, budget=evidence.budget)

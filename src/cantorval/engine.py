@@ -3,12 +3,12 @@
 The n-th iteration I_n is the union of bricks [f, f + r_n] over the subsums
 f of the first n terms; the achievement set is the intersection of all I_n,
 so lambda(I_n) is an upper bound for its measure.  For a set E = q(K + E),
-K the block that ``families.self_similar(spec)`` gives, the Hutchinson
-operator Phi(S) = union over block subsums sigma of q*(sigma + S)
-satisfies Phi(I_{mn}) = I_{m(n+1)}, and any finite interval union S with S
-contained in Phi(S) is contained in the achievement set (coinduction: S in
-Phi^j(I_0) for every j).  Verified such sets give exact lower bounds on the
-interior measure.
+K the block of the value ``families.self_similar(spec)``, the Hutchinson
+operator Phi(S) = union over block subsums sigma of q*(sigma + S), which
+that value applies, satisfies Phi(I_{mn}) = I_{m(n+1)}, and any finite
+interval union S with S contained in Phi(S) is contained in the achievement
+set (coinduction: S in Phi^j(I_0) for every j).  Verified such sets give
+exact lower bounds on the interior measure.
 
 A search can verify only in two ways.  When its refinement S -> S cap Phi(S)
 stabilizes, S lies in Phi(S), so S lies in the achievement set E; and E lies
@@ -16,10 +16,10 @@ in every refined S, because E lies in the seed I_n and E = Phi(E) lies in
 Phi(S), and a perfect set loses no point when degenerate parts are dropped.
 So S = E, a finite union of intervals, which by Guthrie-Nymann happens only
 with finitely many Kakeya indices.  Otherwise the search falls back on the
-run-window union, which depends only on the spec and is kept per spec by
-``run_windows``.  So with infinitely many Kakeya indices every search
-verifies exactly when ``run_windows(spec)`` is not None, on that union,
-whatever its seed and budget.  Unverified certificates never reach a
+run-window union, which depends only on the spec and is kept on its value,
+as ``windows``.  So with infinitely many Kakeya indices every search
+verifies exactly when ``self_similar(spec).windows`` is not None, on that
+union, whatever its seed and budget.  Unverified certificates never reach a
 report, so searches that cannot verify are skipped without changing a byte,
 and a failed search reports only its rounds and whether it hit the part
 limit.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import chain
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -43,18 +43,15 @@ from .exact import (
     EMPTY_SET,
     Interval,
     IntervalSet,
-    Parts,
-    covered_parts,
     intersect_parts,
     lattice_strs,
-    merge_parts,
     nondegenerate_parts,
     normalize,
     pairs_text,
     rat_str,
 )
 from .frozen import frozen
-from .series import Bricks, SubsumLadder
+from .series import Bricks, CapacityError, SelfSimilar, SubsumLadder
 from .families import self_similar
 
 if TYPE_CHECKING:
@@ -221,44 +218,12 @@ def _interleaved(evens: list[str], odds: list[str]) -> list[str]:
     return out
 
 
-class _LatticeOperator:
-    """Phi on integer parts: a part list over d maps to one over b * d.
-
-    With q = a / b and each block subsum sigma = sigmas[i] / sigma_den, read
-    off the block's lattice, the part [lo, hi] / d of S maps to
-    [a (sigma d + lo), a (sigma d + hi)] / (b d).  ``d`` must be a multiple
-    of sigma_den.  ``m``, the terms per group, sets the seed depths.  A
-    spec that ``self_similar`` gives no block raises ValueError.
-    """
-
-    def __init__(self, spec: FamilySpec) -> None:
-        similar = self_similar(spec)
-        if similar is None:
-            raise ValueError(f"{type(spec).__name__}: no self-similar block within the cap")
-        block = similar.block
-        self.sigma_den = block.denominator
-        self.sigmas = block.values
-        self.a = similar.ratio.numerator
-        self.b = similar.ratio.denominator
-        self.total = similar.total
-        self.m = similar.m
-
-    def __call__(self, d: int, parts: Parts) -> Parts:
-        """Phi(S) over b * d for a canonical part list S over d in [0, r_0]."""
-        if not parts:
-            return []
-        total = self.total
-        if parts[0][0] < 0 or parts[-1][1] * total.denominator > total.numerator * d:
-            raise ValueError("operand must be contained in [0, r_0]")
-        step = d // self.sigma_den
-        shifts = [sigma * step for sigma in self.sigmas]
-        image = merge_parts([(lo + t, hi + t) for t in shifts for lo, hi in parts])
-        a = self.a
-        return [(a * lo, a * hi) for lo, hi in image]
-
-
-def _scaled(parts: Parts, factor: int) -> Parts:
-    return [(lo * factor, hi * factor) for lo, hi in parts]
+def _similar(spec: FamilySpec) -> SelfSimilar:
+    """``self_similar(spec)``; ValueError for a spec that it gives no block."""
+    similar = self_similar(spec)
+    if similar is None:
+        raise ValueError(f"{type(spec).__name__}: no self-similar block within the cap")
+    return similar
 
 
 def hutchinson(spec: FamilySpec, s: IntervalSet) -> IntervalSet:
@@ -270,14 +235,15 @@ def hutchinson(spec: FamilySpec, s: IntervalSet) -> IntervalSet:
     endpoints of s go onto their common denominator and through the same
     integer operator that the certificate search runs.
     """
-    phi = _LatticeOperator(spec)
-    d = lcm(phi.sigma_den, *(x.denominator for p in s for x in (p.lo, p.hi)))
+    similar = _similar(spec)
+    d = lcm(similar.block.denominator, *(x.denominator for p in s for x in (p.lo, p.hi)))
     parts = [
         (p.lo.numerator * (d // p.lo.denominator), p.hi.numerator * (d // p.hi.denominator))
         for p in s
     ]
-    bd = phi.b * d
-    return normalize(Interval(Fraction(lo, bd), Fraction(hi, bd)) for lo, hi in phi(d, parts))
+    bd = similar.ratio.denominator * d
+    image = similar.image(d, parts)
+    return normalize(Interval(Fraction(lo, bd), Fraction(hi, bd)) for lo, hi in image)
 
 
 @frozen
@@ -308,52 +274,6 @@ class InteriorCertificate:
         }
 
 
-def _self_covered(phi: _LatticeOperator, d: int, parts: Parts) -> bool:
-    """S is nonempty and lies in Phi(S), compared on the lattice of b * d."""
-    if not parts:
-        return False
-    return len(covered_parts(_scaled(parts, phi.b), phi(d, parts))) == len(parts)
-
-
-def _run_window_candidates(phi: _LatticeOperator) -> tuple[int, Parts]:
-    """Single-interval candidates anchored at chain fixed points.
-
-    For a window of block subsums sigma_i < ... < sigma_j whose internal gaps
-    never exceed q (sigma_j - sigma_i) / (1 - q), the translated images of
-    J = [q sigma_i / (1-q), q sigma_j / (1-q)] chain across J, so J covers
-    itself.  With q / (1 - q) = a / (b - a), every J is a part over the
-    denominator (b - a) * sigma_den, returned with the parts.  Each
-    candidate is still rechecked exactly by the caller.
-    """
-    sigmas, a, b = phi.sigmas, phi.a, phi.b
-    candidates: Parts = []
-    for i in range(len(sigmas)):
-        max_gap = 0
-        for j in range(i + 1, len(sigmas)):
-            max_gap = max(max_gap, sigmas[j] - sigmas[j - 1])
-            if (b - a) * max_gap <= a * (sigmas[j] - sigmas[i]):
-                candidates.append((a * sigmas[i], a * sigmas[j]))
-    return (b - a) * phi.sigma_den, candidates
-
-
-@lru_cache(maxsize=64)
-def run_windows(spec: FamilySpec) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
-    """The union of the self-covered run-window candidates, with its
-    denominator, when it passes the exact recheck; otherwise None, as for
-    a spec that ``self_similar`` gives no block.
-
-    This is the certificate of certify_interior whenever its refinement
-    does not stabilize, and it depends only on the spec, so it is kept per
-    spec as its block is, its parts in a tuple that every caller shares.
-    """
-    if self_similar(spec) is None:
-        return None
-    phi = _LatticeOperator(spec)
-    d, candidates = _run_window_candidates(phi)
-    union = nondegenerate_parts(merge_parts(c for c in candidates if _self_covered(phi, d, [c])))
-    return (d, tuple(union)) if _self_covered(phi, d, union) else None
-
-
 def certify_interior(
     spec: FamilySpec,
     ladder: SubsumLadder,
@@ -367,9 +287,10 @@ def certify_interior(
     fixed point is exactly the wanted property.  When refinement does not
     stabilize within ``budget`` rounds and DEFAULT_PART_LIMIT parts (for
     many Cantorvals it cannot: the parts multiply forever), the certificate
-    is ``run_windows(spec)``.  Either set has passed the exact self-cover
-    recheck before ``verified`` is set.  A spec with no self-similar
-    block raises ValueError.
+    is the run-window union kept on ``self_similar(spec)``, its ``windows``.
+    Either set has passed the exact self-cover recheck, ``covers``, before
+    ``verified`` is set.  A spec with no self-similar block raises
+    ValueError.
 
     Every set is a part list of integers over one common denominator d,
     which starts as the lcm of the seed's and the block subsums'
@@ -378,10 +299,10 @@ def certify_interior(
     """
     if seed_depth < 1 or budget < 0:
         raise ValueError("need seed_depth >= 1 and budget >= 0")
-    phi = _LatticeOperator(spec)
-    b = phi.b
-    seed = ladder.bricks(phi.m * seed_depth)
-    d = lcm(seed.denominator, phi.sigma_den)
+    similar = _similar(spec)
+    b = similar.ratio.denominator
+    seed = ladder.bricks(similar.m * seed_depth)
+    d = lcm(seed.denominator, similar.block.denominator)
     scale = d // seed.denominator
     s = nondegenerate_parts(
         [(lo * scale, hi * scale) for lo, hi in zip(seed.starts, seed.ends)]
@@ -390,8 +311,8 @@ def certify_interior(
     rounds = 0
     stabilized = False
     for _ in range(budget):
-        scaled = _scaled(s, b)
-        refined = nondegenerate_parts(intersect_parts(scaled, phi(d, s)))
+        scaled = [(lo * b, hi * b) for lo, hi in s]
+        refined = nondegenerate_parts(intersect_parts(scaled, similar.image(d, s)))
         rounds += 1
         if refined == scaled:
             stabilized = True
@@ -410,9 +331,9 @@ def certify_interior(
     if stabilized:
         # nondeg(S b cap Phi(S)) == S b puts each part of S inside one part
         # of Phi(S): the self-cover the final recheck confirms.
-        found = (d, s) if _self_covered(phi, d, s) else None
+        found = (d, s) if similar.covers(d, s) else None
     else:
-        found = run_windows(spec)
+        found = similar.windows
     if found is None:
         return InteriorCertificate(
             spec=spec,
@@ -477,10 +398,11 @@ def measure_bounds(
 
     Only verified certificates count, so a search that cannot verify is
     skipped.  With infinitely many Kakeya indices no refinement stabilizes
-    (see the module docstring): if ``run_windows(spec)`` is None no seed is
-    searched, and otherwise every seed's certificate is that run-window
+    (see the module docstring): if the value's ``windows`` is None no seed
+    is searched, and otherwise every seed's certificate is that run-window
     union, so the first verified one is kept.  No certificate
-    exceeds lambda(I_depth) either, so the seeds stop once lower == upper.
+    exceeds lambda(I_depth) either, so the seeds stop once lower == upper,
+    and they stop at the first seed whose I_{m * seed} passes the cap.
 
     cli._analysis passes no ``spec`` when the classification proves the
     interior empty: a verified certificate lies inside the set, so no search
@@ -494,10 +416,13 @@ def measure_bounds(
     similar = self_similar(spec)
     if similar is not None:
         kakeya_infinite = not ladder.stream.kakeya_pattern().kakeya_is_finite
-        searchable = not kakeya_infinite or run_windows(spec) is not None
+        searchable = not kakeya_infinite or similar.windows is not None
         max_seed = max(1, min(depth // similar.m, 4)) if searchable else 0
         for seed in range(1, max_seed + 1):
-            cert = certify_interior(spec, ladder, seed, budget)
+            try:
+                cert = certify_interior(spec, ladder, seed, budget)
+            except CapacityError:
+                break  # I_{m * seed} passes the cap, and so does every deeper seed
             if cert.verified and cert.interior_measure > lower:
                 lower = cert.interior_measure
                 best = cert

@@ -201,9 +201,9 @@ def self_similar(subject) -> Optional[SelfSimilar]:
     coefficients on the lattice of their denominators' lcm; None for any
     other subject, a TermStream too, and for a block over DEFAULT_CAP.
 
-    The operator, its certificate candidates and the separated-block test
-    all read it, so it is kept per spec, a refusal too: an over-capacity
-    block is folded once per spec.
+    The value is the operator and keeps its run-window union, and the
+    separated-block test reads it too, so it is kept per spec, a refusal
+    too: an over-capacity block is folded once per spec.
     """
     if not isinstance(subject, MultigeometricSpec):
         return None

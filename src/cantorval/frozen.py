@@ -9,8 +9,9 @@ those methods as source text and execs it, once per class, which would be
 most of the cost of importing ``cantorval``; here the methods of every
 class run the same code, closed over its field names.  Instances keep a
 ``__dict__``, so ``functools.cached_property`` works on them, and
-``__post_init__`` coerces a field with ``object.__setattr__``.  Default
-factories are not supported.
+``__post_init__`` coerces a field with ``object.__setattr__``.  An instance
+keeps its hash there too once computed, so a spec that keys a cache is
+hashed once, not at every lookup.  Default factories are not supported.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 _setattr = object.__setattr__
+
+_HASH = "hash()"  # the __dict__ key of a kept hash: no field name can be it
 
 
 def frozen(cls: type) -> type:
@@ -79,7 +82,10 @@ def frozen(cls: type) -> type:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(key(self))
+        got = self.__dict__.get(_HASH)
+        if got is None:
+            got = self.__dict__[_HASH] = hash(key(self))
+        return got
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))

@@ -49,6 +49,10 @@ sweeps I_n by (A) with no gap scan.  F_0 = {0} has no gap, so every level of
 the pattern's leading run of Kakeya indices is built this way, and so are
 others: level 3 of (9, 9, 6; 1/10) follows the separated level 2, though
 x_1 = 9/10 < r_1.  ``SubsumLadder.separated`` is the same exact test.
+
+A SelfSimilar value holds the block K of a set E = q * (K + E) and is its
+Hutchinson operator on integer part lists: the image, the self-cover test
+and the run-window union that ``engine``'s certificate search reads.
 """
 
 from __future__ import annotations
@@ -56,12 +60,12 @@ from __future__ import annotations
 import abc
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, islice
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .exact import PointSet
+from .exact import Parts, PointSet, covered_parts, merge_parts, nondegenerate_parts
 from .frozen import frozen
 
 DEFAULT_CAP = 2_000_000
@@ -304,12 +308,60 @@ def subsum_level(terms: Iterable[Fraction], cap: int = DEFAULT_CAP) -> LatticeLe
 @frozen
 class SelfSimilar:
     """E = q * (block + E), with the block's subsums on their lattice, r_0 =
-    max E and m terms per group, as ``families.self_similar`` gives it."""
+    max E and m terms per group, as ``families.self_similar`` gives it; and
+    Phi(S) = union over block subsums sigma of q * (sigma + S) on integer
+    parts, for S over d, a multiple of the block's denominator D."""
 
     block: LatticeLevel
     ratio: Fraction
     total: Fraction
     m: int
+
+    def image(self, d: int, parts: Parts) -> Parts:
+        """Phi(S) over b * d for a canonical part list S over d in [0, r_0]:
+        with q = a / b, [lo, hi] / d maps to [a (sigma d + lo), a (sigma d +
+        hi)] / (b d) for each sigma."""
+        if not parts:
+            return []
+        total = self.total
+        if parts[0][0] < 0 or parts[-1][1] * total.denominator > total.numerator * d:
+            raise ValueError("operand must be contained in [0, r_0]")
+        step = d // self.block.denominator
+        shifts = [sigma * step for sigma in self.block.values]
+        image = merge_parts([(lo + t, hi + t) for t in shifts for lo, hi in parts])
+        a = self.ratio.numerator
+        return [(a * lo, a * hi) for lo, hi in image]
+
+    def covers(self, d: int, parts: Parts) -> bool:
+        """S is nonempty and lies in Phi(S), compared on the lattice of b * d."""
+        b = self.ratio.denominator
+        scaled = [(lo * b, hi * b) for lo, hi in parts]
+        return bool(parts) and len(covered_parts(scaled, self.image(d, parts))) == len(parts)
+
+    @cached_property
+    def windows(self) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The union of the self-covered run windows over its denominator,
+        kept for every reader, or None when it fails the exact recheck.
+
+        For block subsums sigma_i < ... < sigma_j whose gaps never exceed
+        q (sigma_j - sigma_i) / (1 - q), the images of the window
+        J = [q sigma_i, q sigma_j] / (1 - q) chain across J, so J covers
+        itself; q / (1 - q) = a / (b - a) puts J over (b - a) * D.  Each
+        window is still checked exactly, and so is their union."""
+        sigmas = self.block.values
+        a, b = self.ratio.numerator, self.ratio.denominator
+        d = (b - a) * self.block.denominator
+        covered: Parts = []
+        for i in range(len(sigmas)):
+            max_gap = 0
+            for j in range(i + 1, len(sigmas)):
+                max_gap = max(max_gap, sigmas[j] - sigmas[j - 1])
+                if (b - a) * max_gap <= a * (sigmas[j] - sigmas[i]):
+                    window = (a * sigmas[i], a * sigmas[j])
+                    if self.covers(d, [window]):
+                        covered.append(window)
+        union = nondegenerate_parts(merge_parts(covered))
+        return (d, tuple(union)) if self.covers(d, union) else None
 
 
 @frozen

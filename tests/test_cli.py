@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cantorval import cli, engine
+from cantorval import cli
 from cantorval.cli import _dumps, build_report, main, validate_report_document
 from cantorval.families import MultigeometricSpec, io as family_io, self_similar, spec_from_json
 from cantorval.series import SelfSimilar, subsum_level
@@ -238,10 +239,21 @@ class TestAnalyze:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["measure_bounds"]["certificate"] is None
 
+    def test_seed_beyond_a_shallow_depth_passes_the_cap(self):
+        # depth 1 < m = 8, so measure_bounds' seed 1, I_8, needs F_8 and
+        # passes the cap of 4: the search ends with no certificate, and the
+        # report is the one the program wrote before seeds could raise here
+        spec = '{"type":"multigeometric","k":[1,1,1,1,1,1,1,1],"q":"1/2"}'
+        proc = run_cli("analyze", "--inline", spec, "--depth", "1", "--cap", "4")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "6fa2f34a7b045ec554f3e33b0dd2e54e39f5e1a74e949d890ca99bbca8f5d5a3"
+
     def test_refused_block_is_folded_once(self, monkeypatch):
         # self_similar keeps its refusal as None, so the separated-block test
-        # and run_windows fold the over-capacity block once between them, and
-        # a second run, which reads the kept None, prints the same report
+        # and the certificate gate fold the over-capacity block once between
+        # them, and a second run, which reads the kept None, prints the same
+        # report
         folds = []
         fold = multigeometric_module.subsum_level
 
@@ -250,7 +262,6 @@ class TestAnalyze:
             return fold(terms, *args)
 
         self_similar.cache_clear()
-        engine.run_windows.cache_clear()
         monkeypatch.setattr(multigeometric_module, "subsum_level", counting)
         runs = []
         for _ in range(2):

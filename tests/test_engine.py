@@ -1,6 +1,8 @@
+import functools
 import inspect
 import json
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -15,27 +17,31 @@ from cantorval.engine import (
     hutchinson,
     iterate,
     measure_bounds,
-    run_windows,
 )
-from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, normalize
+from cantorval.exact import EMPTY_SET, Interval, IntervalSet, interval, merge_parts, normalize
 from cantorval.families import (
     KyivSpec,
     PeriodicSeq,
     multigeometric,
+    self_similar,
     spec_from_json,
 )
-from cantorval.series import DEFAULT_CAP, SubsumLadder, kakeya_split
+from cantorval.series import DEFAULT_CAP, SelfSimilar, SubsumLadder, kakeya_split
 
+import oracles
 from oracles import (
     brute_bricks,
     brute_intersect,
     brute_subsums,
     fraction_certify_interior,
+    fraction_hutchinson,
     is_subset_of,
     longest_component,
     reference_report_sections,
+    set_nondegenerate,
 )
-from test_cli import BIG_BLOCK
+from test_cli import BIG_BLOCK, multigeometric_json
+from test_families import mg_specs
 
 DYADIC = multigeometric([1], "1/2")
 THIRDS = multigeometric([2], "1/3")
@@ -168,12 +174,69 @@ class TestNoBlock:
         "spec", [KYIV_48, spec_from_json(json.loads(BIG_BLOCK))], ids=["kyiv48", "big_block"]
     )
     def test_operator_refuses_and_run_windows_is_none(self, spec):
+        # with no value there is no operator and no run-window union
         with pytest.raises(ValueError, match="no self-similar block within the cap") as info:
             hutchinson(spec, iset((0, 1)))
         assert len(str(info.value).splitlines()) == 1
         with pytest.raises(ValueError, match="no self-similar block within the cap"):
             certify_interior(spec, SubsumLadder(spec.stream()))
-        assert run_windows(spec) is None
+        assert self_similar(spec) is None
+
+
+def multigeometric_specs():
+    """The multigeometric specs of the family and CLI tests with at most 8
+    coefficients, since the Fraction oracles enumerate all 2^m block subsets."""
+    texts = multigeometric_json().filter(lambda doc: len(doc["k"]) <= 8)
+    return st.one_of(mg_specs(), texts.map(spec_from_json))
+
+
+@st.composite
+def operands(draw):
+    """A multigeometric spec, its kept value, and a canonical part list S
+    inside [0, r_0] over d, a multiple of the block's and r_0's lattice:
+    random parts, or the hull [0, r_0] itself."""
+    spec = draw(multigeometric_specs())
+    similar = self_similar(spec)
+    total = similar.total
+    d = lcm(similar.block.denominator, total.denominator) * draw(st.integers(1, 3))
+    top = total.numerator * (d // total.denominator)
+    ends = st.integers(0, top)
+    pairs = st.lists(st.tuples(ends, ends), max_size=5).map(lambda ps: merge_parts(map(sorted, ps)))
+    return spec, similar, d, draw(st.one_of(pairs, st.just([(0, top)])))
+
+
+def lattice_set(d, parts):
+    return IntervalSet.from_lattice([lo for lo, _ in parts], [hi for _, hi in parts], d)
+
+
+class TestOperatorOnTheValue:
+    """The kept ``SelfSimilar`` value is Phi: its ``image``, ``covers`` and
+    ``windows`` against the Fraction operator of ``oracles``."""
+
+    @given(operands())
+    @settings(max_examples=100, deadline=None)
+    def test_image_and_cover_match_the_fraction_operator(self, operand):
+        spec, similar, d, parts = operand
+        s = lattice_set(d, parts)
+        bd = similar.ratio.denominator * d
+        got = [(F(lo, bd), F(hi, bd)) for lo, hi in similar.image(d, parts)]
+        assert got == [(p.lo, p.hi) for p in fraction_hutchinson(spec, s)]
+        assert similar.covers(d, parts) == oracles._self_covered(spec, s)
+
+    @given(multigeometric_specs())
+    @settings(max_examples=100, deadline=None)
+    @example(FERENS)  # the union passes its recheck
+    @example(GN)  # no run window at all
+    def test_windows_are_the_fraction_union(self, spec):
+        candidates = oracles._run_window_candidates(spec)
+        pieces = [p for c in candidates if oracles._self_covered(spec, c) for p in c]
+        union = set_nondegenerate(normalize(pieces))
+        got = self_similar(spec).windows
+        if oracles._self_covered(spec, union):
+            d, parts = got
+            assert lattice_set(d, parts) == union
+        else:
+            assert got is None
 
 
 class TestCertify:
@@ -380,7 +443,7 @@ class TestSkippedSearches:
         assert cert.rounds == budget or any("exceed limit" in d for d in cert.diagnostics)
         # and then verifies through the run-window candidates, which a
         # budget-0 search tries at once
-        assert cert.verified == (run_windows(spec) is not None)
+        assert cert.verified == (self_similar(spec).windows is not None)
         assert cert.s == certify_interior(spec, ladder, seed_depth, 0).s
 
     @given(
@@ -407,18 +470,22 @@ class TestSkippedSearches:
         assert all(c is None or c["verified"] for c in carried)
 
     def test_run_window_candidates_are_built_once_per_spec(self, monkeypatch, capsys):
-        # classify's search, measure_bounds' gate and its search all read the
-        # one kept run-window union
+        # classify's gate and search, measure_bounds' gate and its search all
+        # read the one union kept on the one kept value
         built = []
 
-        def counted(phi):
-            built.append(phi)
-            return candidates(phi)
+        def counted(similar):
+            built.append(similar)
+            return windows(similar)
 
-        candidates = engine._run_window_candidates
-        monkeypatch.setattr(engine, "_run_window_candidates", counted)
-        engine.run_windows.cache_clear()
-        spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "ferens_5432.json"
-        assert main(["analyze", "--spec", str(spec), "--depth", "14"]) == 0
+        windows = SelfSimilar.windows.func
+        kept = functools.cached_property(counted)
+        kept.__set_name__(SelfSimilar, "windows")
+        monkeypatch.setattr(SelfSimilar, "windows", kept)
+        self_similar.cache_clear()
+        path = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "ferens_5432.json"
+        assert main(["analyze", "--spec", str(path), "--depth", "14"]) == 0
         capsys.readouterr()
-        assert len(built) == 1
+        spec = spec_from_json(json.loads(path.read_text()))
+        assert len(built) == 1 and built[0] is self_similar(spec)
+        assert built[0].windows is not None

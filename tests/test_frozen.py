@@ -135,6 +135,28 @@ def test_iteration_report_caches_its_interval_set():
         report.iteration = None
 
 
+def test_hash_is_kept_once_computed():
+    hashed = []
+
+    class Counted:
+        def __hash__(self):
+            hashed.append(None)
+            return 7
+
+    made, twin = TWINS["single"]
+    item = Counted()
+    got = made((item, 1))
+    first = hash(got)
+    assert hash(got) == first and len(hashed) == 1
+    # the kept hash changes neither equality, repr nor the fields in vars()
+    assert got == made((item, 1)) and repr(got) == repr(twin((item, 1)))
+    assert vars(got)["values"] == (item, 1)
+    unhashable = made(([1],))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
 def test_equal_specs_share_one_cached_block():
     a = MultigeometricSpec((3, 2, 2, 2), Fraction(1, 4))
     b = MultigeometricSpec(("3", "2", "2", "2"), "1/4")

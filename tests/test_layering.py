@@ -22,6 +22,12 @@ gives None for every subject it has no block for; a fifth static check keeps
 every module outside ``families/`` from naming ``MultigeometricSpec`` or
 ``mg_block`` or importing ``families.multigeometric``, so the operator,
 its certificates and the classifier name no one family.
+
+That value is also the Hutchinson operator Phi: ``SelfSimilar.image``,
+``covers`` and ``windows``.  A sixth static check keeps every module but
+``series.py`` from importing or reading ``merge_parts`` or
+``covered_parts``, the two part-list steps of Phi's image and its cover
+test, so no second copy of the operator grows back in another module.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ JSON_PARSERS = {"load", "loads"}
 FAMILIES = PACKAGE / "families"
 MULTIGEOMETRIC_NAMES = {"MultigeometricSpec", "mg_block"}
 MULTIGEOMETRIC_MODULE = "families.multigeometric"
+OPERATOR_STEPS = {"merge_parts", "covered_parts"}
 
 
-def formatter_names(path: Path) -> list[tuple[int, str]]:
-    """(line, name) for each formatter that ``path`` imports or reads as an attribute."""
+def imported_names(path: Path, wanted: set[str]) -> list[tuple[int, str]]:
+    """(line, name) for each of ``wanted`` that ``path`` imports or reads as an attribute."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -50,12 +57,12 @@ def formatter_names(path: Path) -> list[tuple[int, str]]:
             names = [node.attr]
         else:
             continue
-        found.extend((node.lineno, name) for name in names if name in FORMATTERS)
+        found.extend((node.lineno, name) for name in names if name in wanted)
     return found
 
 
 def test_series_imports_no_text_formatter():
-    assert formatter_names(SERIES) == []
+    assert imported_names(SERIES, FORMATTERS) == []
 
 
 def test_the_check_sees_both_spellings(tmp_path):
@@ -66,7 +73,28 @@ def test_the_check_sees_both_spellings(tmp_path):
         "s = exact.rat_str(x)\n"
         "t = str(x)\n"
     )
-    assert formatter_names(probe) == [(1, "lattice_strs"), (3, "rat_str")]
+    assert imported_names(probe, FORMATTERS) == [(1, "lattice_strs"), (3, "rat_str")]
+
+
+def test_only_series_holds_the_operator():
+    readers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        reads = imported_names(path, OPERATOR_STEPS)
+        if reads and path != SERIES:
+            readers[str(path.relative_to(PACKAGE))] = reads
+    assert readers == {}
+    assert {name for _, name in imported_names(SERIES, OPERATOR_STEPS)} == OPERATOR_STEPS
+
+
+def test_the_operator_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .exact import intersect_parts, merge_parts\n"
+        "from . import exact\n"
+        "ok = exact.covered_parts(s, cover)\n"
+        "u = merge(parts)\n"
+    )
+    assert imported_names(probe, OPERATOR_STEPS) == [(1, "merge_parts"), (3, "covered_parts")]
 
 
 def called_names(path: Path, names: set[str]) -> list[tuple[int, str]]:
