@@ -87,9 +87,10 @@ def _dumps(doc) -> list[str]:
 
 def _write(o, chunks: list[str], newline: str) -> None:
     """Append the encoding of ``o`` to ``chunks``, testing types in json's
-    order; ``newline`` is "\n" plus its indent.  IterationRows adds its
-    own chunks, three per row, and a RepetitionReport (the uniqueness section's
-    witnesses and ``outer``) writes its own ``json_text`` as one chunk."""
+    order; ``newline`` is "\n" plus its indent.  IterationRows and a
+    RepetitionReport (the uniqueness section's collisions, witnesses and
+    ``outer``) add their own chunks, each large list body a chunk of its
+    own, so no body is copied into a wrapping string."""
     if isinstance(o, str):
         chunks.append(_encode_str(o))
     elif o is None:
@@ -118,10 +119,8 @@ def _write(o, chunks: list[str], newline: str) -> None:
             _write(value, chunks, inner)
             separator = "," + inner
         chunks.append(newline + "}" if o else "{}")
-    elif isinstance(o, IterationRows):
+    elif isinstance(o, (IterationRows, RepetitionReport)):
         chunks.extend(o.chunks(newline))
-    elif isinstance(o, RepetitionReport):
-        chunks.append(o.json_text(newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

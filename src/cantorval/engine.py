@@ -47,7 +47,7 @@ from .exact import (
     lattice_strs,
     nondegenerate_parts,
     normalize,
-    pairs_text,
+    pairs_chunks,
     rat_str,
 )
 from .frozen import frozen
@@ -113,22 +113,27 @@ class IterationReport:
             f'{i1}"brick_count": {self.brick_count},'
         )
 
-    def bricks_text(self, newline: str, starts: list[str], ends: list[str]) -> tuple[str, str]:
+    def bricks_text(
+        self, newline: str, starts: list[str], ends: list[str]
+    ) -> tuple[str, tuple[str, ...]]:
         """The row's text that its Bricks alone decides: the measure, and
-        the row from ``"gap_count"`` to its closing brace.
+        the chunks of the row from ``"gap_count"`` to its closing brace.
 
         ``starts`` and ``ends`` are the "p/q" strings of the parts'
         endpoints, which IterationRows hands from row to row.  ``parts``
-        and ``gaps`` are each written by ``pairs_text``, so nothing is
-        escaped.
+        and ``gaps`` are each written by ``pairs_chunks``, whose body is a
+        chunk of its own, so nothing is escaped or copied into the row.
         """
         longest = self._longest_index()
         i1 = newline + "  "
         i2 = i1 + "  "
         return rat_str(self.measure), (
-            f'{i1}"gap_count": {self.gap_count},{i1}"parts": {pairs_text(starts, ends, i1)},'
-            f'{i1}"gaps": {pairs_text(ends, starts[1:], i1)},{i1}"longest_component": '
-            f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
+            f'{i1}"gap_count": {self.gap_count},{i1}"parts": ',
+            *pairs_chunks(starts, ends, i1),
+            f',{i1}"gaps": ',
+            *pairs_chunks(ends, starts[1:], i1),
+            f',{i1}"longest_component": '
+            f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}',
         )
 
 
@@ -178,9 +183,11 @@ class IterationRows:
         return self.rows[i]
 
     def chunks(self, newline: str) -> Iterator[str]:
-        """The chunks of the rows' list at the nesting of ``newline``, a
-        separator and two per row; joined, they are its indent-2 JSON text.
-        The rows that hold one Bricks share its second chunk."""
+        """The chunks of the rows' list at the nesting of ``newline``: per
+        row a separator, the head and the ``bricks_text`` chunks, among them
+        the ``parts`` and ``gaps`` bodies; joined, they are its indent-2 JSON
+        text.  The rows that hold one Bricks yield the same ``bricks_text``
+        chunks, so each body is joined once per distinct Bricks."""
         inner = newline + "  "
         separator = "[" + inner
         last: Optional[Bricks] = None
@@ -205,7 +212,7 @@ class IterationRows:
             was_separated = row.separated
             yield separator
             yield row.head_text(inner, measure)
-            yield rest
+            yield from rest
             separator = "," + inner
         yield newline + "]" if self.rows else "[]"
 

@@ -91,19 +91,28 @@ def lattice_strs(
     ]
 
 
-def pairs_text(los: Sequence[str], his: Sequence[str], newline: str) -> str:
-    """The list of pairs [los[i], his[i]] as ``json.dumps(..., indent=2)``
-    writes it at the nesting whose line break and indent are ``newline``.
+def pairs_chunks(los: Sequence[str], his: Sequence[str], newline: str) -> tuple[str, ...]:
+    """The list of pairs [los[i], his[i]], as far as both go, as
+    ``json.dumps(..., indent=2)`` writes it at the nesting whose line break
+    and indent are ``newline``: three chunks, the opening text, the body and
+    the closing text, or the one chunk "[]" for no pairs.
 
-    Two joins whose separators carry the quote marks and brackets, so no
-    per-pair list is made; the strings must need no escaping, as endpoint
-    strings do not (only digits, "-" and "/").
+    The body is one join over a flat list of the strings and the separators
+    between them, which carry the quote marks and brackets, so no per-pair
+    string is made and the body is never copied into a wrapper.  The strings
+    must need no escaping, as endpoint strings do not (only digits, "-" and
+    "/").
     """
+    n = min(len(los), len(his))
+    if not n:
+        return ("[]",)
     i1 = newline + "  "
     i2 = i1 + "  "
-    pair = '",' + i2 + '"'
-    body = ('"' + i1 + "]," + i1 + "[" + i2 + '"').join(map(pair.join, zip(los, his)))
-    return f'[{i1}[{i2}"{body}"{i1}]{newline}]' if body else "[]"
+    flat = ['",' + i2 + '"'] * (4 * n - 1)
+    flat[::4] = los if len(los) == n else los[:n]
+    flat[2::4] = his if len(his) == n else his[:n]
+    flat[3::4] = ['"' + i1 + "]," + i1 + "[" + i2 + '"'] * (n - 1)
+    return f'[{i1}[{i2}"', "".join(flat), f'"{i1}]{newline}]'
 
 
 @frozen

@@ -17,10 +17,11 @@ sum.  The collided sums stay integers on the lattice of D_k, the lcm of
 the term denominators, and Fractions are built only when a caller reads
 them.  A witness stays its two profile ranks until written: a rank splits
 into a lead and a trailing half of the value groups.  The report's one
-form is the indent-2 JSON text it writes from those integers
-(``RepetitionReport.json_text``), which the CLI copies into a report as it
-stands.  That text formats each half once per half rank, memoized, and
-writes a witness subset as its two half texts joined.
+form is the indent-2 JSON text it writes from those integers, as chunks
+that the CLI adds to a report as they stand (``RepetitionReport.chunks``):
+each list body is one join and a chunk of its own.  That text formats each
+half once per half rank, memoized, and writes a witness subset as its two
+half texts joined.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import lcm, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .exact import IntervalSet, PointSet, lattice_strs, pairs_text
+from .exact import IntervalSet, PointSet, lattice_strs, pairs_chunks
 from .frozen import frozen
 from .series import DEFAULT_CAP, GREATER, CapacityError, SubsumLadder, TermStream
 
@@ -54,7 +55,7 @@ class RepetitionReport:
     collided[i] / denominator, reached by counts[i] multisets, whose first
     two profiles in ``itertools.product`` order have the ranks ranks[i].
     The value groups hold sizes[0], sizes[1], ... consecutive term indices
-    from 1, which is all a rank needs to be decoded; ``json_text`` decodes
+    from 1, which is all a rank needs to be decoded; ``chunks`` decodes
     the witness index pairs as it writes them, and ``collisions`` builds a
     PointSet on first read.  The outer approximation stays on the integer
     lattice of its sweep, the parts [outer_starts[i], outer_ends[i]] /
@@ -84,44 +85,48 @@ class RepetitionReport:
         """The collided values as canonical "p/q" strings, in order."""
         return lattice_strs(self.collided, self.denominator)
 
-    def json_text(self, newline: str) -> str:
-        """The report's indent-2 JSON text at the nesting whose line break
-        and indent are ``newline``.
+    def chunks(self, newline: str) -> Iterator[str]:
+        """The chunks of the report's indent-2 JSON text at the nesting
+        whose line break and indent are ``newline``; joined, they are that
+        text.
 
         The value strings are built once for ``collisions`` and the
-        witnesses, each list is one join, and ``outer`` is ``pairs_text``,
-        whose ends reuse the starts' strings when every part is a single
-        point.  Each witness is one format whose subsets are their lead and
-        trailing half texts joined, and each half text is formatted once
-        per call, from the decoder's picks, and then looked up; a report
-        with no collisions builds neither the decoder nor a half text.
-        Values hold only digits, "-" and "/", so nothing is escaped.  A
-        collided sum is positive, so neither of its witness subsets is
-        empty, though either half of one may be.
+        witnesses.  ``values``, ``counts`` and ``witnesses`` are one join
+        each, whose body is a chunk of its own (the separators of
+        ``values`` carry its quote marks), and ``outer`` is
+        ``pairs_chunks``, whose ends reuse the starts' strings when every
+        part is a single point.  Each witness is one format whose subsets
+        are their lead and trailing half texts joined, and each half text is
+        formatted once per call, from the decoder's picks, and then looked
+        up; a report with no collisions builds neither the decoder nor a
+        half text.  Values hold only digits, "-" and "/", so nothing is
+        escaped.  A collided sum is positive, so neither of its witness
+        subsets is empty, though either half of one may be.
         """
         values = self.value_strs()
         d = self.outer_denominator
         i1 = newline + "  "
         i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
 
-        def listed(items, inner: str, close: str) -> str:
-            body = ("," + inner).join(items)
-            return f"[{inner}{body}{close}]" if body else "[]"
+        def listed(items, inner: str, close: str, quote: str = "") -> tuple[str, ...]:
+            body = (quote + "," + inner + quote).join(items)
+            return (f"[{inner}{quote}", body, f"{quote}{close}]") if body else ("[]",)
 
         witnesses = self._witness_texts(values, i2, i3, i4) if self.ranks else ()
-        quoted = map('"{}"'.format, values)
         los = lattice_strs(self.outer_starts, d)
         his = los if self.outer_ends == self.outer_starts else lattice_strs(self.outer_ends, d)
-        outer = pairs_text(los, his, i1)
-        return (
-            f'{{{i1}"k": {self.k},{i1}"collisions": {{'
-            f'{i2}"values": {listed(quoted, i3, i2)},'
-            f'{i2}"counts": {listed(map(str, self.counts), i3, i2)}{i1}}},'
-            f'{i1}"witnesses": {listed(witnesses, i2, i1)},{i1}"outer": {outer}{newline}}}'
-        )
+        yield f'{{{i1}"k": {self.k},{i1}"collisions": {{{i2}"values": '
+        yield from listed(values, i3, i2, '"')
+        yield f',{i2}"counts": '
+        yield from listed(map(str, self.counts), i3, i2)
+        yield f'{i1}}},{i1}"witnesses": '
+        yield from listed(witnesses, i2, i1)
+        yield f',{i1}"outer": '
+        yield from pairs_chunks(los, his, i1)
+        yield newline + "}"
 
     def _witness_texts(self, values: list[str], i2: str, i3: str, i4: str):
-        """The witness objects' texts, for ``json_text``, in order."""
+        """The witness objects' texts, for ``chunks``, in order."""
         decoder = self._decoder
         radix = decoder.radix
         at4 = "," + i4

@@ -34,8 +34,10 @@ Fraction merge of the multigeometric runs that fed it.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -49,7 +51,6 @@ from cantorval.exact import (
     RationalLike,
     lattice_strs,
     normalize,
-    pairs_text,
     rat,
     rat_str,
 )
@@ -85,9 +86,14 @@ def brute_subsums(values) -> dict[Fraction, int]:
     return acc
 
 
+@lru_cache(maxsize=None)
 def fraction_block(spec) -> PointSet:
-    """A multigeometric spec's block subsums, by enumerating coefficient subsets."""
-    return PointSet.from_values(brute_subsums(spec.coefficients))
+    """A multigeometric spec's block subsums, as a set of Fractions that
+    takes each coefficient in or out in turn, kept per spec."""
+    sums = {Fraction(0)}
+    for c in spec.coefficients:
+        sums |= {s + c for s in sums}
+    return PointSet.from_values(sums)
 
 
 def brute_subsum_levels(values) -> list[dict[Fraction, int]]:
@@ -1082,7 +1088,8 @@ def repetition_dict(report: RepetitionReport) -> dict:
 
 
 def iteration_row_text(report, newline: str) -> str:
-    """An iteration row's indent-2 text with every endpoint formatted anew.
+    """An iteration row's indent-2 text with every endpoint formatted anew,
+    and its ``parts`` and ``gaps`` written by ``json.dumps``.
 
     This is ``IterationReport.json_text`` from before endpoint strings were
     handed from one row to the next.
@@ -1097,7 +1104,13 @@ def iteration_row_text(report, newline: str) -> str:
     return (
         f'{{{i1}"n": {report.n},{i1}"measure": "{rat_str(report.measure)}",'
         f'{i1}"tail": "{rat_str(report.tail)}",{i1}"brick_count": {report.brick_count},'
-        f'{i1}"gap_count": {report.gap_count},{i1}"parts": {pairs_text(starts, ends, i1)},'
-        f'{i1}"gaps": {pairs_text(ends, starts[1:], i1)},{i1}"longest_component": '
+        f'{i1}"gap_count": {report.gap_count},{i1}"parts": {pairs_json(starts, ends, i1)},'
+        f'{i1}"gaps": {pairs_json(ends, starts[1:], i1)},{i1}"longest_component": '
         f'[{i2}"{starts[longest]}",{i2}"{ends[longest]}"{i1}]{newline}}}'
     )
+
+
+def pairs_json(los, his, newline: str) -> str:
+    """The list of pairs [los[i], his[i]] as ``json.dumps(..., indent=2)``
+    writes it at the nesting whose line break and indent are ``newline``."""
+    return json.dumps([list(p) for p in zip(los, his)], indent=2).replace("\n", newline)

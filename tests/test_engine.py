@@ -184,10 +184,8 @@ class TestNoBlock:
 
 
 def multigeometric_specs():
-    """The multigeometric specs of the family and CLI tests with at most 8
-    coefficients, since the Fraction oracles enumerate all 2^m block subsets."""
-    texts = multigeometric_json().filter(lambda doc: len(doc["k"]) <= 8)
-    return st.one_of(mg_specs(), texts.map(spec_from_json))
+    """The multigeometric specs of the family and CLI tests."""
+    return st.one_of(mg_specs(), multigeometric_json().map(spec_from_json))
 
 
 @st.composite

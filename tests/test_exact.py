@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantorval.exact import (
     EMPTY_SET,
@@ -14,6 +15,7 @@ from cantorval.exact import (
     merge_parts,
     nondegenerate_parts,
     normalize,
+    pairs_chunks,
     rat,
     rat_str,
 )
@@ -259,3 +261,35 @@ class TestLatticeStrs:
         assert lattice_strs([], 7) == []
         big = 3 * 2**80
         assert lattice_strs([2**80, 1], big) == ["1/3", f"1/{big}"]
+
+
+class TestPairsChunks:
+    """pairs_chunks writes a list of string pairs as json.dumps(indent=2)
+    does at any nesting: three chunks, whose middle one is the whole body,
+    or the one chunk "[]" for no pairs."""
+
+    @given(
+        st.lists(st.tuples(small_fractions, small_fractions).map(sorted), max_size=12),
+        st.integers(0, 4),
+        st.booleans(),
+    )
+    @example([], 0, False)
+    @example([], 2, True)  # one part has no gap
+    @example([(F(0), F(1))], 1, False)
+    @example([(F(0), F(1))], 1, True)
+    @example([(F(0), F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), F(1))], 3, True)
+    def test_joined_chunks_are_indented_json(self, parts, indent, gaps):
+        starts = [rat_str(lo) for lo, _ in parts]
+        ends = [rat_str(hi) for _, hi in parts]
+        # the gaps call of an iteration row: his is one shorter than los
+        los, his = (ends, starts[1:]) if gaps else (starts, ends)
+        pairs = [list(p) for p in zip(los, his)]
+        newline = "\n" + "  " * indent
+        chunks = pairs_chunks(los, his, newline)
+        text = json.dumps(pairs, indent=2).replace("\n", newline)
+        assert "".join(chunks) == text
+        if pairs:
+            assert len(chunks) == 3
+            assert chunks[1] == text[text.index('"') + 1 : text.rindex('"')]
+        else:
+            assert chunks == ("[]",)

@@ -337,5 +337,5 @@ class TestReaders:
             report = repetition_report(ladder, k)
             d = report.outer_denominator
             assert IntervalSet.from_lattice(report.outer_starts, report.outer_ends, d) == expected
-            assert json.loads(report.json_text("\n"))["outer"] == expected.to_pairs()
+            assert json.loads("".join(report.chunks("\n")))["outer"] == expected.to_pairs()
         assert not repetition_report(ladder, 0).outer_starts

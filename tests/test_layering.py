@@ -37,7 +37,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
 SERIES = PACKAGE / "series.py"
-FORMATTERS = {"lattice_str", "lattice_strs", "pairs_text", "rat_str"}
+FORMATTERS = {"lattice_str", "lattice_strs", "pairs_chunks", "rat_str"}
 ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
 LADDER_ONLY = {"interleave", "_sweep"}
 JSON_PARSERS = {"load", "loads"}

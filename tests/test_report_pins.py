@@ -333,7 +333,7 @@ def written_text(name, tmp_path, owner, method, monkeypatch):
 
     def recording(obj, newline):
         texts.append("".join(original(obj, newline)))
-        return texts[-1]
+        return [texts[-1]]
 
     monkeypatch.setattr(owner, method, recording)
     out = tmp_path / "report.json"
@@ -391,20 +391,43 @@ def test_rows_format_each_endpoint_once(name, monkeypatch):
 def test_rows_of_one_bricks_share_their_text(name, monkeypatch):
     # writing a depth-14 report joins the parts and the gaps once per
     # distinct Bricks among its rows, and the repetition report's outer set
-    # once; a carried row reuses the text of the row before
+    # once; a carried row reuses the chunks of the row before
     doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
     calls = []
-    pairs_text = engine.pairs_text
+    pairs_chunks = engine.pairs_chunks
 
     def counting(*args):
         calls.append(None)
-        return pairs_text(*args)
+        return pairs_chunks(*args)
 
-    monkeypatch.setattr(engine, "pairs_text", counting)
-    monkeypatch.setattr(uniqueness, "pairs_text", counting)
+    monkeypatch.setattr(engine, "pairs_chunks", counting)
+    monkeypatch.setattr(uniqueness, "pairs_chunks", counting)
     _dumps(doc)
     distinct = len({id(row.bricks) for row in doc["iterations"]})
     assert len(calls) == 2 * distinct + 1
+
+
+def test_row_bodies_are_chunks_of_their_own():
+    # middle_thirds' rows at depth 14 hand each parts and gaps body to the
+    # writer as a chunk of its own, so no body is copied into a row string
+    rows = _analysis(load("middle_thirds"), 14, 14, DEFAULT_CAP, 12)["iterations"]
+    newline = "\n" + " " * 6  # the nesting of a row's parts and gaps
+    bodies = []
+    for row in rows:
+        pairs = row.iteration.to_pairs()
+        gaps = [[a[1], b[0]] for a, b in zip(pairs, pairs[1:])]
+        for listed in (pairs, gaps):
+            if listed:
+                text = json.dumps(listed, indent=2).replace("\n", newline)
+                bodies.append(text[text.index('"') + 1 : text.rindex('"')])
+    assert len(bodies) == 2 * 15 - 1  # I_0 has no gap
+    chunks = list(rows.chunks("\n  "))
+    known = set(bodies)
+    assert [c for c in chunks if c in known] == bodies
+    # every other chunk holds no pair of a body: no body is split or merged
+    within, between = '",' + newline + '    "', '"' + newline + "  ],"
+    others = [c for c in chunks if c not in known]
+    assert not any(within in c or between in c for c in others)
 
 
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
@@ -430,7 +453,7 @@ def test_tight_trend_runs_once_per_report(name, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SWEEPS_DEPTH_14))
 def test_cli_writes_repetition_from_text(name, monkeypatch, tmp_path):
-    report, texts = written_text(name, tmp_path, RepetitionReport, "json_text", monkeypatch)
+    report, texts = written_text(name, tmp_path, RepetitionReport, "chunks", monkeypatch)
     assert len(texts) == 1
     assert f'\n    "repetition": {texts[0]},\n' in report
 

@@ -68,9 +68,14 @@ def iset(*pairs):
     return normalize(interval(lo, hi) for lo, hi in pairs)
 
 
+def written(report, newline):
+    """The repetition report's chunks at the nesting of ``newline``, joined."""
+    return "".join(report.chunks(newline))
+
+
 def parsed(report):
     """The repetition report as the text ``analyze`` writes, parsed."""
-    return json.loads(report.json_text("\n"))
+    return json.loads(written(report, "\n"))
 
 
 def witnesses(report):
@@ -176,7 +181,7 @@ class TestProfilePass:
         report = repetition_report(ladder, k)
         expected = enumerated_repetition_report(ladder, k)
         assert report == expected
-        assert report.json_text("\n") == expected.json_text("\n")
+        assert written(report, "\n") == written(expected, "\n")
         groups = value_groups(report.sizes)
         assert [(first, second) for _, first, second in witnesses(report)] == [
             (rank_subset(report.sizes, groups, a), rank_subset(report.sizes, groups, b))
@@ -294,7 +299,7 @@ class TestSkippedProfilePass:
         assert ran == (len(ladder.level(k)) < profiles)
         expected = enumerated_repetition_report(ladder, k)
         assert report == expected
-        assert report.json_text("\n") == expected.json_text("\n")
+        assert written(report, "\n") == written(expected, "\n")
 
     @pytest.mark.parametrize(
         "stream,k,ran",
@@ -345,7 +350,7 @@ class TestHalfTexts:
 
 
 class TestReportText:
-    """RepetitionReport.json_text is the report's indent-2 text at any
+    """RepetitionReport.chunks join to the report's indent-2 text at any
     nesting, and it parses back to the dict the report once built, with
     each witness decoded one rank at a time."""
 
@@ -361,7 +366,7 @@ class TestReportText:
         stream, k = stream_and_depth
         report = repetition_report(SubsumLadder(stream), k)
         newline = "\n" + "  " * indent
-        text = report.json_text(newline)
+        text = written(report, newline)
         assert json.dumps(json.loads(text), indent=2).replace("\n", newline) == text
         assert json.loads(text) == repetition_dict(report)
 
@@ -372,7 +377,7 @@ class TestReportText:
 
     def test_depth_zero_has_no_collision_and_no_outer(self):
         report = repetition_report(SubsumLadder(DYADIC), 0)
-        assert report.json_text("\n  ") == (
+        assert written(report, "\n  ") == (
             '{\n    "k": 0,\n    "collisions": {\n      "values": [],\n'
             '      "counts": []\n    },\n    "witnesses": [],\n    "outer": []\n  }'
         )
@@ -399,7 +404,7 @@ class TestReportText:
     )
     def test_decoder_is_built_only_for_witnesses(self, stream, k, collides):
         report = repetition_report(SubsumLadder(stream), k)
-        text = report.json_text("\n")
+        text = written(report, "\n")
         assert bool(report.ranks) == ("_decoder" in vars(report)) == collides
         assert text == json.dumps(repetition_dict(report), indent=2)
 
@@ -408,7 +413,7 @@ class TestReportText:
         doc = repetition_dict(report)
         assert doc["collisions"] == {"values": [], "counts": []}
         assert doc["witnesses"] == [] and doc["outer"] == []
-        assert report.json_text("\n") == json.dumps(doc, indent=2)
+        assert written(report, "\n") == json.dumps(doc, indent=2)
 
 
 class TestMultirepOuter:
