@@ -405,12 +405,7 @@ def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports every usage error as one stderr line and exit status 2.
-
-    ``build_parser`` sets ``commands``, each command's name to its subparser.
-    """
-
-    commands: dict[str, argparse.ArgumentParser]
+    """Reports every usage error as one stderr line and exit status 2."""
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -422,48 +417,32 @@ def build_parser() -> _Parser:
         description="Exact analysis of achievement sets of convergent series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
     for name, (handler, options) in _COMMANDS.items():
-        p = parser.commands[name] = sub.add_parser(name)
+        p = sub.add_parser(name)
         for flag, (kind, default, choices, text) in options.items():
             p.add_argument(flag, type=kind, default=default, choices=choices, help=text)
         p.set_defaults(handler=handler)
     return parser
 
 
-_parser: Optional[_Parser] = None
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns its exit code.
 
     A plain argv (see ``_plain_args``) is read from the option table with no
-    parser.  Any other argv takes argparse, whose parser is built on the
-    first such call and kept for later ones; importing this module builds
-    nothing.  An argv whose first word names a command is parsed in one
-    pass, by that command's subparser, and words it leaves over are reported
-    by the full parser, as ``cantorval: error: unrecognized arguments: ...``
-    the way its own ``parse_args`` reports them.  Any other argv (none,
-    ``-h``, an unknown command) takes the full parser.
+    parser.  Any other argv (none, ``-h``, an unknown command, an
+    abbreviated option, ``--option=value`` or a usage error) is read by a
+    parser that ``build_parser`` makes for it; importing this module builds
+    nothing.
 
     The command runs with Python's int-to-str digit limit lifted, since a
     spec's exact values can outgrow it, and restores it on return.
     """
-    global _parser
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        if _parser is None:
-            _parser = build_parser()
         try:
-            command = _parser.commands.get(argv[0]) if argv else None
-            if command is None:
-                args = _parser.parse_args(argv)
-            else:
-                args, extra = command.parse_known_args(argv[1:])
-                if extra:
-                    _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
     limit = sys.get_int_max_str_digits()

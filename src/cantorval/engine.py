@@ -32,10 +32,8 @@ only for the values a report prints: the certificate.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -152,25 +150,17 @@ def iterate(ladder: SubsumLadder, n: int) -> IterationReport:
 class IterationRows:
     """The rows I_0, ..., I_depth of one ladder, written as one JSON list.
 
-    ``chunks`` writes the rows in order and hands each row's endpoint
-    strings to the next, since a "p/q" string names a rational whatever
-    lattice it was read from.  Row 0 formats its endpoints whole.  A row
-    whose Bricks is the previous row's object, a level the ladder carried,
-    reuses the previous row's ``bricks_text`` as it is: its measure,
-    parts, gaps and longest component.  Any other row n was swept
-    and keeps every endpoint of I_{n-1}: I_n lies in I_{n-1}, and a part
-    [a, b] of I_{n-1} has a in F_{n-1}, a subset of F_n, and
-    b = f + r_{n-1} = (f + x_n) + r_n with f + x_n in F_n, so a starts a
-    part of I_n and b ends one.  The level m that swept I_{n-1} has a
-    lattice dividing I_n's, because r_m = x_{m+1} + ... + x_n + r_n, so
-    those endpoints are rescaled and looked up, and only the others are
-    formatted.  After a separated row n - 1, one whose every part is a
+    ``chunks`` writes the rows in order and gets each row's endpoint
+    strings in one of three ways.  A row whose Bricks is the previous
+    row's object, a level the ladder carried, reuses the previous row's
+    ``bricks_text`` as it is: its measure, parts, gaps and longest
+    component.  After a separated row n - 1, one whose every part is a
     brick, a swept row n is a Kakeya level, so it has split each part of
     I_{n-1} in two, by fact (B) of the ``series`` docstring: its starts
     alternate old, new and its ends new, old.  So the previous row's
-    strings are sliced into place, only the new half is formatted, and no
-    endpoint is looked up.  The rows of one report thus format each
-    endpoint once.
+    strings, which name rationals whatever lattice they were read from,
+    are sliced into place and only the new half is formatted.  Any other
+    row formats its endpoints whole.
     """
 
     def __init__(self, ladder: SubsumLadder, depth: int) -> None:
@@ -200,13 +190,8 @@ class IterationRows:
                     starts = _interleaved(starts, lattice_strs(got.starts[1::2], d))
                     ends = _interleaved(lattice_strs(got.ends[::2], d), ends)
                 else:
-                    known = None
-                    if last is not None:
-                        scale = partial(operator.mul, d // last.denominator)
-                        endpoints = map(scale, chain(last.starts, last.ends))
-                        known = dict(zip(endpoints, chain(starts, ends)))
-                    starts = lattice_strs(got.starts, d, known)
-                    ends = lattice_strs(got.ends, d, known)
+                    starts = lattice_strs(got.starts, d)
+                    ends = lattice_strs(got.ends, d)
                 measure, rest = row.bricks_text(inner, starts, ends)
                 last = got
             was_separated = row.separated

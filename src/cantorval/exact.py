@@ -67,27 +67,13 @@ def lattice_str(k: int, d: int) -> str:
     return f"{k // g}/{d // g}"
 
 
-def lattice_strs(
-    ks: Sequence[int], d: int, known: Optional[dict[int, str]] = None
-) -> list[str]:
+def lattice_strs(ks: Sequence[int], d: int) -> list[str]:
     """``[lattice_str(k, d) for k in ks]``, with ``str(d)`` written once for
-    every k coprime to d, and without ``known`` every gcd taken in one ``map``.
-
-    ``known`` maps integers on this lattice to their strings, and a k found
-    in it is looked up instead of formatted.  A string names a rational, not
-    its lattice, so one made on a lattice that divides d serves k once it is
-    rescaled to d.
-    """
+    every k coprime to d and every gcd taken in one ``map``."""
     den = "/" + str(d)
-    if known is None:
-        return [
-            f"{k}{den}" if g == 1 else f"{k // g}/{d // g}"
-            for k, g in zip(ks, map(gcd, ks, repeat(d)))
-        ]
-    get = known.get
     return [
-        get(k) or (f"{k}{den}" if (g := gcd(k, d)) == 1 else f"{k // g}/{d // g}")
-        for k in ks
+        f"{k}{den}" if g == 1 else f"{k // g}/{d // g}"
+        for k, g in zip(ks, map(gcd, ks, repeat(d)))
     ]
 
 

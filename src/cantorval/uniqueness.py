@@ -73,10 +73,6 @@ class RepetitionReport:
     outer_ends: list[int]
 
     @cached_property
-    def _decoder(self) -> _RankDecoder:
-        return _RankDecoder(self.sizes)
-
-    @cached_property
     def collisions(self) -> PointSet:
         d = self.denominator
         return PointSet(tuple(Fraction(v, d) for v in self.collided), self.counts)
@@ -127,7 +123,7 @@ class RepetitionReport:
 
     def _witness_texts(self, values: list[str], i2: str, i3: str, i4: str):
         """The witness objects' texts, for ``chunks``, in order."""
-        decoder = self._decoder
+        decoder = _RankDecoder(self.sizes)
         radix = decoder.radix
         at4 = "," + i4
         lead = cache(lambda high: _half_text(decoder.lead(high), at4))

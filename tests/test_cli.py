@@ -54,6 +54,17 @@ KYIV_LONG_HEAD = json.dumps(
 MM_TRUE = '{"type":"mm","gaps":{"pre":[],"period":[true]}}'
 KYIV_TRUE = '{"type":"kyiv","m":{"pre":[],"period":[4]},"s":{"pre":[],"period":[true]}}'
 REPEATED_TRUE = REPEATED.replace('"period":[2]', '"period":[true]')
+# nested fields that BlockGeometric and PeriodicSeq refuse: gf_decimal's q
+# with an empty block, a ratio of 1 or a negative block value, and an mm
+# spec with an empty gap period
+GF_DECIMAL = (
+    '{"type":"gf","m":{"pre":[],"period":[2]},"k":{"pre":[],"period":[4]},'
+    '"q":{"pre":[],"block":["1/10"],"ratio":"1/10"}}'
+)
+GF_EMPTY_BLOCK = GF_DECIMAL.replace('"block":["1/10"]', '"block":[]')
+GF_RATIO_ONE = GF_DECIMAL.replace('"ratio":"1/10"', '"ratio":"1/1"')
+GF_NEGATIVE_BLOCK = GF_DECIMAL.replace('"block":["1/10"]', '"block":["-1/10"]')
+MM_EMPTY_PERIOD = '{"type":"mm","gaps":{"pre":[],"period":[]}}'
 # exact values whose report outgrows Python's default int-to-str limit
 BIG_VALUES = json.dumps(
     {"type": "multigeometric", "k": ["1/" + "9" * 3000], "q": "1/" + "9" * 2000}
@@ -168,6 +179,20 @@ class TestAnalyze:
         assert doc["classification"]["verdict"] == "Cantorval"
         assert doc["classification"]["tier"] == "Proved"
         assert doc["standardness"]["at_index"] == "3/4"
+
+    @pytest.mark.parametrize("cap, tier", [("100", "Heuristic"), ("200", "Certified")])
+    def test_certificate_seed_over_the_cap_keeps_the_verdict(self, cap, tier, capsys):
+        # ferens_5432's certificate search seeds with I_8, two blocks of four
+        # terms, and F_7 has 104 values: under a cap of 100 the search gives
+        # no certificate, so the horizon decides the tier and the command,
+        # whose own rows need only F_4, still exits 0
+        args = ["analyze", "--spec", str(SPECS / "ferens_5432.json"), "--depth", "4",
+                "--horizon", "4", "--cap", cap]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        c = json.loads(captured.out)["classification"]
+        assert (c["verdict"], c["tier"]) == ("Cantorval", tier)
 
     def test_byte_identical_reruns(self):
         a = run_cli("analyze", "--inline", GN_JSON, "--depth", "6")
@@ -362,6 +387,14 @@ class TestBadInput:
             ("analyze", "--inline", DECIMAL_Q),
             ("validate", "--inline", DEEP),
             ("analyze", "--inline", DEEP),
+            ("validate", "--inline", GF_EMPTY_BLOCK),
+            ("analyze", "--inline", GF_EMPTY_BLOCK),
+            ("validate", "--inline", GF_RATIO_ONE),
+            ("analyze", "--inline", GF_RATIO_ONE),
+            ("validate", "--inline", GF_NEGATIVE_BLOCK),
+            ("analyze", "--inline", GF_NEGATIVE_BLOCK),
+            ("validate", "--inline", MM_EMPTY_PERIOD),
+            ("analyze", "--inline", MM_EMPTY_PERIOD),
         ],
         ids=[
             "depth-0", "depth-negative", "horizon-0", "horizon-negative", "cap-0",
@@ -377,6 +410,10 @@ class TestBadInput:
             "validate-exponent-q", "analyze-exponent-q",
             "validate-decimal-q", "analyze-decimal-q",
             "validate-deep-nesting", "analyze-deep-nesting",
+            "validate-gf-empty-block", "analyze-gf-empty-block",
+            "validate-gf-ratio-one", "analyze-gf-ratio-one",
+            "validate-gf-negative-block", "analyze-gf-negative-block",
+            "validate-mm-empty-period", "analyze-mm-empty-period",
         ],
     )
     def test_usage_error_is_one_line(self, args):
@@ -514,10 +551,29 @@ class TestReportBuilder:
         with pytest.raises(ValueError):
             validate_report_document({"spec": {}})
 
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda doc: doc["classification"].update(verdict="Sometimes"), "bad verdict"),
+            (lambda doc: doc["iterations"][1].pop("gaps"), "iteration row missing gaps"),
+            (lambda doc: doc["iterations"][1]["parts"][0].__setitem__(1, "1"),
+             "rational not in p/q form: 1"),
+        ],
+        ids=["bad-verdict", "row-without-gaps", "part-end-not-a-fraction"],
+    )
+    def test_validator_rejects_a_corrupted_report(self, corrupt, reason):
+        # the benchmark's report checker refuses a report through this check
+        spec = spec_from_json(json.loads(GN_JSON))
+        doc = build_report(spec, depth=3, horizon=3, cap=2_000_000, budget=12)
+        validate_report_document(doc)
+        corrupt(doc)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            validate_report_document(doc)
+
     def test_main_returns_usage_on_unknown_flag(self):
         assert main(["analyze", "--bogus"]) == 2
 
-    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+    def test_only_a_non_plain_argv_builds_a_parser(self, monkeypatch, capsys):
         builds = []
         build_parser = cli.build_parser
 
@@ -525,7 +581,6 @@ class TestReportBuilder:
             builds.append(1)
             return build_parser()
 
-        monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counting)
         gn = str(SPECS / "gn.json")
         assert main(["analyze", "--depth", "0"]) == 2
@@ -534,6 +589,9 @@ class TestReportBuilder:
         assert main(["analyze", "--spec", gn, "--depth", "6"]) == 0
         in_process = capsys.readouterr().out
         assert builds == [1]
+        assert main(["analyze", "--bogus"]) == 2
+        capsys.readouterr()
+        assert builds == [1, 1]
         fresh = subprocess.run(
             [sys.executable, "-m", "cantorval", "analyze", "--spec", gn, "--depth", "6"],
             capture_output=True,
@@ -542,7 +600,7 @@ class TestReportBuilder:
         assert in_process.encode() == fresh.stdout
 
 
-# argvs for the one-pass parse: unknown and misplaced options, a missing
+# argvs that take the parser: unknown and misplaced options, a missing
 # value, an abbreviation, help, no command, an unknown command, a bad
 # choice, an error before an unknown option, and argvs that reach a command;
 # then argvs the plain reader must read as argparse does or leave to it: a
@@ -599,9 +657,9 @@ def parity_argvs(draw):
 
 
 class TestParserParity:
-    """``main`` reads a plain argv from the option table and parses any
-    other one that names a command with that command's subparser alone; it
-    must act as the full parser's ``parse_args``."""
+    """``main`` reads a plain argv from the option table and hands any
+    other one to ``build_parser().parse_args``; on every argv it must act
+    as that call alone."""
 
     @staticmethod
     def _reference(argv):
@@ -622,7 +680,6 @@ class TestParserParity:
                 return handler(args)
 
             monkeypatch.setitem(cli._COMMANDS, name, (recording, options))
-        monkeypatch.setattr(cli, "_parser", None)
         return parsed
 
     def _assert_parity(self, argv, parsed, capsys):
@@ -635,10 +692,7 @@ class TestParserParity:
         (code, out, err, got), (want_code, want_out, want_err, want) = runs
         assert (code, out, err) == (want_code, want_out, want_err)
         assert len(got) == len(want) <= 1
-        for direct, full in zip(got, want):
-            if "command" not in direct:
-                full.pop("command")
-            assert direct == full
+        assert got == want
 
     @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=repr)
     def test_main_matches_parse_args(self, argv, parsed, capsys):
@@ -653,18 +707,21 @@ class TestParserParity:
         script = (
             "import sys\n"
             "from cantorval import cli\n"
+            "builds = []\n"
+            "build_parser = cli.build_parser\n"
+            "cli.build_parser = lambda: builds.append(1) or build_parser()\n"
             "argv = ['analyze', '--spec', sys.argv[1], '--out', sys.argv[2]]\n"
             "code = cli.main(argv)\n"
-            "unbuilt = cli._parser is None\n"
+            "before = len(builds)\n"
             "cli.main(['analyze', '-h'])\n"
-            "print(code, unbuilt, cli._parser is None, file=sys.stderr)\n"
+            "print(code, before, len(builds), file=sys.stderr)\n"
         )
         out = tmp_path / "report.json"
         proc = subprocess.run(
             [sys.executable, "-c", script, str(SPECS / "gn.json"), str(out)],
             capture_output=True, text=True,
         )
-        assert proc.stderr == "0 True False\n"
+        assert proc.stderr == "0 0 1\n"
         assert proc.stdout.startswith("usage: cantorval analyze")
         assert out.stat().st_size > 0
 

@@ -384,7 +384,7 @@ class TestMeasureBounds:
             for f in (classify, certify_interior, measure_bounds)
         ]
         defaults.append(Evidence(GN, mg_ladder(GN)).budget)
-        defaults.append(build_parser().commands["analyze"].get_default("budget"))
+        defaults.append(build_parser().parse_args(["analyze"]).budget)
         assert defaults == [engine.DEFAULT_BUDGET] * 5
 
     @pytest.mark.parametrize("spec", [DYADIC, FERENS], ids=["dyadic", "ferens"])

@@ -233,8 +233,7 @@ class TestPointSet:
 
 
 class TestLatticeStrs:
-    """lattice_strs is lattice_str over a list, with str(d) written once,
-    and a value it is given a string for is looked up."""
+    """lattice_strs is lattice_str over a list, with str(d) written once."""
 
     @given(
         st.integers(1, 12),
@@ -248,13 +247,6 @@ class TestLatticeStrs:
         ks = [0, d, -d, 2 * d] + [m * a for m in multiples] + free
         expected = [lattice_str(k, d) for k in ks]
         assert lattice_strs(ks, d) == expected
-        # strings made on the lattice b, which divides d, serve k = a * m
-        known = {a * m: lattice_str(m, b) for m in multiples}
-        assert lattice_strs(ks, d, known) == expected
-        assert lattice_strs(ks, d, {}) == expected
-
-    def test_known_values_are_looked_up_not_formatted(self):
-        assert lattice_strs([4, 5, 4], 6, {4: "looked up"}) == ["looked up", "5/6", "looked up"]
 
     def test_examples(self):
         assert lattice_strs([0, 6, 4, 5, -3], 6) == ["0/1", "1/1", "2/3", "5/6", "-1/2"]

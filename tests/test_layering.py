@@ -28,6 +28,11 @@ That value is also the Hutchinson operator Phi: ``SelfSimilar.image``,
 ``series.py`` from importing or reading ``merge_parts`` or
 ``covered_parts``, the two part-list steps of Phi's image and its cover
 test, so no second copy of the operator grows back in another module.
+
+A call of ``cli.main`` reads its argv and builds what it needs, and keeps
+nothing for the next call; a seventh static check keeps every module of the
+package free of ``global`` statements, so no per-process state, such as a
+kept parser, comes back unreviewed.
 """
 
 from __future__ import annotations
@@ -240,3 +245,36 @@ def test_the_family_check_sees_both_spellings(tmp_path):
         (4, "mg_block"),
         (5, "MultigeometricSpec"),
     ]
+
+
+def global_statements(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each name that a ``global`` statement in ``path`` declares."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    )
+
+
+def test_no_module_declares_a_global():
+    declared = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = global_statements(path)
+        if names:
+            declared[str(path.relative_to(PACKAGE))] = names
+    assert declared == {}
+
+
+def test_the_global_check_sees_every_scope(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "global_parser = None\n"
+        "def main():\n"
+        "    global _parser, _cache\n"
+        "    class Kept:\n"
+        "        def get(self):\n"
+        "            global _parser\n"
+        "    return global_parser\n"
+    )
+    assert global_statements(probe) == [(3, "_cache"), (3, "_parser"), (6, "_parser")]

@@ -353,20 +353,19 @@ def test_cli_writes_iteration_rows_from_text(name, monkeypatch, tmp_path):
 
 
 # Endpoint strings the iteration rows format per ``analyze --depth 14``.
-# IterationRows hands each row's strings to the next: a carried level formats
-# none, and a swept level only the endpoints that I_{n-1} lacks, while
-# keeping every endpoint of I_{n-1}; so the rows format 2 |parts of I_14|
-# strings, where formatting each row anew cost 30, 266, 266, 8,746, 38,
-# 65,534, 726 and 8,746.
+# A carried level formats none, a swept level after a separated one only the
+# endpoints that I_{n-1} lacks (it slices the others in), and any other swept
+# level all of its own, once; formatting each row anew cost 30, 266, 266,
+# 8,746, 38, 65,534, 726 and 8,746.
 ENDPOINT_STRS_DEPTH_14 = {
     "dyadic": 2,
-    "ferens_5432": 54,
-    "gf_decimal": 54,
-    "gn": 4_374,
-    "kyiv48": 6,
+    "ferens_5432": 80,
+    "gf_decimal": 80,
+    "gn": 6_560,
+    "kyiv48": 8,
     "middle_thirds": 32_768,
-    "mm_ones": 162,
-    "semifast": 4_374,
+    "mm_ones": 242,
+    "semifast": 6_560,
 }
 
 
@@ -376,15 +375,13 @@ def test_rows_format_each_endpoint_once(name, monkeypatch):
     formatted = []
     lattice_strs = engine.lattice_strs
 
-    def counting(ks, d, known=None):
-        # a value found in ``known`` is looked up, every other one formatted
-        formatted.append(len(ks) if known is None else sum(k not in known for k in ks))
-        return lattice_strs(ks, d, known)
+    def counting(ks, d):
+        formatted.append(len(ks))
+        return lattice_strs(ks, d)
 
     monkeypatch.setattr(engine, "lattice_strs", counting)
     _dumps(doc)  # writes the rows, 0 to 14 in order
     assert sum(formatted) == ENDPOINT_STRS_DEPTH_14[name]
-    assert sum(formatted) == 2 * len(doc["iterations"][-1].bricks)
 
 
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))

@@ -332,7 +332,7 @@ class TestHalfTexts:
             assert cli.main(args) == 0
         stream = resolve_stream(spec_from_json(json.loads(path.read_text())))
         report = repetition_report(SubsumLadder(stream), 12)
-        radix = report._decoder.radix
+        radix = _RankDecoder(report.sizes).radix
         ranks = [rank for pair in report.ranks for rank in pair]
         halves = {r // radix for r in ranks}, {r % radix for r in ranks}
         assert len(report.collided) == 1131
@@ -391,9 +391,9 @@ class TestReportText:
         calls = []
         lattice_strs = uniqueness.lattice_strs
 
-        def counting(ks, d, known=None):
+        def counting(ks, d):
             calls.append(len(ks))
-            return lattice_strs(ks, d, known)
+            return lattice_strs(ks, d)
 
         monkeypatch.setattr(uniqueness, "lattice_strs", counting)
         assert parsed(report) == repetition_dict(report)
@@ -402,10 +402,19 @@ class TestReportText:
     @pytest.mark.parametrize(
         "stream, k, collides", [(THIRDS, 6, False), (HALVING.stream(), 5, True)]
     )
-    def test_decoder_is_built_only_for_witnesses(self, stream, k, collides):
+    def test_decoder_is_built_only_for_witnesses(self, stream, k, collides, monkeypatch):
         report = repetition_report(SubsumLadder(stream), k)
+        builds = []
+        decoder = uniqueness._RankDecoder
+
+        def counting(sizes):
+            builds.append(sizes)
+            return decoder(sizes)
+
+        monkeypatch.setattr(uniqueness, "_RankDecoder", counting)
         text = written(report, "\n")
-        assert bool(report.ranks) == ("_decoder" in vars(report)) == collides
+        assert bool(report.ranks) == collides
+        assert builds == ([report.sizes] if collides else [])
         assert text == json.dumps(repetition_dict(report), indent=2)
 
     def test_middle_thirds_has_no_collision_and_no_outer(self):
