@@ -96,12 +96,6 @@ class IterationReport:
         """Every part is one brick, of length r_n (see ``series``)."""
         return len(self.bricks) == self.brick_count
 
-    def _longest_index(self) -> int:
-        if self.separated:  # every part has length r_n
-            return 0
-        lengths = self.bricks.lengths()
-        return lengths.index(max(lengths))
-
     def head_text(self, newline: str, measure: str) -> str:
         """The row's text before ``"gap_count"``, with ``measure`` the
         measure string that ``bricks_text`` gives."""
@@ -122,7 +116,7 @@ class IterationReport:
         and ``gaps`` are each written by ``pairs_chunks``, whose body is a
         chunk of its own, so nothing is escaped or copied into the row.
         """
-        longest = self._longest_index()
+        longest = 0 if self.separated else self.bricks.longest  # separated: all r_n long
         i1 = newline + "  "
         i2 = i1 + "  "
         return rat_str(self.measure), (

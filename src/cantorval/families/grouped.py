@@ -17,6 +17,10 @@ caller reads a term, a tail or a group.  A family counts the terms of its
 groups, and bounds the bit length of its lattice, from the spec's integers
 before it builds any, and ``check_head`` refuses more than DEFAULT_CAP
 terms or more than HEAD_BITS bits.
+
+An achievement set does not depend on the order of its terms, and
+``sorted_stream`` sorts a head and geometric runs at one ratio once, on one
+lattice, into runs with the least preperiod (the multigeometric stream).
 """
 
 from __future__ import annotations
@@ -228,6 +232,95 @@ class GroupedStream(TermStream):
             signs = tuple(map(compare_sign, scaled, islice(self._tails, 1, None)))
             self._pattern = KakeyaPattern(signs[: self._head], signs[self._head :])
         return self._pattern
+
+
+def sorted_stream(
+    head: Sequence[int], period: Sequence[int], lattice: int, a: int, b: int
+) -> GroupedStream:
+    """The terms h / L for h in ``head`` and c q^j / L for c in ``period``
+    and j >= 1, L the ``lattice`` and q = a/b in lowest terms, in
+    nonincreasing order and cut into runs of m = len(period): run j is
+    group j, with period 1, block ratio q and the least preperiod P.
+
+    Let x* be the smaller of min(c) q and min(head).  For x <= x* the terms
+    >= q x are every head term, c q for every c and q times the geometric
+    terms >= x, so past the first N = #head + sum_c e_c terms, e_c =
+    #{j >= 1 : c q^j > x*}, each term is q times the one m before it, and
+    P <= ceil(N / m).  Each window (q x*, x*] holds one geometric term of
+    every c, so the first (ceil(N / m) + 1) m terms are the largest of the
+    head and the c q^j with j <= e_c + 2.  Those lie on the lattice L b^J,
+    J = max(e_c) + 3, which leaves room for q times the last run; each c's
+    run is one power of b and then a multiplication by a and an exact
+    division by b per term, and one sort merges them with the head.  Before
+    any term is built, ``check_head`` weighs the count against
+    ``power_bits``' bound on the bit length of L b^J.
+    """
+    m = len(period)
+    if head and min(head) * b < min(period) * a:  # x* = min(head)
+        exponents = _exponents_above([c * a for c in period], min(head) * b, a, b, m)
+    else:  # x* = min(c) q
+        exponents = _exponents_above(period, min(period), a, b, m)
+    count = (-(-(len(head) + sum(exponents)) // m) + 1) * m
+    top = max(exponents) + 3
+    check_head(count + m, power_bits(lattice, b, top))
+    power = b ** (top - 1)
+    terms = [h * b * power for h in head]
+    scale = a * power
+    for c, e in zip(period, exponents):
+        x = c * scale
+        terms.append(x)
+        for _ in range(e + 1):
+            x = x * a // b
+            terms.append(x)
+    terms.sort(reverse=True)
+    runs = [tuple(terms[s : s + m]) for s in range(0, count, m)]
+    # drop each last run that is q times the run before it
+    while len(runs) > 1 and not any(
+        map(operator.ne, map(b.__mul__, runs[-1]), map(a.__mul__, runs[-2]))
+    ):
+        runs.pop()
+    runs.append(tuple(x * a // b for x in runs[-1]))
+    return GroupedStream(runs, lattice * b**top, len(runs) - 2, 1)
+
+
+_BITS, _LEAP = 64, 64
+
+
+def _exponents_above(terms: Sequence[int], low: int, a: int, b: int, m: int) -> list[int]:
+    """e_i = #{e >= 0 : t_i q^e > low} for each t_i of ``terms``, on one
+    lattice with ``low``, q = a/b.
+
+    Counted on integer bounds lo <= t_i q^e / low * 2^64 <= hi, rounded
+    down and up at each step, so a step costs the same at every e.  The
+    count leaps 64 steps at a time while lo stays above 1 after the leap,
+    then goes one step at a time; only a near-tie that the bounds leave
+    open is decided on t_i a^e and low b^e.  Raises CapacityError for stage
+    ``stream_head`` as soon as the groups these counts imply,
+    (ceil(N / m) + 2) m terms for N their sum, would pass DEFAULT_CAP; it
+    names the size where the count stopped.
+    """
+    one = 1 << _BITS
+    limit = (DEFAULT_CAP // m - 2) * m
+    a_leap, b_leap = a**_LEAP, b**_LEAP
+    total = 0
+    exponents = []
+    for c in terms:
+        lo = (c << _BITS) // low
+        hi = -(-(c << _BITS) // low)
+        e = 0
+        leaping = True
+        while lo > one or (hi > one and c * a**e > low * b**e):
+            if leaping and (far := lo * a_leap // b_leap) > one:
+                step, lo, hi = _LEAP, far, -(-hi * a_leap // b_leap)
+            else:
+                leaping = False
+                step, lo, hi = 1, lo * a // b, -(-hi * a // b)
+            e += step
+            total += step
+            if total > limit:
+                check_head((-(-total // m) + 2) * m, 0)
+        exponents.append(e)
+    return exponents
 
 
 def _validated_ratio(

@@ -385,6 +385,12 @@ class Bricks:
     def lengths(self) -> list[int]:
         return list(map(operator.sub, self.ends, self.starts))
 
+    @cached_property
+    def longest(self) -> int:
+        """The index of the first longest part, kept for every reader."""
+        lengths = self.lengths()
+        return lengths.index(max(lengths))
+
     @property
     def measure(self) -> Fraction:
         return Fraction(sum(self.ends) - sum(self.starts), self.denominator)

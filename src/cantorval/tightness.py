@@ -87,7 +87,8 @@ def _max_block_diameter(ladder: SubsumLadder, n: int) -> Fraction:
     if ladder.separated(n):
         return Fraction(0)
     bricks = ladder.bricks(n)
-    return Fraction(max(bricks.lengths()), bricks.denominator) - ladder.stream.tail(n)
+    i = bricks.longest
+    return Fraction(bricks.ends[i] - bricks.starts[i], bricks.denominator) - ladder.stream.tail(n)
 
 
 def tight_trend(ladder: SubsumLadder, depth: int) -> TightTrend:

@@ -28,7 +28,9 @@ endpoint of a row anew where ``engine.IterationRows`` now hands one row's
 strings to the next, and its earlier stream class, ``FractionGroupedStream``,
 which validated, summed tails and compared terms with tails in Fractions
 where ``GroupedStream`` now does all three on one integer lattice, with the
-Fraction merge of the multigeometric runs that fed it.
+Fraction merge of the multigeometric runs that fed it, and a Fraction merge
+of head terms with geometric runs, which ``grouped.sorted_stream`` must
+match term for term.
 """
 
 from __future__ import annotations
@@ -970,6 +972,23 @@ def fraction_sorted_head(spec: MultigeometricSpec) -> tuple[tuple[Fraction, ...]
     while len(runs) > 1 and runs[-1] == tuple(q * t for t in runs[-2]):
         runs.pop()
     return tuple(runs)
+
+
+def fraction_sorted_terms(head, period, q, count) -> list[Fraction]:
+    """The ``count`` largest of the terms h in ``head`` and c q^j, c in
+    ``period``, j >= 1, in nonincreasing order: each step takes the larger
+    of the largest head term left and the largest running product."""
+    rest = sorted(head, reverse=True)
+    current = [c * q for c in period]
+    terms = []
+    for _ in range(count):
+        i = max(range(len(current)), key=current.__getitem__)
+        if rest and rest[0] >= current[i]:
+            terms.append(rest.pop(0))
+        else:
+            terms.append(current[i])
+            current[i] *= q
+    return terms
 
 
 def reference_stream(spec) -> FractionGroupedStream:

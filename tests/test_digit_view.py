@@ -25,12 +25,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorval.cli import main
 from cantorval.families import spec_from_json
-from cantorval.families.grouped import HEAD_BITS, GroupedStream, power_bits
-from cantorval.families.multigeometric import _exponents_above, multigeometric
+from cantorval.families.grouped import (
+    HEAD_BITS,
+    GroupedStream,
+    _exponents_above,
+    power_bits,
+    sorted_stream,
+)
+from cantorval.families.multigeometric import multigeometric
 from cantorval.families.periodic import BlockGeometric
 from cantorval.series import DEFAULT_CAP, CapacityError
 
-from oracles import FractionGroupedStream, lattice_stream, reference_stream
+from oracles import (
+    FractionGroupedStream,
+    fraction_sorted_terms,
+    lattice_stream,
+    reference_stream,
+)
 from test_cli import gf_json, kyiv_json, multigeometric_json
 from test_families import mm_specs
 from test_uniqueness import repeated_specs
@@ -156,7 +167,38 @@ def test_exponents_above_count_every_power(coefficients, ratio):
         while x > y:
             x, y, e = x * a, y * b, e + 1
         expected.append(e)
-    assert _exponents_above(scaled, a, b, spec.m) == expected
+    assert _exponents_above(scaled, scaled[-1], a, b, spec.m) == expected
+
+
+_TERMS = st.fractions(F(1, 20), F(5), max_denominator=20)
+
+
+@given(
+    st.lists(_TERMS, max_size=3),
+    st.lists(_TERMS, min_size=1, max_size=4),
+    st.integers(2, 10).flatmap(lambda b: st.builds(F, st.integers(1, b - 1), st.just(b))),
+)
+# a head term below every c q: the head's least term sets the count
+@example([F(1, 100)], [F(3), F(2)], F(1, 4))
+def test_sorted_stream_matches_the_fraction_sort(head, period, q):
+    lattice = lcm(*(x.denominator for x in head + period))
+    stream = sorted_stream(
+        [int(h * lattice) for h in head],
+        [int(c * lattice) for c in period],
+        lattice,
+        q.numerator,
+        q.denominator,
+    )
+    m, pre = len(period), stream.preperiod
+    # the head runs and four runs past them, against a sort in Fractions
+    expected = fraction_sorted_terms(head, period, q, (pre + 4) * m)
+    assert [stream.term(n) for n in range(1, (pre + 4) * m + 1)] == expected
+    assert stream.tail(0) == sum(head, F(0)) + sum(period, F(0)) * q / (1 - q)
+    assert (stream.period, stream.block_ratio) == (1, q)
+    # the preperiod is least in whole runs: run P + 1 is not q times run P
+    if pre:
+        runs = [expected[s : s + m] for s in range(0, len(expected), m)]
+        assert runs[pre] != [q * t for t in runs[pre - 1]]
 
 
 @given(

@@ -33,6 +33,11 @@ A call of ``cli.main`` reads its argv and builds what it needs, and keeps
 nothing for the next call; a seventh static check keeps every module of the
 package free of ``global`` statements, so no per-process state, such as a
 kept parser, comes back unreviewed.
+
+A family whose terms come out of order has them sorted by
+``grouped.sorted_stream``, which also bounds the head and fixes the
+lattice; an eighth static check keeps every family module that builds a
+stream from calling ``sort`` or ``sorted``, so no second sort grows there.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ FAMILIES = PACKAGE / "families"
 MULTIGEOMETRIC_NAMES = {"MultigeometricSpec", "mg_block"}
 MULTIGEOMETRIC_MODULE = "families.multigeometric"
 OPERATOR_STEPS = {"merge_parts", "covered_parts"}
+SORTS = {"sort", "sorted"}
+STREAM_FAMILIES = ("multigeometric", "ferens", "kyiv", "marchwicki", "repeated")
 
 
 def imported_names(path: Path, wanted: set[str]) -> list[tuple[int, str]]:
@@ -278,3 +285,24 @@ def test_the_global_check_sees_every_scope(tmp_path):
         "    return global_parser\n"
     )
     assert global_statements(probe) == [(3, "_cache"), (3, "_parser"), (6, "_parser")]
+
+
+def test_no_family_sorts_its_own_terms():
+    sorting = {}
+    for name in STREAM_FAMILIES:
+        calls = called_names(FAMILIES / f"{name}.py", SORTS)
+        if calls:
+            sorting[name] = calls
+    assert sorting == {}
+    assert {name for _, name in called_names(FAMILIES / "grouped.py", SORTS)} == {"sort"}
+
+
+def test_the_sort_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "terms.sort(reverse=True)\n"
+        "runs = sorted(groups)\n"
+        "key = sorted\n"
+        "s = sort_key(x)\n"
+    )
+    assert called_names(probe, SORTS) == [(1, "sort"), (2, "sorted")]

@@ -370,7 +370,7 @@ ENDPOINT_STRS_DEPTH_14 = {
 
 
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
-def test_rows_format_each_endpoint_once(name, monkeypatch):
+def test_rows_format_the_pinned_endpoint_string_counts(name, monkeypatch):
     doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
     formatted = []
     lattice_strs = engine.lattice_strs
