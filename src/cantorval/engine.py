@@ -41,6 +41,9 @@ from .exact import (
     EMPTY_SET,
     Interval,
     IntervalSet,
+    coprime,
+    coprime_strs,
+    grows_every_prime,
     intersect_parts,
     lattice_strs,
     nondegenerate_parts,
@@ -153,8 +156,9 @@ class IterationRows:
     I_{n-1} in two, by fact (B) of the ``series`` docstring: its starts
     alternate old, new and its ends new, old.  So the previous row's
     strings, which name rationals whatever lattice they were read from,
-    are sliced into place and only the new half is formatted.  Any other
-    row formats its endpoints whole.
+    are sliced into place and only the new half is formatted, with no gcd
+    where fact (C) proves it in lowest terms (``coprime_strs``).
+    Any other row formats its endpoints whole.
     """
 
     def __init__(self, ladder: SubsumLadder, depth: int) -> None:
@@ -180,9 +184,13 @@ class IterationRows:
             got = row.bricks
             if got is not last:
                 d = got.denominator
-                if was_separated:
-                    starts = _interleaved(starts, lattice_strs(got.starts[1::2], d))
-                    ends = _interleaved(lattice_strs(got.ends[::2], d), ends)
+                if was_separated:  # fact (C), with x = x_n d and r = r_n d
+                    grown = grows_every_prime(last.denominator, d)
+                    x, r = got.starts[1] - got.starts[0], got.ends[0] - got.starts[0]
+                    strs = coprime_strs if grown and coprime(x, d) else lattice_strs
+                    starts = _interleaved(starts, strs(got.starts[1::2], d))
+                    strs = coprime_strs if grown and coprime(r, d) else lattice_strs
+                    ends = _interleaved(strs(got.ends[::2], d), ends)
                 else:
                     starts = lattice_strs(got.starts, d)
                     ends = lattice_strs(got.ends, d)

@@ -77,6 +77,24 @@ def lattice_strs(ks: Sequence[int], d: int) -> list[str]:
     ]
 
 
+def coprime_strs(ks: Sequence[int], d: int) -> list[str]:
+    """``lattice_strs(ks, d)`` for ks known to be coprime to d: no gcd."""
+    den = "/" + str(d)
+    return [f"{k}{den}" for k in ks]
+
+
+def coprime(k: int, d: int) -> bool:
+    return gcd(k, d) == 1
+
+
+def grows_every_prime(old: int, d: int) -> bool:
+    """Whether old divides d and every prime of old divides d // old."""
+    rest, r = divmod(d, old)
+    while (g := gcd(old, rest)) > 1:
+        old //= g
+    return not r and old == 1
+
+
 def pairs_chunks(los: Sequence[str], his: Sequence[str], newline: str) -> tuple[str, ...]:
     """The list of pairs [los[i], his[i]], as far as both go, as
     ``json.dumps(..., indent=2)`` writes it at the nesting whose line break

@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from ..series import (
@@ -349,8 +348,7 @@ def _validated_ratio(
     top, bottom = groups[preperiod + period][0], groups[preperiod][0]
     if not top < bottom:
         raise ValueError("block ratio must lie in (0, 1)")
-    g = gcd(top, bottom)
-    a, b = top // g, bottom // g
+    a, b = Fraction(top, bottom).as_integer_ratio()
     if a * top > b * previous_last:
         raise StreamError(f"terms increase across the boundary into group {len(groups) + 1}")
     for first, second in zip(groups[preperiod:], groups[preperiod + period :]):

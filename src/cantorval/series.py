@@ -26,7 +26,7 @@ the lattice of the level that swept it.  The ladder builds each level
 together with its I_n, and holds numbers only; the report writer formats
 them.
 
-Level n is *separated* when every gap of F_n exceeds r_n.  Two facts follow.
+Level n is *separated* when every gap of F_n exceeds r_n.  Three facts follow.
 
 (A) A separated I_n has starts F_n and ends F_n + r_n: each brick is a part
 of its own, of length r_n, since a gap wider than r_n cuts between every two
@@ -40,6 +40,12 @@ alternate with no value in both.  The gaps of F_n are x_n > r_n and
 f' - (f + x_n) > r_{n-1} - x_n = r_n.  So each part [f, f + r_{n-1}] of
 I_{n-1} splits into [f, f + r_n] and [f + x_n, f + r_{n-1}]: I_n's starts
 alternate old, new and its ends new, old.
+
+(C) In (B), let d' | d be the denominators of I_{n-1} and I_n.  If every
+prime p of d' has v_p(d) > v_p(d') and x_n d is coprime to d, each new start
+f + x_n is in lowest terms over d: v_p(f) >= -v_p(d') > -v_p(d) = v_p(x_n)
+if p | d', and v_p(f) >= 0 otherwise, so v_p(f + x_n) = -v_p(d) for p | d.
+Likewise each new end f + r_n, when r_n d is coprime to d.
 
 (B) is applied wherever it holds.  I_{n-1} is built before level n, so
 (A) tells whether level n - 1 is separated by one comparison,

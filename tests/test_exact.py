@@ -7,7 +7,9 @@ from hypothesis import example, given, strategies as st
 from cantorval.exact import (
     EMPTY_SET,
     PointSet,
+    coprime_strs,
     covered_parts,
+    grows_every_prime,
     intersect_parts,
     interval,
     lattice_str,
@@ -253,6 +255,66 @@ class TestLatticeStrs:
         assert lattice_strs([], 7) == []
         big = 3 * 2**80
         assert lattice_strs([2**80, 1], big) == ["1/3", f"1/{big}"]
+
+
+def valuation(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def trial_primes(n):
+    """The primes of n, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + ([n] if n > 1 else [])
+
+
+class TestGrowsEveryPrime:
+    """grows_every_prime(old, d) tells whether every prime of a divisor old
+    of d divides d more often than it divides old."""
+
+    @staticmethod
+    def by_trial_division(old, d):
+        return all(valuation(p, d) > valuation(p, old) for p in trial_primes(old))
+
+    @given(st.integers(1, 10**6), st.data())
+    def test_matches_trial_division(self, d, data):
+        divisors = [k for k in range(1, int(d**0.5) + 1) if d % k == 0]
+        old = data.draw(st.sampled_from(divisors + [d // k for k in divisors]))
+        assert grows_every_prime(old, d) == self.by_trial_division(old, d)
+
+    @pytest.mark.parametrize("d", [1, 3**5, 4 * 5**3, 2**4 * 3**2 * 5, 720_720])
+    def test_every_divisor(self, d):
+        for old in range(1, d + 1):
+            if d % old == 0:
+                assert grows_every_prime(old, d) == self.by_trial_division(old, d)
+
+    def test_examples(self):
+        assert grows_every_prime(3**4, 3**5)  # middle thirds: 3^(n-1) | 3^n
+        assert not grows_every_prime(4 * 5**3, 4 * 5**4)  # (3; 1/5): the 2 does not grow
+        assert grows_every_prime(1, 7)
+        assert not grows_every_prime(7, 7)
+
+    def test_old_must_divide_d(self):
+        # 4 does not divide 18, though 18 // 4 = 4 holds every prime of 4:
+        # dividing out gcd(4, 18 // 4) alone would leave 1
+        assert not grows_every_prime(4, 18)
+        assert grows_every_prime(4, 16)
+
+
+class TestCoprimeStrs:
+    @given(st.integers(1, 10**12), st.lists(st.integers(-(10**15), 10**15), max_size=8))
+    def test_matches_lattice_strs_on_coprime_numerators(self, d, ks):
+        ks = [k for k in ks if F(k, d).denominator == d]
+        assert coprime_strs(ks, d) == lattice_strs(ks, d)
 
 
 class TestPairsChunks:

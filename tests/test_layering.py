@@ -38,6 +38,11 @@ A family whose terms come out of order has them sorted by
 ``grouped.sorted_stream``, which also bounds the head and fixes the
 lattice; an eighth static check keeps every family module that builds a
 stream from calling ``sort`` or ``sorted``, so no second sort grows there.
+
+Lowest terms are decided in ``cantorval.exact``: its formatters, and the
+tests that let the row writer skip a gcd (fact (C) of the ``series``
+docstring).  A ninth static check keeps every other module from importing,
+reading or calling ``gcd``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cantorval"
 SERIES = PACKAGE / "series.py"
-FORMATTERS = {"lattice_str", "lattice_strs", "pairs_chunks", "rat_str"}
+FORMATTERS = {"coprime_strs", "lattice_str", "lattice_strs", "pairs_chunks", "rat_str"}
 ONCE_PER_REPORT = {"tight_trend", "kakeya_split"}
 LADDER_ONLY = {"interleave", "_sweep"}
 JSON_PARSERS = {"load", "loads"}
@@ -57,6 +62,8 @@ MULTIGEOMETRIC_MODULE = "families.multigeometric"
 OPERATOR_STEPS = {"merge_parts", "covered_parts"}
 SORTS = {"sort", "sorted"}
 STREAM_FAMILIES = ("multigeometric", "ferens", "kyiv", "marchwicki", "repeated")
+EXACT = PACKAGE / "exact.py"
+GCD = {"gcd"}
 
 
 def imported_names(path: Path, wanted: set[str]) -> list[tuple[int, str]]:
@@ -306,3 +313,31 @@ def test_the_sort_check_sees_both_spellings(tmp_path):
         "s = sort_key(x)\n"
     )
     assert called_names(probe, SORTS) == [(1, "sort"), (2, "sorted")]
+
+
+def gcd_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, "gcd") for each import, attribute read or call of ``gcd`` in ``path``."""
+    return sorted(set(imported_names(path, GCD) + called_names(path, GCD)))
+
+
+def test_only_exact_takes_a_gcd():
+    users = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        uses = gcd_uses(path)
+        if uses and path != EXACT:
+            users[str(path.relative_to(PACKAGE))] = uses
+    assert users == {}
+    assert gcd_uses(EXACT) != []
+
+
+def test_the_gcd_check_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from math import gcd as g, lcm\n"
+        "import math\n"
+        "a = math.gcd(x, y)\n"
+        "b = gcd(x, y)\n"
+        "c = lcm(x, y)\n"
+        "d = lowest_terms(x, y)\n"
+    )
+    assert gcd_uses(probe) == [(1, "gcd"), (3, "gcd"), (4, "gcd")]

@@ -367,21 +367,30 @@ ENDPOINT_STRS_DEPTH_14 = {
     "mm_ones": 242,
     "semifast": 6_560,
 }
+# Of those, the strings written with no gcd, where fact (C) of the
+# ``series`` docstring proves a new half in lowest terms: every row of
+# middle_thirds after row 0, whose lattice grows by 3 per row, and none of
+# the other seven specs.
+GCD_FREE_STRS_DEPTH_14 = {"middle_thirds": 32_766}
 
 
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))
 def test_rows_format_the_pinned_endpoint_string_counts(name, monkeypatch):
     doc = _analysis(load(name), 14, 14, DEFAULT_CAP, 12)
-    formatted = []
-    lattice_strs = engine.lattice_strs
+    formatted = {"lattice_strs": 0, "coprime_strs": 0}
 
-    def counting(ks, d):
-        formatted.append(len(ks))
-        return lattice_strs(ks, d)
+    def counting(formatter):
+        def counted(ks, d):
+            formatted[formatter.__name__] += len(ks)
+            return formatter(ks, d)
 
-    monkeypatch.setattr(engine, "lattice_strs", counting)
+        return counted
+
+    monkeypatch.setattr(engine, "lattice_strs", counting(engine.lattice_strs))
+    monkeypatch.setattr(engine, "coprime_strs", counting(engine.coprime_strs))
     _dumps(doc)  # writes the rows, 0 to 14 in order
-    assert sum(formatted) == ENDPOINT_STRS_DEPTH_14[name]
+    assert sum(formatted.values()) == ENDPOINT_STRS_DEPTH_14[name]
+    assert formatted["coprime_strs"] == GCD_FREE_STRS_DEPTH_14.get(name, 0)
 
 
 @pytest.mark.parametrize("name", sorted(ENDPOINT_STRS_DEPTH_14))

@@ -8,16 +8,21 @@ scan; at any separated level the tight trend reads 0, the row writer
 slices the previous row's strings into place and the outer
 multiple-representation set is empty.  Over random specs of every family,
 each shortcut must give what the generic path gives, at every level up to
-depth 12.
+depth 12.  Where fact (C) proves a new half of a row in lowest terms, the
+row writer formats it with no gcd; every numerator it so writes must be
+coprime to its denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantorval import engine
 from cantorval.classify import resolve_stream
 from cantorval.engine import IterationRows
 from cantorval.families import multigeometric, spec_from_json
@@ -192,3 +197,76 @@ def test_interleaving_rescales_to_the_term_lattice():
     got = level.interleave(F(1, 3), 10)
     assert (got.denominator, got.values) == (6, (0, 2, 3, 5))
     assert got == level.extend(F(1, 3), 10)
+
+
+def all_kakeya(spec) -> bool:
+    pattern = resolve_stream(spec).kakeya_pattern()
+    return set(pattern.prefix + pattern.cycle) == {GREATER}
+
+
+# (k; 1/b) and (k1, k2; 1/b) with every index a Kakeya index, so every row
+# after row 0 follows a separated row; (m (b - 1); 1/b) has r_n = m / b^n,
+# so its lattice often grows every prime
+all_kakeya_specs = st.one_of(
+    st.builds(lambda k, b: multigeometric([k], F(1, b)), st.integers(1, 40), st.integers(3, 40)),
+    st.builds(
+        lambda m, b: multigeometric([m * (b - 1)], F(1, b)), st.integers(1, 12), st.integers(3, 40)
+    ),
+    st.builds(
+        lambda k1, k2, b: multigeometric([max(k1, k2), min(k1, k2)], F(1, b)),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(2, 40),
+    ),
+).filter(all_kakeya)
+
+
+def gcd_free_rows(spec, depth: int) -> tuple[list[tuple[list[int], int]], bool]:
+    """The (numerators, denominator) of each call of the gcd-free formatter
+    while the rows to ``depth`` are written, and whether that text equals
+    the rows with every endpoint formatted anew."""
+    rows = IterationRows(SubsumLadder(resolve_stream(spec)), depth)
+    calls = []
+    coprime_strs = engine.coprime_strs
+
+    def recording(ks, d):
+        calls.append((list(ks), d))
+        return coprime_strs(ks, d)
+
+    with mock.patch.object(engine, "coprime_strs", recording):
+        text = "".join(rows.chunks("\n  "))
+    inner = "\n    "
+    expected = "[" + inner + ("," + inner).join(iteration_row_text(row, inner) for row in rows)
+    return calls, text == expected + "\n  ]"
+
+
+@given(all_kakeya_specs)
+# the lattice grows by 3, 5 or 10 per row and both steps are coprime to it
+@example(multigeometric([2], "1/3"))
+@example(multigeometric([4], "1/5"))
+@example(multigeometric([9], "1/10"))
+# r_n = 3 / (4 * 5^n): the prime 2 of d = 4 * 5^n does not grow
+@example(multigeometric([3], "1/5"))
+@settings(max_examples=150, deadline=None)
+def test_gcd_free_halves_are_in_lowest_terms(spec):
+    calls, same_text = gcd_free_rows(spec, DEPTH)
+    for ks, d in calls:
+        assert all(gcd(k, d) == 1 for k in ks)
+    assert same_text
+
+
+@pytest.mark.parametrize(
+    "coefficients, ratio, gcd_free",
+    [
+        ([2], "1/3", 2**13 - 2),
+        ([4], "1/5", 2**13 - 2),
+        ([9], "1/10", 2**13 - 2),
+        ([3], "1/5", 0),
+    ],
+)
+def test_gcd_free_path_fires_where_every_prime_grows(coefficients, ratio, gcd_free):
+    # rows 1..12 each format 2^n new strings, all with no gcd when fact (C)
+    # holds at every row; for (3; 1/5) it holds at none
+    calls, same_text = gcd_free_rows(multigeometric(coefficients, ratio), DEPTH)
+    assert same_text
+    assert sum(len(ks) for ks, _ in calls) == gcd_free
